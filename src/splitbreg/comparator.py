@@ -9,15 +9,15 @@ independent check on the split-feasibility solver, and as the certification
 oracle for the regularization weight.
 """
 
-import csv
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import DenseMatrix, LinearOperator
+from .linops import as_operator
 from .objectives import soft_shrink
 from .projections import NormBall, Point
+from .solver import write_history
 
 
 class StepSizeViolation(ValueError):
@@ -77,17 +77,9 @@ def _ball(b, delta, p):
     return NormBall(b, delta, p)
 
 
-def _pnorm(v, p):
-    if p == 1:
-        return float(np.abs(v).sum())
-    if p == 2:
-        return float(np.linalg.norm(v))
-    return float(np.abs(v).max())
-
-
 def run_pd(config):
     """Run the primal-dual iteration for the configured budget."""
-    op = config.op if isinstance(config.op, LinearOperator) else DenseMatrix(config.op)
+    op = as_operator(config.op)
     b = np.atleast_1d(np.asarray(config.b, dtype=float))
     m, n = op.shape
     norm = op.norm_estimate()
@@ -111,8 +103,8 @@ def run_pd(config):
             PDRecord(
                 k=k,
                 objective_value=float(lam * np.abs(xk).sum() + 0.5 * np.dot(xk, xk)),
-                feasibility_gap=_pnorm(ax - b, p) - delta,
-                set_distance=float(np.linalg.norm(ax - ball.project(ax))),
+                feasibility_gap=float(np.linalg.norm(ax - b, p)) - delta,
+                set_distance=ball.distance(ax),
                 elapsed_ms=(time.perf_counter() - start) * 1e3,
             )
         )
@@ -131,21 +123,8 @@ def run_pd(config):
 def history_to_csv(result, path):
     """Write the run history in the solver's CSV schema (one constraint, the
     fixed primal step in step_size, set distance as the violation)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ("k", "constraint_index", "step_size", "w_norm", "max_violation",
-             "objective_value", "elapsed_ms")
-        )
-        for rec in result.records:
-            writer.writerow(
-                [
-                    rec.k,
-                    0,
-                    f"{result.tau:.17g}",
-                    "nan",
-                    f"{rec.set_distance:.17g}",
-                    f"{rec.objective_value:.17g}",
-                    f"{rec.elapsed_ms:.17g}",
-                ]
-            )
+    rows = (
+        (rec.k, 0, result.tau, float("nan"), rec.set_distance, rec.objective_value, rec.elapsed_ms)
+        for rec in result.records
+    )
+    write_history(path, rows)

@@ -5,7 +5,6 @@ summary CSVs contain no wall-clock columns (timings go into a separate file),
 so identical configurations produce bit-identical outputs.
 """
 
-import csv
 import json
 import time
 from dataclasses import dataclass, field
@@ -25,6 +24,7 @@ from .linops import (
 )
 from .objectives import ElasticNet, GroupElasticNet, ProductObjective, SquaredNorm
 from .projections import Hyperplane, NonnegCone, NormBall, Point
+from .solver import format_float, write_csv
 
 
 class CertificationFailed(RuntimeError):
@@ -300,17 +300,6 @@ _RULES = {
 }
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt(v):
-    return f"{v:.17g}"
-
-
 def _pad(columns):
     """Pad trace columns to a common length by repeating the last value."""
     length = max(len(c) for c in columns)
@@ -352,17 +341,9 @@ def run_stepsize_benchmark(config):
         terminations[rule_name] = result.termination
 
     columns, length = _pad([traces[r] for r in config.rules])
-    rows = [[k] + [_fmt(c[k]) for c in columns] for k in range(length)]
-    _write_csv(out / "residuals.csv", ["k"] + list(config.rules), rows)
+    rows = [[k] + [format_float(c[k]) for c in columns] for k in range(length)]
+    write_csv(out / "residuals.csv", ["k"] + list(config.rules), rows)
     return {"traces": traces, "terminations": terminations, "lam": lam, "instance": inst}
-
-
-def _pnorm(v, p):
-    if p == 1:
-        return float(np.abs(v).sum())
-    if p == 2:
-        return float(np.linalg.norm(v))
-    return float(np.abs(v).max())
 
 
 def run_noisy_recovery(config):
@@ -402,7 +383,7 @@ def run_noisy_recovery(config):
 
         def track(pair, record):
             objective_trace.append(record.objective_value)
-            gap_trace.append(_pnorm(inst.op.apply(pair.x) - noisy, p) - delta)
+            gap_trace.append(float(np.linalg.norm(inst.op.apply(pair.x) - noisy, p)) - delta)
 
         result = solver.run(cfg, callback=track)
         traces[rule_name] = {"objective": objective_trace, "gap": gap_trace}
@@ -432,12 +413,12 @@ def run_noisy_recovery(config):
         [traces[m_]["objective"] for m_ in methods] + [traces[m_]["gap"] for m_ in methods]
     )
     header = ["k"] + [f"objective_{m_}" for m_ in methods] + [f"gap_{m_}" for m_ in methods]
-    rows = [[k] + [_fmt(c[k]) for c in columns] for k in range(length)]
-    _write_csv(out / "trace.csv", header, rows)
-    _write_csv(
+    rows = [[k] + [format_float(c[k]) for c in columns] for k in range(length)]
+    write_csv(out / "trace.csv", header, rows)
+    write_csv(
         out / "summary.csv",
         ["method", "err_rel", "iterations", "termination"],
-        [[name, _fmt(err), its, term] for name, err, its, term in summary],
+        [[name, format_float(err), its, term] for name, err, its, term in summary],
     )
     return {
         "traces": traces,
@@ -546,20 +527,20 @@ def run_tomography(config):
         + [f"data_gap_{v}" for v in variants]
         + [f"coupling_{v}" for v in variants]
     )
-    rows = [[k] + [_fmt(c[k]) for c in columns] for k in range(length)]
-    _write_csv(out / "trace.csv", header, rows)
-    _write_csv(
+    rows = [[k] + [format_float(c[k]) for c in columns] for k in range(length)]
+    write_csv(out / "trace.csv", header, rows)
+    write_csv(
         out / "summary.csv",
         ["variant", "final_error", "iterations", "termination"],
         [
-            [v, _fmt(errors[v]), len(results[v].records), terminations[v]]
+            [v, format_float(errors[v]), len(results[v].records), terminations[v]]
             for v in variants
         ],
     )
-    _write_csv(
+    write_csv(
         out / "timings.csv",
         ["variant", "ms_per_iteration"],
-        [[v, _fmt(timings[v])] for v in variants],
+        [[v, format_float(timings[v])] for v in variants],
     )
     return {
         "results": results,

@@ -89,6 +89,11 @@ class DenseMatrix(LinearOperator):
         return self.a
 
 
+def as_operator(a):
+    """``a`` itself when it is a LinearOperator, else a DenseMatrix around it."""
+    return a if isinstance(a, LinearOperator) else DenseMatrix(a)
+
+
 class SparseOperator(LinearOperator):
     """Operator backed by a scipy CSR matrix, serializable as matrix market."""
 

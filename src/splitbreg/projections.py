@@ -9,11 +9,19 @@ for the "simple" ones. Every Bregman projector returns a new consistent pair
 import numpy as np
 from scipy.optimize import brentq
 
+from .linops import as_operator
 from .objectives import PrimalDualPair, pair_from_dual, soft_shrink
 
 
 class FeasiblePoint(ValueError):
-    """A separating halfspace was requested at a point that is already feasible."""
+    """A separating halfspace was requested at a point that is already feasible.
+
+    ``w_norm`` is the norm of the residual that was found within tolerance.
+    """
+
+    def __init__(self, message, w_norm):
+        super().__init__(message)
+        self.w_norm = w_norm
 
 
 class ZeroNormal(ValueError):
@@ -163,13 +171,9 @@ class AffineSubspace(RangeSet):
     """{y : A y = b} for a full-row-rank A (dense at the scales used here)."""
 
     def __init__(self, op, b):
-        from .linops import LinearOperator, DenseMatrix
-
-        if not isinstance(op, LinearOperator):
-            op = DenseMatrix(op)
-        self.op = op
+        self.op = as_operator(op)
         self.b = np.atleast_1d(np.asarray(b, dtype=float))
-        if self.b.shape[0] != op.shape[0]:
+        if self.b.shape[0] != self.op.shape[0]:
             raise ValueError("right-hand side does not match the operator")
 
     def project(self, y):
@@ -178,11 +182,6 @@ class AffineSubspace(RangeSet):
         gram = a @ a.T
         w = np.linalg.solve(gram, a @ y - self.b)
         return y - a.T @ w
-
-
-def project_orthogonal(target, y):
-    """Orthogonal projection of y onto the target set."""
-    return target.project(y)
 
 
 # ---------------------------------------------------------------------------
@@ -241,23 +240,21 @@ class SeparatingHalfspace:
         self.w = w
         self.w_norm = float(w_norm)
 
-    def as_halfspace(self):
-        return Halfspace(self.normal, self.offset)
-
 
 def separating_halfspace(op, target, x, tol=1e-12):
     """Halfspace separating x from {z : A z in target} when x is infeasible.
 
     The normal is A^T w with w = A x - P_target(A x) and the offset is
     <A^T w, x> - ||w||^2; every feasible point lies inside, x lies strictly
-    outside. Raises FeasiblePoint when ||w|| <= tol * (1 + ||A x||).
+    outside. Raises FeasiblePoint, carrying ||w||, when
+    ||w|| <= tol * (1 + ||A x||).
     """
     x = np.asarray(x, dtype=float)
     y = op.apply(x)
     w = y - target.project(y)
     w_norm = float(np.linalg.norm(w))
     if w_norm <= tol * (1.0 + float(np.linalg.norm(y))):
-        raise FeasiblePoint("point already satisfies the constraint to tolerance")
+        raise FeasiblePoint("point already satisfies the constraint to tolerance", w_norm)
     normal = op.apply_adjoint(w)
     offset = float(np.dot(normal, x)) - w_norm * w_norm
     return SeparatingHalfspace(normal, offset, w, w_norm)
@@ -367,6 +364,14 @@ def _shrink_linesearch(x_star, a, beta, weights, nonneg, gp0=None):
     return -walk(u, -av, -float(gp0))  # mirror: minimize g(-t) over t >= 0
 
 
+def _finite_weights(obj, idx):
+    """The objective's shrink weights when they are finite on ``idx``, else None."""
+    weights = obj.shrink_weights()
+    if weights is not None and np.all(np.isfinite(weights[idx])):
+        return weights
+    return None
+
+
 def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None):
     """Exact minimizer of g(t) = f*(x_star - t a) + t beta.
 
@@ -381,12 +386,10 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None):
     a_sq = float(np.dot(a, a))
     if a_sq == 0.0:
         raise ZeroDirection("linesearch direction is zero")
-    weights = obj.shrink_weights()
+    weights = _finite_weights(obj, a != 0.0)
     if weights is not None:
-        supp = a != 0.0
-        if np.all(np.isfinite(weights[supp])):
-            w = np.where(np.isfinite(weights), weights, 0.0)
-            return _shrink_linesearch(x_star, a, beta, w, nonneg, gp0=gp0)
+        w = np.where(np.isfinite(weights), weights, 0.0)
+        return _shrink_linesearch(x_star, a, beta, w, nonneg, gp0=gp0)
 
     def gp(t):
         return beta - float(np.dot(a, obj.grad_conjugate(x_star - t * a)))
@@ -413,20 +416,6 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None):
         else:
             raise NoConvergence("linesearch bracket expansion failed")
     return float(brentq(gp, lo, hi, maxiter=200))
-
-
-def exact_linesearch_elasticnet(x_star, a, beta, lam, nonneg=False):
-    """Kink-walk linesearch for f(x) = lam ||x||_1 + ||x||_2^2 / 2.
-
-    Returns argmin_t f*(x_star - t a) + t beta, over t >= 0 when ``nonneg``.
-    """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    x_star = np.asarray(x_star, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if not np.any(a):
-        raise ZeroDirection("linesearch direction is zero")
-    return _shrink_linesearch(x_star, a, beta, np.full(x_star.shape, float(lam)), nonneg)
 
 
 # ---------------------------------------------------------------------------
@@ -465,30 +454,29 @@ def _shifted_pair(obj, pair, t, direction):
     coordinates that can change (coordinate-separable coordinates off the
     direction's support keep their value)."""
     z_star = pair.x_star - t * direction
-    weights = obj.shrink_weights()
-    if weights is not None:
-        supp = np.nonzero(direction)[0]
-        if np.all(np.isfinite(weights[supp])):
-            z = pair.x.copy()
-            z[supp] = soft_shrink(z_star[supp], weights[supp])
-            return PrimalDualPair(z, z_star)
-    return pair_from_dual(obj, z_star)
+    supp = np.nonzero(direction)[0]
+    weights = _finite_weights(obj, supp)
+    if weights is None:
+        return pair_from_dual(obj, z_star)
+    z = pair.x.copy()
+    z[supp] = soft_shrink(z_star[supp], weights[supp])
+    return PrimalDualPair(z, z_star)
 
 
 def bregman_project_nonneg(obj, pair, indices=None):
-    """Closed-form Bregman projection onto {x : x_j >= 0 on indices}.
+    """Bregman projection onto {x : x_j >= 0 on indices}; see bregman_project."""
+    return bregman_projector(obj, NonnegCone(indices))(pair)
 
-    Valid when the objective is coordinatewise "w_j |x_j| + x_j^2/2" on the
-    constrained coordinates: the admissible subgradient clamps the dual to the
-    nonnegative orthant there and the primal is its shrinkage.
-    """
-    weights = obj.shrink_weights()
-    idx = slice(None) if indices is None else np.asarray(indices, dtype=int)
-    if weights is None or not np.all(np.isfinite(np.atleast_1d(weights[idx]))):
-        raise TypeError(
-            "nonnegativity projection needs coordinatewise l1 + squared structure "
-            "on the constrained coordinates"
-        )
+
+def bregman_project_box(obj, pair, lower, upper):
+    """Bregman projection onto {x : lower <= x <= upper}; see bregman_project."""
+    return bregman_projector(obj, Box(lower, upper))(pair)
+
+
+def _project_nonneg(pair, weights, idx):
+    """Closed form for objectives that are coordinatewise "w_j |x_j| + x_j^2/2"
+    on idx: the admissible subgradient clamps the dual to the nonnegative
+    orthant there and the primal is its shrinkage."""
     z_star = pair.x_star.copy()
     z_star[idx] = np.maximum(z_star[idx], 0.0)
     z = pair.x.copy()
@@ -496,17 +484,14 @@ def bregman_project_nonneg(obj, pair, indices=None):
     return PrimalDualPair(z, z_star)
 
 
-def bregman_project_box(obj, pair, lower, upper):
-    """Closed-form Bregman projection onto a box containing the origin, for
-    coordinatewise l1 + squared objectives.
+def _project_box(pair, weights, lower, upper):
+    """Closed form for coordinatewise l1 + squared objectives and a box
+    containing the origin.
 
     The primal is the clipped shrinkage; the admissible subgradient keeps the
     dual value inside the box, shifts by +-w at active bounds, and is zeroed on
     coordinates pinned to a zero bound from outside.
     """
-    weights = obj.shrink_weights()
-    if weights is None or not np.all(np.isfinite(weights)):
-        raise TypeError("box projection needs coordinatewise l1 + squared structure")
     lower = np.broadcast_to(np.asarray(lower, dtype=float), pair.x_star.shape)
     upper = np.broadcast_to(np.asarray(upper, dtype=float), pair.x_star.shape)
     if np.any(lower > 0.0) or np.any(upper < 0.0):
@@ -541,41 +526,61 @@ def bregman_project_affine(obj, pair, op, b, grad_tol=1e-10, max_iter=10000):
     raise NoConvergence("affine Bregman projection hit its iteration cap")
 
 
-def has_bregman_projector(obj, target):
-    """Whether ``bregman_project`` can handle this (objective, set) pairing."""
-    weights = obj.shrink_weights()
-    if isinstance(target, (Hyperplane, Halfspace, AffineSubspace)):
-        return True
+def bregman_projector(obj, target):
+    """The Bregman projector onto ``target`` under ``obj``, as a function of the
+    pair: the one dispatch table behind bregman_project (see there for the
+    supported pairings). The objective's structure is checked here, once per
+    call; raises TypeError for an unsupported pairing."""
+    if isinstance(target, Hyperplane):
+        return lambda pair: bregman_project_hyperplane(obj, pair, target.normal, target.offset)
+    if isinstance(target, Halfspace):
+        return lambda pair: bregman_project_halfspace(obj, pair, target.normal, target.offset)
+    if isinstance(target, AffineSubspace):
+        return lambda pair: bregman_project_affine(obj, pair, target.op, target.b)
     if isinstance(target, NonnegCone):
         idx = slice(None) if target.indices is None else target.indices
-        return weights is not None and np.all(np.isfinite(np.atleast_1d(weights[idx])))
-    if isinstance(target, Box):
-        return weights is not None and np.all(np.isfinite(weights))
-    # pure quadratic objectives reduce every Bregman projection to the orthogonal one
-    return weights is not None and not np.any(weights)
+        weights = _finite_weights(obj, idx)
+        if weights is not None:
+            return lambda pair: _project_nonneg(pair, weights, idx)
+    elif isinstance(target, Box):
+        weights = _finite_weights(obj, slice(None))
+        if weights is not None:
+            return lambda pair: _project_box(pair, weights, target.lower, target.upper)
+    else:
+        weights = obj.shrink_weights()
+        if weights is not None and not np.any(weights):
+
+            def project_orthogonal(pair):
+                z = target.project(pair.x)
+                return PrimalDualPair(z, z.copy())
+
+            return project_orthogonal
+    raise TypeError(
+        f"no Bregman projector for {type(target).__name__} under {type(obj).__name__}"
+    )
 
 
 def bregman_project(obj, pair, target):
     """Bregman projection of a pair onto a simple constraint set.
 
-    Dispatches to the closed-form and linesearch projectors; for purely
-    quadratic objectives any set with an orthogonal projector works, since the
-    Bregman projection then coincides with the orthogonal projection.
+    Supported pairings of set and objective structure, where the structure is
+    the objective's per-coordinate shrink weights w (f is a sum of
+    ``w_j |x_j| + x_j^2 / 2`` terms where w_j is finite):
+
+    ================  ===================================  =========================
+    set               objective                            method
+    ================  ===================================  =========================
+    Hyperplane        any                                  exact linesearch
+    Halfspace         any                                  identity inside, else
+                                                           exact linesearch (t >= 0)
+    AffineSubspace    any                                  dual gradient descent
+    NonnegCone        w finite on the cone's indices       closed form
+    Box with 0 in it  w finite everywhere                  closed form
+    any other set     w all zero (purely quadratic f)      orthogonal projection
+    ================  ===================================  =========================
+
+    The last row holds because for a purely quadratic objective the Bregman
+    projection coincides with the orthogonal one. Every other pairing raises
+    TypeError; a box without the origin raises BoxWithoutZero.
     """
-    if isinstance(target, Hyperplane):
-        return bregman_project_hyperplane(obj, pair, target.normal, target.offset)
-    if isinstance(target, Halfspace):
-        return bregman_project_halfspace(obj, pair, target.normal, target.offset)
-    if isinstance(target, NonnegCone):
-        return bregman_project_nonneg(obj, pair, target.indices)
-    if isinstance(target, Box):
-        return bregman_project_box(obj, pair, target.lower, target.upper)
-    if isinstance(target, AffineSubspace):
-        return bregman_project_affine(obj, pair, target.op, target.b)
-    weights = obj.shrink_weights()
-    if weights is not None and not np.any(weights):
-        z = target.project(pair.x)
-        return PrimalDualPair(z, z.copy())
-    raise TypeError(
-        f"no Bregman projector for {type(target).__name__} under {type(obj).__name__}"
-    )
+    return bregman_projector(obj, target)(pair)

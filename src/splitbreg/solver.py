@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import projections
-from .linops import DenseMatrix, LinearOperator
+from .linops import LinearOperator, as_operator
 from .objectives import ElasticNet, SquaredNorm, pair_from_dual
 
 
@@ -109,8 +109,7 @@ class Difficult:
     target: projections.RangeSet
 
     def violation(self, x):
-        y = self.op.apply(x)
-        return float(np.linalg.norm(y - self.target.project(y)))
+        return self.target.distance(self.op.apply(x))
 
 
 @dataclass
@@ -155,19 +154,18 @@ class SolverResult:
 # ---------------------------------------------------------------------------
 
 
-def _difficult_step(obj, pair, constraint, rule, feas_tol=1e-12):
-    """One separating-halfspace step. Returns (pair, step_size, w_norm)."""
+def _difficult_step(obj, pair, constraint, rule):
+    """One separating-halfspace step. Returns (pair, step_size, w_norm); a point
+    that already satisfies the constraint gets a zero step."""
     op = constraint.op
-    y = op.apply(pair.x)
-    w = y - constraint.target.project(y)
-    w_norm = float(np.linalg.norm(w))
-    if w_norm <= feas_tol * (1.0 + float(np.linalg.norm(y))):
-        return pair, 0.0, w_norm
-    d = op.apply_adjoint(w)
+    try:
+        halfspace = projections.separating_halfspace(op, constraint.target, pair.x)
+    except projections.FeasiblePoint as feasible:
+        return pair, 0.0, feasible.w_norm
+    d, beta, w_norm = halfspace.normal, halfspace.offset, halfspace.w_norm
     d_sq = float(np.dot(d, d))
     if d_sq == 0.0:
         raise projections.ZeroDirection("separating halfspace has a zero normal")
-    beta = float(np.dot(d, pair.x)) - w_norm * w_norm
     if isinstance(rule, Constant):
         t = obj.alpha / op.norm_estimate() ** 2
     elif isinstance(rule, Dynamic):
@@ -201,8 +199,8 @@ def _forward_track(obj, x_star, d, beta, t0, rule):
 
 
 def step(config, pair, k):
-    """Apply the k-th constraint step to a pair. Returns (pair, record)."""
-    t_wall = time.perf_counter()
+    """Apply the k-th constraint step to a pair. Returns (pair, record); run
+    fills in the record's elapsed_ms."""
     i = config.control.index(k, len(config.constraints))
     constraint = config.constraints[i]
     if isinstance(constraint, Simple):
@@ -218,7 +216,7 @@ def step(config, pair, k):
         step_size=t_step,
         w_norm=w_norm,
         objective_value=config.objective.value(new_pair.x),
-        elapsed_ms=(time.perf_counter() - t_wall) * 1e3,
+        elapsed_ms=float("nan"),
     )
     return new_pair, record
 
@@ -234,11 +232,8 @@ def run(config, callback=None):
     if not constraints:
         raise ValueError("need at least one constraint")
     for c in constraints:
-        if isinstance(c, Simple) and not projections.has_bregman_projector(obj, c.target):
-            raise TypeError(
-                f"no Bregman projector for {type(c.target).__name__} under "
-                f"{type(obj).__name__}"
-            )
+        if isinstance(c, Simple):
+            projections.bregman_projector(obj, c.target)  # TypeError before step 0
     n = len(constraints)
     tols = np.broadcast_to(np.asarray(config.residual_tolerance, dtype=float), (n,))
     if np.any(tols <= 0.0):
@@ -271,10 +266,6 @@ def run(config, callback=None):
 # ---------------------------------------------------------------------------
 
 
-def _as_operator(a):
-    return a if isinstance(a, LinearOperator) else DenseMatrix(a)
-
-
 def preset(name, a, b, lam=None, step_rule=None, **kwargs):
     """Classical iterations as solver configurations.
 
@@ -286,7 +277,7 @@ def preset(name, a, b, lam=None, step_rule=None, **kwargs):
 
     Extra keyword arguments go straight into SolverConfig.
     """
-    op = _as_operator(a)
+    op = as_operator(a)
     b = np.atleast_1d(np.asarray(b, dtype=float))
     m, n = op.shape
     if b.shape != (m,):
@@ -314,7 +305,7 @@ def preset(name, a, b, lam=None, step_rule=None, **kwargs):
             raise MissingLambda("linearized_bregman needs lam")
         objective = ElasticNet(lam, n)
         constraints = [Difficult(op, projections.Point(b))]
-        rule = step_rule if step_rule is not None else Exact()
+        rule = Exact()
     elif name == "sparse_kaczmarz":
         if lam is None:
             raise MissingLambda("sparse_kaczmarz needs lam")
@@ -343,8 +334,23 @@ CSV_COLUMNS = (
 )
 
 
-def _fmt(v):
+def format_float(v):
+    """The one float format of every CSV the package writes: round-trip exact."""
     return f"{v:.17g}"
+
+
+def write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_history(path, rows):
+    """Write history rows under CSV_COLUMNS; every column after the first two
+    is a float."""
+    formatted = ([k, i] + [format_float(v) for v in rest] for k, i, *rest in rows)
+    write_csv(path, CSV_COLUMNS, formatted)
 
 
 def history_to_csv(result, path):
@@ -353,21 +359,13 @@ def history_to_csv(result, path):
     max_violation carries the most recent full-pass violation maximum forward
     between pass boundaries (NaN before the first boundary).
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+
+    def rows():
         latest = float("nan")
         for rec in result.records:
             if rec.violations is not None:
                 latest = float(np.max(rec.violations))
-            writer.writerow(
-                [
-                    rec.k,
-                    rec.constraint_index,
-                    _fmt(rec.step_size),
-                    _fmt(rec.w_norm),
-                    _fmt(latest),
-                    _fmt(rec.objective_value),
-                    _fmt(rec.elapsed_ms),
-                ]
-            )
+            yield (rec.k, rec.constraint_index, rec.step_size, rec.w_norm, latest,
+                   rec.objective_value, rec.elapsed_ms)
+
+    write_history(path, rows())

@@ -35,6 +35,7 @@ from splitbreg.solver import (
     history_to_csv,
     preset,
     run,
+    step,
 )
 
 
@@ -204,6 +205,18 @@ def test_inexact_validation():
         Inexact(p_cap=-1)
 
 
+def test_difficult_step_at_feasible_point_is_zero():
+    # residual 2**-52 is inside the 1e-12 * (1 + ||A x||) feasibility cutoff
+    cfg = _equality_config(
+        np.array([[1.0, 0.0]]), np.array([1.0 + 2.0**-52]), SquaredNorm(2), Exact()
+    )
+    pair = pair_from_dual(SquaredNorm(2), np.array([1.0, 0.0]))
+    new_pair, record = step(cfg, pair, 0)
+    assert new_pair is pair
+    assert record.step_size == 0.0
+    assert record.w_norm == 2.0**-52
+
+
 def test_unknown_rule_rejected():
     cfg = _equality_config(np.eye(2), np.ones(2), SquaredNorm(2), rule="fast")
     with pytest.raises(TypeError):
@@ -269,6 +282,21 @@ def test_simple_constraint_needs_projector():
     )
     with pytest.raises(TypeError):
         run(cfg)
+
+
+def test_later_simple_constraint_checked_before_first_step():
+    cfg = SolverConfig(
+        objective=ElasticNet(1.0, 2),
+        constraints=[
+            Difficult(DenseMatrix(np.eye(2)), Point(np.ones(2))),
+            Simple(NormBall(np.zeros(2), 1.0, 2)),
+        ],
+        control=Custom([0, 0, 0, 1]),
+    )
+    seen = []
+    with pytest.raises(TypeError):
+        run(cfg, callback=lambda pair, record: seen.append(record.k))
+    assert seen == []
 
 
 def test_violations_at_pass_boundaries():
