@@ -432,7 +432,7 @@ def run_noisy_recovery(config):
     }
 
 
-def _tomo_constraints(variant, a_u, grad_op, coupling_op, ball, hw, c_value, spec):
+def _tomo_constraints(variant, a_u, coupling_op, ball, hw, c_value, spec):
     constraints = [
         solver.Difficult(a_u, ball),
         solver.Difficult(coupling_op, Point(np.zeros(coupling_op.shape[0]))),
@@ -488,9 +488,7 @@ def run_tomography(config):
     terminations = {}
     errors = {}
     for variant in spec.variants:
-        constraints, tols = _tomo_constraints(
-            variant, a_u, grad_op, coupling_op, ball, hw, c_value, spec
-        )
+        constraints, tols = _tomo_constraints(variant, a_u, coupling_op, ball, hw, c_value, spec)
         cfg = solver.SolverConfig(
             objective=objective,
             constraints=constraints,
@@ -562,15 +560,11 @@ def run_solve(config):
     lam = config.lam
     if lam is None and config.preset in ("linearized_bregman", "sparse_kaczmarz"):
         lam = 10.0 * (np.abs(inst.x_true).max() or 1.0)
-    rule = None
-    if config.rules:
-        rule = _RULES[config.rules[0]]()
     cfg = solver.preset(
         config.preset,
         inst.op,
         inst.b,
         lam=lam,
-        step_rule=rule,
         max_iterations=config.max_iterations,
         residual_tolerance=config.tolerance * np.linalg.norm(inst.b),
     )

@@ -6,6 +6,8 @@ for the "simple" ones. Every Bregman projector returns a new consistent pair
 (primal point plus admissible subgradient).
 """
 
+import bisect
+
 import numpy as np
 from scipy.optimize import brentq
 
@@ -230,14 +232,14 @@ def project_l1_ball(y, radius):
 
 class SeparatingHalfspace:
     """A halfspace H = {x : <normal, x> <= offset} separating a point from a
-    constraint preimage, with the range-space residual that induced it."""
+    constraint preimage, with the norm of the range-space residual that
+    induced it."""
 
-    __slots__ = ("normal", "offset", "w", "w_norm")
+    __slots__ = ("normal", "offset", "w_norm")
 
-    def __init__(self, normal, offset, w, w_norm):
+    def __init__(self, normal, offset, w_norm):
         self.normal = normal
         self.offset = float(offset)
-        self.w = w
         self.w_norm = float(w_norm)
 
 
@@ -257,7 +259,7 @@ def separating_halfspace(op, target, x, tol=1e-12):
         raise FeasiblePoint("point already satisfies the constraint to tolerance", w_norm)
     normal = op.apply_adjoint(w)
     offset = float(np.dot(normal, x)) - w_norm * w_norm
-    return SeparatingHalfspace(normal, offset, w, w_norm)
+    return SeparatingHalfspace(normal, offset, w_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -269,99 +271,63 @@ def _shrink_linesearch(x_star, a, beta, weights, nonneg, gp0=None):
     """Exact minimizer of g(t) = f*(x_star - t a) + t beta when f is a sum of
     coordinatewise ``w_j |x_j| + x_j^2 / 2`` terms.
 
-    g' is piecewise linear and nondecreasing; walk its kinks in increasing |t|
-    and return the first root (the left endpoint on flat stretches). All
-    derivative values are expressed relative to g'(0), so callers that know
-    g'(0) exactly (the solver knows it equals -||w||^2) keep full precision
-    even when beta and the intercepts cancel almost completely. ``gp0``
-    overrides the computed g'(0).
+    g'(t) = beta - <a, S_w(x_star - t a)> is piecewise linear and
+    nondecreasing, with kinks where some x*_j - t a_j crosses +-w_j. After
+    mirroring to g(-t) when g'(0) > 0, the root lies at t > 0: sort the
+    positive kinks once, bisect them for the first one where g' >= 0 (g' built
+    from scratch on the piece to its left), and return that piece's zero
+    clamped to the piece, i.e. the left endpoint on flat stretches. All g'
+    values are relative to g'(0), so callers that know g'(0) exactly (the
+    solver knows it equals -||w||^2) keep full precision even when beta and
+    the intercepts cancel almost completely. ``gp0`` overrides the computed
+    g'(0).
     """
     supp = np.nonzero(a)[0]
-    if supp.size == 0:
-        raise ZeroDirection("linesearch direction is zero")
     u = x_star[supp]
-    av = a[supp]
     wv = weights[supp]
+    s0 = soft_shrink(u, wv)
+    if gp0 is None:
+        gp0 = beta - float(np.dot(a[supp], s0))
+    if gp0 == 0.0 or (nonneg and gp0 >= 0.0):
+        return 0.0
+    sign = 1.0 if gp0 < 0.0 else -1.0
+    av = sign * a[supp]
+    gp0 = sign * float(gp0)
 
-    def walk(u, av, gp0):
-        # one-sided walk for t >= 0 assuming g'(0) < 0; g'(t) is tracked as
-        # gp0 + rel + slope * t with rel the intercept change since t = 0
-        s0 = soft_shrink(u, wv)
+    def coeffs(pos, neg):
+        # exact slope of g' on the active set, and the intercept change
+        # against t = 0; unchanged coordinates contribute exact zeros, so
+        # no large dot products cancel
+        r = np.where(pos, u - wv, np.where(neg, u + wv, 0.0))
+        act = av[pos | neg]
+        return float(np.dot(act, act)), float(np.dot(av, s0 - r))
 
-        def coeffs(pos, neg):
-            # exact slope of g' on the active set, and the intercept change
-            # against t = 0; unchanged coordinates contribute exact zeros, so
-            # no large dot products cancel
-            act = pos | neg
-            r = np.where(pos, u - wv, np.where(neg, u + wv, 0.0))
-            s = float(np.dot(av[act], av[act]))
-            delta = float(np.dot(av, s0 - r))
-            return s, delta
+    # where u_j - t a_j crosses +w_j or -w_j; coordinates with w_j = 0 keep
+    # their slope contribution for all t and have no kinks
+    kw = wv > 0.0
+    kinks = np.concatenate(((u[kw] - wv[kw]) / av[kw], (u[kw] + wv[kw]) / av[kw]))
+    ends = np.concatenate(([0.0], np.sort(kinks[kinks > 0.0])))
 
-        act_pos = (u > wv) | ((u == wv) & (av < 0))
-        act_neg = (u < -wv) | ((u == -wv) & (av > 0))
-        slope, _ = coeffs(act_pos, act_neg)  # the intercept change at 0 is 0
-        rel = 0.0
+    def piece(i):
+        # slope, intercept change and g'(ends[i + 1]) on (ends[i], ends[i + 1]);
+        # a coordinate with w_j = 0 stays active where it crosses 0
+        shifted = u - (0.5 * (ends[i] + ends[i + 1])) * av
+        pos = shifted > wv
+        s, delta = coeffs(pos, (shifted < -wv) | (~kw & ~pos))
+        return s, delta, gp0 + delta + s * ends[i + 1]
 
-        # crossing events of u_j - t a_j through +w_j / -w_j; coordinates with
-        # w_j = 0 never change their contribution and need no events
-        ev_t = []
-        ev_ds = []
-        ev_dc = []
-        for j in np.nonzero(wv > 0.0)[0]:
-            aj, uj, wj = av[j], u[j], wv[j]
-            tm = (uj - wj) / aj  # where u_j(t) = +w_j
-            tp = (uj + wj) / aj  # where u_j(t) = -w_j
-            if aj > 0:
-                if tm > 0:  # leaves the positive active zone
-                    ev_t.append(tm)
-                    ev_ds.append(-aj * aj)
-                    ev_dc.append(aj * (uj - wj))
-                if tp > 0:  # enters the negative active zone
-                    ev_t.append(tp)
-                    ev_ds.append(aj * aj)
-                    ev_dc.append(-aj * (uj + wj))
-            else:
-                if tp > 0:  # leaves the negative active zone
-                    ev_t.append(tp)
-                    ev_ds.append(-aj * aj)
-                    ev_dc.append(aj * (uj + wj))
-                if tm > 0:  # enters the positive active zone
-                    ev_t.append(tm)
-                    ev_ds.append(aj * aj)
-                    ev_dc.append(-aj * (uj - wj))
-        order = np.argsort(np.asarray(ev_t)) if ev_t else []
-
-        def refined_root(t_lo, t_hi):
-            # rebuild g' coefficients from scratch inside the root interval to
-            # avoid accumulated drift from the incremental updates
-            shifted = u - (0.5 * (t_lo + t_hi)) * av
-            s, delta = coeffs(shifted > wv, shifted < -wv)
-            if s == 0.0:
-                return t_lo
-            return min(max(-(gp0 + delta) / s, t_lo), t_hi)
-
-        t_prev = 0.0
-        for idx in order:
-            t_ev = ev_t[idx]
-            gp_ev = gp0 + rel + slope * t_ev
-            if gp_ev >= 0.0:
-                return t_ev if gp_ev == 0.0 else refined_root(t_prev, t_ev)
-            slope += ev_ds[idx]
-            rel += ev_dc[idx]
-            t_prev = t_ev
+    i = bisect.bisect_left(range(ends.size - 1), True, key=lambda i: piece(i)[2] >= 0.0)
+    if i == ends.size - 1:
         # past the last kink every supported coordinate is active: positively
         # when its value grows with t (a_j < 0), negatively otherwise
         s, delta = coeffs(av < 0, av > 0)
-        return max(-(gp0 + delta) / s, t_prev)
-
-    if gp0 is None:
-        gp0 = beta - float(np.dot(av, soft_shrink(u, wv)))
-    if gp0 == 0.0 or (nonneg and gp0 >= 0.0):
-        return 0.0
-    if gp0 < 0.0:
-        return walk(u, av, float(gp0))
-    return -walk(u, -av, -float(gp0))  # mirror: minimize g(-t) over t >= 0
+        return sign * max(-(gp0 + delta) / s, ends[-1])
+    s, delta, gp = piece(i)
+    if gp == 0.0:
+        return sign * ends[i + 1]
+    if s == 0.0:
+        return sign * ends[i]
+    return sign * min(max(-(gp0 + delta) / s, ends[i]), ends[i + 1])
 
 
 def _finite_weights(obj, idx):
@@ -388,8 +354,7 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None):
         raise ZeroDirection("linesearch direction is zero")
     weights = _finite_weights(obj, a != 0.0)
     if weights is not None:
-        w = np.where(np.isfinite(weights), weights, 0.0)
-        return _shrink_linesearch(x_star, a, beta, w, nonneg, gp0=gp0)
+        return _shrink_linesearch(x_star, a, beta, weights, nonneg, gp0=gp0)
 
     def gp(t):
         return beta - float(np.dot(a, obj.grad_conjugate(x_star - t * a)))

@@ -24,6 +24,10 @@ class MissingLambda(ValueError):
     """A sparsity-regularized preset was requested without a weight."""
 
 
+class InconsistentZeroRow(ValueError):
+    """A row-action preset met a zero row of A with a nonzero right-hand side."""
+
+
 # ---------------------------------------------------------------------------
 # configuration pieces
 # ---------------------------------------------------------------------------
@@ -275,7 +279,9 @@ def preset(name, a, b, lam=None, step_rule=None, **kwargs):
     - "linearized_bregman": l1+l2 objective, one equality block, chosen rule
     - "sparse_kaczmarz": l1+l2 objective, row hyperplanes, exact steps
 
-    Extra keyword arguments go straight into SolverConfig.
+    The row presets skip zero rows with b_i = 0 and raise InconsistentZeroRow
+    on a zero row with b_i != 0. Extra keyword arguments go straight into
+    SolverConfig.
     """
     op = as_operator(a)
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -284,9 +290,15 @@ def preset(name, a, b, lam=None, step_rule=None, **kwargs):
         raise ValueError("right-hand side does not match the operator")
 
     def rows():
-        return [
-            Simple(projections.Hyperplane(op.row(i), b[i])) for i in range(m)
-        ]
+        constraints = []
+        for i in range(m):
+            try:
+                constraints.append(Simple(projections.Hyperplane(op.row(i), b[i])))
+            except projections.ZeroNormal:
+                if b[i] != 0.0:
+                    msg = f"row {i} of A is zero but b[{i}] = {b[i]:g}"
+                    raise InconsistentZeroRow(msg) from None
+        return constraints
 
     if name == "landweber":
         objective = SquaredNorm(n)

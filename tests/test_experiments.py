@@ -326,6 +326,23 @@ def test_run_solve_writes_history(tmp_path):
     assert len(rows) == len(report["result"].records) + 1
 
 
+def test_run_solve_uses_the_preset_step_rule(tmp_path, monkeypatch):
+    # ``rules`` configures the step-size benchmark only; solve keeps the
+    # preset's documented rule (Exact for linearized_bregman)
+    configs = []
+    run = solver.run
+    monkeypatch.setattr(solver, "run", lambda cfg: configs.append(cfg) or run(cfg))
+    cfg = ExperimentConfig(
+        experiment="solve",
+        out=str(tmp_path),
+        instance=InstanceSpec(m=8, n=16, seed=2, sparsity=2),
+        max_iterations=5,
+    )
+    assert cfg.rules[0] == "constant"
+    run_solve(cfg)
+    assert [type(c.step_rule) for c in configs] == [solver.Exact]
+
+
 def test_zero_noise_zero_phantom_is_immediately_feasible():
     # zero image, exact data: the start x* = 0 already satisfies the data ball
     # and the coupling constraint, so the run ends on its first pass
@@ -343,7 +360,7 @@ def test_zero_noise_zero_phantom_is_immediately_feasible():
     coupling = BlockRow([grad_op, ScaledIdentity(2 * hw, -1.0)])
     spec = TomoSpec(height=h, width=w, iterations=10)
     constraints, tols = _tomo_constraints(
-        "plain", a_u, grad_op, coupling, NormBall(noisy, delta, 2), hw, 0.0, spec
+        "plain", a_u, coupling, NormBall(noisy, delta, 2), hw, 0.0, spec
     )
     objective = ProductObjective([SquaredNorm(hw), GroupElasticNet(1.0, grad_op.pair_groups())])
     cfg = solver.SolverConfig(

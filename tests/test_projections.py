@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from splitbreg.objectives import (
     ElasticNet,
@@ -302,6 +304,65 @@ def test_linesearch_product_routes_by_support():
     assert np.dot(a, out.x) == pytest.approx(beta, abs=1e-10)
     np.testing.assert_allclose(out.x[2:], pair.x[2:])
     np.testing.assert_allclose(out.x_star[2:], pair.x_star[2:])
+
+
+@st.composite
+def _linesearch_cases(draw):
+    # half-integer data put kinks at ties and at exact zero crossings
+    n = draw(st.integers(1, 6))
+
+    def halves(lo, hi):
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))) / 2.0
+
+    x_star, a = halves(-8, 8), halves(-4, 4)
+    assume(np.any(a))
+    form = draw(st.sampled_from(["elastic", "product", "product+group"]))
+    weights = halves(0, 4)  # zero weights included
+    if form == "elastic":
+        weights[:] = weights[0]
+    beta = draw(st.integers(-12, 12)) / 2.0
+    return x_star, a, weights, beta, draw(st.booleans()), form
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_linesearch_cases())
+# a flat zero stretch of g' on [1, 5]: the endpoint nearest 0 is the answer
+@example(case=(np.array([3.0]), np.array([1.0]), np.array([2.0]), 0.0, False, "elastic"))
+# a zero-weight coordinate crossing 0 exactly at the midpoint of a piece
+@example(
+    case=(np.array([3.0, 3.0]), np.array([-1.0, -1.0]), np.array([2.0, 0.0]), 0.0, False, "product")
+)
+def test_linesearch_optimality_property(case):
+    x_star, a, weights, beta, nonneg, form = case
+    if form == "elastic":
+        obj = ElasticNet(weights[0], a.size)
+    else:
+        parts = [ElasticNet(w, 1) for w in weights]
+        if form == "product+group":
+            # the group block has no shrink weights; the direction is zero there
+            parts.append(GroupElasticNet(1.0, [np.array([0, 1])]))
+            x_star, a = np.append(x_star, [1.5, -2.0]), np.append(a, [0.0, 0.0])
+        obj = ProductObjective(parts)
+
+    def gp(t):
+        return beta - float(np.dot(a, obj.grad_conjugate(x_star - t * a)))
+
+    t = exact_linesearch(obj, x_star, a, beta, nonneg=nonneg)
+    tol = 1e-9 * (1.0 + abs(beta) + np.abs(a) @ (np.abs(x_star) + np.abs(a) * abs(t)))
+    if nonneg:
+        assert t >= 0.0
+    if nonneg and t == 0.0:
+        assert gp(0.0) >= -tol
+    else:
+        assert abs(gp(t)) <= tol
+    # g' is nondecreasing and changes slope only at kinks, so a flat zero
+    # stretch starts at a kink: none strictly between 0 and t may be a root
+    supp = a != 0.0
+    u, w, av = x_star[supp], obj.shrink_weights()[supp], a[supp]
+    kinks = np.concatenate([(u - w) / av, (u + w) / av])
+    inside = (kinks * np.sign(t) > 0.0) & (np.abs(kinks) < abs(t) * (1.0 - 1e-9))
+    for k in kinks[inside]:
+        assert np.sign(t) * gp(k) < -tol
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from splitbreg.solver import (
     Difficult,
     Dynamic,
     Exact,
+    InconsistentZeroRow,
     Inexact,
     MissingLambda,
     RandomUniform,
@@ -125,6 +126,22 @@ def test_preset_validation():
         preset("gauss_seidel", np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
         preset("kaczmarz", np.eye(2), np.zeros(3))
+
+
+@pytest.mark.parametrize("name", ["kaczmarz", "sparse_kaczmarz"])
+def test_row_presets_skip_consistent_zero_rows(name):
+    # 0 = 0 carries no information: it is dropped instead of raising ZeroNormal
+    cfg = preset(name, [[1.0, 2.0], [0.0, 0.0]], [3.0, 0.0], lam=1.0, max_iterations=50)
+    assert len(cfg.constraints) == 1
+    res = run(cfg)
+    assert res.termination == "tolerance"
+    assert abs(res.x @ [1.0, 2.0] - 3.0) <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["kaczmarz", "sparse_kaczmarz"])
+def test_row_presets_reject_inconsistent_zero_row(name):
+    with pytest.raises(InconsistentZeroRow, match=r"row 1 .*b\[1\] = 2"):
+        preset(name, [[1.0, 2.0], [0.0, 0.0], [1.0, 0.0]], [3.0, 2.0, 1.0], lam=1.0)
 
 
 def test_preset_structures():
