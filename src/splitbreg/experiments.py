@@ -300,10 +300,12 @@ _RULES = {
 }
 
 
-def _pad(columns):
-    """Pad trace columns to a common length by repeating the last value."""
+def _write_trace_csv(path, header, columns):
+    """Write float trace columns side by side under ``header``, whose first
+    entry names the row index; shorter columns repeat their last value."""
     length = max(len(c) for c in columns)
-    return [c + [c[-1]] * (length - len(c)) for c in columns], length
+    rows = [[k] + [format_float(c[min(k, len(c) - 1)]) for c in columns] for k in range(length)]
+    write_csv(path, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +342,9 @@ def run_stepsize_benchmark(config):
         traces[rule_name] = [float(rec.violations[0]) for rec in result.records]
         terminations[rule_name] = result.termination
 
-    columns, length = _pad([traces[r] for r in config.rules])
-    rows = [[k] + [format_float(c[k]) for c in columns] for k in range(length)]
-    write_csv(out / "residuals.csv", ["k"] + list(config.rules), rows)
+    _write_trace_csv(
+        out / "residuals.csv", ["k"] + list(config.rules), [traces[r] for r in config.rules]
+    )
     return {"traces": traces, "terminations": terminations, "lam": lam, "instance": inst}
 
 
@@ -409,12 +411,11 @@ def run_noisy_recovery(config):
     )
 
     methods = ("dynamic", "exact", "pd")
-    columns, length = _pad(
-        [traces[m_]["objective"] for m_ in methods] + [traces[m_]["gap"] for m_ in methods]
+    _write_trace_csv(
+        out / "trace.csv",
+        ["k"] + [f"objective_{m_}" for m_ in methods] + [f"gap_{m_}" for m_ in methods],
+        [traces[m_]["objective"] for m_ in methods] + [traces[m_]["gap"] for m_ in methods],
     )
-    header = ["k"] + [f"objective_{m_}" for m_ in methods] + [f"gap_{m_}" for m_ in methods]
-    rows = [[k] + [format_float(c[k]) for c in columns] for k in range(length)]
-    write_csv(out / "trace.csv", header, rows)
     write_csv(
         out / "summary.csv",
         ["method", "err_rel", "iterations", "termination"],
@@ -517,16 +518,11 @@ def run_tomography(config):
 
     write_pgm(out / "phantom.pgm", u_true, h, w)
     variants = list(spec.variants)
-    columns, length = _pad(
-        [traces[v]["data_gap"] for v in variants] + [traces[v]["coupling"] for v in variants]
+    _write_trace_csv(
+        out / "trace.csv",
+        ["sweep"] + [f"data_gap_{v}" for v in variants] + [f"coupling_{v}" for v in variants],
+        [traces[v]["data_gap"] for v in variants] + [traces[v]["coupling"] for v in variants],
     )
-    header = (
-        ["sweep"]
-        + [f"data_gap_{v}" for v in variants]
-        + [f"coupling_{v}" for v in variants]
-    )
-    rows = [[k] + [format_float(c[k]) for c in columns] for k in range(length)]
-    write_csv(out / "trace.csv", header, rows)
     write_csv(
         out / "summary.csv",
         ["variant", "final_error", "iterations", "termination"],

@@ -59,9 +59,10 @@ class Objective:
     def shrink_weights(self):
         """Per-coordinate l1 weight when f splits into ``w_j |x_j| + x_j^2 / 2``
         terms on each coordinate; entries are NaN on coordinates without that
-        structure, and the result is None when no coordinate has it. Used to
-        pick the closed-form kink-walk linesearch over the root-finding
-        fallback."""
+        structure, and the result is None when no coordinate has it. Finite
+        weights pick the kink-walk linesearch over the root-finding fallback
+        and the closed-form Bregman projectors; all-zero weights mean
+        f = ||x||^2 / 2, whose Bregman projections are the orthogonal ones."""
         return None
 
 

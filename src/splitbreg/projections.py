@@ -16,14 +16,8 @@ from .objectives import PrimalDualPair, pair_from_dual, soft_shrink
 
 
 class FeasiblePoint(ValueError):
-    """A separating halfspace was requested at a point that is already feasible.
-
-    ``w_norm`` is the norm of the residual that was found within tolerance.
-    """
-
-    def __init__(self, message, w_norm):
-        super().__init__(message)
-        self.w_norm = w_norm
+    """A separating halfspace was requested at a point that is feasible: its
+    range-space residual is exactly zero."""
 
 
 class ZeroNormal(ValueError):
@@ -243,20 +237,21 @@ class SeparatingHalfspace:
         self.w_norm = float(w_norm)
 
 
-def separating_halfspace(op, target, x, tol=1e-12):
+def separating_halfspace(op, target, x):
     """Halfspace separating x from {z : A z in target} when x is infeasible.
 
     The normal is A^T w with w = A x - P_target(A x) and the offset is
     <A^T w, x> - ||w||^2; every feasible point lies inside, x lies strictly
-    outside. Raises FeasiblePoint, carrying ||w||, when
-    ||w|| <= tol * (1 + ||A x||).
+    outside. Raises FeasiblePoint only when w is exactly zero: any nonzero
+    residual, however small, gets its halfspace, so how close is close enough
+    is left to the caller's tolerance alone.
     """
     x = np.asarray(x, dtype=float)
     y = op.apply(x)
     w = y - target.project(y)
     w_norm = float(np.linalg.norm(w))
-    if w_norm <= tol * (1.0 + float(np.linalg.norm(y))):
-        raise FeasiblePoint("point already satisfies the constraint to tolerance", w_norm)
+    if w_norm == 0.0:
+        raise FeasiblePoint("point satisfies the constraint exactly")
     normal = op.apply_adjoint(w)
     offset = float(np.dot(normal, x)) - w_norm * w_norm
     return SeparatingHalfspace(normal, offset, w_norm)
@@ -330,12 +325,9 @@ def _shrink_linesearch(x_star, a, beta, weights, nonneg, gp0=None):
     return sign * min(max(-(gp0 + delta) / s, ends[i]), ends[i + 1])
 
 
-def _finite_weights(obj, idx):
-    """The objective's shrink weights when they are finite on ``idx``, else None."""
-    weights = obj.shrink_weights()
-    if weights is not None and np.all(np.isfinite(weights[idx])):
-        return weights
-    return None
+def _finite_weights(weights, idx):
+    """Whether shrink weights exist and are finite on ``idx``."""
+    return weights is not None and bool(np.all(np.isfinite(weights[idx])))
 
 
 def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None):
@@ -352,8 +344,8 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None):
     a_sq = float(np.dot(a, a))
     if a_sq == 0.0:
         raise ZeroDirection("linesearch direction is zero")
-    weights = _finite_weights(obj, a != 0.0)
-    if weights is not None:
+    weights = obj.shrink_weights()
+    if _finite_weights(weights, a != 0.0):
         return _shrink_linesearch(x_star, a, beta, weights, nonneg, gp0=gp0)
 
     def gp(t):
@@ -387,55 +379,30 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None):
 # Bregman projections
 # ---------------------------------------------------------------------------
 
+# stopping rule of the affine projector's dual gradient descent
+AFFINE_GRAD_TOL = 1e-10
+AFFINE_MAX_ITER = 10000
 
-def bregman_project_hyperplane(obj, pair, normal, offset):
-    """Bregman projection of a pair onto {x : <a, x> = beta} (exact linesearch,
-    step over all of R). Returns the updated consistent pair."""
-    normal = np.asarray(normal, dtype=float)
-    if not np.any(normal):
-        raise ZeroNormal("hyperplane normal is zero")
-    t = exact_linesearch(obj, pair.x_star, normal, float(offset), nonneg=False)
+
+def _project_halfspace(obj, pair, target, nonneg, weights):
+    """Exact-linesearch projection onto a Hyperplane, or with ``nonneg`` onto a
+    Halfspace (identity on interior points, otherwise a step t >= 0).
+
+    Where ``weights`` are finite on the normal's support only those primal
+    coordinates are recomputed; the others keep their value."""
+    a, beta = target.normal, target.offset
+    if nonneg and float(np.dot(a, pair.x)) <= beta:
+        return pair
+    t = exact_linesearch(obj, pair.x_star, a, beta, nonneg=nonneg)
     if t == 0.0:
         return pair
-    return _shifted_pair(obj, pair, t, normal)
-
-
-def bregman_project_halfspace(obj, pair, normal, offset):
-    """Bregman projection onto {x : <a, x> <= beta}; identity on interior points,
-    otherwise equal to the hyperplane projection (the step stays positive)."""
-    normal = np.asarray(normal, dtype=float)
-    if not np.any(normal):
-        raise ZeroNormal("halfspace normal is zero")
-    if float(np.dot(normal, pair.x)) <= float(offset):
-        return pair
-    t = exact_linesearch(obj, pair.x_star, normal, float(offset), nonneg=True)
-    if t == 0.0:
-        return pair
-    return _shifted_pair(obj, pair, t, normal)
-
-
-def _shifted_pair(obj, pair, t, direction):
-    """Pair at the dual point x_star - t * direction, touching only the primal
-    coordinates that can change (coordinate-separable coordinates off the
-    direction's support keep their value)."""
-    z_star = pair.x_star - t * direction
-    supp = np.nonzero(direction)[0]
-    weights = _finite_weights(obj, supp)
-    if weights is None:
+    z_star = pair.x_star - t * a
+    supp = np.nonzero(a)[0]
+    if not _finite_weights(weights, supp):
         return pair_from_dual(obj, z_star)
     z = pair.x.copy()
     z[supp] = soft_shrink(z_star[supp], weights[supp])
     return PrimalDualPair(z, z_star)
-
-
-def bregman_project_nonneg(obj, pair, indices=None):
-    """Bregman projection onto {x : x_j >= 0 on indices}; see bregman_project."""
-    return bregman_projector(obj, NonnegCone(indices))(pair)
-
-
-def bregman_project_box(obj, pair, lower, upper):
-    """Bregman projection onto {x : lower <= x <= upper}; see bregman_project."""
-    return bregman_projector(obj, Box(lower, upper))(pair)
 
 
 def _project_nonneg(pair, weights, idx):
@@ -457,8 +424,8 @@ def _project_box(pair, weights, lower, upper):
     dual value inside the box, shifts by +-w at active bounds, and is zeroed on
     coordinates pinned to a zero bound from outside.
     """
-    lower = np.broadcast_to(np.asarray(lower, dtype=float), pair.x_star.shape)
-    upper = np.broadcast_to(np.asarray(upper, dtype=float), pair.x_star.shape)
+    lower = np.broadcast_to(lower, pair.x_star.shape)
+    upper = np.broadcast_to(upper, pair.x_star.shape)
     if np.any(lower > 0.0) or np.any(upper < 0.0):
         raise BoxWithoutZero("box must contain the origin componentwise")
     s = soft_shrink(pair.x_star, weights)
@@ -471,81 +438,75 @@ def _project_box(pair, weights, lower, upper):
     return PrimalDualPair(z, z_star)
 
 
-def bregman_project_affine(obj, pair, op, b, grad_tol=1e-10, max_iter=10000):
-    """Bregman projection onto {x : A x = b} by gradient descent on the dual
-    w -> f*(x_star - A^T w) + <w, b> with the 1/Lipschitz step alpha / ||A||^2.
-
-    Raises NoConvergence when the gradient norm has not reached ``grad_tol``
-    within ``max_iter`` sweeps.
-    """
-    b = np.asarray(b, dtype=float)
+def _project_affine(obj, pair, target):
+    """Gradient descent on the dual w -> f*(x_star - A^T w) + <w, b> with the
+    1/Lipschitz step alpha / ||A||^2. Raises NoConvergence when the gradient
+    norm has not reached AFFINE_GRAD_TOL within AFFINE_MAX_ITER sweeps."""
+    op = target.op
     step = obj.alpha / op.norm_estimate() ** 2
     w = np.zeros(op.shape[0])
-    z_star = pair.x_star
-    for _ in range(max_iter):
+    for _ in range(AFFINE_MAX_ITER):
         z_star = pair.x_star - op.apply_adjoint(w)
-        grad = b - op.apply(obj.grad_conjugate(z_star))
-        if np.linalg.norm(grad) <= grad_tol:
+        grad = target.b - op.apply(obj.grad_conjugate(z_star))
+        if np.linalg.norm(grad) <= AFFINE_GRAD_TOL:
             return pair_from_dual(obj, z_star)
         w = w - step * grad
     raise NoConvergence("affine Bregman projection hit its iteration cap")
 
 
+def _project_orthogonal(pair, target):
+    z = target.project(pair.x)
+    return PrimalDualPair(z, z.copy())
+
+
 def bregman_projector(obj, target):
     """The Bregman projector onto ``target`` under ``obj``, as a function of the
     pair: the one dispatch table behind bregman_project (see there for the
-    supported pairings). The objective's structure is checked here, once per
-    call; raises TypeError for an unsupported pairing."""
-    if isinstance(target, Hyperplane):
-        return lambda pair: bregman_project_hyperplane(obj, pair, target.normal, target.offset)
-    if isinstance(target, Halfspace):
-        return lambda pair: bregman_project_halfspace(obj, pair, target.normal, target.offset)
+    supported pairings, tried in order). The objective's shrink weights are
+    read here, once per call; raises TypeError for an unsupported pairing."""
     if isinstance(target, AffineSubspace):
-        return lambda pair: bregman_project_affine(obj, pair, target.op, target.b)
+        return lambda pair: _project_affine(obj, pair, target)
+    weights = obj.shrink_weights()
+    if weights is not None and not np.any(weights):
+        return lambda pair: _project_orthogonal(pair, target)
+    if isinstance(target, (Hyperplane, Halfspace)):
+        nonneg = isinstance(target, Halfspace)
+        return lambda pair: _project_halfspace(obj, pair, target, nonneg, weights)
     if isinstance(target, NonnegCone):
         idx = slice(None) if target.indices is None else target.indices
-        weights = _finite_weights(obj, idx)
-        if weights is not None:
+        if _finite_weights(weights, idx):
             return lambda pair: _project_nonneg(pair, weights, idx)
-    elif isinstance(target, Box):
-        weights = _finite_weights(obj, slice(None))
-        if weights is not None:
-            return lambda pair: _project_box(pair, weights, target.lower, target.upper)
-    else:
-        weights = obj.shrink_weights()
-        if weights is not None and not np.any(weights):
-
-            def project_orthogonal(pair):
-                z = target.project(pair.x)
-                return PrimalDualPair(z, z.copy())
-
-            return project_orthogonal
+    elif isinstance(target, Box) and _finite_weights(weights, slice(None)):
+        return lambda pair: _project_box(pair, weights, target.lower, target.upper)
     raise TypeError(
         f"no Bregman projector for {type(target).__name__} under {type(obj).__name__}"
     )
 
 
 def bregman_project(obj, pair, target):
-    """Bregman projection of a pair onto a simple constraint set.
+    """Bregman projection of a pair onto a simple constraint set; returns the
+    updated consistent pair.
 
-    Supported pairings of set and objective structure, where the structure is
-    the objective's per-coordinate shrink weights w (f is a sum of
-    ``w_j |x_j| + x_j^2 / 2`` terms where w_j is finite):
+    Supported pairings of set and objective structure, tried in this order,
+    where the structure is the objective's per-coordinate shrink weights w (f
+    is a sum of ``w_j |x_j| + x_j^2 / 2`` terms where w_j is finite):
 
     ================  ===================================  =========================
     set               objective                            method
     ================  ===================================  =========================
+    AffineSubspace    any                                  dual gradient descent
+    any other set     w all zero (f = ||x||^2 / 2)         orthogonal projection
     Hyperplane        any                                  exact linesearch
     Halfspace         any                                  identity inside, else
                                                            exact linesearch (t >= 0)
-    AffineSubspace    any                                  dual gradient descent
     NonnegCone        w finite on the cone's indices       closed form
     Box with 0 in it  w finite everywhere                  closed form
-    any other set     w all zero (purely quadratic f)      orthogonal projection
     ================  ===================================  =========================
 
-    The last row holds because for a purely quadratic objective the Bregman
-    projection coincides with the orthogonal one. Every other pairing raises
+    For a purely quadratic objective the Bregman projection is the orthogonal
+    one, which is how Kaczmarz and Landweber arise as special cases.
+    AffineSubspace keeps the descent even then: its orthogonal projector needs
+    A of full row rank, the descent does not. Every other pairing raises
     TypeError; a box without the origin raises BoxWithoutZero.
     """
     return bregman_projector(obj, target)(pair)

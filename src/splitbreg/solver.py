@@ -28,6 +28,11 @@ class InconsistentZeroRow(ValueError):
     """A row-action preset met a zero row of A with a nonzero right-hand side."""
 
 
+class AllZeroRows(ValueError):
+    """A row-action preset met an A whose every row is zero: no constraint is
+    left to act on."""
+
+
 # ---------------------------------------------------------------------------
 # configuration pieces
 # ---------------------------------------------------------------------------
@@ -160,12 +165,12 @@ class SolverResult:
 
 def _difficult_step(obj, pair, constraint, rule):
     """One separating-halfspace step. Returns (pair, step_size, w_norm); a point
-    that already satisfies the constraint gets a zero step."""
+    whose residual is exactly zero gets a zero step."""
     op = constraint.op
     try:
         halfspace = projections.separating_halfspace(op, constraint.target, pair.x)
-    except projections.FeasiblePoint as feasible:
-        return pair, 0.0, feasible.w_norm
+    except projections.FeasiblePoint:
+        return pair, 0.0, 0.0
     d, beta, w_norm = halfspace.normal, halfspace.offset, halfspace.w_norm
     d_sq = float(np.dot(d, d))
     if d_sq == 0.0:
@@ -279,9 +284,9 @@ def preset(name, a, b, lam=None, step_rule=None, **kwargs):
     - "linearized_bregman": l1+l2 objective, one equality block, chosen rule
     - "sparse_kaczmarz": l1+l2 objective, row hyperplanes, exact steps
 
-    The row presets skip zero rows with b_i = 0 and raise InconsistentZeroRow
-    on a zero row with b_i != 0. Extra keyword arguments go straight into
-    SolverConfig.
+    The row presets skip zero rows with b_i = 0, raise InconsistentZeroRow on
+    a zero row with b_i != 0 and AllZeroRows when every row is zero. Extra
+    keyword arguments go straight into SolverConfig.
     """
     op = as_operator(a)
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -298,6 +303,8 @@ def preset(name, a, b, lam=None, step_rule=None, **kwargs):
                 if b[i] != 0.0:
                     msg = f"row {i} of A is zero but b[{i}] = {b[i]:g}"
                     raise InconsistentZeroRow(msg) from None
+        if not constraints:
+            raise AllZeroRows(f"every row of A is zero ({m} rows)")
         return constraints
 
     if name == "landweber":

@@ -15,8 +15,8 @@ from splitbreg.experiments import (
     InstanceSpec,
     TomoSpec,
     UniformNoise,
-    _pad,
     _tomo_constraints,
+    _write_trace_csv,
     certify_lambda,
     generate_instance,
     inject_noise,
@@ -224,10 +224,11 @@ def test_config_from_json(tmp_path):
     assert cfg.lam == 2.5
 
 
-def test_pad_repeats_last_value():
-    padded, length = _pad([[1.0, 2.0], [5.0]])
-    assert length == 2
-    assert padded == [[1.0, 2.0], [5.0, 5.0]]
+def test_pad_repeats_last_value(tmp_path):
+    _write_trace_csv(tmp_path / "t.csv", ["k", "a", "b"], [[1.0, 2.0], [5.0]])
+    with open(tmp_path / "t.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["k", "a", "b"], ["0", "1", "5"], ["1", "2", "5"]]
 
 
 # ---------------------------------------------------------------------------

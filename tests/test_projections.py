@@ -25,11 +25,6 @@ from splitbreg.projections import (
     ZeroDirection,
     ZeroNormal,
     bregman_project,
-    bregman_project_affine,
-    bregman_project_box,
-    bregman_project_halfspace,
-    bregman_project_hyperplane,
-    bregman_project_nonneg,
     bregman_projector,
     exact_linesearch,
     project_l1_ball,
@@ -300,7 +295,7 @@ def test_linesearch_product_routes_by_support():
     _, g_min = grid_minimize(g, t - 1.0, t + 1.0)
     assert g(t) <= g_min + 1e-8
     pair = pair_from_dual(obj, x_star)
-    out = bregman_project_hyperplane(obj, pair, a, beta)
+    out = bregman_project(obj, pair, Hyperplane(a, beta))
     assert np.dot(a, out.x) == pytest.approx(beta, abs=1e-10)
     np.testing.assert_allclose(out.x[2:], pair.x[2:])
     np.testing.assert_allclose(out.x_star[2:], pair.x_star[2:])
@@ -373,7 +368,7 @@ def test_linesearch_optimality_property(case):
 def test_bregman_hyperplane_example():
     obj = ElasticNet(1.0, 1)
     pair = pair_from_dual(obj, np.array([2.0]))
-    out = bregman_project_hyperplane(obj, pair, np.array([1.0]), 0.5)
+    out = bregman_project(obj, pair, Hyperplane(np.array([1.0]), 0.5))
     np.testing.assert_allclose(out.x_star, [1.5])
     np.testing.assert_allclose(out.x, [0.5])
 
@@ -381,7 +376,7 @@ def test_bregman_hyperplane_example():
 def test_bregman_hyperplane_squared_norm_is_orthogonal():
     obj = SquaredNorm(2)
     pair = pair_from_dual(obj, np.zeros(2))
-    out = bregman_project_hyperplane(obj, pair, np.array([1.0, 0.0]), 2.0)
+    out = bregman_project(obj, pair, Hyperplane(np.array([1.0, 0.0]), 2.0))
     np.testing.assert_allclose(out.x, [2.0, 0.0])
 
 
@@ -393,7 +388,7 @@ def test_bregman_hyperplane_minimality():
         pair = pair_from_dual(obj, rng.standard_normal(n) * 2.0)
         a = rng.standard_normal(n)
         beta = float(rng.standard_normal())
-        out = bregman_project_hyperplane(obj, pair, a, beta)
+        out = bregman_project(obj, pair, Hyperplane(a, beta))
         assert np.dot(a, out.x) == pytest.approx(beta, abs=1e-9)
         assert fenchel_gap(obj, out.x_star, out.x) <= 1e-10
         d_star = bregman_distance(obj, pair.x, pair.x_star, out.x)
@@ -406,7 +401,7 @@ def test_bregman_hyperplane_minimality():
 def test_bregman_halfspace_inside_is_identity():
     obj = ElasticNet(1.0, 2)
     pair = pair_from_dual(obj, np.array([2.0, 0.0]))
-    out = bregman_project_halfspace(obj, pair, np.array([1.0, 0.0]), 5.0)
+    out = bregman_project(obj, pair, Halfspace(np.array([1.0, 0.0]), 5.0))
     assert out is pair
 
 
@@ -418,15 +413,15 @@ def test_bregman_halfspace_outside_matches_hyperplane():
         pair = pair_from_dual(obj, rng.standard_normal(n) * 3.0)
         a = rng.standard_normal(n)
         beta = float(np.dot(a, pair.x)) - abs(rng.standard_normal()) - 0.1
-        out = bregman_project_halfspace(obj, pair, a, beta)
-        hp = bregman_project_hyperplane(obj, pair, a, beta)
+        out = bregman_project(obj, pair, Halfspace(a, beta))
+        hp = bregman_project(obj, pair, Hyperplane(a, beta))
         np.testing.assert_allclose(out.x_star, hp.x_star, atol=1e-12)
 
 
 def test_bregman_nonneg_example():
     obj = ElasticNet(1.0, 3)
     pair = pair_from_dual(obj, np.array([2.0, -3.0, 0.5]))
-    out = bregman_project_nonneg(obj, pair)
+    out = bregman_project(obj, pair, NonnegCone())
     np.testing.assert_allclose(out.x, [1.0, 0.0, 0.0])
     np.testing.assert_allclose(out.x_star, [2.0, 0.0, 0.5])
 
@@ -437,7 +432,7 @@ def test_bregman_nonneg_minimality_and_partial_indices():
     idx = np.array([0, 2])
     for _ in range(50):
         pair = pair_from_dual(obj, rng.standard_normal(4) * 2.0)
-        out = bregman_project_nonneg(obj, pair, idx)
+        out = bregman_project(obj, pair, NonnegCone(idx))
         assert np.all(out.x[idx] >= 0.0)
         np.testing.assert_allclose(out.x[[1, 3]], pair.x[[1, 3]])
         assert fenchel_gap(obj, out.x_star, out.x) <= 1e-10
@@ -451,17 +446,17 @@ def test_bregman_nonneg_minimality_and_partial_indices():
 def test_bregman_box_examples():
     obj = ElasticNet(1.0, 1)
     pair = pair_from_dual(obj, np.array([3.0]))
-    out = bregman_project_box(obj, pair, np.array([0.0]), np.array([1.0]))
+    out = bregman_project(obj, pair, Box(np.array([0.0]), np.array([1.0])))
     np.testing.assert_allclose(out.x, [1.0])
     np.testing.assert_allclose(out.x_star, [2.0])
 
     pair = pair_from_dual(obj, np.array([0.5]))
-    out = bregman_project_box(obj, pair, np.array([-1.0]), np.array([1.0]))
+    out = bregman_project(obj, pair, Box(np.array([-1.0]), np.array([1.0])))
     np.testing.assert_allclose(out.x, [0.0])
     np.testing.assert_allclose(out.x_star, [0.5])
 
     pair = pair_from_dual(obj, np.array([-4.0]))
-    out = bregman_project_box(obj, pair, np.array([0.0]), np.array([1.0]))
+    out = bregman_project(obj, pair, Box(np.array([0.0]), np.array([1.0])))
     np.testing.assert_allclose(out.x, [0.0])
     np.testing.assert_allclose(out.x_star, [0.0])
 
@@ -470,7 +465,7 @@ def test_bregman_box_requires_zero():
     obj = ElasticNet(1.0, 1)
     pair = pair_from_dual(obj, np.array([3.0]))
     with pytest.raises(BoxWithoutZero):
-        bregman_project_box(obj, pair, np.array([1.0]), np.array([2.0]))
+        bregman_project(obj, pair, Box(np.array([1.0]), np.array([2.0])))
 
 
 def test_bregman_box_minimality():
@@ -481,7 +476,7 @@ def test_bregman_box_minimality():
     box = Box(lower, upper)
     for _ in range(50):
         pair = pair_from_dual(obj, rng.standard_normal(3) * 3.0)
-        out = bregman_project_box(obj, pair, lower, upper)
+        out = bregman_project(obj, pair, Box(lower, upper))
         assert np.all(out.x >= lower - 1e-12) and np.all(out.x <= upper + 1e-12)
         assert fenchel_gap(obj, out.x_star, out.x) <= 1e-10
         d_star = bregman_distance(obj, pair.x, pair.x_star, out.x)
@@ -497,7 +492,7 @@ def test_bregman_affine_matches_oracle():
         b = rng.standard_normal(2)
         obj = ElasticNet(0.5, 4)
         pair = pair_from_dual(obj, rng.standard_normal(4))
-        out = bregman_project_affine(obj, pair, DenseMatrix(a), b)
+        out = bregman_project(obj, pair, AffineSubspace(DenseMatrix(a), b))
         np.testing.assert_allclose(a @ out.x, b, atol=1e-8)
         want = affine_elasticnet_oracle(pair.x_star, a, b, 0.5)
         np.testing.assert_allclose(out.x, want, atol=1e-7)
@@ -506,7 +501,8 @@ def test_bregman_affine_matches_oracle():
 def test_bregman_affine_squared_norm_is_orthogonal():
     obj = SquaredNorm(2)
     pair = pair_from_dual(obj, np.zeros(2))
-    out = bregman_project_affine(obj, pair, DenseMatrix(np.array([[1.0, 0.0]])), np.array([2.0]))
+    target = AffineSubspace(DenseMatrix(np.array([[1.0, 0.0]])), np.array([2.0]))
+    out = bregman_project(obj, pair, target)
     np.testing.assert_allclose(out.x, [2.0, 0.0], atol=1e-9)
 
 
@@ -565,3 +561,58 @@ def test_variational_inequality_of_projections():
                 y = target.project(rng.standard_normal(3) * 3.0)
                 lhs = np.dot(out.x_star - pair.x_star, y - out.x)
                 assert lhs >= -1e-9, name
+
+
+@st.composite
+def _projection_cases(draw):
+    # half-integer data put the dual on kinks and on set boundaries
+    n = draw(st.integers(1, 5))
+
+    def halves(lo, hi, size=n):
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size))) / 2.0
+
+    kind = draw(st.sampled_from(["hyperplane", "halfspace", "nonneg", "box"]))
+    form = draw(st.sampled_from(["squared", "elastic", "product", "product+group"]))
+    lam = draw(st.sampled_from([0.0, 0.5, 1.0, 2.5]))
+    x_star = halves(-8, 8)
+    if kind in ("hyperplane", "halfspace"):
+        a = halves(-4, 4)
+        assume(np.any(a))
+        beta = draw(st.integers(-12, 12)) / 2.0
+        target = (Hyperplane if kind == "hyperplane" else Halfspace)(a, beta)
+    elif kind == "nonneg":
+        target = NonnegCone(np.nonzero(draw(st.lists(st.booleans(), min_size=n, max_size=n)))[0])
+    else:
+        # the box closed form needs finite weights everywhere: no group block
+        form = form.replace("+group", "")
+        target = Box(halves(-6, 0), halves(0, 6))
+    if form == "squared":
+        obj = SquaredNorm(n)
+    elif form == "elastic":
+        obj = ElasticNet(lam, n)
+    else:
+        weights = halves(0, 4) if lam > 0.0 else np.zeros(n)
+        parts = [ElasticNet(w, 1) for w in weights]
+        if form == "product+group":
+            # a group block without shrink weights, off the set's support
+            parts.append(GroupElasticNet(1.0, [np.array([0, 1])]))
+            x_star = np.append(x_star, [1.5, -2.0])
+            if kind != "nonneg":
+                target = type(target)(np.append(target.normal, [0.0, 0.0]), target.offset)
+        obj = ProductObjective(parts)
+    return obj, pair_from_dual(obj, x_star), target
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_projection_cases())
+def test_bregman_project_property(case):
+    obj, pair, target = case
+    out = bregman_project(obj, pair, target)
+    scale = 1.0 + float(np.abs(out.x) @ (1.0 + np.abs(out.x_star)))
+    assert target.distance(out.x) <= 1e-9 * scale
+    assert abs(fenchel_gap(obj, out.x_star, out.x)) <= 1e-9 * scale
+    if isinstance(obj, ProductObjective) and isinstance(obj.parts[-1], GroupElasticNet):
+        np.testing.assert_array_equal(out.x[-2:], pair.x[-2:])
+        np.testing.assert_array_equal(out.x_star[-2:], pair.x_star[-2:])
+    if not np.any(obj.shrink_weights()):
+        np.testing.assert_array_equal(out.x, target.project(pair.x))

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from splitbreg.experiments import InstanceSpec, generate_instance
 from splitbreg.linops import DenseMatrix
 from splitbreg.objectives import (
     ElasticNet,
@@ -21,6 +22,7 @@ from splitbreg.projections import (
 )
 from splitbreg.solver import (
     CSV_COLUMNS,
+    AllZeroRows,
     Constant,
     Custom,
     Cyclic,
@@ -139,6 +141,12 @@ def test_row_presets_skip_consistent_zero_rows(name):
 
 
 @pytest.mark.parametrize("name", ["kaczmarz", "sparse_kaczmarz"])
+def test_row_presets_reject_all_zero_rows(name):
+    with pytest.raises(AllZeroRows, match="every row of A is zero"):
+        preset(name, [[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0], lam=1.0)
+
+
+@pytest.mark.parametrize("name", ["kaczmarz", "sparse_kaczmarz"])
 def test_row_presets_reject_inconsistent_zero_row(name):
     with pytest.raises(InconsistentZeroRow, match=r"row 1 .*b\[1\] = 2"):
         preset(name, [[1.0, 2.0], [0.0, 0.0], [1.0, 0.0]], [3.0, 2.0, 1.0], lam=1.0)
@@ -223,15 +231,35 @@ def test_inexact_validation():
 
 
 def test_difficult_step_at_feasible_point_is_zero():
-    # residual 2**-52 is inside the 1e-12 * (1 + ||A x||) feasibility cutoff
-    cfg = _equality_config(
-        np.array([[1.0, 0.0]]), np.array([1.0 + 2.0**-52]), SquaredNorm(2), Exact()
-    )
+    # only an exactly zero residual counts as feasible
     pair = pair_from_dual(SquaredNorm(2), np.array([1.0, 0.0]))
+    cfg = _equality_config(np.array([[1.0, 0.0]]), np.array([1.0]), SquaredNorm(2), Exact())
     new_pair, record = step(cfg, pair, 0)
     assert new_pair is pair
     assert record.step_size == 0.0
+    assert record.w_norm == 0.0
+    # a residual of 2**-52 still gets a real step
+    cfg = _equality_config(
+        np.array([[1.0, 0.0]]), np.array([1.0 + 2.0**-52]), SquaredNorm(2), Exact()
+    )
+    new_pair, record = step(cfg, pair, 0)
+    assert record.step_size > 0.0
     assert record.w_norm == 2.0**-52
+    assert new_pair.x[0] == 1.0 + 2.0**-52
+
+
+def test_tiny_residuals_are_not_skipped():
+    # the tolerance is far below 1e-12 * ||A x||: every nonzero residual must
+    # still get a real step, or the run idles until its budget runs out
+    inst = generate_instance(InstanceSpec(m=200, n=1000, sparsity=10, seed=1))
+    lam = 10.0 * np.abs(inst.x_true).max()
+    cfg = preset(
+        "linearized_bregman", inst.op, inst.b, lam=lam, step_rule=Dynamic(),
+        max_iterations=2000, residual_tolerance=1e-12,
+    )
+    res = run(cfg)
+    assert res.termination == "tolerance"
+    assert all(rec.step_size > 0.0 for rec in res.records)
 
 
 def test_unknown_rule_rejected():
