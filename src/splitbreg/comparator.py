@@ -59,22 +59,15 @@ def prox_f(z, tau, lam):
     return soft_shrink(z, tau * lam) / (1.0 + tau)
 
 
-def prox_g(y, sigma, b, delta, p=2):
-    """prox of sigma * G for G(y) = delta * ||y||_{p*} + <b, y>.
+def prox_g(y, sigma, ball):
+    """prox of sigma * G where G is the conjugate of the indicator of ``ball``.
 
-    G is the conjugate of the indicator of the p-ball of radius delta around b,
-    so by Moreau the prox is y - sigma * P_ball(y / sigma). delta = 0 collapses
-    the ball to {b}.
+    For the p-ball of radius delta around b, G(y) = delta * ||y||_{p*} + <b, y>;
+    by Moreau the prox is y - sigma * P_ball(y / sigma). ``ball`` is any
+    RangeSet: run_pd passes the NormBall, or the Point {b} when delta = 0.
     """
     y = np.asarray(y, dtype=float)
-    ball = _ball(b, delta, p)
     return y - sigma * ball.project(y / sigma)
-
-
-def _ball(b, delta, p):
-    if delta == 0.0:
-        return Point(b)
-    return NormBall(b, delta, p)
 
 
 def run_pd(config):
@@ -90,7 +83,7 @@ def run_pd(config):
     p = config.noise_norm
     lam = float(config.lam)
     delta = float(config.delta)
-    ball = _ball(b, delta, p)
+    ball = Point(b) if delta == 0.0 else NormBall(b, delta, p)
 
     x = np.zeros(n)
     y = np.zeros(m)
@@ -111,7 +104,7 @@ def run_pd(config):
 
     for k in range(config.max_iterations):
         x_new = prox_f(x - tau * op.apply_adjoint(y), tau, lam)
-        y = prox_g(y + sigma * op.apply(2.0 * x_new - x), sigma, b, delta, p)
+        y = prox_g(y + sigma * op.apply(2.0 * x_new - x), sigma, ball)
         x = x_new
         if config.record_every and (k + 1) % config.record_every == 0:
             record(k, x)

@@ -272,30 +272,15 @@ def dct_row(n, j):
     return scale * np.cos(np.pi * (2 * np.arange(n) + 1) * j / (2 * n))
 
 
-class PartialDCT(LinearOperator):
+class PartialDCT(DenseMatrix):
     """A subset of distinct rows of the orthonormal DCT-II matrix."""
 
     def __init__(self, n, rows):
         rows = np.asarray(rows, dtype=int)
         if np.unique(rows).size != rows.size:
             raise ValueError("rows must be distinct")
-        self.n = int(n)
-        self.rows_idx = rows
-        self.a = np.stack([dct_row(self.n, int(j)) for j in rows])
-        self.shape = self.a.shape
+        super().__init__(np.stack([dct_row(int(n), int(j)) for j in rows]))
         self._norm = 1.0  # orthonormal rows
-
-    def apply(self, x):
-        return self.a @ x
-
-    def apply_adjoint(self, y):
-        return self.a.T @ y
-
-    def row(self, i):
-        return self.a[i]
-
-    def to_dense(self):
-        return self.a
 
 
 # ---------------------------------------------------------------------------

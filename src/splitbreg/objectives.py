@@ -4,7 +4,9 @@ Every objective here is of the form "nonsmooth part + squared 2-norm / 2", which
 makes the convex conjugate smooth with a Lipschitz gradient and makes the
 gradient of the conjugate a proximal map. The solver only ever talks to an
 objective through ``value``, ``conjugate`` and ``grad_conjugate``, plus the
-optional per-coordinate shrink weights that enable closed-form linesearches.
+per-coordinate shrink weights that enable closed-form linesearches.
+Objectives are immutable after construction: what they precompute there (shrink
+weights, group labels) stays valid for their lifetime.
 """
 
 import numpy as np
@@ -57,13 +59,14 @@ class Objective:
         raise NotImplementedError
 
     def shrink_weights(self):
-        """Per-coordinate l1 weight when f splits into ``w_j |x_j| + x_j^2 / 2``
-        terms on each coordinate; entries are NaN on coordinates without that
-        structure, and the result is None when no coordinate has it. Finite
+        """Per-coordinate l1 weight w_j where f splits into ``w_j |x_j| + x_j^2 / 2``
+        terms, NaN on coordinates without that structure (all NaN here). Finite
         weights pick the kink-walk linesearch over the root-finding fallback
         and the closed-form Bregman projectors; all-zero weights mean
-        f = ||x||^2 / 2, whose Bregman projections are the orthogonal ones."""
-        return None
+        f = ||x||^2 / 2, whose Bregman projections are the orthogonal ones.
+        Objectives with such weights build them once, at construction, and
+        return that same read-only array on every call."""
+        return np.full(self.dimension, np.nan)
 
 
 class SquaredNorm(Objective):
@@ -72,6 +75,8 @@ class SquaredNorm(Objective):
     def __init__(self, dimension):
         self.dimension = int(dimension)
         self.alpha = 1.0
+        self._weights = np.zeros(self.dimension)
+        self._weights.flags.writeable = False
 
     def value(self, x):
         x = _check_dim(x, self.dimension, "x")
@@ -85,7 +90,7 @@ class SquaredNorm(Objective):
         return _check_dim(x_star, self.dimension, "x_star").copy()
 
     def shrink_weights(self):
-        return np.zeros(self.dimension)
+        return self._weights
 
 
 class ElasticNet(Objective):
@@ -100,6 +105,8 @@ class ElasticNet(Objective):
         self.lam = float(lam)
         self.dimension = int(dimension)
         self.alpha = 1.0
+        self._weights = np.full(self.dimension, self.lam)
+        self._weights.flags.writeable = False
 
     def value(self, x):
         x = _check_dim(x, self.dimension, "x")
@@ -115,23 +122,24 @@ class ElasticNet(Objective):
         return soft_shrink(x_star, self.lam)
 
     def shrink_weights(self):
-        return np.full(self.dimension, self.lam)
+        return self._weights
 
 
 def _validate_partition(groups, dimension):
-    """Groups must partition range(dimension); returns a label array."""
+    """Groups must partition range(dimension), where dimension is the sum of
+    the group sizes; returns a label array."""
+    sizes = [g.size for g in groups]
+    if 0 in sizes:
+        raise ValueError("empty group")
+    idx = np.concatenate(groups)
+    if idx.min() < 0 or idx.max() >= dimension:
+        raise ValueError("group index out of range")
     labels = np.full(dimension, -1, dtype=int)
-    for g_id, g in enumerate(groups):
-        g = np.asarray(g, dtype=int)
-        if g.size == 0:
-            raise ValueError("empty group")
-        if np.any(g < 0) or np.any(g >= dimension):
-            raise ValueError("group index out of range")
-        if np.any(labels[g] != -1):
-            raise ValueError("groups overlap")
-        labels[g] = g_id
+    labels[idx] = np.repeat(np.arange(len(groups)), sizes)
+    # dimension indices in range leave a coordinate unlabelled only when
+    # another one is listed twice
     if np.any(labels == -1):
-        raise ValueError("groups do not cover every coordinate")
+        raise ValueError("groups overlap")
     return labels
 
 
@@ -214,6 +222,8 @@ class ProductObjective(Objective):
         self.slices = [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
         self.dimension = int(offsets[-1])
         self.alpha = float(min(p.alpha for p in self.parts))
+        self._weights = np.concatenate([p.shrink_weights() for p in self.parts])
+        self._weights.flags.writeable = False
 
     def value(self, x):
         x = _check_dim(x, self.dimension, "x")
@@ -231,14 +241,7 @@ class ProductObjective(Objective):
         return out
 
     def shrink_weights(self):
-        parts = [p.shrink_weights() for p in self.parts]
-        if all(w is None for w in parts):
-            return None
-        out = np.full(self.dimension, np.nan)
-        for w, s in zip(parts, self.slices):
-            if w is not None:
-                out[s] = w
-        return out
+        return self._weights
 
 
 class PrimalDualPair:

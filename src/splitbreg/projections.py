@@ -7,6 +7,7 @@ for the "simple" ones. Every Bregman projector returns a new consistent pair
 """
 
 import bisect
+import math
 
 import numpy as np
 from scipy.optimize import brentq
@@ -22,6 +23,11 @@ class FeasiblePoint(ValueError):
 
 class ZeroNormal(ValueError):
     """Hyperplane or halfspace with an all-zero normal vector."""
+
+
+class NonFiniteData(ValueError):
+    """A constraint's data (a normal, an offset, a residual) is NaN or
+    infinite, so no step taken from it can be trusted."""
 
 
 class ZeroDirection(ValueError):
@@ -122,15 +128,21 @@ class NonnegCone(RangeSet):
         return y
 
 
-class Hyperplane(RangeSet):
-    """{y : <a, y> = beta}."""
+class _LinearSet(RangeSet):
+    """The constructor shared by Hyperplane and Halfspace."""
 
     def __init__(self, normal, offset):
         self.normal = np.atleast_1d(np.asarray(normal, dtype=float))
         self.norm_sq = float(np.dot(self.normal, self.normal))
         if self.norm_sq == 0.0:
-            raise ZeroNormal("hyperplane normal is zero")
+            raise ZeroNormal(f"{type(self).__name__.lower()} normal is zero")
         self.offset = float(offset)
+        if not (math.isfinite(self.norm_sq) and math.isfinite(self.offset)):
+            raise NonFiniteData(f"{type(self).__name__.lower()} normal or offset is not finite")
+
+
+class Hyperplane(_LinearSet):
+    """{y : <a, y> = beta}."""
 
     def project(self, y):
         y = np.asarray(y, dtype=float)
@@ -141,15 +153,8 @@ class Hyperplane(RangeSet):
         return abs(np.dot(self.normal, y) - self.offset) / np.sqrt(self.norm_sq)
 
 
-class Halfspace(RangeSet):
+class Halfspace(_LinearSet):
     """{y : <a, y> <= beta}."""
-
-    def __init__(self, normal, offset):
-        self.normal = np.atleast_1d(np.asarray(normal, dtype=float))
-        self.norm_sq = float(np.dot(self.normal, self.normal))
-        if self.norm_sq == 0.0:
-            raise ZeroNormal("halfspace normal is zero")
-        self.offset = float(offset)
 
     def project(self, y):
         y = np.asarray(y, dtype=float)
@@ -224,27 +229,16 @@ def project_l1_ball(y, radius):
 # ---------------------------------------------------------------------------
 
 
-class SeparatingHalfspace:
-    """A halfspace H = {x : <normal, x> <= offset} separating a point from a
-    constraint preimage, with the norm of the range-space residual that
-    induced it."""
-
-    __slots__ = ("normal", "offset", "w_norm")
-
-    def __init__(self, normal, offset, w_norm):
-        self.normal = normal
-        self.offset = float(offset)
-        self.w_norm = float(w_norm)
-
-
 def separating_halfspace(op, target, x):
-    """Halfspace separating x from {z : A z in target} when x is infeasible.
+    """Halfspace {z : <normal, z> <= offset} separating x from
+    {z : A z in target} when x is infeasible; returns (normal, offset, w_norm).
 
-    The normal is A^T w with w = A x - P_target(A x) and the offset is
-    <A^T w, x> - ||w||^2; every feasible point lies inside, x lies strictly
-    outside. Raises FeasiblePoint only when w is exactly zero: any nonzero
-    residual, however small, gets its halfspace, so how close is close enough
-    is left to the caller's tolerance alone.
+    The normal is A^T w with w = A x - P_target(A x), the offset is
+    <A^T w, x> - ||w||^2 and w_norm = ||w||; every feasible point lies inside,
+    x lies strictly outside. Raises FeasiblePoint only when w is exactly zero:
+    any nonzero residual, however small, gets its halfspace, so how close is
+    close enough is left to the caller's tolerance alone. Raises NonFiniteData
+    when ||w|| is NaN or infinite (non-finite A, target or x).
     """
     x = np.asarray(x, dtype=float)
     y = op.apply(x)
@@ -252,9 +246,11 @@ def separating_halfspace(op, target, x):
     w_norm = float(np.linalg.norm(w))
     if w_norm == 0.0:
         raise FeasiblePoint("point satisfies the constraint exactly")
+    if not math.isfinite(w_norm):
+        raise NonFiniteData(f"constraint residual norm is {w_norm}")
     normal = op.apply_adjoint(w)
     offset = float(np.dot(normal, x)) - w_norm * w_norm
-    return SeparatingHalfspace(normal, offset, w_norm)
+    return normal, offset, w_norm
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +322,8 @@ def _shrink_linesearch(x_star, a, beta, weights, nonneg, gp0=None):
 
 
 def _finite_weights(weights, idx):
-    """Whether shrink weights exist and are finite on ``idx``."""
-    return weights is not None and bool(np.all(np.isfinite(weights[idx])))
+    """Whether the shrink weights are finite on ``idx``."""
+    return bool(np.all(np.isfinite(weights[idx])))
 
 
 def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None):
@@ -467,7 +463,7 @@ def bregman_projector(obj, target):
     if isinstance(target, AffineSubspace):
         return lambda pair: _project_affine(obj, pair, target)
     weights = obj.shrink_weights()
-    if weights is not None and not np.any(weights):
+    if not np.any(weights):
         return lambda pair: _project_orthogonal(pair, target)
     if isinstance(target, (Hyperplane, Halfspace)):
         nonneg = isinstance(target, Halfspace)

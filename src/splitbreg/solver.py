@@ -33,6 +33,11 @@ class AllZeroRows(ValueError):
     left to act on."""
 
 
+class DimensionMismatch(ValueError):
+    """A difficult constraint's operator does not act on the objective's
+    coordinates."""
+
+
 # ---------------------------------------------------------------------------
 # configuration pieces
 # ---------------------------------------------------------------------------
@@ -168,10 +173,9 @@ def _difficult_step(obj, pair, constraint, rule):
     whose residual is exactly zero gets a zero step."""
     op = constraint.op
     try:
-        halfspace = projections.separating_halfspace(op, constraint.target, pair.x)
+        d, beta, w_norm = projections.separating_halfspace(op, constraint.target, pair.x)
     except projections.FeasiblePoint:
         return pair, 0.0, 0.0
-    d, beta, w_norm = halfspace.normal, halfspace.offset, halfspace.w_norm
     d_sq = float(np.dot(d, d))
     if d_sq == 0.0:
         raise projections.ZeroDirection("separating halfspace has a zero normal")
@@ -240,9 +244,12 @@ def run(config, callback=None):
     constraints = config.constraints
     if not constraints:
         raise ValueError("need at least one constraint")
-    for c in constraints:
+    for i, c in enumerate(constraints):
         if isinstance(c, Simple):
             projections.bregman_projector(obj, c.target)  # TypeError before step 0
+        elif c.op.shape[1] != obj.dimension:
+            msg = f"constraint {i} acts on {c.op.shape[1]} coordinates, not {obj.dimension}"
+            raise DimensionMismatch(msg)
     n = len(constraints)
     tols = np.broadcast_to(np.asarray(config.residual_tolerance, dtype=float), (n,))
     if np.any(tols <= 0.0):
@@ -251,6 +258,8 @@ def run(config, callback=None):
     x0_star = (
         np.zeros(obj.dimension) if config.x0_star is None else np.asarray(config.x0_star, float)
     )
+    if not np.all(np.isfinite(x0_star)):
+        raise projections.NonFiniteData("x0_star is not finite")
     pair = pair_from_dual(obj, x0_star)
     records = []
     termination = "max_iterations"
@@ -273,6 +282,17 @@ def run(config, callback=None):
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------
+
+
+# name -> (l1 term in the objective?, one hyperplane per row of A?, default rule);
+# without the row split the one constraint is A x = b, stepped by halfspaces
+_PRESETS = {
+    "landweber": (False, False, Constant()),
+    "minimal_error": (False, False, Dynamic()),
+    "kaczmarz": (False, True, Exact()),
+    "linearized_bregman": (True, False, Exact()),
+    "sparse_kaczmarz": (True, True, Exact()),
+}
 
 
 def preset(name, a, b, lam=None, step_rule=None, **kwargs):
@@ -307,32 +327,13 @@ def preset(name, a, b, lam=None, step_rule=None, **kwargs):
             raise AllZeroRows(f"every row of A is zero ({m} rows)")
         return constraints
 
-    if name == "landweber":
-        objective = SquaredNorm(n)
-        constraints = [Difficult(op, projections.Point(b))]
-        rule = Constant()
-    elif name == "minimal_error":
-        objective = SquaredNorm(n)
-        constraints = [Difficult(op, projections.Point(b))]
-        rule = Dynamic()
-    elif name == "kaczmarz":
-        objective = SquaredNorm(n)
-        constraints = rows()
-        rule = Exact()
-    elif name == "linearized_bregman":
-        if lam is None:
-            raise MissingLambda("linearized_bregman needs lam")
-        objective = ElasticNet(lam, n)
-        constraints = [Difficult(op, projections.Point(b))]
-        rule = Exact()
-    elif name == "sparse_kaczmarz":
-        if lam is None:
-            raise MissingLambda("sparse_kaczmarz needs lam")
-        objective = ElasticNet(lam, n)
-        constraints = rows()
-        rule = Exact()
-    else:
+    if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}")
+    sparse, by_rows, rule = _PRESETS[name]
+    if sparse and lam is None:
+        raise MissingLambda(f"{name} needs lam")
+    objective = ElasticNet(lam, n) if sparse else SquaredNorm(n)
+    constraints = rows() if by_rows else [Difficult(op, projections.Point(b))]
     if step_rule is not None:
         rule = step_rule
     return SolverConfig(objective=objective, constraints=constraints, step_rule=rule, **kwargs)

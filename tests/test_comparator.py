@@ -14,6 +14,7 @@ from splitbreg.comparator import (
     run_pd,
 )
 from splitbreg.objectives import ElasticNet
+from splitbreg.projections import NormBall, Point
 from splitbreg.solver import Exact, preset, run
 
 
@@ -41,7 +42,7 @@ def test_prox_f_optimality_condition():
 def test_prox_g_point_case():
     y = np.array([1.0, -2.0, 0.5])
     b = np.array([0.5, 0.5, 0.5])
-    np.testing.assert_allclose(prox_g(y, 2.0, b, 0.0), y - 2.0 * b)
+    np.testing.assert_allclose(prox_g(y, 2.0, Point(b)), y - 2.0 * b)
 
 
 def test_prox_g_minimizes_its_objective():
@@ -61,7 +62,7 @@ def test_prox_g_minimizes_its_objective():
                     u - y, u - y
                 )
 
-            u_hat = prox_g(y, sigma, b, delta, p=p)
+            u_hat = prox_g(y, sigma, NormBall(b, delta, p))
             best = val(u_hat)
             for _ in range(40):
                 assert best <= val(u_hat + rng.standard_normal(m) * 0.1) + 1e-10

@@ -113,12 +113,25 @@ def test_grouped_max_value():
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
-        GroupElasticNet(1.0, [np.array([0, 1]), np.array([1, 2])])  # overlap
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="groups overlap"):
+        GroupElasticNet(1.0, [np.array([0, 1]), np.array([1, 2])])
+    with pytest.raises(ValueError, match="out of range"):
         GroupElasticNet(1.0, [np.array([0]), np.array([2])])  # gap
-    with pytest.raises(ValueError):
-        GroupElasticNet(1.0, [np.array([0]), np.array([], dtype=int)])  # empty
+    with pytest.raises(ValueError, match="out of range"):
+        GroupedMax(1.0, [np.array([-1]), np.array([1])])
+    with pytest.raises(ValueError, match="empty group"):
+        GroupElasticNet(1.0, [np.array([0]), np.array([], dtype=int)])
+    with pytest.raises(ValueError, match="groups overlap"):
+        GroupedMax(1.0, [np.array([1, 1])])
+
+
+def test_partition_of_many_pair_groups():
+    # the pixel pairs of a 64 x 64 total-variation term
+    hw = 64 * 64
+    groups = [np.array([i, hw + i]) for i in range(hw)]
+    f = GroupElasticNet(0.7, groups)
+    assert f.n_groups == hw
+    np.testing.assert_array_equal(f.labels, np.tile(np.arange(hw), 2))
 
 
 def test_product_objective_blockwise_consistency():
@@ -147,8 +160,24 @@ def test_product_shrink_weights_mixed():
 def test_shrink_weights_per_type():
     assert np.all(SquaredNorm(3).shrink_weights() == 0.0)
     np.testing.assert_allclose(ElasticNet(1.5, 2).shrink_weights(), [1.5, 1.5])
-    assert GroupElasticNet(1.0, [np.array([0])]).shrink_weights() is None
-    assert GroupedMax(1.0, [np.array([0])]).shrink_weights() is None
+    assert np.all(np.isnan(GroupElasticNet(1.0, [np.array([0])]).shrink_weights()))
+    assert np.all(np.isnan(GroupedMax(1.0, [np.array([0])]).shrink_weights()))
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        SquaredNorm(3),
+        ElasticNet(1.5, 2),
+        ProductObjective([ElasticNet(2.0, 2), GroupElasticNet(1.0, [np.array([0, 1])])]),
+    ],
+    ids=["squared", "elastic", "product"],
+)
+def test_shrink_weights_built_once_and_read_only(obj):
+    w = obj.shrink_weights()
+    assert obj.shrink_weights() is w
+    with pytest.raises(ValueError):
+        w[0] = 5.0
 
 
 def test_fenchel_gap_values():

@@ -168,17 +168,18 @@ def test_affine_subspace_projection():
 
 def test_separating_halfspace_point_target():
     op = DenseMatrix(np.array([[1.0]]))
-    sh = separating_halfspace(op, Point(np.array([0.0])), np.array([2.0]))
-    np.testing.assert_allclose(sh.normal, [2.0])
-    assert sh.offset == pytest.approx(0.0)
-    assert sh.w_norm == pytest.approx(2.0)
+    normal, offset, w_norm = separating_halfspace(op, Point(np.array([0.0])), np.array([2.0]))
+    np.testing.assert_allclose(normal, [2.0])
+    assert offset == pytest.approx(0.0)
+    assert w_norm == pytest.approx(2.0)
 
 
 def test_separating_halfspace_ball_target():
     op = DenseMatrix(np.array([[1.0]]))
-    sh = separating_halfspace(op, NormBall(np.array([0.0]), 1.0, np.inf), np.array([3.0]))
-    np.testing.assert_allclose(sh.normal, [2.0])
-    assert sh.offset == pytest.approx(2.0)
+    ball = NormBall(np.array([0.0]), 1.0, np.inf)
+    normal, offset, _ = separating_halfspace(op, ball, np.array([3.0]))
+    np.testing.assert_allclose(normal, [2.0])
+    assert offset == pytest.approx(2.0)
 
 
 def test_separating_halfspace_feasible_raises():
@@ -198,15 +199,15 @@ def test_separating_halfspace_separates():
         y = op.apply(x)
         if target.contains(y, tol=1e-9):
             continue
-        sh = separating_halfspace(op, target, x)
+        normal, offset, w_norm = separating_halfspace(op, target, x)
         # the violating point is strictly outside its own halfspace
-        assert np.dot(sh.normal, x) - sh.offset == pytest.approx(sh.w_norm**2)
+        assert np.dot(normal, x) - offset == pytest.approx(w_norm**2)
         # any point with A z in the target is inside
         for _ in range(10):
             yq = target.project(rng.standard_normal(m) * 2.0)
             z = np.linalg.lstsq(a, yq, rcond=None)[0]
             z += rng.standard_normal(n) @ (np.eye(n) - np.linalg.pinv(a) @ a)
-            assert np.dot(sh.normal, z) <= sh.offset + 1e-8
+            assert np.dot(normal, z) <= offset + 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -253,36 +254,6 @@ def test_linesearch_nonneg_clamps():
     assert t_free < 0.0
 
 
-def test_linesearch_matches_grid_elastic_net():
-    rng = np.random.default_rng(15)
-    for _ in range(200):
-        n = rng.integers(1, 8)
-        obj = ElasticNet(float(rng.uniform(0.0, 2.0)), n)
-        x_star = rng.standard_normal(n) * 3.0
-        a = rng.standard_normal(n)
-        if not np.any(a):
-            continue
-        beta = float(rng.standard_normal() * 2.0)
-        t = exact_linesearch(obj, x_star, a, beta)
-        g = _g(obj, x_star, a, beta)
-        _, g_min = grid_minimize(g, t - 1.0, t + 1.0)
-        assert g(t) <= g_min + 1e-8
-
-
-def test_linesearch_matches_grid_group_blocks():
-    # groups have no per-coordinate shrink structure: the root-find path
-    rng = np.random.default_rng(16)
-    obj = GroupElasticNet(0.8, [np.array([0, 1]), np.array([2, 3])])
-    for _ in range(100):
-        x_star = rng.standard_normal(4) * 2.0
-        a = rng.standard_normal(4)
-        beta = float(rng.standard_normal())
-        t = exact_linesearch(obj, x_star, a, beta)
-        g = _g(obj, x_star, a, beta)
-        _, g_min = grid_minimize(g, t - 1.0, t + 1.0)
-        assert g(t) <= g_min + 1e-8
-
-
 def test_linesearch_product_routes_by_support():
     # direction supported on the coordinatewise block uses the kink walk and
     # leaves the group block of the projected pair untouched
@@ -311,9 +282,9 @@ def _linesearch_cases(draw):
 
     x_star, a = halves(-8, 8), halves(-4, 4)
     assume(np.any(a))
-    form = draw(st.sampled_from(["elastic", "product", "product+group"]))
+    form = draw(st.sampled_from(["elastic", "product", "product+group", "group"]))
     weights = halves(0, 4)  # zero weights included
-    if form == "elastic":
+    if form in ("elastic", "group"):
         weights[:] = weights[0]
     beta = draw(st.integers(-12, 12)) / 2.0
     return x_star, a, weights, beta, draw(st.booleans()), form
@@ -331,6 +302,9 @@ def test_linesearch_optimality_property(case):
     x_star, a, weights, beta, nonneg, form = case
     if form == "elastic":
         obj = ElasticNet(weights[0], a.size)
+    elif form == "group":
+        # blocks of two: no shrink weights anywhere, so the root find runs
+        obj = GroupElasticNet(weights[0], np.array_split(np.arange(a.size), (a.size + 1) // 2))
     else:
         parts = [ElasticNet(w, 1) for w in weights]
         if form == "product+group":

@@ -14,6 +14,7 @@ from splitbreg.objectives import (
 )
 from splitbreg.projections import (
     Hyperplane,
+    NonFiniteData,
     NonnegCone,
     NormBall,
     Point,
@@ -27,6 +28,7 @@ from splitbreg.solver import (
     Custom,
     Cyclic,
     Difficult,
+    DimensionMismatch,
     Dynamic,
     Exact,
     InconsistentZeroRow,
@@ -390,6 +392,51 @@ def test_callback_sees_every_step():
                  residual_tolerance=1e-18)
     run(cfg, callback=lambda pair, rec: seen.append(rec.k))
     assert seen == list(range(7))
+
+
+# ---------------------------------------------------------------------------
+# malformed input fails early with a named error
+# ---------------------------------------------------------------------------
+
+
+def _system_5x8():
+    a = np.random.default_rng(0).standard_normal((5, 8))
+    return a, a @ np.linspace(-1.0, 1.0, 8)
+
+
+def test_nan_data_in_equality_block_is_named():
+    a, b = _system_5x8()
+    b[2] = np.nan
+    with pytest.raises(NonFiniteData, match="residual norm is nan"):
+        run(preset("linearized_bregman", a, b, lam=1.0, max_iterations=50))
+
+
+def test_nan_start_is_rejected():
+    a, b = _system_5x8()
+    cfg = preset("linearized_bregman", a, b, lam=1.0, x0_star=np.full(8, np.nan))
+    with pytest.raises(NonFiniteData, match="x0_star"):
+        run(cfg)
+
+
+def test_nan_right_hand_side_row_is_rejected():
+    a, b = _system_5x8()
+    b[2] = np.nan
+    with pytest.raises(NonFiniteData, match="hyperplane"):
+        preset("kaczmarz", a, b)
+
+
+def test_infinite_matrix_entry_row_is_rejected():
+    a, b = _system_5x8()
+    a[0, 0] = np.inf
+    with pytest.raises(NonFiniteData, match="hyperplane"):
+        preset("sparse_kaczmarz", a, b, lam=1.0)
+
+
+def test_operator_and_objective_dimensions_must_agree():
+    a, b = _system_5x8()
+    cfg = _equality_config(a, b, ElasticNet(1.0, 9), Exact())
+    with pytest.raises(DimensionMismatch, match="8 coordinates, not 9"):
+        run(cfg)
 
 
 # ---------------------------------------------------------------------------
