@@ -554,7 +554,8 @@ def run_solve(config):
     """Generic single run of a preset; writes the solver history CSV."""
     inst = generate_instance(config.instance)
     lam = config.lam
-    if lam is None and config.preset in ("linearized_bregman", "sparse_kaczmarz"):
+    # an unknown preset falls through to solver.preset, which names it
+    if lam is None and solver._PRESETS.get(config.preset, (False,))[0]:
         lam = 10.0 * (np.abs(inst.x_true).max() or 1.0)
     cfg = solver.preset(
         config.preset,

@@ -258,10 +258,10 @@ class Grad2D(LinearOperator):
         return out.ravel()
 
     def pair_groups(self):
-        """Index pairs grouping each pixel's two difference components, in the
-        coordinates of this operator's output."""
-        hw = self.height * self.width
-        return [np.array([i, hw + i]) for i in range(hw)]
+        """One row per pixel: the indices of its two difference components, in
+        the coordinates of this operator's output."""
+        i = np.arange(self.height * self.width)
+        return np.stack([i, i.size + i], axis=1)
 
 
 def dct_row(n, j):
@@ -288,35 +288,6 @@ class PartialDCT(DenseMatrix):
 # ---------------------------------------------------------------------------
 
 
-def _trace_ray(p0x, p0y, dx, dy, height, width):
-    """Exact intersection lengths of the line (p0 + s*d) with the unit pixel
-    grid [0, width] x [0, height]; returns (pixel indices, lengths)."""
-    empty = (np.empty(0, dtype=int), np.empty(0))
-    s_lo, s_hi = -np.inf, np.inf
-    for p, d, size in ((p0x, dx, width), (p0y, dy, height)):
-        if abs(d) < 1e-12:
-            if p < 0.0 or p > size:
-                return empty
-        else:
-            sa, sb = (0.0 - p) / d, (size - p) / d
-            s_lo = max(s_lo, min(sa, sb))
-            s_hi = min(s_hi, max(sa, sb))
-    if s_hi <= s_lo:
-        return empty
-    crossings = [np.array([s_lo, s_hi])]
-    for p, d, size in ((p0x, dx, width), (p0y, dy, height)):
-        if abs(d) >= 1e-12:
-            s = (np.arange(size + 1) - p) / d
-            crossings.append(s[(s > s_lo) & (s < s_hi)])
-    s_all = np.unique(np.concatenate(crossings))
-    seg = np.diff(s_all)
-    mids = 0.5 * (s_all[:-1] + s_all[1:])
-    ix = np.clip(np.floor(p0x + mids * dx).astype(int), 0, width - 1)
-    iy = np.clip(np.floor(p0y + mids * dy).astype(int), 0, height - 1)
-    keep = seg > 1e-12
-    return (iy[keep] * width + ix[keep], seg[keep])
-
-
 class ParallelProjector(SparseOperator):
     """Sparse line-integral operator with per-row angle bookkeeping."""
 
@@ -334,7 +305,9 @@ def build_parallel_projector(height, width, angles_deg, rays_per_angle=None, off
     along the perpendicular through the image center. By default the offsets
     span the image diagonal uniformly (endpoints included); pass ``offsets``
     to position rays explicitly. Rays that miss the image are dropped, and the
-    returned operator records which angle produced each kept row.
+    returned operator records which angle produced each kept row. Entries are
+    exact intersection lengths with the pixels (Siddon's merge of a ray's
+    grid-line crossings), computed for all rays of one angle together.
     """
     height, width = int(height), int(width)
     angles_deg = np.asarray(angles_deg, dtype=float)
@@ -348,25 +321,47 @@ def build_parallel_projector(height, width, angles_deg, rays_per_angle=None, off
     spacing = float(np.median(np.diff(offsets))) if offsets.size > 1 else 1.0
     cx, cy = width / 2.0, height / 2.0
 
-    rows, cols, vals, row_angle = [], [], [], []
-    r = 0
-    for a_idx, ang in enumerate(angles_deg):
+    counts, cols, vals = [], [], []
+    for ang in angles_deg:
         theta = np.deg2rad(ang)
         dx, dy = np.cos(theta), np.sin(theta)
         nx, ny = -dy, dx
-        for t in offsets:
-            pix, seg = _trace_ray(cx + t * nx, cy + t * ny, dx, dy, height, width)
-            if pix.size == 0:
-                continue
-            rows.append(np.full(pix.size, r))
-            cols.append(pix)
-            vals.append(seg)
-            row_angle.append(a_idx)
-            r += 1
-    if r == 0:
+        p0x, p0y = cx + offsets * nx, cy + offsets * ny
+        # every ray of this angle at once: clip the line p0 + s*d to the image
+        # as s in [s_lo, s_hi], then collect its grid-line crossings in one row
+        hit = np.ones(offsets.size, dtype=bool)
+        s_lo, s_hi = np.full(offsets.size, -np.inf), np.full(offsets.size, np.inf)
+        crossings = []
+        for p, d, size in ((p0x, dx, width), (p0y, dy, height)):
+            if abs(d) < 1e-12:
+                hit &= (p >= 0.0) & (p <= size)
+            else:
+                sa, sb = (0.0 - p) / d, (size - p) / d
+                s_lo = np.maximum(s_lo, np.minimum(sa, sb))
+                s_hi = np.minimum(s_hi, np.maximum(sa, sb))
+                crossings.append((np.arange(size + 1) - p[:, None]) / d)
+        hit &= s_hi > s_lo
+        lo, hi = s_lo[hit, None], s_hi[hit, None]
+        # crossings outside the chord collapse onto its ends; the zero-length
+        # segments this and repeated crossings leave fail the length test
+        s = np.concatenate([lo, hi] + [c[hit] for c in crossings], axis=1)
+        s = np.sort(np.clip(s, lo, hi), axis=1)
+        seg = np.diff(s, axis=1)
+        mids = 0.5 * (s[:, :-1] + s[:, 1:])
+        ix = np.clip(np.floor(p0x[hit, None] + mids * dx).astype(int), 0, width - 1)
+        iy = np.clip(np.floor(p0y[hit, None] + mids * dy).astype(int), 0, height - 1)
+        keep = seg > 1e-12
+        nseg = np.count_nonzero(keep, axis=1)
+        counts.append(nseg[nseg > 0])  # a ray without a segment is dropped
+        cols.append(iy[keep] * width + ix[keep])
+        vals.append(seg[keep])
+    rays = [c.size for c in counts]
+    if sum(rays) == 0:
         raise ValueError("no ray intersects the image")
+    nseg = np.concatenate(counts)
     mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(r, height * width),
+        (np.concatenate(vals), (np.repeat(np.arange(nseg.size), nseg), np.concatenate(cols))),
+        shape=(nseg.size, height * width),
     )
+    row_angle = np.repeat(np.arange(angles_deg.size), rays)
     return ParallelProjector(mat, row_angle, angles_deg, spacing)

@@ -344,6 +344,19 @@ def test_run_solve_uses_the_preset_step_rule(tmp_path, monkeypatch):
     assert [type(c.step_rule) for c in configs] == [solver.Exact]
 
 
+@pytest.mark.parametrize("name", [name for name, row in solver._PRESETS.items() if row[0]])
+def test_run_solve_picks_lam_for_l1_presets(tmp_path, name):
+    cfg = ExperimentConfig(
+        experiment="solve",
+        out=str(tmp_path),
+        instance=InstanceSpec(m=8, n=16, seed=2, sparsity=2),
+        preset=name,
+        max_iterations=5,
+    )
+    assert cfg.lam is None
+    assert run_solve(cfg)["result"].records
+
+
 def test_zero_noise_zero_phantom_is_immediately_feasible():
     # zero image, exact data: the start x* = 0 already satisfies the data ball
     # and the coupling constraint, so the run ends on its first pass

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -243,3 +245,91 @@ def test_projector_spacing_recorded():
     diag = float(np.hypot(4, 4))
     assert proj.ray_spacing == pytest.approx(diag / 4.0)
     np.testing.assert_allclose(proj.angles_deg, [0.0, 90.0])
+
+
+_ANGLES5 = [0.0, 30.0, 45.0, 90.0, 180.0]
+
+
+@pytest.mark.parametrize(
+    "height,width,angles,kwargs,digest",
+    [
+        (64, 64, np.arange(60) * 3.0, dict(rays_per_angle=92),
+         "c0bb89e5d02a119eee496f3c15249c000e8f985f40bbe57500133395f528e1f4"),
+        (32, 32, np.arange(17) * (180.0 / 17), dict(rays_per_angle=50),
+         "d830779b74313b6a3cacf7e7960c591ace85169509e341370adfaa6f0c457223"),
+        (16, 16, np.arange(8) * 22.5, dict(rays_per_angle=30),
+         "307a1e9bce0e51db1c92797e42fdf527f6b823f8d2e68ad54150d2b4fa7c4194"),
+        (20, 33, np.arange(12) * 15.0, dict(rays_per_angle=41),
+         "70843a5dab2208afc4d98fc979aeeaa73716d452e8afcd841b00c79edaf0c3f1"),
+        (16, 12, _ANGLES5, dict(offsets=[-3.0, 0.0, 0.5, 2.0, 5.0, 40.0]),
+         "8556dbb4ec21fcbe0a0debe41848b10902c56a073700c27e22bc1a70345b3b8f"),
+        (16, 12, _ANGLES5, dict(offsets=np.linspace(-8.0, 8.0, 33)),
+         "9f88c46451aceb24641727ff93eb86e9a058d85a6368f73652a1d58934fe2aac"),
+    ],
+    ids=["64x64", "32x32", "16x16", "20x33", "explicit-offsets", "grid-offsets"],
+)
+def test_projector_csr_pinned(height, width, angles, kwargs, digest):
+    # SHA-256 of the CSR arrays and the row angles, recorded from a per-ray
+    # tracer doing the same float operations: they must not change, bit for bit
+    proj = build_parallel_projector(height, width, angles, **kwargs)
+    h = hashlib.sha256()
+    for a, dtype in (
+        (proj.mat.indptr, "<i8"),
+        (proj.mat.indices, "<i8"),
+        (proj.mat.data, "<f8"),
+        (proj.row_angle, "<i8"),
+    ):
+        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    assert h.hexdigest() == digest
+
+
+def _pixel_clip_lengths(height, width, p0x, p0y, dx, dy):
+    """Length of the line p0 + s*d (|d| = 1) inside each unit pixel, row-major,
+    by clipping it against the pixel's x and y slabs."""
+    iy, ix = np.divmod(np.arange(height * width), width)
+    s_lo = np.full(ix.size, -np.inf)
+    s_hi = np.full(ix.size, np.inf)
+    inside = np.ones(ix.size, dtype=bool)
+    for p, d, lo in ((p0x, dx, ix), (p0y, dy, iy)):
+        if abs(d) < 1e-12:  # parallel to the slab, as the projector decides it
+            inside &= (lo <= p) & (p <= lo + 1)
+        else:
+            sa, sb = (lo - p) / d, (lo + 1 - p) / d
+            s_lo = np.maximum(s_lo, np.minimum(sa, sb))
+            s_hi = np.minimum(s_hi, np.maximum(sa, sb))
+    return np.where(inside, np.maximum(s_hi - s_lo, 0.0), 0.0)
+
+
+@pytest.mark.parametrize("height,width,seed", [(7, 11, 0), (12, 5, 1), (9, 9, 2)])
+def test_projector_matches_pixel_clipping(height, width, seed):
+    rng = np.random.default_rng(seed)
+    angles = np.concatenate([[0.0, 90.0, 180.0, 270.0], rng.uniform(0.0, 360.0, 6)])
+    half = float(np.hypot(height, width)) / 2.0
+    offsets = np.concatenate([np.arange(-np.floor(half), half, 0.5), rng.uniform(-half, half, 25)])
+    proj = build_parallel_projector(height, width, angles, offsets=offsets)
+    dense = proj.to_dense()
+    cx, cy = width / 2.0, height / 2.0
+    on_line = 0
+    for a_idx, ang in enumerate(angles):
+        theta = np.deg2rad(ang)
+        dx, dy = np.cos(theta), np.sin(theta)
+        p0x, p0y = cx - offsets * dy, cy + offsets * dx
+        want = np.stack(
+            [_pixel_clip_lengths(height, width, x, y, dx, dy) for x, y in zip(p0x, p0y)]
+        )
+        hit = want.max(axis=1) > 1e-12
+        got = dense[proj.row_angle == a_idx]
+        assert got.shape[0] == hit.sum()
+        for row, clip, x, y in zip(got, want[hit], p0x[hit], p0y[hit]):
+            # a ray along a grid line touches two pixel rows (or columns); the
+            # projector charges the one its midpoints floor to, so only the
+            # row sum is defined there
+            if abs(dy) < 1e-12 and y == np.round(y):
+                on_line += 1
+                assert row.sum() == pytest.approx(width, abs=1e-12)
+            elif abs(dx) < 1e-12 and x == np.round(x):
+                on_line += 1
+                assert row.sum() == pytest.approx(height, abs=1e-12)
+            else:
+                np.testing.assert_allclose(row, clip, rtol=0.0, atol=1e-12)
+    assert on_line > 0
