@@ -28,10 +28,11 @@ class LinearOperator:
     def row(self, i):
         raise NotImplementedError(f"{type(self).__name__} has no row access")
 
-    def norm_estimate(self, tol=1e-6, max_iter=1000):
-        """Largest singular value by power iteration, cached after the first call."""
+    def norm_estimate(self):
+        """Largest singular value by power iteration (operator_norm's defaults),
+        cached after the first call."""
         if getattr(self, "_norm", None) is None:
-            self._norm = operator_norm(self, tol=tol, max_iter=max_iter)
+            self._norm = operator_norm(self)
         return self._norm
 
     def to_dense(self):
@@ -161,63 +162,31 @@ class ZeroOperator(LinearOperator):
 
 
 class BlockRow(LinearOperator):
-    """Operators acting on consecutive disjoint blocks of the input.
+    """The block row [B_1 B_2 ...]: operators with one output length acting on
+    consecutive disjoint blocks of the input, their outputs added up."""
 
-    With ``combine="sum"`` this is the block row [B_1 B_2 ...] (all outputs the
-    same length, added up); with ``combine="stack"`` the outputs are
-    concatenated, i.e. a block diagonal.
-    """
-
-    def __init__(self, ops, combine="sum"):
-        if combine not in ("sum", "stack"):
-            raise ValueError("combine must be 'sum' or 'stack'")
+    def __init__(self, ops):
         self.ops = list(ops)
         if not self.ops:
             raise ValueError("need at least one block")
-        self.combine = combine
-        widths = [op.shape[1] for op in self.ops]
-        self.col_offsets = np.cumsum([0] + widths)
-        n = int(self.col_offsets[-1])
-        if combine == "sum":
-            m = self.ops[0].shape[0]
-            if any(op.shape[0] != m for op in self.ops):
-                raise ValueError("summed blocks must share their output length")
-            self.shape = (m, n)
-        else:
-            self.row_offsets = np.cumsum([0] + [op.shape[0] for op in self.ops])
-            self.shape = (int(self.row_offsets[-1]), n)
-
-    def _split(self, x):
-        return [x[a:b] for a, b in zip(self.col_offsets[:-1], self.col_offsets[1:])]
+        m = self.ops[0].shape[0]
+        if any(op.shape[0] != m for op in self.ops):
+            raise ValueError("summed blocks must share their output length")
+        self.col_offsets = np.cumsum([0] + [op.shape[1] for op in self.ops])
+        self.shape = (m, int(self.col_offsets[-1]))
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
-        parts = self._split(x)
-        outs = [op.apply(p) for op, p in zip(self.ops, parts)]
-        if self.combine == "sum":
-            total = outs[0]
-            for o in outs[1:]:
-                total = total + o
-            return total
-        return np.concatenate(outs)
+        bounds = zip(self.col_offsets[:-1], self.col_offsets[1:])
+        outs = [op.apply(x[a:b]) for op, (a, b) in zip(self.ops, bounds)]
+        return sum(outs[1:], outs[0])
 
     def apply_adjoint(self, y):
         y = np.asarray(y, dtype=float)
-        if self.combine == "sum":
-            return np.concatenate([op.apply_adjoint(y) for op in self.ops])
-        parts = [y[a:b] for a, b in zip(self.row_offsets[:-1], self.row_offsets[1:])]
-        return np.concatenate([op.apply_adjoint(p) for op, p in zip(self.ops, parts)])
+        return np.concatenate([op.apply_adjoint(y) for op in self.ops])
 
     def row(self, i):
-        if self.combine == "sum":
-            return np.concatenate([op.row(i) for op in self.ops])
-        pieces = []
-        for op, a, b in zip(self.ops, self.row_offsets[:-1], self.row_offsets[1:]):
-            if a <= i < b:
-                pieces.append(op.row(i - a))
-            else:
-                pieces.append(np.zeros(op.shape[1]))
-        return np.concatenate(pieces)
+        return np.concatenate([op.row(i) for op in self.ops])
 
 
 class Grad2D(LinearOperator):

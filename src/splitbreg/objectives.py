@@ -125,19 +125,25 @@ class ElasticNet(Objective):
         return self._weights
 
 
-def _validate_partition(groups, dimension):
-    """Groups must partition range(dimension), where dimension is the sum of
-    the group sizes; returns a label array."""
-    sizes = [g.size for g in groups]
-    if 0 in sizes:
+def _partition_labels(groups):
+    """The group label of every coordinate. ``groups`` is a 2-d array with one
+    group per row, or a list of index arrays; either way the groups must
+    partition range(d), where d is the total group size."""
+    if isinstance(groups, np.ndarray) and groups.ndim == 2:
+        sizes = np.full(groups.shape[0], groups.shape[1])
+        idx = groups.astype(int, copy=False).ravel()
+    else:
+        groups = [np.asarray(g, dtype=int) for g in groups]
+        sizes = np.array([g.size for g in groups], dtype=int)
+        idx = np.concatenate(groups)
+    if np.any(sizes == 0):
         raise ValueError("empty group")
-    idx = np.concatenate(groups)
-    if idx.min() < 0 or idx.max() >= dimension:
+    if idx.min() < 0 or idx.max() >= idx.size:
         raise ValueError("group index out of range")
-    labels = np.full(dimension, -1, dtype=int)
-    labels[idx] = np.repeat(np.arange(len(groups)), sizes)
-    # dimension indices in range leave a coordinate unlabelled only when
-    # another one is listed twice
+    labels = np.full(idx.size, -1, dtype=int)
+    labels[idx] = np.repeat(np.arange(sizes.size), sizes)
+    # d indices in range leave a coordinate unlabelled only when another one
+    # is listed twice
     if np.any(labels == -1):
         raise ValueError("groups overlap")
     return labels
@@ -148,17 +154,17 @@ class GroupElasticNet(Objective):
 
     grad f* applies blockwise shrinkage max(1 - lam/||z_g||, 0) * z_g, which for
     size-2 groups is exactly the isotropic total-variation proximal map used by
-    the tomography experiment.
+    the tomography experiment. ``groups`` is a 2-d array with one group per
+    row (as Grad2D.pair_groups returns) or a list of index arrays.
     """
 
     def __init__(self, lam, groups):
         if lam < 0:
             raise ValueError("lam must be nonnegative")
         self.lam = float(lam)
-        self.groups = [np.asarray(g, dtype=int) for g in groups]
-        self.dimension = int(sum(g.size for g in self.groups))
-        self.labels = _validate_partition(self.groups, self.dimension)
-        self.n_groups = len(self.groups)
+        self.labels = _partition_labels(groups)
+        self.dimension = self.labels.size
+        self.n_groups = int(self.labels.max()) + 1  # no group is empty
         self.alpha = 1.0
 
     def _group_norms(self, v):
@@ -191,8 +197,7 @@ class GroupedMax(Objective):
             raise ValueError("lam must be nonnegative")
         self.lam = float(lam)
         self.groups = [np.asarray(g, dtype=int) for g in groups]
-        self.dimension = int(sum(g.size for g in self.groups))
-        _validate_partition(self.groups, self.dimension)
+        self.dimension = _partition_labels(self.groups).size
         self.alpha = 1.0
 
     def value(self, x):

@@ -114,17 +114,17 @@ class Box(RangeSet):
 
 
 class NonnegCone(RangeSet):
-    """{y : y_j >= 0 for j in indices}; all coordinates when indices is None."""
+    """{y : y_j >= 0 for j in indices}; all coordinates when indices is None.
+
+    ``self.indices`` is what indexes the cone's coordinates: an int array, or
+    ``slice(None)`` for all of them."""
 
     def __init__(self, indices=None):
-        self.indices = None if indices is None else np.asarray(indices, dtype=int)
+        self.indices = slice(None) if indices is None else np.asarray(indices, dtype=int)
 
     def project(self, y):
         y = np.array(y, dtype=float, copy=True)
-        if self.indices is None:
-            np.maximum(y, 0.0, out=y)
-        else:
-            y[self.indices] = np.maximum(y[self.indices], 0.0)
+        y[self.indices] = np.maximum(y[self.indices], 0.0)
         return y
 
 
@@ -258,7 +258,7 @@ def separating_halfspace(op, target, x):
 # ---------------------------------------------------------------------------
 
 
-def _shrink_linesearch(x_star, a, beta, weights, nonneg, gp0=None):
+def _shrink_linesearch(x_star, a, beta, weights, supp, nonneg, gp0=None):
     """Exact minimizer of g(t) = f*(x_star - t a) + t beta when f is a sum of
     coordinatewise ``w_j |x_j| + x_j^2 / 2`` terms.
 
@@ -267,13 +267,13 @@ def _shrink_linesearch(x_star, a, beta, weights, nonneg, gp0=None):
     mirroring to g(-t) when g'(0) > 0, the root lies at t > 0: sort the
     positive kinks once, bisect them for the first one where g' >= 0 (g' built
     from scratch on the piece to its left), and return that piece's zero
-    clamped to the piece, i.e. the left endpoint on flat stretches. All g'
-    values are relative to g'(0), so callers that know g'(0) exactly (the
-    solver knows it equals -||w||^2) keep full precision even when beta and
-    the intercepts cancel almost completely. ``gp0`` overrides the computed
-    g'(0).
+    clamped to the piece, i.e. the left endpoint on flat stretches; past the
+    last kink the piece runs to infinity. All g' values are relative to g'(0),
+    so callers that know g'(0) exactly (the solver knows it equals -||w||^2)
+    keep full precision even when beta and the intercepts cancel almost
+    completely. ``supp`` is the boolean mask of a's nonzeros; ``gp0``
+    overrides the computed g'(0).
     """
-    supp = np.nonzero(a)[0]
     u = x_star[supp]
     wv = weights[supp]
     s0 = soft_shrink(u, wv)
@@ -285,34 +285,28 @@ def _shrink_linesearch(x_star, a, beta, weights, nonneg, gp0=None):
     av = sign * a[supp]
     gp0 = sign * float(gp0)
 
-    def coeffs(pos, neg):
-        # exact slope of g' on the active set, and the intercept change
-        # against t = 0; unchanged coordinates contribute exact zeros, so
-        # no large dot products cancel
-        r = np.where(pos, u - wv, np.where(neg, u + wv, 0.0))
-        act = av[pos | neg]
-        return float(np.dot(act, act)), float(np.dot(av, s0 - r))
-
     # where u_j - t a_j crosses +w_j or -w_j; coordinates with w_j = 0 keep
     # their slope contribution for all t and have no kinks
     kw = wv > 0.0
     kinks = np.concatenate(((u[kw] - wv[kw]) / av[kw], (u[kw] + wv[kw]) / av[kw]))
-    ends = np.concatenate(([0.0], np.sort(kinks[kinks > 0.0])))
+    ends = np.concatenate(([0.0], np.sort(kinks[kinks > 0.0]), [np.inf]))
+    free = ~kw
 
     def piece(i):
         # slope, intercept change and g'(ends[i + 1]) on (ends[i], ends[i + 1]);
-        # a coordinate with w_j = 0 stays active where it crosses 0
+        # a coordinate with w_j = 0 stays active where it crosses 0, and on the
+        # last piece (midpoint inf) every coordinate is active. Unchanged
+        # coordinates contribute exact zeros, so no large dot products cancel
         shifted = u - (0.5 * (ends[i] + ends[i + 1])) * av
         pos = shifted > wv
-        s, delta = coeffs(pos, (shifted < -wv) | (~kw & ~pos))
+        act = pos | (shifted < -wv) | free
+        r = np.where(pos, u - wv, np.where(act, u + wv, 0.0))
+        a_act = av[act]
+        s, delta = float(np.dot(a_act, a_act)), float(np.dot(av, s0 - r))
         return s, delta, gp0 + delta + s * ends[i + 1]
 
-    i = bisect.bisect_left(range(ends.size - 1), True, key=lambda i: piece(i)[2] >= 0.0)
-    if i == ends.size - 1:
-        # past the last kink every supported coordinate is active: positively
-        # when its value grows with t (a_j < 0), negatively otherwise
-        s, delta = coeffs(av < 0, av > 0)
-        return sign * max(-(gp0 + delta) / s, ends[-1])
+    # the last piece always has g' >= 0 at its infinite end: bisect the others
+    i = bisect.bisect_left(range(ends.size - 2), True, key=lambda i: piece(i)[2] >= 0.0)
     s, delta, gp = piece(i)
     if gp == 0.0:
         return sign * ends[i + 1]
@@ -341,8 +335,9 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None):
     if a_sq == 0.0:
         raise ZeroDirection("linesearch direction is zero")
     weights = obj.shrink_weights()
-    if _finite_weights(weights, a != 0.0):
-        return _shrink_linesearch(x_star, a, beta, weights, nonneg, gp0=gp0)
+    supp = a != 0.0
+    if _finite_weights(weights, supp):
+        return _shrink_linesearch(x_star, a, beta, weights, supp, nonneg, gp0=gp0)
 
     def gp(t):
         return beta - float(np.dot(a, obj.grad_conjugate(x_star - t * a)))
@@ -393,7 +388,7 @@ def _project_halfspace(obj, pair, target, nonneg, weights):
     if t == 0.0:
         return pair
     z_star = pair.x_star - t * a
-    supp = np.nonzero(a)[0]
+    supp = a != 0.0
     if not _finite_weights(weights, supp):
         return pair_from_dual(obj, z_star)
     z = pair.x.copy()
@@ -414,7 +409,7 @@ def _project_nonneg(pair, weights, idx):
 
 def _project_box(pair, weights, lower, upper):
     """Closed form for coordinatewise l1 + squared objectives and a box
-    containing the origin.
+    containing the origin (bregman_projector checks that once).
 
     The primal is the clipped shrinkage; the admissible subgradient keeps the
     dual value inside the box, shifts by +-w at active bounds, and is zeroed on
@@ -422,8 +417,6 @@ def _project_box(pair, weights, lower, upper):
     """
     lower = np.broadcast_to(lower, pair.x_star.shape)
     upper = np.broadcast_to(upper, pair.x_star.shape)
-    if np.any(lower > 0.0) or np.any(upper < 0.0):
-        raise BoxWithoutZero("box must contain the origin componentwise")
     s = soft_shrink(pair.x_star, weights)
     z = np.clip(s, lower, upper)
     z_star = np.where(s > upper, upper + weights, np.where(s < lower, lower - weights, pair.x_star))
@@ -459,7 +452,8 @@ def bregman_projector(obj, target):
     """The Bregman projector onto ``target`` under ``obj``, as a function of the
     pair: the one dispatch table behind bregman_project (see there for the
     supported pairings, tried in order). The objective's shrink weights are
-    read here, once per call; raises TypeError for an unsupported pairing."""
+    read here, once per call; raises TypeError for an unsupported pairing and
+    BoxWithoutZero for a box the closed form cannot take."""
     if isinstance(target, AffineSubspace):
         return lambda pair: _project_affine(obj, pair, target)
     weights = obj.shrink_weights()
@@ -469,10 +463,11 @@ def bregman_projector(obj, target):
         nonneg = isinstance(target, Halfspace)
         return lambda pair: _project_halfspace(obj, pair, target, nonneg, weights)
     if isinstance(target, NonnegCone):
-        idx = slice(None) if target.indices is None else target.indices
-        if _finite_weights(weights, idx):
-            return lambda pair: _project_nonneg(pair, weights, idx)
+        if _finite_weights(weights, target.indices):
+            return lambda pair: _project_nonneg(pair, weights, target.indices)
     elif isinstance(target, Box) and _finite_weights(weights, slice(None)):
+        if np.any(target.lower > 0.0) or np.any(target.upper < 0.0):
+            raise BoxWithoutZero("box must contain the origin componentwise")
         return lambda pair: _project_box(pair, weights, target.lower, target.upper)
     raise TypeError(
         f"no Bregman projector for {type(target).__name__} under {type(obj).__name__}"

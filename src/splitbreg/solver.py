@@ -73,6 +73,9 @@ class Inexact:
             raise ValueError("p_cap must be nonnegative")
 
 
+_STEP_RULES = (Constant, Dynamic, Exact, Inexact)
+
+
 class Cyclic:
     """r(k) = k mod number of constraints."""
 
@@ -244,12 +247,14 @@ def run(config, callback=None):
     constraints = config.constraints
     if not constraints:
         raise ValueError("need at least one constraint")
-    for i, c in enumerate(constraints):
+    for i, c in enumerate(constraints):  # every set-up error before step 0
         if isinstance(c, Simple):
-            projections.bregman_projector(obj, c.target)  # TypeError before step 0
+            projections.bregman_projector(obj, c.target)  # TypeError, BoxWithoutZero
         elif c.op.shape[1] != obj.dimension:
             msg = f"constraint {i} acts on {c.op.shape[1]} coordinates, not {obj.dimension}"
             raise DimensionMismatch(msg)
+        elif not isinstance(config.step_rule, _STEP_RULES):
+            raise TypeError(f"unknown step rule {config.step_rule!r}")
     n = len(constraints)
     tols = np.broadcast_to(np.asarray(config.residual_tolerance, dtype=float), (n,))
     if np.any(tols <= 0.0):

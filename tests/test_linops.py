@@ -57,6 +57,8 @@ def test_operator_norm_cached():
     first = op.norm_estimate()
     assert op.norm_estimate() is first or op.norm_estimate() == first
     assert op._norm is not None
+    with pytest.raises(TypeError):
+        op.norm_estimate(tol=0.1)  # no per-call settings a cached value would ignore
 
 
 def test_operator_norm_warns_on_cap():
@@ -94,33 +96,18 @@ def test_sparse_operator_roundtrip(tmp_path):
 def test_block_row_sum():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     c = np.array([[10.0], [20.0]])
-    op = BlockRow([DenseMatrix(a), DenseMatrix(c)], combine="sum")
+    op = BlockRow([DenseMatrix(a), DenseMatrix(c)])
     assert op.shape == (2, 3)
     np.testing.assert_allclose(op.to_dense(), np.hstack([a, c]))
     np.testing.assert_allclose(op.row(0), [1.0, 2.0, 10.0])
     _check_adjoint(op, np.random.default_rng(5))
 
 
-def test_block_row_stack():
-    a = np.array([[1.0, 2.0]])
-    c = np.array([[5.0], [6.0]])
-    op = BlockRow([DenseMatrix(a), DenseMatrix(c)], combine="stack")
-    assert op.shape == (3, 3)
-    want = np.zeros((3, 3))
-    want[0, :2] = [1.0, 2.0]
-    want[1:, 2] = [5.0, 6.0]
-    np.testing.assert_allclose(op.to_dense(), want)
-    np.testing.assert_allclose(op.row(1), [0.0, 0.0, 5.0])
-    _check_adjoint(op, np.random.default_rng(6))
-
-
 def test_block_row_validation():
     with pytest.raises(ValueError):
-        BlockRow([], combine="sum")
+        BlockRow([])
     with pytest.raises(ValueError):
-        BlockRow([DenseMatrix(np.eye(2))], combine="glue")
-    with pytest.raises(ValueError):
-        BlockRow([DenseMatrix(np.eye(2)), DenseMatrix(np.eye(3))], combine="sum")
+        BlockRow([DenseMatrix(np.eye(2)), DenseMatrix(np.eye(3))])
 
 
 def test_grad2d_constant_image():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from splitbreg.linops import Grad2D
 from splitbreg.objectives import (
     ElasticNet,
     GroupElasticNet,
@@ -123,15 +124,37 @@ def test_partition_validation():
         GroupElasticNet(1.0, [np.array([0]), np.array([], dtype=int)])
     with pytest.raises(ValueError, match="groups overlap"):
         GroupedMax(1.0, [np.array([1, 1])])
+    # one group per row of a 2-d array
+    with pytest.raises(ValueError, match="groups overlap"):
+        GroupElasticNet(1.0, np.array([[0, 1], [1, 2], [3, 4]]))
+    with pytest.raises(ValueError, match="out of range"):
+        GroupElasticNet(1.0, np.array([[0, 1], [2, 4]]))
+    with pytest.raises(ValueError, match="out of range"):
+        GroupedMax(1.0, np.array([[-1, 0]]))
+    with pytest.raises(ValueError, match="empty group"):
+        GroupElasticNet(1.0, np.zeros((2, 0), dtype=int))
+    # a valid 2-d partition is labelled like its list of rows
+    groups = np.array([[3, 0], [1, 5], [4, 2]])
+    f = GroupElasticNet(1.0, groups)
+    g = GroupElasticNet(1.0, list(groups))
+    np.testing.assert_array_equal(f.labels, g.labels)
+    np.testing.assert_array_equal(f.labels, [0, 1, 2, 0, 2, 1])
+    assert (f.n_groups, f.dimension) == (g.n_groups, g.dimension) == (3, 6)
+    assert not hasattr(f, "groups")
+    z = np.array([1.0, -2.0, 0.5, 3.0, -1.0, 2.5])
+    np.testing.assert_array_equal(f.grad_conjugate(z), g.grad_conjugate(z))
+    h, k = GroupedMax(0.8, groups), GroupedMax(0.8, list(groups))
+    np.testing.assert_array_equal(h.grad_conjugate(z), k.grad_conjugate(z))
 
 
 def test_partition_of_many_pair_groups():
-    # the pixel pairs of a 64 x 64 total-variation term
+    # the pixel pairs of a 64 x 64 total-variation term, as a list and as rows
     hw = 64 * 64
     groups = [np.array([i, hw + i]) for i in range(hw)]
-    f = GroupElasticNet(0.7, groups)
-    assert f.n_groups == hw
-    np.testing.assert_array_equal(f.labels, np.tile(np.arange(hw), 2))
+    for form in (groups, Grad2D(64, 64).pair_groups()):
+        f = GroupElasticNet(0.7, form)
+        assert f.n_groups == hw
+        np.testing.assert_array_equal(f.labels, np.tile(np.arange(hw), 2))
 
 
 def test_product_objective_blockwise_consistency():

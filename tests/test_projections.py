@@ -554,6 +554,10 @@ def _projection_cases(draw):
         assume(np.any(a))
         beta = draw(st.integers(-12, 12)) / 2.0
         target = (Hyperplane if kind == "hyperplane" else Halfspace)(a, beta)
+    elif kind == "nonneg" and draw(st.booleans()):
+        # the whole space: the closed form needs finite weights everywhere
+        form = form.replace("+group", "")
+        target = NonnegCone()
     elif kind == "nonneg":
         target = NonnegCone(np.nonzero(draw(st.lists(st.booleans(), min_size=n, max_size=n)))[0])
     else:

@@ -13,6 +13,8 @@ from splitbreg.objectives import (
     soft_shrink,
 )
 from splitbreg.projections import (
+    Box,
+    BoxWithoutZero,
     Hyperplane,
     NonFiniteData,
     NonnegCone,
@@ -342,6 +344,36 @@ def test_later_simple_constraint_checked_before_first_step():
     )
     seen = []
     with pytest.raises(TypeError):
+        run(cfg, callback=lambda pair, record: seen.append(record.k))
+    assert seen == []
+
+
+def test_unknown_rule_rejected_before_first_step():
+    # the Simple step comes first; the rule is only read on the Difficult one
+    cfg = SolverConfig(
+        objective=SquaredNorm(2),
+        constraints=[
+            Simple(Hyperplane(np.array([0.0, 1.0]), 1.0)),
+            Difficult(DenseMatrix(np.eye(2)), Point(np.ones(2))),
+        ],
+        step_rule="fast",
+    )
+    seen = []
+    with pytest.raises(TypeError, match="unknown step rule"):
+        run(cfg, callback=lambda pair, record: seen.append(record.k))
+    assert seen == []
+
+
+def test_later_box_without_zero_rejected_before_first_step():
+    cfg = SolverConfig(
+        objective=ElasticNet(1.0, 2),
+        constraints=[
+            Simple(Hyperplane(np.array([1.0, 1.0]), 2.0)),
+            Simple(Box(np.array([1.0, -1.0]), np.array([2.0, 1.0]))),
+        ],
+    )
+    seen = []
+    with pytest.raises(BoxWithoutZero):
         run(cfg, callback=lambda pair, record: seen.append(record.k))
     assert seen == []
 
