@@ -9,7 +9,6 @@ independent check on the split-feasibility solver, and as the certification
 oracle for the regularization weight.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy as np
 from .linops import as_operator
 from .objectives import soft_shrink
 from .projections import NormBall, Point
-from .solver import write_history
 
 
 class StepSizeViolation(ValueError):
@@ -42,8 +40,6 @@ class PDRecord:
     k: int
     objective_value: float
     feasibility_gap: float  # ||A x - b||_p - delta, may be negative
-    set_distance: float  # Euclidean distance of A x to the constraint ball
-    elapsed_ms: float
 
 
 @dataclass
@@ -88,17 +84,13 @@ def run_pd(config):
     x = np.zeros(n)
     y = np.zeros(m)
     records = []
-    start = time.perf_counter()
 
     def record(k, xk):
-        ax = op.apply(xk)
         records.append(
             PDRecord(
                 k=k,
                 objective_value=float(lam * np.abs(xk).sum() + 0.5 * np.dot(xk, xk)),
-                feasibility_gap=float(np.linalg.norm(ax - b, p)) - delta,
-                set_distance=ball.distance(ax),
-                elapsed_ms=(time.perf_counter() - start) * 1e3,
+                feasibility_gap=float(np.linalg.norm(op.apply(xk) - b, p)) - delta,
             )
         )
 
@@ -112,12 +104,3 @@ def run_pd(config):
         record(config.max_iterations - 1, x)
     return PDResult(x=x, records=records, tau=tau, sigma=sigma)
 
-
-def history_to_csv(result, path):
-    """Write the run history in the solver's CSV schema (one constraint, the
-    fixed primal step in step_size, set distance as the violation)."""
-    rows = (
-        (rec.k, 0, result.tau, float("nan"), rec.set_distance, rec.objective_value, rec.elapsed_ms)
-        for rec in result.records
-    )
-    write_history(path, rows)

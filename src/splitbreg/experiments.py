@@ -31,6 +31,10 @@ class CertificationFailed(RuntimeError):
     """No candidate weight reproduced the planted vector via the oracle run."""
 
 
+class MissingNoise(ValueError):
+    """A noisy-recovery run was requested without a noise model."""
+
+
 # ---------------------------------------------------------------------------
 # instances
 # ---------------------------------------------------------------------------
@@ -140,6 +144,9 @@ def inject_noise(b, model, seed):
     else:
         raise TypeError(f"unknown noise model {model!r}")
     return noisy, delta
+
+
+_NOISE_MODELS = {"impulsive": ImpulsiveNoise, "uniform": UniformNoise, "gaussian": GaussianNoise}
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +281,7 @@ class ExperimentConfig:
         if "noise" in data and data["noise"] is not None:
             noise = dict(data["noise"])
             kind = noise.pop("kind")
-            models = {
-                "impulsive": ImpulsiveNoise,
-                "uniform": UniformNoise,
-                "gaussian": GaussianNoise,
-            }
-            data["noise"] = models[kind](**noise)
+            data["noise"] = _NOISE_MODELS[kind](**noise)
         if "tomo" in data and data["tomo"] is not None:
             data["tomo"] = TomoSpec(**data["tomo"])
         if "rules" in data:
@@ -354,8 +356,12 @@ def run_noisy_recovery(config):
 
     Writes trace.csv (objective and p-norm feasibility gap per iteration per
     method) and summary.csv (relative reconstruction errors). The weight is
-    certified on the exact data unless the configuration pins one.
+    certified on the exact data unless the configuration pins one. Raises
+    MissingNoise when the configuration has no noise model.
     """
+    if config.noise is None:
+        kinds = ", ".join(_NOISE_MODELS)
+        raise MissingNoise(f"noisy-recovery needs a 'noise' block with a kind ({kinds})")
     inst = generate_instance(config.instance)
     noisy, delta = inject_noise(inst.b, config.noise, config.seed)
     p = config.noise.p
@@ -384,7 +390,7 @@ def run_noisy_recovery(config):
         gap_trace = []
 
         def track(pair, record):
-            objective_trace.append(record.objective_value)
+            objective_trace.append(cfg.objective.value(pair.x))
             gap_trace.append(float(np.linalg.norm(inst.op.apply(pair.x) - noisy, p)) - delta)
 
         result = solver.run(cfg, callback=track)
@@ -551,7 +557,8 @@ def run_tomography(config):
 
 
 def run_solve(config):
-    """Generic single run of a preset; writes the solver history CSV."""
+    """Generic single run of a preset; writes the solver history CSV, with the
+    objective value of every step computed here."""
     inst = generate_instance(config.instance)
     lam = config.lam
     # an unknown preset falls through to solver.preset, which names it
@@ -565,8 +572,11 @@ def run_solve(config):
         max_iterations=config.max_iterations,
         residual_tolerance=config.tolerance * np.linalg.norm(inst.b),
     )
-    result = solver.run(cfg)
+    values = []
+    result = solver.run(
+        cfg, callback=lambda pair, record: values.append(cfg.objective.value(pair.x))
+    )
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    solver.history_to_csv(result, out / "history.csv")
+    solver.history_to_csv(result, out / "history.csv", values)
     return {"result": result, "terminations": {"solve": result.termination}, "instance": inst}

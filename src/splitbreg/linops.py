@@ -100,13 +100,14 @@ class SparseOperator(LinearOperator):
 
     def __init__(self, mat):
         self.mat = sp.csr_matrix(mat)
+        self._mat_t = self.mat.T  # a CSC view over the same arrays, built once
         self.shape = self.mat.shape
 
     def apply(self, x):
         return self.mat @ x
 
     def apply_adjoint(self, y):
-        return self.mat.T @ y
+        return self._mat_t @ y
 
     def row(self, i):
         return self.mat.getrow(i).toarray().ravel()

@@ -146,7 +146,6 @@ class IterationRecord:
     constraint_index: int
     step_size: float  # NaN on non-linesearch simple steps
     w_norm: float  # pre-step residual norm of the treated constraint; NaN on simple steps
-    objective_value: float
     elapsed_ms: float
     violations: np.ndarray = None  # full per-constraint vector, set at pass boundaries
 
@@ -227,12 +226,7 @@ def step(config, pair, k):
             config.objective, pair, constraint, config.step_rule
         )
     record = IterationRecord(
-        k=k,
-        constraint_index=i,
-        step_size=t_step,
-        w_norm=w_norm,
-        objective_value=config.objective.value(new_pair.x),
-        elapsed_ms=float("nan"),
+        k=k, constraint_index=i, step_size=t_step, w_norm=w_norm, elapsed_ms=float("nan")
     )
     return new_pair, record
 
@@ -241,7 +235,9 @@ def run(config, callback=None):
     """Run the solver until every constraint violation is inside its tolerance
     (checked once per full pass over the constraint list) or the iteration cap.
 
-    ``callback(pair, record)`` is invoked after every step when given.
+    ``callback(pair, record)`` is invoked after every step when given. The
+    solver computes only what stepping and stopping need: a caller who wants
+    f(x) per step computes ``config.objective.value(pair.x)`` in the callback.
     """
     obj = config.objective
     constraints = config.constraints
@@ -371,26 +367,22 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def write_history(path, rows):
-    """Write history rows under CSV_COLUMNS; every column after the first two
-    is a float."""
-    formatted = ([k, i] + [format_float(v) for v in rest] for k, i, *rest in rows)
-    write_csv(path, CSV_COLUMNS, formatted)
+def history_to_csv(result, path, objective_values):
+    """Write the run history with one row per step; every column after the
+    first two is a float.
 
-
-def history_to_csv(result, path):
-    """Write the run history with one row per step.
-
-    max_violation carries the most recent full-pass violation maximum forward
-    between pass boundaries (NaN before the first boundary).
+    ``objective_values`` holds f(x) after each step, in record order (collect
+    it in run's callback). max_violation carries the most recent full-pass
+    violation maximum forward between pass boundaries (NaN before the first
+    boundary).
     """
 
     def rows():
         latest = float("nan")
-        for rec in result.records:
+        for rec, value in zip(result.records, objective_values, strict=True):
             if rec.violations is not None:
                 latest = float(np.max(rec.violations))
-            yield (rec.k, rec.constraint_index, rec.step_size, rec.w_norm, latest,
-                   rec.objective_value, rec.elapsed_ms)
+            floats = (rec.step_size, rec.w_norm, latest, value, rec.elapsed_ms)
+            yield [rec.k, rec.constraint_index] + [format_float(v) for v in floats]
 
-    write_history(path, rows())
+    write_csv(path, CSV_COLUMNS, rows())

@@ -89,6 +89,15 @@ def test_seed_override_changes_instance(tmp_path):
     assert runs[1] != runs[2]
 
 
+def test_noisy_recovery_without_noise_is_named(tmp_path, capsys):
+    # no config file, so no noise block: the run names the missing key
+    assert main(["noisy-recovery", "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "'noise'" in err
+    assert all(kind in err for kind in ("impulsive", "uniform", "gaussian"))
+    assert not (tmp_path / "run").exists()
+
+
 def test_bench_default_instance(tmp_path):
     # no config file: the benchmark falls back to the built-in instance
     code = main(

@@ -1,14 +1,11 @@
 """Tests for the primal-dual reference solver."""
 
-import csv
-
 import numpy as np
 import pytest
 
 from splitbreg.comparator import (
     PDConfig,
     StepSizeViolation,
-    history_to_csv,
     prox_f,
     prox_g,
     run_pd,
@@ -144,29 +141,3 @@ def test_pd_noise_ball_relaxes_the_solution():
         assert loose.records[-1].feasibility_gap <= 1e-6
         obj = ElasticNet(lam, 6)
         assert obj.value(loose.x) <= obj.value(tight.x) + 1e-8
-
-
-def test_history_csv_schema(tmp_path):
-    a = np.eye(2)
-    b = np.array([1.0, -1.0])
-    res = run_pd(PDConfig(lam=0.2, op=a, b=b, max_iterations=5))
-    path = tmp_path / "pd.csv"
-    history_to_csv(res, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert list(rows[0]) == [
-        "k",
-        "constraint_index",
-        "step_size",
-        "w_norm",
-        "max_violation",
-        "objective_value",
-        "elapsed_ms",
-    ]
-    assert len(rows) == 5
-    for rec, row in zip(res.records, rows):
-        assert int(row["k"]) == rec.k
-        assert float(row["step_size"]) == res.tau
-        assert np.isnan(float(row["w_norm"]))
-        assert float(row["max_violation"]) == rec.set_distance
-        assert float(row["objective_value"]) == rec.objective_value

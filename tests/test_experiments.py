@@ -332,7 +332,9 @@ def test_run_solve_uses_the_preset_step_rule(tmp_path, monkeypatch):
     # preset's documented rule (Exact for linearized_bregman)
     configs = []
     run = solver.run
-    monkeypatch.setattr(solver, "run", lambda cfg: configs.append(cfg) or run(cfg))
+    monkeypatch.setattr(
+        solver, "run", lambda cfg, **kwargs: configs.append(cfg) or run(cfg, **kwargs)
+    )
     cfg = ExperimentConfig(
         experiment="solve",
         out=str(tmp_path),

@@ -426,6 +426,30 @@ def test_callback_sees_every_step():
     assert seen == list(range(7))
 
 
+class _CountingElasticNet(ElasticNet):
+    calls = 0
+
+    def value(self, x):
+        self.calls += 1
+        return super().value(x)
+
+
+@pytest.mark.parametrize("name", ["sparse_kaczmarz", "linearized_bregman"])
+def test_run_never_evaluates_the_objective(name):
+    # stepping and stopping need no f(x); a caller that logs it pays for it
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((4, 8))
+    cfg = preset(name, a, a @ rng.standard_normal(8), lam=1.0, max_iterations=40,
+                 residual_tolerance=1e-18)
+    assert isinstance(cfg.constraints[0], Simple if name == "sparse_kaczmarz" else Difficult)
+    cfg.objective = _CountingElasticNet(1.0, 8)
+    res = run(cfg)
+    assert res.iterations == 40
+    assert cfg.objective.calls == 0
+    run(cfg, callback=lambda pair, rec: cfg.objective.value(pair.x))
+    assert cfg.objective.calls == 40
+
+
 # ---------------------------------------------------------------------------
 # malformed input fails early with a named error
 # ---------------------------------------------------------------------------
@@ -536,9 +560,10 @@ def test_history_csv_roundtrip(tmp_path):
     a = rng.standard_normal((3, 6))
     b = rng.standard_normal(3)
     cfg = preset("kaczmarz", a, b, max_iterations=7, residual_tolerance=1e-18)
-    res = run(cfg)
+    values = []
+    res = run(cfg, callback=lambda pair, rec: values.append(cfg.objective.value(pair.x)))
     path = tmp_path / "history.csv"
-    history_to_csv(res, path)
+    history_to_csv(res, path, values)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == CSV_COLUMNS
@@ -552,19 +577,22 @@ def test_history_csv_roundtrip(tmp_path):
     boundary = rows[3 + 1]  # k = 3 = last step of the first pass
     assert boundary[4] != "nan"
     assert float(rows[5][4]) == float(rows[4][4])
-    for row, rec in zip(rows[1:], res.records):
-        assert float(row[5]) == rec.objective_value
+    assert [float(row[5]) for row in rows[1:]] == values
 
 
 def test_history_csv_difficult_run(tmp_path):
     cfg = preset("landweber", np.eye(2), np.ones(2), max_iterations=3,
                  residual_tolerance=1e-18)
-    res = run(cfg)
+    values = []
+    res = run(cfg, callback=lambda pair, rec: values.append(cfg.objective.value(pair.x)))
     path = tmp_path / "h.csv"
-    history_to_csv(res, path)
+    history_to_csv(res, path, values)
     with open(path) as fh:
         rows = list(csv.reader(fh))
+    assert [float(row[5]) for row in rows[1:]] == values
     for row, rec in zip(rows[1:], res.records):
         assert float(row[2]) == rec.step_size
         assert float(row[3]) == rec.w_norm
         assert float(row[4]) == np.max(rec.violations)
+    with pytest.raises(ValueError):  # one value per record
+        history_to_csv(res, tmp_path / "short.csv", values[:-1])
