@@ -10,7 +10,6 @@ import sys
 
 from .experiments import (
     ExperimentConfig,
-    InstanceSpec,
     run_noisy_recovery,
     run_solve,
     run_stepsize_benchmark,
@@ -49,8 +48,6 @@ def _load_config(args):
     else:
         config = ExperimentConfig()
     config.experiment = args.command
-    if config.instance is None:
-        config.instance = InstanceSpec(m=100, n=200, sparsity=10, seed=config.seed)
     if args.out is not None:
         config.out = args.out
     if args.seed is not None:

@@ -244,6 +244,16 @@ def projection_mass_estimate(projector, values):
 # ---------------------------------------------------------------------------
 
 
+def _check_choice(key, value, choices):
+    """Raise a ValueError naming ``key``, the bad ``value`` and the ``choices``
+    unless ``value`` is one of them."""
+    if value not in tuple(choices):
+        raise ValueError(f"{key} {value!r} is not one of {', '.join(choices)}")
+
+
+_TOMO_VARIANTS = ("plain", "nonneg", "one")
+
+
 @dataclass
 class TomoSpec:
     height: int = 32
@@ -255,7 +265,11 @@ class TomoSpec:
     iterations: int = 3000  # constraint steps, not full passes
     data_tolerance: float = 1e-3
     coupling_tolerance: float = 1e-2
-    variants: tuple = ("plain", "nonneg", "one")
+    variants: tuple = _TOMO_VARIANTS
+
+    def __post_init__(self):
+        for variant in self.variants:
+            _check_choice("tomo variant", variant, _TOMO_VARIANTS)
 
 
 @dataclass
@@ -263,15 +277,21 @@ class ExperimentConfig:
     experiment: str = "bench-stepsizes"
     seed: int = 0
     out: str = "."
-    instance: InstanceSpec = None
+    instance: InstanceSpec = None  # None: m=100, n=200, sparsity 10, seeded by seed
     noise: object = None
-    lam: float = None  # None: bench picks a scale heuristic, recovery certifies
+    lam: float = None  # None: bench and solve pick a scale heuristic, recovery certifies
     rules: tuple = ("constant", "dynamic", "exact", "inexact")
     max_iterations: int = 20000
     tolerance: float = 1e-6
     pd_iterations: int = 20000
     tomo: TomoSpec = field(default_factory=TomoSpec)
     preset: str = "linearized_bregman"  # for the generic solve runner
+
+    def __post_init__(self):
+        if self.instance is None:
+            self.instance = InstanceSpec(m=100, n=200, sparsity=10, seed=self.seed)
+        for rule in self.rules:
+            _check_choice("step rule", rule, solver.STEP_RULES)
 
     @classmethod
     def from_dict(cls, data):
@@ -280,7 +300,8 @@ class ExperimentConfig:
             data["instance"] = InstanceSpec(**data["instance"])
         if "noise" in data and data["noise"] is not None:
             noise = dict(data["noise"])
-            kind = noise.pop("kind")
+            kind = noise.pop("kind", None)
+            _check_choice("noise kind", kind, _NOISE_MODELS)
             data["noise"] = _NOISE_MODELS[kind](**noise)
         if "tomo" in data and data["tomo"] is not None:
             data["tomo"] = TomoSpec(**data["tomo"])
@@ -292,14 +313,6 @@ class ExperimentConfig:
     def from_json(cls, path):
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-_RULES = {
-    "constant": solver.Constant,
-    "dynamic": solver.Dynamic,
-    "exact": solver.Exact,
-    "inexact": solver.Inexact,
-}
 
 
 def _write_trace_csv(path, header, columns):
@@ -335,7 +348,7 @@ def run_stepsize_benchmark(config):
             inst.op,
             inst.b,
             lam=lam,
-            step_rule=_RULES[rule_name](),
+            step_rule=solver.STEP_RULES[rule_name](),
             max_iterations=config.max_iterations,
             residual_tolerance=config.tolerance * b_norm,
         )
@@ -382,7 +395,7 @@ def run_noisy_recovery(config):
         cfg = solver.SolverConfig(
             objective=ElasticNet(lam, inst.op.shape[1]),
             constraints=[solver.Difficult(inst.op, ball)],
-            step_rule=_RULES[rule_name](),
+            step_rule=solver.STEP_RULES[rule_name](),
             max_iterations=config.max_iterations,
             residual_tolerance=solver_tol,
         )
@@ -560,10 +573,8 @@ def run_solve(config):
     """Generic single run of a preset; writes the solver history CSV, with the
     objective value of every step computed here."""
     inst = generate_instance(config.instance)
-    lam = config.lam
-    # an unknown preset falls through to solver.preset, which names it
-    if lam is None and solver._PRESETS.get(config.preset, (False,))[0]:
-        lam = 10.0 * (np.abs(inst.x_true).max() or 1.0)
+    # the quadratic presets ignore lam
+    lam = config.lam if config.lam is not None else 10.0 * (np.abs(inst.x_true).max() or 1.0)
     cfg = solver.preset(
         config.preset,
         inst.op,

@@ -100,7 +100,7 @@ class ElasticNet(Objective):
     """
 
     def __init__(self, lam, dimension):
-        if lam < 0:
+        if not lam >= 0:
             raise ValueError("lam must be nonnegative")
         self.lam = float(lam)
         self.dimension = int(dimension)
@@ -159,7 +159,7 @@ class GroupElasticNet(Objective):
     """
 
     def __init__(self, lam, groups):
-        if lam < 0:
+        if not lam >= 0:
             raise ValueError("lam must be nonnegative")
         self.lam = float(lam)
         self.labels = _partition_labels(groups)
@@ -193,7 +193,7 @@ class GroupedMax(Objective):
     """
 
     def __init__(self, lam, groups):
-        if lam < 0:
+        if not lam >= 0:
             raise ValueError("lam must be nonnegative")
         self.lam = float(lam)
         self.groups = [np.asarray(g, dtype=int) for g in groups]

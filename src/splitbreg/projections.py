@@ -3,7 +3,9 @@
 The orthogonal projectors are what the separating-halfspace construction needs
 for "difficult" constraints; the Bregman projectors update a primal-dual pair
 for the "simple" ones. Every Bregman projector returns a new consistent pair
-(primal point plus admissible subgradient).
+(primal point plus admissible subgradient). Sets are immutable after
+construction: what they precompute there (a normal's length and support)
+stays valid for their lifetime.
 """
 
 import bisect
@@ -79,7 +81,7 @@ class NormBall(RangeSet):
     """{y : ||y - center||_p <= radius} for p in {1, 2, inf}."""
 
     def __init__(self, center, radius, p=2):
-        if radius < 0:
+        if not radius >= 0:
             raise ValueError("radius must be nonnegative")
         if p not in (1, 2, np.inf):
             raise ValueError("p must be 1, 2 or inf")
@@ -106,7 +108,7 @@ class Box(RangeSet):
     def __init__(self, lower, upper):
         self.lower = np.atleast_1d(np.asarray(lower, dtype=float))
         self.upper = np.atleast_1d(np.asarray(upper, dtype=float))
-        if np.any(self.lower > self.upper):
+        if not np.all(self.lower <= self.upper):
             raise ValueError("lower bound exceeds upper bound")
 
     def project(self, y):
@@ -117,10 +119,13 @@ class NonnegCone(RangeSet):
     """{y : y_j >= 0 for j in indices}; all coordinates when indices is None.
 
     ``self.indices`` is what indexes the cone's coordinates: an int array, or
-    ``slice(None)`` for all of them."""
+    ``slice(None)`` for all of them. Negative indices are rejected: they would
+    count from the end of whatever vector the cone meets."""
 
     def __init__(self, indices=None):
         self.indices = slice(None) if indices is None else np.asarray(indices, dtype=int)
+        if indices is not None and not np.all(self.indices >= 0):
+            raise ValueError("cone indices must be nonnegative")
 
     def project(self, y):
         y = np.array(y, dtype=float, copy=True)
@@ -129,7 +134,11 @@ class NonnegCone(RangeSet):
 
 
 class _LinearSet(RangeSet):
-    """The constructor shared by Hyperplane and Halfspace."""
+    """{y : <a, y> = beta}, or {y : <a, y> <= beta} when ``one_sided``: the one
+    body of Hyperplane and Halfspace. The normal's length ``norm`` and the
+    read-only boolean mask ``support`` of its nonzeros are built here, once."""
+
+    one_sided = False
 
     def __init__(self, normal, offset):
         self.normal = np.atleast_1d(np.asarray(normal, dtype=float))
@@ -139,33 +148,30 @@ class _LinearSet(RangeSet):
         self.offset = float(offset)
         if not (math.isfinite(self.norm_sq) and math.isfinite(self.offset)):
             raise NonFiniteData(f"{type(self).__name__.lower()} normal or offset is not finite")
+        self.norm = math.sqrt(self.norm_sq)
+        self.support = self.normal != 0.0
+        self.support.flags.writeable = False
+
+    def project(self, y):
+        y = np.asarray(y, dtype=float)
+        excess = np.dot(self.normal, y) - self.offset
+        if self.one_sided and excess <= 0.0:
+            return y.copy()
+        return y - (excess / self.norm_sq) * self.normal
+
+    def distance(self, y):
+        excess = np.dot(self.normal, np.asarray(y, dtype=float)) - self.offset
+        return (max(0.0, excess) if self.one_sided else abs(excess)) / self.norm
 
 
 class Hyperplane(_LinearSet):
     """{y : <a, y> = beta}."""
 
-    def project(self, y):
-        y = np.asarray(y, dtype=float)
-        return y - ((np.dot(self.normal, y) - self.offset) / self.norm_sq) * self.normal
-
-    def distance(self, y):
-        y = np.asarray(y, dtype=float)
-        return abs(np.dot(self.normal, y) - self.offset) / np.sqrt(self.norm_sq)
-
 
 class Halfspace(_LinearSet):
     """{y : <a, y> <= beta}."""
 
-    def project(self, y):
-        y = np.asarray(y, dtype=float)
-        excess = np.dot(self.normal, y) - self.offset
-        if excess <= 0.0:
-            return y.copy()
-        return y - (excess / self.norm_sq) * self.normal
-
-    def distance(self, y):
-        y = np.asarray(y, dtype=float)
-        return max(0.0, np.dot(self.normal, y) - self.offset) / np.sqrt(self.norm_sq)
+    one_sided = True
 
 
 class AffineSubspace(RangeSet):
@@ -196,7 +202,7 @@ def project_simplex(y, total=1.0):
     Sort-and-threshold: the largest k with u_k - (cumsum_k - total)/k > 0 fixes
     the active support, and the common shift follows from the sum constraint.
     """
-    if total < 0:
+    if not total >= 0:
         raise ValueError("total must be nonnegative")
     y = np.asarray(y, dtype=float)
     if total == 0.0:
@@ -215,7 +221,7 @@ def project_l1_ball(y, radius):
     Interior points are returned unchanged; otherwise project |y| onto the
     simplex of size ``radius`` and restore the signs.
     """
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be nonnegative")
     y = np.asarray(y, dtype=float)
     a = np.abs(y)
@@ -375,20 +381,19 @@ AFFINE_GRAD_TOL = 1e-10
 AFFINE_MAX_ITER = 10000
 
 
-def _project_halfspace(obj, pair, target, nonneg, weights):
-    """Exact-linesearch projection onto a Hyperplane, or with ``nonneg`` onto a
+def _project_halfspace(obj, pair, target, weights):
+    """Exact-linesearch projection onto a Hyperplane, or onto a one-sided
     Halfspace (identity on interior points, otherwise a step t >= 0).
 
     Where ``weights`` are finite on the normal's support only those primal
     coordinates are recomputed; the others keep their value."""
-    a, beta = target.normal, target.offset
-    if nonneg and float(np.dot(a, pair.x)) <= beta:
+    a, beta, supp = target.normal, target.offset, target.support
+    if target.one_sided and float(np.dot(a, pair.x)) <= beta:
         return pair
-    t = exact_linesearch(obj, pair.x_star, a, beta, nonneg=nonneg)
+    t = exact_linesearch(obj, pair.x_star, a, beta, nonneg=target.one_sided)
     if t == 0.0:
         return pair
     z_star = pair.x_star - t * a
-    supp = a != 0.0
     if not _finite_weights(weights, supp):
         return pair_from_dual(obj, z_star)
     z = pair.x.copy()
@@ -459,9 +464,8 @@ def bregman_projector(obj, target):
     weights = obj.shrink_weights()
     if not np.any(weights):
         return lambda pair: _project_orthogonal(pair, target)
-    if isinstance(target, (Hyperplane, Halfspace)):
-        nonneg = isinstance(target, Halfspace)
-        return lambda pair: _project_halfspace(obj, pair, target, nonneg, weights)
+    if isinstance(target, _LinearSet):
+        return lambda pair: _project_halfspace(obj, pair, target, weights)
     if isinstance(target, NonnegCone):
         if _finite_weights(weights, target.indices):
             return lambda pair: _project_nonneg(pair, weights, target.indices)

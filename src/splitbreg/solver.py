@@ -69,11 +69,12 @@ class Inexact:
     def __post_init__(self):
         if not self.c > 1.0:
             raise ValueError("c must exceed 1")
-        if self.p_cap < 0:
+        if not self.p_cap >= 0:
             raise ValueError("p_cap must be nonnegative")
 
 
-_STEP_RULES = (Constant, Dynamic, Exact, Inexact)
+# the one table of step rules by name; run accepts these classes and subclasses
+STEP_RULES = {"constant": Constant, "dynamic": Dynamic, "exact": Exact, "inexact": Inexact}
 
 
 class Cyclic:
@@ -249,11 +250,11 @@ def run(config, callback=None):
         elif c.op.shape[1] != obj.dimension:
             msg = f"constraint {i} acts on {c.op.shape[1]} coordinates, not {obj.dimension}"
             raise DimensionMismatch(msg)
-        elif not isinstance(config.step_rule, _STEP_RULES):
+        elif not isinstance(config.step_rule, tuple(STEP_RULES.values())):
             raise TypeError(f"unknown step rule {config.step_rule!r}")
     n = len(constraints)
     tols = np.broadcast_to(np.asarray(config.residual_tolerance, dtype=float), (n,))
-    if np.any(tols <= 0.0):
+    if not np.all(tols > 0.0):
         raise ValueError("residual tolerances must be positive")
 
     x0_star = (

@@ -105,3 +105,23 @@ def test_bench_default_instance(tmp_path):
     )
     assert code == 2  # 40 iterations is far below the tolerance
     assert (tmp_path / "residuals.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload, key, value",
+    [
+        ("noisy-recovery", {"noise": {"kind": "laplace"}}, "noise kind", "'laplace'"),
+        ("noisy-recovery", {"noise": {"count": 3}}, "noise kind", "None"),
+        ("bench-stepsizes", {"rules": ["fast"]}, "step rule", "'fast'"),
+        ("tomo", {"tomo": {"variants": ["nonnneg"]}}, "tomo variant", "'nonnneg'"),
+    ],
+)
+def test_unknown_config_names_fail_early(tmp_path, capsys, command, payload, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    # the message names the key, the bad value and the choices; nothing ran
+    assert f"{key} {value} is not one of" in err
+    assert not out.exists()

@@ -224,6 +224,13 @@ def test_config_from_json(tmp_path):
     assert cfg.lam == 2.5
 
 
+def test_default_instance_lives_in_the_config(tmp_path):
+    cfg = ExperimentConfig(seed=7, out=str(tmp_path), max_iterations=5)
+    assert cfg.instance == InstanceSpec(m=100, n=200, sparsity=10, seed=7)
+    assert len(run_solve(cfg)["result"].records) == 5
+    assert run_stepsize_benchmark(cfg)["instance"].op.shape == (100, 200)
+
+
 def test_pad_repeats_last_value(tmp_path):
     _write_trace_csv(tmp_path / "t.csv", ["k", "a", "b"], [[1.0, 2.0], [5.0]])
     with open(tmp_path / "t.csv", newline="") as fh:
@@ -273,6 +280,29 @@ def test_stepsize_benchmark_deterministic(tmp_path):
     run_stepsize_benchmark(_bench_config(a, max_iterations=150))
     run_stepsize_benchmark(_bench_config(b, max_iterations=150))
     assert (a / "residuals.csv").read_bytes() == (b / "residuals.csv").read_bytes()
+
+
+def test_runners_are_deterministic(tmp_path):
+    # identical configurations write byte-identical trace, summary and image files
+    for out in (tmp_path / "a", tmp_path / "b"):
+        run_noisy_recovery(ExperimentConfig(
+            seed=1,
+            out=str(out / "noise"),
+            instance=InstanceSpec(m=15, n=30, sparsity=2, seed=1),
+            noise=ImpulsiveNoise(count=2),
+            lam=1.0,
+            max_iterations=300,
+            pd_iterations=300,
+        ))
+        run_tomography(ExperimentConfig(
+            out=str(out / "tomo"),
+            tomo=TomoSpec(height=8, width=8, n_angles=4, rays_per_angle=12, iterations=60),
+        ))
+    names = ["noise/trace.csv", "noise/summary.csv", "tomo/trace.csv", "tomo/summary.csv"]
+    names += [f"tomo/{p.name}" for p in (tmp_path / "a" / "tomo").glob("*.pgm")]
+    assert len(names) == 8
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 def test_noisy_recovery_outputs(tmp_path):

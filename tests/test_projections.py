@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from splitbreg.objectives import (
     ElasticNet,
     GroupElasticNet,
+    GroupedMax,
     ProductObjective,
     SquaredNorm,
     bregman_distance,
@@ -122,6 +123,39 @@ def test_norm_ball_validation():
         NormBall(np.zeros(2), 1.0, 3)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: NormBall(np.zeros(2), np.nan, 2),
+        lambda: NormBall(np.zeros(2), np.nan, 1),
+        lambda: NormBall(np.zeros(2), np.nan, np.inf),
+        lambda: Box(np.array([np.nan]), np.array([1.0])),
+        lambda: Box(np.array([0.0]), np.array([np.nan])),
+        lambda: NonnegCone([-1]),
+        lambda: project_simplex(np.ones(3), np.nan),
+        lambda: project_l1_ball(np.ones(3), np.nan),
+        lambda: ElasticNet(np.nan, 3),
+        lambda: GroupElasticNet(np.nan, [[0, 1]]),
+        lambda: GroupedMax(np.nan, [[0, 1]]),
+    ],
+    ids=[
+        "ball-2", "ball-1", "ball-inf", "box-lower", "box-upper", "cone-negative-index",
+        "simplex", "l1-ball", "elastic-net", "group-elastic-net", "grouped-max",
+    ],
+)
+def test_malformed_set_data_is_rejected(build):
+    # NaN fails every positive assertion; a negative index would count from the end
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_infinite_set_data_is_accepted():
+    np.testing.assert_array_equal(NormBall(np.zeros(2), np.inf, 2).project([3.0, 4.0]), [3.0, 4.0])
+    box = Box(np.array([-np.inf, 0.0]), np.array([np.inf, np.inf]))
+    np.testing.assert_array_equal(box.project([-5.0, -1.0]), [-5.0, 0.0])
+    assert ElasticNet(np.inf, 2).shrink_weights()[0] == np.inf
+
+
 def test_box_and_cone():
     box = Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
     np.testing.assert_allclose(box.project(np.array([5.0, -3.0])), [1.0, 0.0])
@@ -144,6 +178,19 @@ def test_hyperplane_and_halfspace():
         Hyperplane(np.zeros(2), 1.0)
     with pytest.raises(ZeroNormal):
         Halfspace(np.zeros(2), 1.0)
+
+
+def test_linear_sets_build_their_fixed_data_once():
+    h = Hyperplane(np.array([3.0, 0.0, -4.0]), 1.0)
+    assert h.norm == 5.0
+    np.testing.assert_array_equal(h.support, [True, False, True])
+    with pytest.raises(ValueError):
+        h.support[1] = True
+    # the two sets differ only in the one-sided clamp
+    hs = Halfspace(h.normal, h.offset)
+    assert (Hyperplane.one_sided, Halfspace.one_sided) == (False, True)
+    assert h.distance([1.0, 0.0, 0.0]) == hs.distance([1.0, 0.0, 0.0]) == 0.4
+    assert (h.distance([-1.0, 0.0, 0.0]), hs.distance([-1.0, 0.0, 0.0])) == (0.8, 0.0)
 
 
 def test_affine_subspace_projection():

@@ -232,6 +232,10 @@ def test_inexact_validation():
         Inexact(c=1.0)
     with pytest.raises(ValueError):
         Inexact(p_cap=-1)
+    with pytest.raises(ValueError):
+        Inexact(c=float("nan"))
+    with pytest.raises(ValueError):
+        Inexact(p_cap=float("nan"))
 
 
 def test_difficult_step_at_feasible_point_is_zero():
@@ -270,6 +274,14 @@ def test_unknown_rule_rejected():
     cfg = _equality_config(np.eye(2), np.ones(2), SquaredNorm(2), rule="fast")
     with pytest.raises(TypeError):
         run(cfg)
+
+
+def test_step_rule_subclasses_are_accepted():
+    class MyExact(Exact):
+        pass
+
+    res = run(_equality_config(np.eye(2), np.ones(2), SquaredNorm(2), rule=MyExact()))
+    assert res.termination == "tolerance"
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +356,20 @@ def test_later_simple_constraint_checked_before_first_step():
     )
     seen = []
     with pytest.raises(TypeError):
+        run(cfg, callback=lambda pair, record: seen.append(record.k))
+    assert seen == []
+
+
+@pytest.mark.parametrize("tol", [np.nan, [1e-8, np.nan]])
+def test_nan_tolerance_rejected_before_first_step(tol):
+    cfg = SolverConfig(
+        objective=SquaredNorm(2),
+        constraints=[Simple(Hyperplane(np.array([1.0, 0.0]), 1.0)),
+                     Simple(Hyperplane(np.array([0.0, 1.0]), 1.0))],
+        residual_tolerance=tol,
+    )
+    seen = []
+    with pytest.raises(ValueError, match="tolerances must be positive"):
         run(cfg, callback=lambda pair, record: seen.append(record.k))
     assert seen == []
 
