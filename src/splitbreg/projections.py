@@ -44,6 +44,16 @@ class NoConvergence(RuntimeError):
     """An iterative inner solve hit its cap before reaching its tolerance."""
 
 
+def _nonzeros(v):
+    """What indexes the nonzeros of v: ``slice(None)`` when v has no zeros, so
+    that gathers through it are views, else a read-only boolean mask."""
+    mask = v != 0.0
+    if np.count_nonzero(mask) == mask.size:
+        return slice(None)
+    mask.flags.writeable = False
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # target sets and orthogonal projections
 # ---------------------------------------------------------------------------
@@ -135,8 +145,9 @@ class NonnegCone(RangeSet):
 
 class _LinearSet(RangeSet):
     """{y : <a, y> = beta}, or {y : <a, y> <= beta} when ``one_sided``: the one
-    body of Hyperplane and Halfspace. The normal's length ``norm`` and the
-    read-only boolean mask ``support`` of its nonzeros are built here, once."""
+    body of Hyperplane and Halfspace. The normal's length ``norm`` and the index
+    ``support`` of its nonzeros are built here, once: ``slice(None)`` for a
+    normal without zeros, else a read-only boolean mask."""
 
     one_sided = False
 
@@ -149,8 +160,7 @@ class _LinearSet(RangeSet):
         if not (math.isfinite(self.norm_sq) and math.isfinite(self.offset)):
             raise NonFiniteData(f"{type(self).__name__.lower()} normal or offset is not finite")
         self.norm = math.sqrt(self.norm_sq)
-        self.support = self.normal != 0.0
-        self.support.flags.writeable = False
+        self.support = _nonzeros(self.normal)
 
     def project(self, y):
         y = np.asarray(y, dtype=float)
@@ -189,6 +199,26 @@ class AffineSubspace(RangeSet):
         gram = a @ a.T
         w = np.linalg.solve(gram, a @ y - self.b)
         return y - a.T @ w
+
+
+def data_fits(target, n):
+    """Whether the data of a set fits vectors of length n: a normal, a point
+    or an affine set's operator width of length n, box bounds and a ball center
+    of length n or 1 (which broadcasts), cone indices below n. Sets of other
+    types carry no such data and fit any length."""
+    if isinstance(target, _LinearSet):
+        return target.normal.size == n
+    if isinstance(target, Point):
+        return target.b.size == n
+    if isinstance(target, NormBall):
+        return target.center.size in (1, n)
+    if isinstance(target, Box):
+        return {target.lower.size, target.upper.size} <= {1, n}
+    if isinstance(target, NonnegCone):
+        return isinstance(target.indices, slice) or bool(np.all(target.indices < n))
+    if isinstance(target, AffineSubspace):
+        return target.op.shape[1] == n
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -264,21 +294,48 @@ def separating_halfspace(op, target, x):
 # ---------------------------------------------------------------------------
 
 
+def _locate_root_piece(ends, jumps, gp0, slope):
+    """Index i of the piece (ends[i], ends[i + 1]) on which a nondecreasing,
+    continuous, piecewise-linear g' first reaches 0, in a few array passes.
+
+    g' is ``gp0 < 0`` at ends[0] = 0, its slope is ``slope`` past the last kink
+    and jumps by ``jumps[k]`` at the kink ends[k + 1]. Prefix sums of the jumps
+    and of jump * kink give g' at every kink at once, g'(e_k) = gp0 +
+    e_k (slope - sum(jumps) + C1_k) - C2_k with inclusive sums C1 and C2. The
+    rounding of these sums can misplace a root that sits at or near a kink, so
+    the answer is a guess for the caller to confirm.
+    """
+    e = ends[1:-1]
+    c1 = np.cumsum(jumps)
+    c2 = np.cumsum(jumps * e)
+    hit = e * (slope - c1[-1] + c1) - c2 >= -gp0
+    k = int(hit.argmax())
+    return k if hit[k] else e.size
+
+
 def _shrink_linesearch(x_star, a, beta, weights, supp, nonneg, gp0=None):
     """Exact minimizer of g(t) = f*(x_star - t a) + t beta when f is a sum of
     coordinatewise ``w_j |x_j| + x_j^2 / 2`` terms.
 
     g'(t) = beta - <a, S_w(x_star - t a)> is piecewise linear and
     nondecreasing, with kinks where some x*_j - t a_j crosses +-w_j. After
-    mirroring to g(-t) when g'(0) > 0, the root lies at t > 0: sort the
-    positive kinks once, bisect them for the first one where g' >= 0 (g' built
-    from scratch on the piece to its left), and return that piece's zero
-    clamped to the piece, i.e. the left endpoint on flat stretches; past the
-    last kink the piece runs to infinity. All g' values are relative to g'(0),
-    so callers that know g'(0) exactly (the solver knows it equals -||w||^2)
-    keep full precision even when beta and the intercepts cancel almost
-    completely. ``supp`` is the boolean mask of a's nonzeros; ``gp0``
-    overrides the computed g'(0).
+    mirroring to g(-t) when g'(0) > 0, the root lies at t > 0. The positive
+    kinks are sorted once, and then:
+
+    - locate: prefix sums over the sorted kinks give g' at every kink, and the
+      first kink where it is >= 0 closes the root's piece (_locate_root_piece);
+    - confirm: g' built from scratch on that piece is >= 0 at its right end
+      (trivially so on the last piece, which runs to infinity), and on the
+      piece to its left it is < 0 (nothing to check on the first piece);
+    - fall back: only when the confirmation fails, bisect the kinks with the
+      from-scratch g'.
+
+    The answer is that piece's zero clamped to the piece, i.e. the left endpoint
+    on flat stretches, computed from scratch. All g' values are relative to
+    g'(0), so callers that know g'(0) exactly (the solver knows it equals
+    -||w||^2) keep full precision even when beta and the intercepts cancel
+    almost completely. ``supp`` indexes a's nonzeros: a boolean mask, or
+    ``slice(None)`` when a has no zeros; ``gp0`` overrides the computed g'(0).
     """
     u = x_star[supp]
     wv = weights[supp]
@@ -291,12 +348,17 @@ def _shrink_linesearch(x_star, a, beta, weights, supp, nonneg, gp0=None):
     av = sign * a[supp]
     gp0 = sign * float(gp0)
 
-    # where u_j - t a_j crosses +w_j or -w_j; coordinates with w_j = 0 keep
-    # their slope contribution for all t and have no kinks
-    kw = wv > 0.0
-    kinks = np.concatenate(((u[kw] - wv[kw]) / av[kw], (u[kw] + wv[kw]) / av[kw]))
-    ends = np.concatenate(([0.0], np.sort(kinks[kinks > 0.0]), [np.inf]))
-    free = ~kw
+    # u_j - t a_j crosses +w_j at t = lo_j / a_j and -w_j at t = hi_j / a_j;
+    # coordinates with w_j = 0 keep their slope contribution for all t and
+    # have no kinks
+    lo, hi = u - wv, u + wv
+    kw = _nonzeros(wv)  # shrink weights are nonnegative
+    free = wv == 0.0
+    ak = av[kw]
+    kinks = np.concatenate((lo[kw] / ak, hi[kw] / ak))
+    ahead = np.flatnonzero(kinks > 0.0)
+    order = ahead[np.argsort(kinks[ahead])]
+    ends = np.concatenate(([0.0], kinks[order], [np.inf]))
 
     def piece(i):
         # slope, intercept change and g'(ends[i + 1]) on (ends[i], ends[i + 1]);
@@ -306,14 +368,24 @@ def _shrink_linesearch(x_star, a, beta, weights, supp, nonneg, gp0=None):
         shifted = u - (0.5 * (ends[i] + ends[i + 1])) * av
         pos = shifted > wv
         act = pos | (shifted < -wv) | free
-        r = np.where(pos, u - wv, np.where(act, u + wv, 0.0))
+        r = np.where(pos, lo, np.where(act, hi, 0.0))
         a_act = av[act]
         s, delta = float(np.dot(a_act, a_act)), float(np.dot(av, s0 - r))
         return s, delta, gp0 + delta + s * ends[i + 1]
 
-    # the last piece always has g' >= 0 at its infinite end: bisect the others
-    i = bisect.bisect_left(range(ends.size - 2), True, key=lambda i: piece(i)[2] >= 0.0)
+    # the last piece always has g' >= 0 at its infinite end
+    last = ends.size - 2
+    i = 0
+    if last:
+        # slope change of a coordinate: -a_j |a_j| where it leaves the active
+        # set at lo_j / a_j, +a_j |a_j| where it re-enters at hi_j / a_j
+        jump = ak * np.abs(ak)
+        jumps = np.concatenate((-jump, jump))[order]
+        i = _locate_root_piece(ends, jumps, gp0, float(np.dot(av, av)))
     s, delta, gp = piece(i)
+    if (i < last and gp < 0.0) or (i > 0 and piece(i - 1)[2] >= 0.0):
+        i = bisect.bisect_left(range(last), True, key=lambda j: piece(j)[2] >= 0.0)
+        s, delta, gp = piece(i)
     if gp == 0.0:
         return sign * ends[i + 1]
     if s == 0.0:
@@ -341,7 +413,7 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None):
     if a_sq == 0.0:
         raise ZeroDirection("linesearch direction is zero")
     weights = obj.shrink_weights()
-    supp = a != 0.0
+    supp = _nonzeros(a)
     if _finite_weights(weights, supp):
         return _shrink_linesearch(x_star, a, beta, weights, supp, nonneg, gp0=gp0)
 

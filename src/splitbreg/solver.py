@@ -34,8 +34,10 @@ class AllZeroRows(ValueError):
 
 
 class DimensionMismatch(ValueError):
-    """A difficult constraint's operator does not act on the objective's
-    coordinates."""
+    """A constraint does not fit the vectors it meets: a difficult constraint's
+    operator does not act on the objective's coordinates, or a set's data (a
+    normal, bounds, a center, cone indices) does not fit the objective's
+    coordinates (simple) or the operator's outputs (difficult)."""
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +247,16 @@ def run(config, callback=None):
     if not constraints:
         raise ValueError("need at least one constraint")
     for i, c in enumerate(constraints):  # every set-up error before step 0
-        if isinstance(c, Simple):
-            projections.bregman_projector(obj, c.target)  # TypeError, BoxWithoutZero
-        elif c.op.shape[1] != obj.dimension:
+        simple = isinstance(c, Simple)
+        if not simple and c.op.shape[1] != obj.dimension:
             msg = f"constraint {i} acts on {c.op.shape[1]} coordinates, not {obj.dimension}"
             raise DimensionMismatch(msg)
+        length = obj.dimension if simple else c.op.shape[0]
+        if not projections.data_fits(c.target, length):
+            msg = f"constraint {i}: {type(c.target).__name__} does not fit length {length}"
+            raise DimensionMismatch(msg)
+        if simple:
+            projections.bregman_projector(obj, c.target)  # TypeError, BoxWithoutZero
         elif not isinstance(config.step_rule, tuple(STEP_RULES.values())):
             raise TypeError(f"unknown step rule {config.step_rule!r}")
     n = len(constraints)

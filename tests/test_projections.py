@@ -1,3 +1,7 @@
+import bisect
+import contextlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -32,7 +36,9 @@ from splitbreg.projections import (
     project_simplex,
     separating_halfspace,
 )
+from splitbreg import projections
 from splitbreg.linops import DenseMatrix
+from splitbreg.solver import preset, run
 
 from oracles import affine_elasticnet_oracle, grid_minimize, l1_ball_oracle, simplex_oracle
 
@@ -186,6 +192,8 @@ def test_linear_sets_build_their_fixed_data_once():
     np.testing.assert_array_equal(h.support, [True, False, True])
     with pytest.raises(ValueError):
         h.support[1] = True
+    # a normal without zeros is read through views, not boolean-indexed copies
+    assert Hyperplane(np.array([3.0, -4.0]), 1.0).support == slice(None)
     # the two sets differ only in the one-sided clamp
     hs = Halfspace(h.normal, h.offset)
     assert (Hyperplane.one_sided, Halfspace.one_sided) == (False, True)
@@ -379,6 +387,79 @@ def test_linesearch_optimality_property(case):
     inside = (kinks * np.sign(t) > 0.0) & (np.abs(kinks) < abs(t) * (1.0 - 1e-9))
     for k in kinks[inside]:
         assert np.sign(t) * gp(k) < -tol
+
+
+@contextlib.contextmanager
+def _forced_bisection():
+    """Make the prefix-sum locate guess one piece off (cyclically), so that
+    every linesearch with positive kinks must reject its guess and bisect.
+    Yields the counts of guesses and of bisections."""
+    counts = {"guesses": 0, "bisections": 0}
+    locate = projections._locate_root_piece
+
+    def wrong(ends, *args):
+        counts["guesses"] += 1
+        return (locate(ends, *args) + 1) % (ends.size - 1)
+
+    def bisect_left(*args, **kwargs):
+        counts["bisections"] += 1
+        return bisect.bisect_left(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projections, "_locate_root_piece", wrong)
+        mp.setattr(projections, "bisect", SimpleNamespace(bisect_left=bisect_left))
+        yield counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_linesearch_cases(), gp0=st.none() | st.integers(-12, 12).map(lambda v: v / 2.0))
+@example(case=(np.array([3.0]), np.array([1.0]), np.array([2.0]), 0.0, False, "elastic"), gp0=None)
+@example(
+    case=(np.array([3.0, 3.0]), np.array([-1.0, -1.0]), np.array([2.0, 0.0]), 0.0, False, "product"),
+    gp0=None,
+)
+@example(
+    case=(np.array([1.0, -1.0, 2.0]), np.array([1.0, -1.0, 2.0]), np.ones(3), 0.5, True, "elastic"),
+    gp0=-2.0,
+)
+def test_located_root_matches_bisection(case, gp0):
+    # the located and confirmed piece gives the bisected answer bit for bit;
+    # a wrong guess is always caught by the from-scratch confirmation
+    x_star, a, weights, beta, nonneg, _ = case
+    args = (x_star, a, beta, weights, a != 0.0, nonneg)
+    t = projections._shrink_linesearch(*args, gp0=gp0)
+    with _forced_bisection() as counts:
+        t_bisected = projections._shrink_linesearch(*args, gp0=gp0)
+    assert np.float64(t).tobytes() == np.float64(t_bisected).tobytes()
+    assert counts["bisections"] == counts["guesses"] <= 1
+
+
+def test_linesearch_without_positive_kinks_does_no_locate_work(monkeypatch):
+    monkeypatch.setattr(projections, "_locate_root_piece", None)  # a call would raise
+    # zero weights on the support of a: no kinks at all, g' is linear
+    a, x_star, beta = np.array([1.0, -2.0, 0.0, 0.5]), np.array([0.5, 1.0, 3.0, -1.0]), 0.25
+    weights = np.array([0.0, 0.0, 1.0, 0.0])
+    t = projections._shrink_linesearch(x_star, a, beta, weights, a != 0.0, False)
+    assert t == pytest.approx((a @ x_star - beta) / (a @ a))
+    # kinks at t = -4 and t = -2 only, behind the root at t = 1 of g'(t) = t - 1
+    one = np.ones(1)
+    t = projections._shrink_linesearch(-3.0 * one, one, -3.0, one, one != 0.0, False)
+    assert t == 1.0
+
+
+def test_sparse_kaczmarz_solve_is_bitwise_equal_through_the_fallback():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((8, 20))
+    x_true = np.zeros(20)
+    x_true[[2, 11]] = [1.0, -0.5]
+    b = a @ x_true
+    res = run(preset("sparse_kaczmarz", a, b, lam=1.0, max_iterations=300))
+    with _forced_bisection() as counts:
+        forced = run(preset("sparse_kaczmarz", a, b, lam=1.0, max_iterations=300))
+    assert counts["bisections"] == counts["guesses"] > 0
+    assert res.iterations == forced.iterations
+    assert res.x.tobytes() == forced.x.tobytes()
+    assert res.pair.x_star.tobytes() == forced.pair.x_star.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from splitbreg.objectives import (
 from splitbreg.projections import (
     Box,
     BoxWithoutZero,
+    Halfspace,
     Hyperplane,
     NonFiniteData,
     NonnegCone,
@@ -519,6 +520,43 @@ def test_operator_and_objective_dimensions_must_agree():
     cfg = _equality_config(a, b, ElasticNet(1.0, 9), Exact())
     with pytest.raises(DimensionMismatch, match="8 coordinates, not 9"):
         run(cfg)
+
+
+@pytest.mark.parametrize(
+    "constraint",
+    [
+        Simple(Hyperplane(np.ones(3), 1.0)),
+        Simple(Halfspace(np.ones(3), -1.0)),
+        Simple(Box(-np.ones(3), np.ones(3))),
+        Simple(NonnegCone([5])),
+        Simple(NonnegCone([0, 2])),
+        Difficult(DenseMatrix(np.eye(2)), Point(np.ones(3))),
+        Difficult(DenseMatrix(np.eye(2)), NormBall(np.zeros(3), 1.0, 2)),
+        Difficult(DenseMatrix(np.eye(2)), Box(-np.ones(3), np.ones(3))),
+    ],
+    ids=lambda c: f"{type(c).__name__}-{type(c.target).__name__}",
+)
+def test_set_data_of_the_wrong_length_fails_before_step_0(constraint):
+    # the objective has 2 coordinates and the operator 2 outputs
+    steps = []
+    cfg = SolverConfig(objective=ElasticNet(1.0, 2), constraints=[constraint], max_iterations=5)
+    with pytest.raises(DimensionMismatch, match="constraint 0: .* does not fit length 2"):
+        run(cfg, callback=lambda pair, rec: steps.append(rec.k))
+    assert steps == []
+
+
+def test_length_one_bounds_and_centers_broadcast():
+    cfg = SolverConfig(
+        objective=ElasticNet(1.0, 2),
+        constraints=[
+            Difficult(DenseMatrix(np.eye(2)), Box(np.array([1.0]), np.array([2.0]))),
+            Difficult(DenseMatrix(np.eye(2)), NormBall(np.array([1.5]), 0.5, np.inf)),
+            Simple(Box(np.array([-1.0]), np.array([1.0]))),
+        ],
+        step_rule=Dynamic(),
+        max_iterations=2000,
+    )
+    assert run(cfg).termination == "tolerance"
 
 
 # ---------------------------------------------------------------------------
