@@ -403,8 +403,11 @@ def run_noisy_recovery(config):
         gap_trace = []
 
         def track(pair, record):
+            # one constraint: every step ends a pass, whose violation check
+            # has just computed A x at this pair
+            y = cfg.constraints[0].product(pair.x)
             objective_trace.append(cfg.objective.value(pair.x))
-            gap_trace.append(float(np.linalg.norm(inst.op.apply(pair.x) - noisy, p)) - delta)
+            gap_trace.append(float(np.linalg.norm(y - noisy, p)) - delta)
 
         result = solver.run(cfg, callback=track)
         traces[rule_name] = {"objective": objective_trace, "gap": gap_trace}
@@ -521,8 +524,9 @@ def run_tomography(config):
 
         def track(pair, record):
             if record.violations is not None:  # pass boundary
-                u = pair.x[:hw]
-                data_gap.append(float(np.linalg.norm(projector.apply(u) - noisy)) - delta)
+                # [P, 0] x = P u: the product the violation check just computed
+                y = constraints[0].product(pair.x)
+                data_gap.append(float(np.linalg.norm(y - noisy)) - delta)
                 coupling_res.append(float(record.violations[1]))
 
         start = time.perf_counter()

@@ -10,7 +10,6 @@ projector are assembled here.
 import warnings
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 
@@ -96,7 +95,7 @@ def as_operator(a):
 
 
 class SparseOperator(LinearOperator):
-    """Operator backed by a scipy CSR matrix, serializable as matrix market."""
+    """Operator backed by a scipy CSR matrix."""
 
     def __init__(self, mat):
         self.mat = sp.csr_matrix(mat)
@@ -114,15 +113,6 @@ class SparseOperator(LinearOperator):
 
     def to_dense(self):
         return self.mat.toarray()
-
-    def save(self, path):
-        """Write the matrix in matrix-market coordinate (real, general) format."""
-        with open(path, "wb") as fh:
-            scipy.io.mmwrite(fh, self.mat.tocoo())
-
-    @classmethod
-    def load(cls, path):
-        return cls(scipy.io.mmread(path))
 
 
 class ScaledIdentity(LinearOperator):

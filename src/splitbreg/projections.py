@@ -62,6 +62,14 @@ def _nonzeros(v):
 class RangeSet:
     """A closed convex set with an orthogonal projector."""
 
+    # (objective, Bregman projector) last built by bregman_projector
+    _bregman = (None, None)
+
+    def __getstate__(self):
+        # the kept projector is a closure, which cannot be pickled; a copy
+        # builds its own
+        return {k: v for k, v in self.__dict__.items() if k != "_bregman"}
+
     def project(self, y):
         raise NotImplementedError
 
@@ -265,19 +273,20 @@ def project_l1_ball(y, radius):
 # ---------------------------------------------------------------------------
 
 
-def separating_halfspace(op, target, x):
+def separating_halfspace(op, target, x, y):
     """Halfspace {z : <normal, z> <= offset} separating x from
     {z : A z in target} when x is infeasible; returns (normal, offset, w_norm).
 
-    The normal is A^T w with w = A x - P_target(A x), the offset is
-    <A^T w, x> - ||w||^2 and w_norm = ||w||; every feasible point lies inside,
-    x lies strictly outside. Raises FeasiblePoint only when w is exactly zero:
-    any nonzero residual, however small, gets its halfspace, so how close is
-    close enough is left to the caller's tolerance alone. Raises NonFiniteData
-    when ||w|| is NaN or infinite (non-finite A, target or x).
+    ``y`` is the product A x, which the caller supplies (the solver computes it
+    once per iterate and shares it with the violation check). The normal is
+    A^T w with w = y - P_target(y), the offset is <A^T w, x> - ||w||^2 and
+    w_norm = ||w||; every feasible point lies inside, x lies strictly outside.
+    Raises FeasiblePoint only when w is exactly zero: any nonzero residual,
+    however small, gets its halfspace, so how close is close enough is left to
+    the caller's tolerance alone. Raises NonFiniteData when ||w|| is NaN or
+    infinite (non-finite A, target or x).
     """
     x = np.asarray(x, dtype=float)
-    y = op.apply(x)
     w = y - target.project(y)
     w_norm = float(np.linalg.norm(w))
     if w_norm == 0.0:
@@ -313,7 +322,7 @@ def _locate_root_piece(ends, jumps, gp0, slope):
     return k if hit[k] else e.size
 
 
-def _shrink_linesearch(x_star, a, beta, weights, supp, nonneg, gp0=None):
+def _shrink_linesearch(x_star, a, beta, weights, supp, nonneg, gp0=None, x=None):
     """Exact minimizer of g(t) = f*(x_star - t a) + t beta when f is a sum of
     coordinatewise ``w_j |x_j| + x_j^2 / 2`` terms.
 
@@ -335,11 +344,12 @@ def _shrink_linesearch(x_star, a, beta, weights, supp, nonneg, gp0=None):
     g'(0), so callers that know g'(0) exactly (the solver knows it equals
     -||w||^2) keep full precision even when beta and the intercepts cancel
     almost completely. ``supp`` indexes a's nonzeros: a boolean mask, or
-    ``slice(None)`` when a has no zeros; ``gp0`` overrides the computed g'(0).
+    ``slice(None)`` when a has no zeros; ``gp0`` overrides the computed g'(0)
+    and ``x``, the primal grad f*(x_star), supplies the shrinkage of x_star.
     """
     u = x_star[supp]
     wv = weights[supp]
-    s0 = soft_shrink(u, wv)
+    s0 = soft_shrink(u, wv) if x is None else x[supp]
     if gp0 is None:
         gp0 = beta - float(np.dot(a[supp], s0))
     if gp0 == 0.0 or (nonneg and gp0 >= 0.0):
@@ -398,14 +408,15 @@ def _finite_weights(weights, idx):
     return bool(np.all(np.isfinite(weights[idx])))
 
 
-def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None):
+def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None):
     """Exact minimizer of g(t) = f*(x_star - t a) + t beta.
 
     Uses the piecewise-linear kink walk whenever the objective exposes finite
     per-coordinate shrink weights on the support of ``a``, and a bracketed root
     find on the monotone derivative otherwise. With ``nonneg`` the minimization
     is over t >= 0 (halfspace targets); otherwise over all of R. ``gp0``
-    supplies an exactly-known g'(0) (see _shrink_linesearch).
+    supplies an exactly-known g'(0) and ``x`` the primal grad f*(x_star) that
+    a caller holding a consistent pair already has (see _shrink_linesearch).
     """
     x_star = np.asarray(x_star, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -415,7 +426,7 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None):
     weights = obj.shrink_weights()
     supp = _nonzeros(a)
     if _finite_weights(weights, supp):
-        return _shrink_linesearch(x_star, a, beta, weights, supp, nonneg, gp0=gp0)
+        return _shrink_linesearch(x_star, a, beta, weights, supp, nonneg, gp0=gp0, x=x)
 
     def gp(t):
         return beta - float(np.dot(a, obj.grad_conjugate(x_star - t * a)))
@@ -453,20 +464,20 @@ AFFINE_GRAD_TOL = 1e-10
 AFFINE_MAX_ITER = 10000
 
 
-def _project_halfspace(obj, pair, target, weights):
+def _project_halfspace(obj, pair, target, weights, finite):
     """Exact-linesearch projection onto a Hyperplane, or onto a one-sided
     Halfspace (identity on interior points, otherwise a step t >= 0).
 
-    Where ``weights`` are finite on the normal's support only those primal
+    Where ``weights`` are ``finite`` on the normal's support only those primal
     coordinates are recomputed; the others keep their value."""
     a, beta, supp = target.normal, target.offset, target.support
     if target.one_sided and float(np.dot(a, pair.x)) <= beta:
         return pair
-    t = exact_linesearch(obj, pair.x_star, a, beta, nonneg=target.one_sided)
+    t = exact_linesearch(obj, pair.x_star, a, beta, nonneg=target.one_sided, x=pair.x)
     if t == 0.0:
         return pair
     z_star = pair.x_star - t * a
-    if not _finite_weights(weights, supp):
+    if not finite:
         return pair_from_dual(obj, z_star)
     z = pair.x.copy()
     z[supp] = soft_shrink(z_star[supp], weights[supp])
@@ -528,16 +539,30 @@ def _project_orthogonal(pair, target):
 def bregman_projector(obj, target):
     """The Bregman projector onto ``target`` under ``obj``, as a function of the
     pair: the one dispatch table behind bregman_project (see there for the
-    supported pairings, tried in order). The objective's shrink weights are
-    read here, once per call; raises TypeError for an unsupported pairing and
-    BoxWithoutZero for a box the closed form cannot take."""
+    supported pairings, tried in order). Raises TypeError for an unsupported
+    pairing and BoxWithoutZero for a box the closed form cannot take.
+
+    The set keeps the projector it last built, keyed by the identity of the
+    objective, so a run dispatches once per simple constraint (sets and shrink
+    weights never change after construction)."""
+    owner, projector = target._bregman
+    if owner is not obj:
+        projector = _build_projector(obj, target)
+        target._bregman = (obj, projector)
+    return projector
+
+
+def _build_projector(obj, target):
+    """bregman_projector's dispatch. The objective's shrink weights are read
+    here, once, and every verdict on them is taken here too."""
     if isinstance(target, AffineSubspace):
         return lambda pair: _project_affine(obj, pair, target)
     weights = obj.shrink_weights()
     if not np.any(weights):
         return lambda pair: _project_orthogonal(pair, target)
     if isinstance(target, _LinearSet):
-        return lambda pair: _project_halfspace(obj, pair, target, weights)
+        finite = _finite_weights(weights, target.support)
+        return lambda pair: _project_halfspace(obj, pair, target, weights, finite)
     if isinstance(target, NonnegCone):
         if _finite_weights(weights, target.indices):
             return lambda pair: _project_nonneg(pair, weights, target.indices)

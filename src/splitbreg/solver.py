@@ -123,13 +123,29 @@ class Simple:
 
 @dataclass
 class Difficult:
-    """A constraint {x : A x in target}, handled via separating halfspaces."""
+    """A constraint {x : A x in target}, handled via separating halfspaces.
+
+    The last product A x is kept, keyed by the identity of x: the violation at
+    a pass boundary and the next step at the same iterate share one product.
+    """
 
     op: LinearOperator
     target: projections.RangeSet
+    _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+
+    def product(self, x):
+        """A x, reused while x is the same array object as at the last call
+        (a copy with equal values gets a new product). The result is read-only,
+        and x must not be modified in place while it is the key."""
+        x_last, y = self._last
+        if x is not x_last:
+            y = self.op.apply(x).view()
+            y.flags.writeable = False
+            self._last = (x, y)
+        return y
 
     def violation(self, x):
-        return self.target.distance(self.op.apply(x))
+        return self.target.distance(self.product(x))
 
 
 @dataclass
@@ -178,7 +194,9 @@ def _difficult_step(obj, pair, constraint, rule):
     whose residual is exactly zero gets a zero step."""
     op = constraint.op
     try:
-        d, beta, w_norm = projections.separating_halfspace(op, constraint.target, pair.x)
+        d, beta, w_norm = projections.separating_halfspace(
+            op, constraint.target, pair.x, constraint.product(pair.x)
+        )
     except projections.FeasiblePoint:
         return pair, 0.0, 0.0
     d_sq = float(np.dot(d, d))
@@ -191,7 +209,7 @@ def _difficult_step(obj, pair, constraint, rule):
     elif isinstance(rule, Exact):
         # g'(0) = -||w||^2 exactly; passing it avoids the beta cancellation
         t = projections.exact_linesearch(
-            obj, pair.x_star, d, beta, nonneg=True, gp0=-(w_norm * w_norm)
+            obj, pair.x_star, d, beta, nonneg=True, gp0=-(w_norm * w_norm), x=pair.x
         )
     elif isinstance(rule, Inexact):
         t = _forward_track(obj, pair.x_star, d, beta, obj.alpha * w_norm * w_norm / d_sq, rule)
@@ -241,6 +259,11 @@ def run(config, callback=None):
     ``callback(pair, record)`` is invoked after every step when given. The
     solver computes only what stepping and stopping need: a caller who wants
     f(x) per step computes ``config.objective.value(pair.x)`` in the callback.
+    A difficult constraint computes A x once per iterate: the pass-boundary
+    violation and the next step at the same pair share it, and a callback can
+    read it through ``Difficult.product(pair.x)``. Callbacks must therefore
+    not modify the arrays of ``pair`` in place. Each simple constraint builds
+    its Bregman projector once, before step 0.
     """
     obj = config.objective
     constraints = config.constraints
@@ -256,7 +279,8 @@ def run(config, callback=None):
             msg = f"constraint {i}: {type(c.target).__name__} does not fit length {length}"
             raise DimensionMismatch(msg)
         if simple:
-            projections.bregman_projector(obj, c.target)  # TypeError, BoxWithoutZero
+            # raises TypeError or BoxWithoutZero; the set keeps what it builds
+            projections.bregman_projector(obj, c.target)
         elif not isinstance(config.step_rule, tuple(STEP_RULES.values())):
             raise TypeError(f"unknown step rule {config.step_rule!r}")
     n = len(constraints)

@@ -1,5 +1,6 @@
 import bisect
 import contextlib
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ from splitbreg.objectives import (
     bregman_distance,
     fenchel_gap,
     pair_from_dual,
+    soft_shrink,
 )
 from splitbreg.projections import (
     AffineSubspace,
@@ -223,7 +225,8 @@ def test_affine_subspace_projection():
 
 def test_separating_halfspace_point_target():
     op = DenseMatrix(np.array([[1.0]]))
-    normal, offset, w_norm = separating_halfspace(op, Point(np.array([0.0])), np.array([2.0]))
+    x = np.array([2.0])
+    normal, offset, w_norm = separating_halfspace(op, Point(np.array([0.0])), x, op.apply(x))
     np.testing.assert_allclose(normal, [2.0])
     assert offset == pytest.approx(0.0)
     assert w_norm == pytest.approx(2.0)
@@ -232,15 +235,17 @@ def test_separating_halfspace_point_target():
 def test_separating_halfspace_ball_target():
     op = DenseMatrix(np.array([[1.0]]))
     ball = NormBall(np.array([0.0]), 1.0, np.inf)
-    normal, offset, _ = separating_halfspace(op, ball, np.array([3.0]))
+    x = np.array([3.0])
+    normal, offset, _ = separating_halfspace(op, ball, x, op.apply(x))
     np.testing.assert_allclose(normal, [2.0])
     assert offset == pytest.approx(2.0)
 
 
 def test_separating_halfspace_feasible_raises():
     op = DenseMatrix(np.array([[1.0, 0.0]]))
+    x = np.array([1.0, 5.0])
     with pytest.raises(FeasiblePoint):
-        separating_halfspace(op, Point(np.array([1.0])), np.array([1.0, 5.0]))
+        separating_halfspace(op, Point(np.array([1.0])), x, op.apply(x))
 
 
 def test_separating_halfspace_separates():
@@ -254,7 +259,7 @@ def test_separating_halfspace_separates():
         y = op.apply(x)
         if target.contains(y, tol=1e-9):
             continue
-        normal, offset, w_norm = separating_halfspace(op, target, x)
+        normal, offset, w_norm = separating_halfspace(op, target, x, y)
         # the violating point is strictly outside its own halfspace
         assert np.dot(normal, x) - offset == pytest.approx(w_norm**2)
         # any point with A z in the target is inside
@@ -432,6 +437,9 @@ def test_located_root_matches_bisection(case, gp0):
         t_bisected = projections._shrink_linesearch(*args, gp0=gp0)
     assert np.float64(t).tobytes() == np.float64(t_bisected).tobytes()
     assert counts["bisections"] == counts["guesses"] <= 1
+    # the primal a consistent pair holds stands in for the shrinkage of x_star
+    t_from_x = projections._shrink_linesearch(*args, gp0=gp0, x=soft_shrink(x_star, weights))
+    assert np.float64(t_from_x).tobytes() == np.float64(t).tobytes()
 
 
 def test_linesearch_without_positive_kinks_does_no_locate_work(monkeypatch):
@@ -645,6 +653,24 @@ def test_has_bregman_projector():
     assert has_bregman_projector(prod, NonnegCone(np.array([0])))
     assert not has_bregman_projector(prod, NonnegCone(np.array([1])))
     assert not has_bregman_projector(prod, NonnegCone())
+
+
+def test_bregman_projector_is_kept_per_set_and_objective():
+    en, sq = ElasticNet(1.0, 2), SquaredNorm(2)
+    plane = Hyperplane(np.array([1.0, 2.0]), 1.0)
+    assert bregman_projector(en, plane) is bregman_projector(en, plane)
+    # another objective rebuilds it: every result equals a fresh set's
+    for obj in (sq, en, sq):
+        pair = pair_from_dual(obj, np.array([3.0, 1.0]))
+        out = bregman_project(obj, pair, plane)
+        ref = bregman_project(obj, pair, Hyperplane(plane.normal, plane.offset))
+        assert out.x.tobytes() == ref.x.tobytes()
+        assert out.x_star.tobytes() == ref.x_star.tobytes()
+    # a set that keeps a projector still pickles; the copy builds its own
+    pair = pair_from_dual(en, np.array([3.0, 1.0]))
+    copy = pickle.loads(pickle.dumps(plane))
+    out, ref = bregman_project(en, pair, copy), bregman_project(en, pair, plane)
+    assert out.x.tobytes() == ref.x.tobytes()
 
 
 def test_variational_inequality_of_projections():

@@ -455,10 +455,23 @@ def test_callback_sees_every_step():
 
 class _CountingElasticNet(ElasticNet):
     calls = 0
+    weight_reads = 0  # every Bregman projector build reads the weights once
 
     def value(self, x):
         self.calls += 1
         return super().value(x)
+
+    def shrink_weights(self):
+        self.weight_reads += 1
+        return super().shrink_weights()
+
+
+class _CountingMatrix(DenseMatrix):
+    applies = 0
+
+    def apply(self, x):
+        self.applies += 1
+        return super().apply(x)
 
 
 @pytest.mark.parametrize("name", ["sparse_kaczmarz", "linearized_bregman"])
@@ -475,6 +488,60 @@ def test_run_never_evaluates_the_objective(name):
     assert cfg.objective.calls == 0
     run(cfg, callback=lambda pair, rec: cfg.objective.value(pair.x))
     assert cfg.objective.calls == 40
+
+
+def test_difficult_run_makes_one_forward_product_per_step():
+    # the pass-boundary violation and the next step at the same iterate share
+    # A x, so N steps need N + 1 products (the first step's own included)
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((4, 8))
+    op = _CountingMatrix(a)
+    cfg = SolverConfig(
+        objective=ElasticNet(1.0, 8),
+        constraints=[Difficult(op, Point(a @ rng.standard_normal(8)))],
+        step_rule=Dynamic(),
+        max_iterations=30,
+        residual_tolerance=1e-18,
+    )
+    res = run(cfg)
+    assert res.iterations == 30
+    assert op.applies == 31
+
+
+def test_difficult_product_is_keyed_by_array_identity():
+    op = _CountingMatrix(np.arange(6.0).reshape(2, 3))
+    c = Difficult(op, Point([0.0, 0.0]))
+    x = np.array([1.0, -0.0, 2.0])
+    y = c.product(x)
+    np.testing.assert_array_equal(y, op.a @ x)
+    assert c.product(x) is y
+    assert c.violation(x) == np.linalg.norm(y)
+    assert op.applies == 1
+    with pytest.raises(ValueError):
+        y[0] = 1.0  # shared with the next step, so read-only
+    c.product(x.copy())  # equal values, another array: a new product
+    assert op.applies == 2
+    c.product(x)  # one entry only
+    assert op.applies == 3
+
+
+def test_simple_constraints_build_their_projectors_once_per_run():
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((3, 6))
+    obj = _CountingElasticNet(0.5, 6)
+    cfg = SolverConfig(
+        objective=obj,
+        constraints=[
+            Difficult(DenseMatrix(a), Point(a @ rng.standard_normal(6))),
+            Simple(NonnegCone(np.arange(3))),
+            Simple(Box(-np.ones(6), 2.0 * np.ones(6))),
+        ],
+        step_rule=Dynamic(),
+        max_iterations=30,
+        residual_tolerance=1e-18,
+    )
+    assert run(cfg).iterations == 30
+    assert obj.weight_reads == 2
 
 
 # ---------------------------------------------------------------------------
