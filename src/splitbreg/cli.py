@@ -7,6 +7,7 @@ primal-dual comparator runs a fixed budget and never affects the exit code.
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .experiments import (
     ExperimentConfig,
@@ -43,23 +44,20 @@ def build_parser():
 
 
 def _load_config(args):
-    if args.config:
-        config = ExperimentConfig.from_json(args.config)
-    else:
-        config = ExperimentConfig()
-    config.experiment = args.command
+    """The config with the flags applied, rebuilt so that flags are checked."""
+    config = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
+    top, tomo = {"experiment": args.command}, {}
     if args.out is not None:
-        config.out = args.out
+        top["out"] = args.out
     if args.seed is not None:
-        config.seed = args.seed
-        config.instance.seed = args.seed
+        top["seed"] = args.seed
+        top["instance"] = replace(config.instance, seed=args.seed)
     if args.max_iter is not None:
-        config.max_iterations = args.max_iter
-        config.tomo.iterations = args.max_iter
+        top["max_iterations"] = tomo["iterations"] = args.max_iter
     if args.tol is not None:
-        config.tolerance = args.tol
-        config.tomo.data_tolerance = args.tol
-    return config
+        top["tolerance"] = tomo["data_tolerance"] = args.tol
+    config = replace(config, **top)
+    return replace(config, tomo=replace(config.tomo, **tomo)) if tomo else config
 
 
 def main(argv=None):

@@ -18,10 +18,6 @@ from .objectives import soft_shrink
 from .projections import NormBall, Point
 
 
-class StepSizeViolation(ValueError):
-    """tau * sigma * ||A||^2 must stay strictly below 1."""
-
-
 @dataclass
 class PDConfig:
     lam: float
@@ -29,8 +25,6 @@ class PDConfig:
     b: np.ndarray
     delta: float = 0.0
     noise_norm: float = 2  # p of the constraint ball: 1, 2 or inf
-    tau: float = None  # default 0.99 / ||A||
-    sigma: float = None
     max_iterations: int = 1000
     record_every: int = 1  # 0 records only the final state
 
@@ -46,8 +40,6 @@ class PDRecord:
 class PDResult:
     x: np.ndarray
     records: list
-    tau: float
-    sigma: float
 
 
 def prox_f(z, tau, lam):
@@ -71,11 +63,8 @@ def run_pd(config):
     op = as_operator(config.op)
     b = np.atleast_1d(np.asarray(config.b, dtype=float))
     m, n = op.shape
-    norm = op.norm_estimate()
-    tau = 0.99 / norm if config.tau is None else float(config.tau)
-    sigma = 0.99 / norm if config.sigma is None else float(config.sigma)
-    if tau * sigma * norm * norm >= 1.0:
-        raise StepSizeViolation("tau * sigma * ||A||^2 must be < 1")
+    # fixed steps tau = sigma = 0.99 / ||A||, so tau * sigma * ||A||^2 < 1
+    tau = sigma = 0.99 / op.norm_estimate()
     p = config.noise_norm
     lam = float(config.lam)
     delta = float(config.delta)
@@ -102,5 +91,5 @@ def run_pd(config):
             record(k, x)
     if config.max_iterations > 0 and (not records or records[-1].k != config.max_iterations - 1):
         record(config.max_iterations - 1, x)
-    return PDResult(x=x, records=records, tau=tau, sigma=sigma)
+    return PDResult(x=x, records=records)
 

@@ -219,11 +219,10 @@ def render_phantom(height, width, ellipses=DEFAULT_PHANTOM):
     return np.maximum(img, 0.0).ravel()
 
 
-def write_pgm(path, image, height, width, lo=None, hi=None):
-    """8-bit binary PGM (P5, max value 255), row-major."""
+def write_pgm(path, image, height, width):
+    """8-bit binary PGM (P5, max value 255), row-major, spanning min to max."""
     img = np.asarray(image, dtype=float).reshape(height, width)
-    lo = float(img.min()) if lo is None else float(lo)
-    hi = float(img.max()) if hi is None else float(hi)
+    lo, hi = float(img.min()), float(img.max())
     span = hi - lo if hi > lo else 1.0
     scaled = np.clip((img - lo) / span * 255.0, 0.0, 255.0).astype(np.uint8)
     with open(path, "wb") as fh:
@@ -251,6 +250,12 @@ def _check_choice(key, value, choices):
         raise ValueError(f"{key} {value!r} is not one of {', '.join(choices)}")
 
 
+def _check_positive(key, value):
+    """Raise a ValueError naming ``key`` unless ``value`` > 0 (NaN fails)."""
+    if not value > 0:
+        raise ValueError(f"{key} must be positive, not {value!r}")
+
+
 _TOMO_VARIANTS = ("plain", "nonneg", "one")
 
 
@@ -270,6 +275,8 @@ class TomoSpec:
     def __post_init__(self):
         for variant in self.variants:
             _check_choice("tomo variant", variant, _TOMO_VARIANTS)
+        for key in ("iterations", "data_tolerance", "coupling_tolerance"):
+            _check_positive(f"tomo {key}", getattr(self, key))
 
 
 @dataclass
@@ -292,6 +299,8 @@ class ExperimentConfig:
             self.instance = InstanceSpec(m=100, n=200, sparsity=10, seed=self.seed)
         for rule in self.rules:
             _check_choice("step rule", rule, solver.STEP_RULES)
+        for key in ("max_iterations", "tolerance", "pd_iterations"):
+            _check_positive(key, getattr(self, key))
 
     @classmethod
     def from_dict(cls, data):

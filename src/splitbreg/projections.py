@@ -14,7 +14,6 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from .linops import as_operator
 from .objectives import PrimalDualPair, pair_from_dual, soft_shrink
 
 
@@ -41,7 +40,7 @@ class BoxWithoutZero(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """An iterative inner solve hit its cap before reaching its tolerance."""
+    """The root-finding linesearch could not bracket its root within its cap."""
 
 
 def _nonzeros(v):
@@ -192,28 +191,10 @@ class Halfspace(_LinearSet):
     one_sided = True
 
 
-class AffineSubspace(RangeSet):
-    """{y : A y = b} for a full-row-rank A (dense at the scales used here)."""
-
-    def __init__(self, op, b):
-        self.op = as_operator(op)
-        self.b = np.atleast_1d(np.asarray(b, dtype=float))
-        if self.b.shape[0] != self.op.shape[0]:
-            raise ValueError("right-hand side does not match the operator")
-
-    def project(self, y):
-        y = np.asarray(y, dtype=float)
-        a = self.op.to_dense()
-        gram = a @ a.T
-        w = np.linalg.solve(gram, a @ y - self.b)
-        return y - a.T @ w
-
-
 def data_fits(target, n):
-    """Whether the data of a set fits vectors of length n: a normal, a point
-    or an affine set's operator width of length n, box bounds and a ball center
-    of length n or 1 (which broadcasts), cone indices below n. Sets of other
-    types carry no such data and fit any length."""
+    """Whether the data of a set fits vectors of length n: a normal or a point
+    of length n, box bounds and a ball center of length n or 1 (which
+    broadcasts), cone indices below n. Sets of other types fit any length."""
     if isinstance(target, _LinearSet):
         return target.normal.size == n
     if isinstance(target, Point):
@@ -224,8 +205,6 @@ def data_fits(target, n):
         return {target.lower.size, target.upper.size} <= {1, n}
     if isinstance(target, NonnegCone):
         return isinstance(target.indices, slice) or bool(np.all(target.indices < n))
-    if isinstance(target, AffineSubspace):
-        return target.op.shape[1] == n
     return True
 
 
@@ -434,35 +413,23 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None):
     g0 = gp(0.0) if gp0 is None else float(gp0)
     if g0 == 0.0 or (nonneg and g0 >= 0.0):
         return 0.0
-    # |g'| grows at most like ||a||^2 / alpha, so the root is at least this far out
-    first = obj.alpha * abs(g0) / a_sq
-    if g0 < 0.0:
-        lo, hi = 0.0, first
-        for _ in range(200):
-            if gp(hi) >= 0.0:
-                break
-            lo, hi = hi, 2.0 * hi
-        else:
-            raise NoConvergence("linesearch bracket expansion failed")
+    # mirrored to g(sign * s), the root lies at s > 0, where sign g'(sign s)
+    # starts below 0 and |g'| grows at most like ||a||^2 / alpha; + 0.0 keeps a
+    # mirrored bracket end at 0 from turning into -0.0
+    sign = 1.0 if g0 < 0.0 else -1.0
+    lo, hi = 0.0, obj.alpha * abs(g0) / a_sq
+    for _ in range(200):
+        if sign * gp(sign * hi) >= 0.0:
+            break
+        lo, hi = hi, 2.0 * hi
     else:
-        lo, hi = -first, 0.0
-        for _ in range(200):
-            if gp(lo) <= 0.0:
-                break
-            lo, hi = 2.0 * lo, lo
-        else:
-            raise NoConvergence("linesearch bracket expansion failed")
-    return float(brentq(gp, lo, hi, maxiter=200))
+        raise NoConvergence("linesearch bracket expansion failed")
+    return float(brentq(gp, *sorted((sign * lo + 0.0, sign * hi)), maxiter=200))
 
 
 # ---------------------------------------------------------------------------
 # Bregman projections
 # ---------------------------------------------------------------------------
-
-# stopping rule of the affine projector's dual gradient descent
-AFFINE_GRAD_TOL = 1e-10
-AFFINE_MAX_ITER = 10000
-
 
 def _project_halfspace(obj, pair, target, weights, finite):
     """Exact-linesearch projection onto a Hyperplane, or onto a one-sided
@@ -499,36 +466,20 @@ def _project_box(pair, weights, lower, upper):
     """Closed form for coordinatewise l1 + squared objectives and a box
     containing the origin (bregman_projector checks that once).
 
-    The primal is the clipped shrinkage; the admissible subgradient keeps the
-    dual value inside the box, shifts by +-w at active bounds, and is zeroed on
-    coordinates pinned to a zero bound from outside.
+    The admissible subgradient keeps the dual value inside the box, shifts by
+    +-w at active bounds, and is zeroed on coordinates pinned to a zero bound
+    from outside. The primal is its shrinkage: the clipped shrinkage up to a
+    rounding at active bounds, so that the pair is consistent bit for bit.
     """
     lower = np.broadcast_to(lower, pair.x_star.shape)
     upper = np.broadcast_to(upper, pair.x_star.shape)
     s = soft_shrink(pair.x_star, weights)
-    z = np.clip(s, lower, upper)
     z_star = np.where(s > upper, upper + weights, np.where(s < lower, lower - weights, pair.x_star))
-    pinned = (z == 0.0) & (
+    pinned = (np.clip(s, lower, upper) == 0.0) & (
         ((lower == 0.0) & (pair.x_star < 0.0)) | ((upper == 0.0) & (pair.x_star > 0.0))
     )
     z_star = np.where(pinned, 0.0, z_star)
-    return PrimalDualPair(z, z_star)
-
-
-def _project_affine(obj, pair, target):
-    """Gradient descent on the dual w -> f*(x_star - A^T w) + <w, b> with the
-    1/Lipschitz step alpha / ||A||^2. Raises NoConvergence when the gradient
-    norm has not reached AFFINE_GRAD_TOL within AFFINE_MAX_ITER sweeps."""
-    op = target.op
-    step = obj.alpha / op.norm_estimate() ** 2
-    w = np.zeros(op.shape[0])
-    for _ in range(AFFINE_MAX_ITER):
-        z_star = pair.x_star - op.apply_adjoint(w)
-        grad = target.b - op.apply(obj.grad_conjugate(z_star))
-        if np.linalg.norm(grad) <= AFFINE_GRAD_TOL:
-            return pair_from_dual(obj, z_star)
-        w = w - step * grad
-    raise NoConvergence("affine Bregman projection hit its iteration cap")
+    return PrimalDualPair(soft_shrink(z_star, weights), z_star)
 
 
 def _project_orthogonal(pair, target):
@@ -555,8 +506,6 @@ def bregman_projector(obj, target):
 def _build_projector(obj, target):
     """bregman_projector's dispatch. The objective's shrink weights are read
     here, once, and every verdict on them is taken here too."""
-    if isinstance(target, AffineSubspace):
-        return lambda pair: _project_affine(obj, pair, target)
     weights = obj.shrink_weights()
     if not np.any(weights):
         return lambda pair: _project_orthogonal(pair, target)
@@ -586,8 +535,7 @@ def bregman_project(obj, pair, target):
     ================  ===================================  =========================
     set               objective                            method
     ================  ===================================  =========================
-    AffineSubspace    any                                  dual gradient descent
-    any other set     w all zero (f = ||x||^2 / 2)         orthogonal projection
+    any set           w all zero (f = ||x||^2 / 2)         orthogonal projection
     Hyperplane        any                                  exact linesearch
     Halfspace         any                                  identity inside, else
                                                            exact linesearch (t >= 0)
@@ -596,9 +544,8 @@ def bregman_project(obj, pair, target):
     ================  ===================================  =========================
 
     For a purely quadratic objective the Bregman projection is the orthogonal
-    one, which is how Kaczmarz and Landweber arise as special cases.
-    AffineSubspace keeps the descent even then: its orthogonal projector needs
-    A of full row rank, the descent does not. Every other pairing raises
-    TypeError; a box without the origin raises BoxWithoutZero.
+    one, which is how Kaczmarz and Landweber arise as special cases. Every
+    other pairing raises TypeError; a box without the origin raises
+    BoxWithoutZero.
     """
     return bregman_projector(obj, target)(pair)

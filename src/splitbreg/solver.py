@@ -37,7 +37,8 @@ class DimensionMismatch(ValueError):
     """A constraint does not fit the vectors it meets: a difficult constraint's
     operator does not act on the objective's coordinates, or a set's data (a
     normal, bounds, a center, cone indices) does not fit the objective's
-    coordinates (simple) or the operator's outputs (difficult)."""
+    coordinates (simple) or the operator's outputs (difficult); or x0_star or a
+    residual tolerance array has the wrong length."""
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +285,18 @@ def run(config, callback=None):
         elif not isinstance(config.step_rule, tuple(STEP_RULES.values())):
             raise TypeError(f"unknown step rule {config.step_rule!r}")
     n = len(constraints)
-    tols = np.broadcast_to(np.asarray(config.residual_tolerance, dtype=float), (n,))
+    tols = np.asarray(config.residual_tolerance, dtype=float)
+    if tols.shape not in ((), (1,), (n,)):
+        raise DimensionMismatch(f"residual_tolerance has shape {tols.shape}, not ({n},)")
+    tols = np.broadcast_to(tols, (n,))
     if not np.all(tols > 0.0):
         raise ValueError("residual tolerances must be positive")
 
     x0_star = (
         np.zeros(obj.dimension) if config.x0_star is None else np.asarray(config.x0_star, float)
     )
+    if x0_star.shape != (obj.dimension,):
+        raise DimensionMismatch(f"x0_star has shape {x0_star.shape}, not ({obj.dimension},)")
     if not np.all(np.isfinite(x0_star)):
         raise projections.NonFiniteData("x0_star is not finite")
     pair = pair_from_dual(obj, x0_star)

@@ -111,50 +111,6 @@ def grid_minimize(func, lo, hi, resolution=1e-5, points=2001, vectorized=False):
         hi = ts[min(i + 2, points - 1)]
 
 
-def affine_elasticnet_oracle(x_star, a, b, lam):
-    """Bregman projection of (x*, .) onto {x : A x = b} under
-    lam ||x||_1 + ||x||_2^2 / 2, by enumerating sign patterns.
-
-    Stationarity says y = S_lam(x* - A^T w) for some multiplier w. For a fixed
-    sign pattern s that turns into the linear system
-
-        y_act + (A^T w)_act = x*_act - lam * s_act,    A_act y_act = b,
-
-    whose solution is accepted when the active signs match s and the inactive
-    coordinates satisfy |x*_i - (A^T w)_i| <= lam. Meant for n <= 5, m <= 2.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    x_star = np.asarray(x_star, dtype=float)
-    m, n = a.shape
-    for signs in itertools.product((-1, 0, 1), repeat=n):
-        s = np.array(signs, dtype=float)
-        act = np.nonzero(s)[0]
-        k = act.size
-        if k == 0:
-            continue  # A y = b with y = 0 only for b = 0; skip the trivial case
-        a_act = a[:, act]
-        lhs = np.zeros((k + m, k + m))
-        lhs[:k, :k] = np.eye(k)
-        lhs[:k, k:] = a_act.T
-        lhs[k:, :k] = a_act
-        rhs = np.concatenate([x_star[act] - lam * s[act], b])
-        try:
-            sol = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        y_act, w = sol[:k], sol[k:]
-        if np.any(np.sign(y_act) != s[act]):
-            continue
-        inact = np.setdiff1d(np.arange(n), act)
-        if inact.size and np.any(np.abs(x_star[inact] - a[:, inact].T @ w) > lam + 1e-9):
-            continue
-        y = np.zeros(n)
-        y[act] = y_act
-        return y
-    raise RuntimeError("no sign pattern satisfied the KKT system")
-
-
 def fd_directional(func, x, d, h=1e-6):
     """Central finite difference of a scalar function along d."""
     return (func(x + h * d) - func(x - h * d)) / (2.0 * h)

@@ -125,3 +125,34 @@ def test_unknown_config_names_fail_early(tmp_path, capsys, command, payload, key
     # the message names the key, the bad value and the choices; nothing ran
     assert f"{key} {value} is not one of" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload, flags, key",
+    [
+        ({}, ["--max-iter", "0"], "max_iterations"),
+        ({}, ["--max-iter", "-5"], "max_iterations"),
+        ({}, ["--tol", "-1"], "tolerance"),
+        ({}, ["--tol", "nan"], "tolerance"),
+        ({"tolerance": float("nan")}, [], "tolerance"),
+        ({"pd_iterations": 0}, [], "pd_iterations"),
+        ({"tomo": {"iterations": 0}}, [], "tomo iterations"),
+        ({"tomo": {"data_tolerance": -1.0}}, [], "tomo data_tolerance"),
+        ({"tomo": {"coupling_tolerance": 0.0}}, [], "tomo coupling_tolerance"),
+    ],
+)
+def test_bad_budgets_and_tolerances_fail_before_anything_runs(
+    tmp_path, capsys, monkeypatch, payload, flags, key
+):
+    # flags are checked like config values, when the configuration is built:
+    # the weight certification, the first costly step, never starts
+    def certify(*args, **kwargs):
+        raise AssertionError("certify_lambda ran")
+
+    monkeypatch.setattr("splitbreg.experiments.certify_lambda", certify)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"noise": {"kind": "impulsive", "count": 3}, **payload}))
+    out = tmp_path / "run"
+    assert main(["noisy-recovery", "--config", str(path), "--out", str(out)] + flags) == 1
+    assert f"error: {key} must be positive" in capsys.readouterr().err
+    assert not out.exists()

@@ -5,7 +5,6 @@ import pytest
 
 from splitbreg.comparator import (
     PDConfig,
-    StepSizeViolation,
     prox_f,
     prox_g,
     run_pd,
@@ -63,13 +62,6 @@ def test_prox_g_minimizes_its_objective():
             best = val(u_hat)
             for _ in range(40):
                 assert best <= val(u_hat + rng.standard_normal(m) * 0.1) + 1e-10
-
-
-def test_step_size_guard():
-    a = np.eye(2)
-    cfg = PDConfig(lam=1.0, op=a, b=np.zeros(2), tau=1.0, sigma=1.0)
-    with pytest.raises(StepSizeViolation):
-        run_pd(cfg)
 
 
 def test_record_every_semantics():

@@ -172,7 +172,7 @@ def test_render_phantom_single_ellipse():
 
 def test_write_pgm(tmp_path):
     path = tmp_path / "img.pgm"
-    write_pgm(path, np.array([0.0, 0.5, 1.0, 1.0, 0.25, 0.0]), 2, 3, lo=0.0, hi=1.0)
+    write_pgm(path, np.array([0.0, 0.5, 1.0, 1.0, 0.25, 0.0]), 2, 3)
     raw = path.read_bytes()
     header = b"P5\n3 2\n255\n"
     assert raw.startswith(header)

@@ -1,5 +1,6 @@
 import bisect
 import contextlib
+import math
 import pickle
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from splitbreg.objectives import (
     ElasticNet,
@@ -20,7 +22,6 @@ from splitbreg.objectives import (
     soft_shrink,
 )
 from splitbreg.projections import (
-    AffineSubspace,
     Box,
     BoxWithoutZero,
     FeasiblePoint,
@@ -42,7 +43,7 @@ from splitbreg import projections
 from splitbreg.linops import DenseMatrix
 from splitbreg.solver import preset, run
 
-from oracles import affine_elasticnet_oracle, grid_minimize, l1_ball_oracle, simplex_oracle
+from oracles import grid_minimize, l1_ball_oracle, simplex_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +202,6 @@ def test_linear_sets_build_their_fixed_data_once():
     assert (Hyperplane.one_sided, Halfspace.one_sided) == (False, True)
     assert h.distance([1.0, 0.0, 0.0]) == hs.distance([1.0, 0.0, 0.0]) == 0.4
     assert (h.distance([-1.0, 0.0, 0.0]), hs.distance([-1.0, 0.0, 0.0])) == (0.8, 0.0)
-
-
-def test_affine_subspace_projection():
-    rng = np.random.default_rng(12)
-    a = rng.standard_normal((2, 5))
-    b = rng.standard_normal(2)
-    s = AffineSubspace(a, b)
-    y = rng.standard_normal(5)
-    z = s.project(y)
-    np.testing.assert_allclose(a @ z, b, atol=1e-10)
-    # residual is orthogonal to the null space, i.e. lies in the row space
-    _, sv, vt = np.linalg.svd(a)
-    null = vt[2:]
-    np.testing.assert_allclose(null @ (y - z), 0.0, atol=1e-10)
-    np.testing.assert_allclose(s.project(z), z, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +428,62 @@ def test_located_root_matches_bisection(case, gp0):
     assert np.float64(t_from_x).tobytes() == np.float64(t).tobytes()
 
 
+def _two_sided_fallback(obj, x_star, a, beta, nonneg, gp0):
+    # the root find exact_linesearch's fallback replaced: one bracket loop per
+    # sign of g'(0), kept as the bitwise reference for the mirrored loop
+    def gp(t):
+        return beta - float(np.dot(a, obj.grad_conjugate(x_star - t * a)))
+
+    g0 = gp(0.0) if gp0 is None else float(gp0)
+    if g0 == 0.0 or (nonneg and g0 >= 0.0):
+        return 0.0
+    first = obj.alpha * abs(g0) / float(np.dot(a, a))
+    if g0 < 0.0:
+        lo, hi = 0.0, first
+        while gp(hi) < 0.0:
+            lo, hi = hi, 2.0 * hi
+    else:
+        lo, hi = -first, 0.0
+        while gp(lo) > 0.0:
+            lo, hi = 2.0 * lo, lo
+    return float(brentq(gp, lo, hi, maxiter=200))
+
+
+def test_fallback_linesearch_matches_the_two_sided_reference_bitwise():
+    rng = np.random.default_rng(20261018)
+    signs = set()
+    for case in range(3000):
+        g, size = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        groups = np.arange(g * size).reshape(g, size)
+        lam = float(rng.choice([0.0, 0.3, 1.0, 2.5]))
+        obj = (
+            GroupElasticNet(lam, groups),
+            GroupedMax(lam, groups),
+            ProductObjective([ElasticNet(lam, 2), GroupElasticNet(lam, groups)]),
+        )[case % 3]
+        x_star = rng.standard_normal(obj.dimension) * rng.choice([0.5, 2.0, 5.0])
+        a = rng.standard_normal(obj.dimension) * (rng.random(obj.dimension) < 0.8)
+        if not np.any(a[-g * size:]):
+            a[-1] = 1.0  # touch a coordinate without shrink weights
+        beta = float(rng.standard_normal() * 3.0)
+        nonneg = bool(rng.random() < 0.3)
+        g0 = beta - float(np.dot(a, obj.grad_conjugate(x_star)))
+        gp0 = g0 if rng.random() < 0.3 else None
+        signs.add((g0 > 0.0, nonneg, gp0 is None))
+        want = _two_sided_fallback(obj, x_star, a, beta, nonneg, gp0)
+        got = exact_linesearch(obj, x_star, a, beta, nonneg=nonneg, gp0=gp0)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), case
+    assert len(signs) == 8  # both signs of g'(0), with and without nonneg and gp0
+
+
+def test_fallback_linesearch_mirrors_its_bracket_exactly():
+    # g'(0) is exactly 0 while the supplied g'(0) is positive: the root find
+    # stops at the bracket end t = 0, which the mirror hands back as +0.0
+    obj = GroupElasticNet(1.0, [np.array([0, 1])])
+    t = exact_linesearch(obj, np.array([0.5, 0.0]), np.array([1.0, 0.0]), 0.0, gp0=1.0)
+    assert t == 0.0 and math.copysign(1.0, t) == 1.0
+
+
 def test_linesearch_without_positive_kinks_does_no_locate_work(monkeypatch):
     monkeypatch.setattr(projections, "_locate_root_piece", None)  # a call would raise
     # zero weights on the support of a: no kinks at all, g' is linear
@@ -571,6 +613,17 @@ def test_bregman_box_examples():
     np.testing.assert_allclose(out.x_star, [0.0])
 
 
+def test_bregman_box_pair_is_consistent_at_active_bounds():
+    # at an active bound x* = bound +- w, and the shrinkage of that x* is the
+    # bound only up to a rounding: the primal must be that shrinkage, so the
+    # pair stays bitwise consistent for the steps that read x from it
+    obj = ElasticNet(0.3, 4)
+    box = Box(np.full(4, -0.1), np.full(4, 0.1))
+    out = bregman_project(obj, pair_from_dual(obj, np.array([5.0, -5.0, 0.2, 3.0])), box)
+    np.testing.assert_array_equal(out.x, obj.grad_conjugate(out.x_star))
+    assert box.distance(out.x) <= 1e-12
+
+
 def test_bregman_box_requires_zero():
     obj = ElasticNet(1.0, 1)
     pair = pair_from_dual(obj, np.array([3.0]))
@@ -593,27 +646,6 @@ def test_bregman_box_minimality():
         for _ in range(10):
             y = box.project(rng.standard_normal(3) * 2.0)
             assert d_star <= bregman_distance(obj, pair.x, pair.x_star, y) + 1e-9
-
-
-def test_bregman_affine_matches_oracle():
-    rng = np.random.default_rng(22)
-    for _ in range(25):
-        a = rng.standard_normal((2, 4))
-        b = rng.standard_normal(2)
-        obj = ElasticNet(0.5, 4)
-        pair = pair_from_dual(obj, rng.standard_normal(4))
-        out = bregman_project(obj, pair, AffineSubspace(DenseMatrix(a), b))
-        np.testing.assert_allclose(a @ out.x, b, atol=1e-8)
-        want = affine_elasticnet_oracle(pair.x_star, a, b, 0.5)
-        np.testing.assert_allclose(out.x, want, atol=1e-7)
-
-
-def test_bregman_affine_squared_norm_is_orthogonal():
-    obj = SquaredNorm(2)
-    pair = pair_from_dual(obj, np.zeros(2))
-    target = AffineSubspace(DenseMatrix(np.array([[1.0, 0.0]])), np.array([2.0]))
-    out = bregman_project(obj, pair, target)
-    np.testing.assert_allclose(out.x, [2.0, 0.0], atol=1e-9)
 
 
 def test_bregman_dispatch_pure_quadratic_reduces_to_orthogonal():
@@ -743,6 +775,7 @@ def test_bregman_project_property(case):
     scale = 1.0 + float(np.abs(out.x) @ (1.0 + np.abs(out.x_star)))
     assert target.distance(out.x) <= 1e-9 * scale
     assert abs(fenchel_gap(obj, out.x_star, out.x)) <= 1e-9 * scale
+    assert np.array_equal(out.x, obj.grad_conjugate(out.x_star))
     if isinstance(obj, ProductObjective) and isinstance(obj.parts[-1], GroupElasticNet):
         np.testing.assert_array_equal(out.x[-2:], pair.x[-2:])
         np.testing.assert_array_equal(out.x_star[-2:], pair.x_star[-2:])

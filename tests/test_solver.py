@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -589,26 +590,43 @@ def test_operator_and_objective_dimensions_must_agree():
         run(cfg)
 
 
+def _wrong_length_set(constraint):
+    return pytest.param(
+        {"constraints": [constraint]},
+        "constraint 0: .* does not fit length 2",
+        id=f"{type(constraint).__name__}-{type(constraint.target).__name__}",
+    )
+
+
 @pytest.mark.parametrize(
-    "constraint",
+    "fields, match",
     [
-        Simple(Hyperplane(np.ones(3), 1.0)),
-        Simple(Halfspace(np.ones(3), -1.0)),
-        Simple(Box(-np.ones(3), np.ones(3))),
-        Simple(NonnegCone([5])),
-        Simple(NonnegCone([0, 2])),
-        Difficult(DenseMatrix(np.eye(2)), Point(np.ones(3))),
-        Difficult(DenseMatrix(np.eye(2)), NormBall(np.zeros(3), 1.0, 2)),
-        Difficult(DenseMatrix(np.eye(2)), Box(-np.ones(3), np.ones(3))),
+        _wrong_length_set(Simple(Hyperplane(np.ones(3), 1.0))),
+        _wrong_length_set(Simple(Halfspace(np.ones(3), -1.0))),
+        _wrong_length_set(Simple(Box(-np.ones(3), np.ones(3)))),
+        _wrong_length_set(Simple(NonnegCone([5]))),
+        _wrong_length_set(Simple(NonnegCone([0, 2]))),
+        _wrong_length_set(Difficult(DenseMatrix(np.eye(2)), Point(np.ones(3)))),
+        _wrong_length_set(Difficult(DenseMatrix(np.eye(2)), NormBall(np.zeros(3), 1.0, 2))),
+        _wrong_length_set(Difficult(DenseMatrix(np.eye(2)), Box(-np.ones(3), np.ones(3)))),
+        pytest.param(
+            {"residual_tolerance": np.full(3, 1e-8)},
+            r"residual_tolerance has shape \(3,\), not \(2,\)",
+            id="residual_tolerance",
+        ),
+        pytest.param(
+            {"x0_star": np.zeros(3)}, r"x0_star has shape \(3,\), not \(2,\)", id="x0_star"
+        ),
     ],
-    ids=lambda c: f"{type(c).__name__}-{type(c.target).__name__}",
 )
-def test_set_data_of_the_wrong_length_fails_before_step_0(constraint):
-    # the objective has 2 coordinates and the operator 2 outputs
+def test_set_data_of_the_wrong_length_fails_before_step_0(fields, match):
+    # the objective has 2 coordinates, the operators 2 outputs, and there are
+    # 2 constraints unless ``fields`` replaces them
     steps = []
-    cfg = SolverConfig(objective=ElasticNet(1.0, 2), constraints=[constraint], max_iterations=5)
-    with pytest.raises(DimensionMismatch, match="constraint 0: .* does not fit length 2"):
-        run(cfg, callback=lambda pair, rec: steps.append(rec.k))
+    plane = Simple(Hyperplane(np.ones(2), 1.0))
+    cfg = SolverConfig(objective=ElasticNet(1.0, 2), constraints=[plane, plane], max_iterations=5)
+    with pytest.raises(DimensionMismatch, match=match):
+        run(replace(cfg, **fields), callback=lambda pair, rec: steps.append(rec.k))
     assert steps == []
 
 
