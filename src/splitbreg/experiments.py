@@ -7,7 +7,7 @@ so identical configurations produce bit-identical outputs.
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,10 @@ class MissingNoise(ValueError):
     """A noisy-recovery run was requested without a noise model."""
 
 
+class MissingRules(ValueError):
+    """A step-size benchmark was requested without a step rule to compare."""
+
+
 # ---------------------------------------------------------------------------
 # instances
 # ---------------------------------------------------------------------------
@@ -48,6 +52,10 @@ class InstanceSpec:
     sparsity: int = 0
     amplitude: str = "gaussian"  # "gaussian" | "pm_one" | "dynamic_range"
     seed: int = 0
+
+    def __post_init__(self):
+        if not self.sparsity <= self.n:
+            raise ValueError(f"instance sparsity {self.sparsity} exceeds n = {self.n}")
 
 
 @dataclass
@@ -291,12 +299,14 @@ class ExperimentConfig:
     max_iterations: int = 20000
     tolerance: float = 1e-6
     pd_iterations: int = 20000
-    tomo: TomoSpec = field(default_factory=TomoSpec)
+    tomo: TomoSpec = None  # None: the default TomoSpec
     preset: str = "linearized_bregman"  # for the generic solve runner
 
     def __post_init__(self):
         if self.instance is None:
             self.instance = InstanceSpec(m=100, n=200, sparsity=10, seed=self.seed)
+        if self.tomo is None:
+            self.tomo = TomoSpec()
         for rule in self.rules:
             _check_choice("step rule", rule, solver.STEP_RULES)
         for key in ("max_iterations", "tolerance", "pd_iterations"):
@@ -342,7 +352,12 @@ def run_stepsize_benchmark(config):
 
     Writes residuals.csv with one column per rule (same row count, shorter runs
     padded with their final residual). Returns the trace dict and terminations.
+    Raises MissingRules, before anything runs, when the configuration names no
+    step rule.
     """
+    if not config.rules:
+        rules = ", ".join(solver.STEP_RULES)
+        raise MissingRules(f"bench-stepsizes needs at least one step rule in 'rules' ({rules})")
     inst = generate_instance(config.instance)
     lam = config.lam if config.lam is not None else 10.0 * (np.abs(inst.x_true).max() or 1.0)
     b_norm = np.linalg.norm(inst.b)

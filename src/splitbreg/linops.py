@@ -67,16 +67,38 @@ def operator_norm(op, tol=1e-6, max_iter=1000):
     return float(np.sqrt(lam))
 
 
+# A x gathers the columns of x's nonzeros when at most 1/_GATHER_FACTOR of x
+# is nonzero. Measured on a 2-vCPU Xeon with one BLAS thread, x with k
+# nonzeros: at 400 x 1600 the gather costs 17 us at k = 10, 50 us at k = 50
+# (n/32) and 196 us at k = 100 against about 250 us for the full product; at
+# 200 x 1000 it wins up to about n/10. Below about 100 x 200 both take a few us.
+_GATHER_FACTOR = 32
+
+
 class DenseMatrix(LinearOperator):
-    """Operator backed by a dense numpy array."""
+    """Operator backed by a dense numpy array.
+
+    A forward product with a vector whose nonzeros are few reads only their
+    columns. That is taken only when ``a`` is all finite, a verdict taken at
+    construction (``a`` must not change afterwards): a zero x_j times an inf
+    in column j is NaN in the full product, which the gather would skip."""
 
     def __init__(self, a):
         self.a = np.asarray(a, dtype=float)
         if self.a.ndim != 2:
             raise ValueError("expected a 2-d array")
         self.shape = self.a.shape
+        # min and max are finite exactly when every entry is (NaN propagates
+        # through both); unlike np.isfinite(a) they allocate no m x n temporary
+        a = self.a
+        self._finite = a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
     def apply(self, x):
+        x = np.asarray(x)
+        if self._finite and x.shape == (self.shape[1],):
+            nz = (x != 0.0).nonzero()[0]  # NaN entries count, -0.0 ones do not
+            if _GATHER_FACTOR * nz.size <= x.size:
+                return self.a[:, nz] @ x[nz]
         return self.a @ x
 
     def apply_adjoint(self, y):

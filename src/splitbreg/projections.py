@@ -252,29 +252,26 @@ def project_l1_ball(y, radius):
 # ---------------------------------------------------------------------------
 
 
-def separating_halfspace(op, target, x, y):
+def separating_halfspace(op, x, w, w_norm):
     """Halfspace {z : <normal, z> <= offset} separating x from
-    {z : A z in target} when x is infeasible; returns (normal, offset, w_norm).
+    {z : A z in target} when x is infeasible; returns (normal, offset).
 
-    ``y`` is the product A x, which the caller supplies (the solver computes it
-    once per iterate and shares it with the violation check). The normal is
-    A^T w with w = y - P_target(y), the offset is <A^T w, x> - ||w||^2 and
-    w_norm = ||w||; every feasible point lies inside, x lies strictly outside.
-    Raises FeasiblePoint only when w is exactly zero: any nonzero residual,
-    however small, gets its halfspace, so how close is close enough is left to
-    the caller's tolerance alone. Raises NonFiniteData when ||w|| is NaN or
-    infinite (non-finite A, target or x).
+    ``w`` is the range-space residual A x - P_target(A x) and ``w_norm`` its
+    norm, which the caller supplies (the solver computes both once per iterate
+    and shares them with the violation check). The normal is A^T w and the
+    offset is <A^T w, x> - ||w||^2; every feasible point lies inside, x lies
+    strictly outside. Raises FeasiblePoint only when w is exactly zero: any
+    nonzero residual, however small, gets its halfspace, so how close is close
+    enough is left to the caller's tolerance alone. Raises NonFiniteData when
+    ||w|| is NaN or infinite (non-finite A, target or x).
     """
-    x = np.asarray(x, dtype=float)
-    w = y - target.project(y)
-    w_norm = float(np.linalg.norm(w))
     if w_norm == 0.0:
         raise FeasiblePoint("point satisfies the constraint exactly")
     if not math.isfinite(w_norm):
         raise NonFiniteData(f"constraint residual norm is {w_norm}")
     normal = op.apply_adjoint(w)
-    offset = float(np.dot(normal, x)) - w_norm * w_norm
-    return normal, offset, w_norm
+    offset = float(np.dot(normal, np.asarray(x, dtype=float))) - w_norm * w_norm
+    return normal, offset
 
 
 # ---------------------------------------------------------------------------

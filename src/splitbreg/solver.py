@@ -126,27 +126,41 @@ class Simple:
 class Difficult:
     """A constraint {x : A x in target}, handled via separating halfspaces.
 
-    The last product A x is kept, keyed by the identity of x: the violation at
-    a pass boundary and the next step at the same iterate share one product.
+    The last product y = A x is kept with its range-space residual
+    w = y - P_target(y) and ||w||, keyed by the identity of x: the violation
+    at a pass boundary and the next step at the same iterate share one
+    product and one projection onto the target.
     """
 
     op: LinearOperator
     target: projections.RangeSet
-    _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _last: tuple = field(default=(None,), init=False, repr=False, compare=False)
+
+    def _at(self, x):
+        """(x, A x, w, ||w||), recomputed only when x is another array object."""
+        if x is not self._last[0]:
+            y = self.op.apply(x).view()
+            y.flags.writeable = False
+            w = y - self.target.project(y)
+            w.flags.writeable = False
+            self._last = (x, y, w, float(np.linalg.norm(w)))
+        return self._last
 
     def product(self, x):
         """A x, reused while x is the same array object as at the last call
         (a copy with equal values gets a new product). The result is read-only,
         and x must not be modified in place while it is the key."""
-        x_last, y = self._last
-        if x is not x_last:
-            y = self.op.apply(x).view()
-            y.flags.writeable = False
-            self._last = (x, y)
-        return y
+        return self._at(x)[1]
+
+    def residual(self, x):
+        """(w, ||w||) with w = A x - P_target(A x), kept like ``product``."""
+        return self._at(x)[2:]
 
     def violation(self, x):
-        return self.target.distance(self.product(x))
+        """||A x - P_target(A x)||: ``target.distance(A x)`` bit for bit, but
+        for a Hyperplane or Halfspace target, whose distance has its own
+        formula."""
+        return self._at(x)[3]
 
 
 @dataclass
@@ -194,10 +208,9 @@ def _difficult_step(obj, pair, constraint, rule):
     """One separating-halfspace step. Returns (pair, step_size, w_norm); a point
     whose residual is exactly zero gets a zero step."""
     op = constraint.op
+    w, w_norm = constraint.residual(pair.x)
     try:
-        d, beta, w_norm = projections.separating_halfspace(
-            op, constraint.target, pair.x, constraint.product(pair.x)
-        )
+        d, beta = projections.separating_halfspace(op, pair.x, w, w_norm)
     except projections.FeasiblePoint:
         return pair, 0.0, 0.0
     d_sq = float(np.dot(d, d))
@@ -260,10 +273,10 @@ def run(config, callback=None):
     ``callback(pair, record)`` is invoked after every step when given. The
     solver computes only what stepping and stopping need: a caller who wants
     f(x) per step computes ``config.objective.value(pair.x)`` in the callback.
-    A difficult constraint computes A x once per iterate: the pass-boundary
-    violation and the next step at the same pair share it, and a callback can
-    read it through ``Difficult.product(pair.x)``. Callbacks must therefore
-    not modify the arrays of ``pair`` in place. Each simple constraint builds
+    A difficult constraint computes A x and its residual once per iterate:
+    the pass-boundary violation and the next step at the same pair share them,
+    and a callback can read the product through ``Difficult.product(pair.x)``.
+    Callbacks must therefore not modify the arrays of ``pair`` in place. Each simple constraint builds
     its Bregman projector once, before step 0.
     """
     obj = config.objective

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from splitbreg.cli import build_parser, main
+from splitbreg.experiments import ExperimentConfig, TomoSpec
 
 
 def _solve_payload(tmp_path, **overrides):
@@ -155,4 +156,35 @@ def test_bad_budgets_and_tolerances_fail_before_anything_runs(
     out = tmp_path / "run"
     assert main(["noisy-recovery", "--config", str(path), "--out", str(out)] + flags) == 1
     assert f"error: {key} must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sparsity_above_n_fails_when_the_config_is_built(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"instance": {"m": 5, "n": 10, "sparsity": 20}}))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 1
+    assert "error: instance sparsity 20 exceeds n = 10" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_null_tomo_block_means_the_default(tmp_path):
+    assert ExperimentConfig.from_dict({"tomo": None}).tomo == TomoSpec()
+    cfg = _solve_payload(tmp_path, tomo=None)
+    assert main(["solve", "--config", str(cfg), "--max-iter", "5"]) == 0
+    assert (tmp_path / "run" / "history.csv").exists()
+
+
+def test_bench_without_rules_is_named_before_anything_runs(tmp_path, capsys, monkeypatch):
+    def generate(*args, **kwargs):
+        raise AssertionError("generate_instance ran")
+
+    monkeypatch.setattr("splitbreg.experiments.generate_instance", generate)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"rules": []}))
+    out = tmp_path / "run"
+    assert main(["bench-stepsizes", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: bench-stepsizes needs at least one step rule in 'rules'" in err
+    assert all(rule in err for rule in ("constant", "dynamic", "exact", "inexact"))
     assert not out.exists()

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splitbreg.linops import (
     BlockRow,
@@ -37,6 +39,67 @@ def test_dense_matrix_basics():
     _check_adjoint(op, np.random.default_rng(0))
     with pytest.raises(ValueError):
         DenseMatrix(np.zeros(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(32, 320),
+    st.integers(0, 10),
+    st.integers(0, 10),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example(m=3, n=64, k=0, neg_zeros=0, nan=False, seed=0)  # empty support
+@example(m=3, n=64, k=0, neg_zeros=5, nan=False, seed=0)  # only -0.0 entries
+@example(m=3, n=64, k=1, neg_zeros=0, nan=True, seed=0)
+def test_dense_gathered_product_matches_the_full_one(m, n, k, neg_zeros, nan, seed):
+    # x has at most n/32 nonzeros, so apply gathers their columns. Each
+    # summation order is within gamma_n ~ n eps / 2 of the exact sum of the
+    # products (Higham, Accuracy and Stability of Numerical Algorithms, 3.1),
+    # so the two differ by about n eps |a| @ |x| at most; 2 n eps leaves room
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n))
+    a[rng.random((m, n)) < 0.1] = 0.0
+    x = np.zeros(n)
+    where = rng.permutation(n)
+    k = min(k, n // 32)
+    x[where[:k]] = rng.standard_normal(k) * 10.0 ** rng.uniform(-5, 5, k)
+    x[where[k:k + neg_zeros]] = -0.0
+    if nan and k:
+        x[where[0]] = np.nan
+    got, want = DenseMatrix(a).apply(x), a @ x
+    assert got.shape == (m,)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    bound = 2 * n * np.finfo(float).eps * (np.abs(a) @ np.abs(np.nan_to_num(x)))
+    assert np.all(np.abs(got - want)[finite] <= bound[finite])
+
+
+def test_dense_product_keeps_the_nan_of_an_inf_times_zero():
+    # x_1 = 0 meets an inf in column 1: the full product is NaN there, and the
+    # gather, which would skip column 1, is not taken for a non-finite matrix
+    a = np.ones((2, 64))
+    a[0, 1] = np.inf
+    x = np.zeros(64)
+    x[0] = 1.0
+    with np.errstate(invalid="ignore"):
+        got, want = DenseMatrix(a).apply(x), a @ x
+    assert np.isnan(got[0]) and got[1] == 1.0
+    np.testing.assert_array_equal(got, want)
+    a[0, 1] = 1.0
+    np.testing.assert_array_equal(DenseMatrix(a).apply(x), [1.0, 1.0])
+    for bad in (-np.inf, np.nan):
+        a[1, 2] = bad
+        with np.errstate(invalid="ignore"):
+            got = DenseMatrix(a).apply(x)
+        assert got[0] == 1.0 and np.isnan(got[1])
+
+
+def test_dense_product_checks_the_length_of_x():
+    op = DenseMatrix(np.ones((2, 64)))
+    with pytest.raises(ValueError):
+        op.apply(np.zeros(63))
 
 
 def test_operator_norm_diagonal():

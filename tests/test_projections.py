@@ -41,7 +41,7 @@ from splitbreg.projections import (
 )
 from splitbreg import projections
 from splitbreg.linops import DenseMatrix
-from splitbreg.solver import preset, run
+from splitbreg.solver import Difficult, preset, run
 
 from oracles import grid_minimize, l1_ball_oracle, simplex_oracle
 
@@ -209,10 +209,16 @@ def test_linear_sets_build_their_fixed_data_once():
 # ---------------------------------------------------------------------------
 
 
+def _halfspace_at(op, target, x):
+    """separating_halfspace at x from the residual the solver keeps, plus ||w||."""
+    w, w_norm = Difficult(op, target).residual(x)
+    return separating_halfspace(op, x, w, w_norm) + (w_norm,)
+
+
 def test_separating_halfspace_point_target():
     op = DenseMatrix(np.array([[1.0]]))
     x = np.array([2.0])
-    normal, offset, w_norm = separating_halfspace(op, Point(np.array([0.0])), x, op.apply(x))
+    normal, offset, w_norm = _halfspace_at(op, Point(np.array([0.0])), x)
     np.testing.assert_allclose(normal, [2.0])
     assert offset == pytest.approx(0.0)
     assert w_norm == pytest.approx(2.0)
@@ -222,7 +228,7 @@ def test_separating_halfspace_ball_target():
     op = DenseMatrix(np.array([[1.0]]))
     ball = NormBall(np.array([0.0]), 1.0, np.inf)
     x = np.array([3.0])
-    normal, offset, _ = separating_halfspace(op, ball, x, op.apply(x))
+    normal, offset, _ = _halfspace_at(op, ball, x)
     np.testing.assert_allclose(normal, [2.0])
     assert offset == pytest.approx(2.0)
 
@@ -231,7 +237,7 @@ def test_separating_halfspace_feasible_raises():
     op = DenseMatrix(np.array([[1.0, 0.0]]))
     x = np.array([1.0, 5.0])
     with pytest.raises(FeasiblePoint):
-        separating_halfspace(op, Point(np.array([1.0])), x, op.apply(x))
+        _halfspace_at(op, Point(np.array([1.0])), x)
 
 
 def test_separating_halfspace_separates():
@@ -245,7 +251,7 @@ def test_separating_halfspace_separates():
         y = op.apply(x)
         if target.contains(y, tol=1e-9):
             continue
-        normal, offset, w_norm = separating_halfspace(op, target, x, y)
+        normal, offset, w_norm = _halfspace_at(op, target, x)
         # the violating point is strictly outside its own halfspace
         assert np.dot(normal, x) - offset == pytest.approx(w_norm**2)
         # any point with A z in the target is inside

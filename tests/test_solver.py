@@ -509,6 +509,58 @@ def test_difficult_run_makes_one_forward_product_per_step():
     assert op.applies == 31
 
 
+class _CountingBall(NormBall):
+    projections = 0
+
+    def project(self, y):
+        self.projections += 1
+        return super().project(y)
+
+
+def test_difficult_run_makes_one_target_projection_per_step():
+    # the violation and the next step at the same iterate share the residual
+    # A x - P(A x) as they share A x: N steps make N + 1 of each
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((4, 8))
+    op = _CountingMatrix(a)
+    target = _CountingBall(a @ rng.standard_normal(8), 1e-3, 1)
+    cfg = SolverConfig(
+        objective=ElasticNet(1.0, 8),
+        constraints=[Difficult(op, target)],
+        step_rule=Dynamic(),
+        max_iterations=30,
+        residual_tolerance=1e-18,
+    )
+    res = run(cfg)
+    assert res.iterations == 30
+    assert target.projections == op.applies == 31
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        Point([0.5, -1.0, 2.0]),
+        NormBall([0.5, -1.0, 2.0], 0.7, 1),
+        NormBall([0.5, -1.0, 2.0], 0.7, 2),
+        NormBall([0.5, -1.0, 2.0], 0.7, np.inf),
+        Box([-0.1, -0.2, -0.3], [0.1, 0.2, 0.3]),
+        NonnegCone([0, 2]),
+    ],
+    ids=lambda t: type(t).__name__,
+)
+def test_difficult_violation_is_the_target_distance(target):
+    rng = np.random.default_rng(16)
+    op = DenseMatrix(rng.standard_normal((3, 5)))
+    c = Difficult(op, target)
+    for _ in range(20):
+        x = rng.standard_normal(5) * 3.0
+        w, w_norm = c.residual(x)
+        assert c.violation(x) == w_norm == target.distance(c.product(x))
+        np.testing.assert_array_equal(w, c.product(x) - target.project(c.product(x)))
+        with pytest.raises(ValueError):
+            w[0] = 1.0  # shared with the next step, so read-only
+
+
 def test_difficult_product_is_keyed_by_array_identity():
     op = _CountingMatrix(np.arange(6.0).reshape(2, 3))
     c = Difficult(op, Point([0.0, 0.0]))
