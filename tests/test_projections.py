@@ -27,6 +27,7 @@ from splitbreg.projections import (
     FeasiblePoint,
     Halfspace,
     Hyperplane,
+    NonFiniteData,
     NonnegCone,
     NormBall,
     Point,
@@ -386,6 +387,10 @@ def test_linesearch_optimality_property(case):
         assert np.sign(t) * gp(k) < -tol
 
 
+def _plan(a, weights):
+    return projections._LinesearchPlan(a, weights, projections._nonzeros(a))
+
+
 @contextlib.contextmanager
 def _forced_bisection():
     """Make the prefix-sum locate guess one piece off (cyclically), so that
@@ -423,7 +428,7 @@ def test_located_root_matches_bisection(case, gp0):
     # the located and confirmed piece gives the bisected answer bit for bit;
     # a wrong guess is always caught by the from-scratch confirmation
     x_star, a, weights, beta, nonneg, _ = case
-    args = (x_star, a, beta, weights, a != 0.0, nonneg)
+    args = (_plan(a, weights), x_star, beta, nonneg)
     t = projections._shrink_linesearch(*args, gp0=gp0)
     with _forced_bisection() as counts:
         t_bisected = projections._shrink_linesearch(*args, gp0=gp0)
@@ -495,11 +500,11 @@ def test_linesearch_without_positive_kinks_does_no_locate_work(monkeypatch):
     # zero weights on the support of a: no kinks at all, g' is linear
     a, x_star, beta = np.array([1.0, -2.0, 0.0, 0.5]), np.array([0.5, 1.0, 3.0, -1.0]), 0.25
     weights = np.array([0.0, 0.0, 1.0, 0.0])
-    t = projections._shrink_linesearch(x_star, a, beta, weights, a != 0.0, False)
+    t = projections._shrink_linesearch(_plan(a, weights), x_star, beta, False)
     assert t == pytest.approx((a @ x_star - beta) / (a @ a))
     # kinks at t = -4 and t = -2 only, behind the root at t = 1 of g'(t) = t - 1
     one = np.ones(1)
-    t = projections._shrink_linesearch(-3.0 * one, one, -3.0, one, one != 0.0, False)
+    t = projections._shrink_linesearch(_plan(one, one), -3.0 * one, -3.0, False)
     assert t == 1.0
 
 
@@ -516,6 +521,144 @@ def test_sparse_kaczmarz_solve_is_bitwise_equal_through_the_fallback():
     assert res.iterations == forced.iterations
     assert res.x.tobytes() == forced.x.tobytes()
     assert res.pair.x_star.tobytes() == forced.pair.x_star.tobytes()
+
+
+def test_partially_sorted_sparse_kaczmarz_solve_is_bitwise_equal_through_the_fallback():
+    # rows of 200 coordinates give each step far more positive kinks than the
+    # nearest few the locate step sorts; every wrong guess is caught
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((30, 200))
+    x_true = np.zeros(200)
+    x_true[[7, 50, 120, 181]] = [1.0, -0.8, 0.6, 0.9]
+    cfg = dict(lam=5.0, max_iterations=240, residual_tolerance=1e-18)
+    res = run(preset("sparse_kaczmarz", a, a @ x_true, **cfg))
+    with _forced_bisection() as counts:
+        forced = run(preset("sparse_kaczmarz", a, a @ x_true, **cfg))
+    assert counts["guesses"] > 0 and counts["bisections"] > 0
+    assert res.iterations == forced.iterations == 240
+    assert res.x.tobytes() == forced.x.tobytes()
+    assert res.pair.x_star.tobytes() == forced.pair.x_star.tobytes()
+
+
+def _full_sort_locate(ends, jumps, gp0, slope):
+    # _locate_root_piece before the partial sort: ``slope`` is g''s slope past
+    # the last kink
+    e = ends[1:-1]
+    c1 = np.cumsum(jumps)
+    c2 = np.cumsum(jumps * e)
+    hit = e * (slope - c1[-1] + c1) - c2 >= -gp0
+    k = int(hit.argmax())
+    return k if hit[k] else e.size
+
+
+def _full_sort_linesearch(x_star, a, beta, weights, nonneg, gp0=None, x=None):
+    # _shrink_linesearch before the linesearch plan and the partial sort: it
+    # sorts every positive kink on every call; kept as the bitwise reference
+    supp = a != 0.0
+    u = x_star[supp]
+    wv = weights[supp]
+    s0 = soft_shrink(u, wv) if x is None else x[supp]
+    if gp0 is None:
+        gp0 = beta - float(np.dot(a[supp], s0))
+    if gp0 == 0.0 or (nonneg and gp0 >= 0.0):
+        return 0.0
+    sign = 1.0 if gp0 < 0.0 else -1.0
+    av = sign * a[supp]
+    gp0 = sign * float(gp0)
+    lo, hi = u - wv, u + wv
+    kw = wv != 0.0
+    free = wv == 0.0
+    ak = av[kw]
+    kinks = np.concatenate((lo[kw] / ak, hi[kw] / ak))
+    ahead = np.flatnonzero(kinks > 0.0)
+    order = ahead[np.argsort(kinks[ahead])]
+    ends = np.concatenate(([0.0], kinks[order], [np.inf]))
+
+    def piece(i):
+        shifted = u - (0.5 * (ends[i] + ends[i + 1])) * av
+        pos = shifted > wv
+        act = pos | (shifted < -wv) | free
+        r = np.where(pos, lo, np.where(act, hi, 0.0))
+        a_act = av[act]
+        s, delta = float(np.dot(a_act, a_act)), float(np.dot(av, s0 - r))
+        return s, delta, gp0 + delta + s * ends[i + 1]
+
+    last = ends.size - 2
+    i = 0
+    if last:
+        jump = ak * np.abs(ak)
+        jumps = np.concatenate((-jump, jump))[order]
+        i = _full_sort_locate(ends, jumps, gp0, float(np.dot(av, av)))
+    s, delta, gp = piece(i)
+    if (i < last and gp < 0.0) or (i > 0 and piece(i - 1)[2] >= 0.0):
+        i = bisect.bisect_left(range(last), True, key=lambda j: piece(j)[2] >= 0.0)
+        s, delta, gp = piece(i)
+    if gp == 0.0:
+        return sign * ends[i + 1]
+    if s == 0.0:
+        return sign * ends[i]
+    return sign * min(max(-(gp0 + delta) / s, ends[i]), ends[i + 1])
+
+
+def test_planned_linesearch_matches_the_full_sort_reference_bitwise():
+    rng = np.random.default_rng(20261019)
+    seen = set()
+    for case in range(600):
+        n = int(rng.integers(200, 400))
+        a = rng.standard_normal(n)
+        if case % 3 == 1:
+            a *= rng.random(n) < 0.6  # a masked support
+        lam = float(rng.choice([0.1, 0.5, 2.0]))
+        weights = np.full(n, lam)
+        if case % 2:
+            weights *= rng.random(n) < 0.8  # zero-weight coordinates
+        x_star = rng.standard_normal(n) * rng.choice([0.5, 2.0])
+        s0 = soft_shrink(x_star, weights)
+        # the root moves from before the first kink to far past the nearest
+        # ones as |beta - <a, S(x_star)>| grows
+        beta = float(a @ s0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 2.5))
+        nonneg = bool(rng.random() < 0.3)
+        gp0 = beta - float(a @ s0) if rng.random() < 0.3 else None
+        x = s0 if rng.random() < 0.5 else None
+        want = _full_sort_linesearch(x_star, a, beta, weights, nonneg, gp0=gp0, x=x)
+        args = (_plan(a, weights), x_star, beta, nonneg)
+        got = projections._shrink_linesearch(*args, gp0=gp0, x=x)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), case
+        with _forced_bisection():  # the fallback bisects every kink, not the nearest
+            forced = projections._shrink_linesearch(*args, gp0=gp0, x=x)
+        assert np.float64(forced).tobytes() == np.float64(want).tobytes(), case
+        # the number of kinks between 0 and the root
+        supp = (a != 0.0) & (weights > 0.0)
+        u, w, av = x_star[supp], weights[supp], a[supp]
+        kinks = np.concatenate(((u - w) / av, (u + w) / av)) * np.sign(got)
+        before = int(np.count_nonzero((kinks > 0.0) & (kinks < abs(got))))
+        seen.add((got > 0.0, nonneg, before == 0, before > projections._NEAR_KINKS))
+    # both signs, with and without nonneg, roots before the first kink and past
+    # the partially sorted ones
+    assert {(True, False, True, False), (False, False, True, False)} <= seen
+    assert {(True, False, False, True), (False, False, False, True)} <= seen
+    assert {(True, True, True, False), (True, True, False, True)} <= seen
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["x_star", "a", "beta"])
+@pytest.mark.parametrize(
+    "obj", [ElasticNet(0.5, 3), GroupElasticNet(0.5, [np.array([0, 1, 2])])], ids=["l1", "group"]
+)
+def test_linesearch_rejects_non_finite_data(obj, where, bad):
+    x_star, a, beta = np.array([1.0, -2.0, 0.5]), np.array([1.0, 0.5, -1.0]), 0.3
+    if where == "x_star":
+        x_star[1] = bad
+    elif where == "a":
+        a[1] = bad
+    else:
+        beta = bad
+    with pytest.raises(NonFiniteData):
+        exact_linesearch(obj, x_star, a, beta)
+    if where == "x_star":
+        # a hyperplane step, whose normal was checked when the set was built
+        with pytest.raises(NonFiniteData):
+            bregman_project(obj, pair_from_dual(obj, x_star), Hyperplane(a, beta))
 
 
 # ---------------------------------------------------------------------------

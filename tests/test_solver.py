@@ -597,6 +597,19 @@ def test_simple_constraints_build_their_projectors_once_per_run():
     assert obj.weight_reads == 2
 
 
+def test_sparse_kaczmarz_reads_the_shrink_weights_once_per_row():
+    # each row's hyperplane builds its linesearch plan once, so a run over m
+    # rows reads the weights m times however many steps it takes
+    rng = np.random.default_rng(16)
+    m, n = 5, 12
+    a = rng.standard_normal((m, n))
+    cfg = preset("sparse_kaczmarz", a, a @ rng.standard_normal(n), lam=1.0,
+                 max_iterations=6 * m, residual_tolerance=1e-18)
+    cfg.objective = _CountingElasticNet(1.0, n)
+    assert run(cfg).iterations == 6 * m
+    assert cfg.objective.weight_reads == m
+
+
 # ---------------------------------------------------------------------------
 # malformed input fails early with a named error
 # ---------------------------------------------------------------------------
