@@ -6,6 +6,8 @@ so identical configurations produce bit-identical outputs.
 """
 
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,23 +41,40 @@ class MissingRules(ValueError):
     """A step-size benchmark was requested without a step rule to compare."""
 
 
+class ZeroData(ValueError):
+    """A runner that recovers a planted vector was given an instance with
+    sparsity 0, whose planted vector and data b are zero."""
+
+
 # ---------------------------------------------------------------------------
 # instances
 # ---------------------------------------------------------------------------
+
+
+_MATRIX_KINDS = ("gaussian", "bernoulli", "partial_dct")
+_AMPLITUDES = ("gaussian", "pm_one", "dynamic_range")
 
 
 @dataclass
 class InstanceSpec:
     m: int
     n: int
-    kind: str = "gaussian"  # "gaussian" | "bernoulli" | "partial_dct"
+    kind: str = "gaussian"  # one of _MATRIX_KINDS
     sparsity: int = 0
-    amplitude: str = "gaussian"  # "gaussian" | "pm_one" | "dynamic_range"
+    amplitude: str = "gaussian"  # one of _AMPLITUDES
     seed: int = 0
 
     def __post_init__(self):
+        _check_choice("instance kind", self.kind, _MATRIX_KINDS)
+        _check_choice("instance amplitude", self.amplitude, _AMPLITUDES)
+        _check_whole("instance m", self.m)
+        _check_whole("instance n", self.n)
+        _check_whole("instance sparsity", self.sparsity, low=0)
         if not self.sparsity <= self.n:
             raise ValueError(f"instance sparsity {self.sparsity} exceeds n = {self.n}")
+        if self.kind == "partial_dct" and self.m > self.n:
+            msg = f"instance m = {self.m} exceeds n = {self.n}, the rows partial_dct can sample"
+            raise ValueError(msg)
 
 
 @dataclass
@@ -113,6 +132,9 @@ class ImpulsiveNoise:
     count: int
     p = 1
 
+    def __post_init__(self):
+        _check_whole("noise count", self.count, low=0)
+
 
 @dataclass
 class UniformNoise:
@@ -122,6 +144,9 @@ class UniformNoise:
     amplitude: float = 1.0
     p = np.inf
 
+    def __post_init__(self):
+        _check_nonnegative("noise amplitude", self.amplitude)
+
 
 @dataclass
 class GaussianNoise:
@@ -130,6 +155,9 @@ class GaussianNoise:
 
     level: float = 0.05
     p = 2
+
+    def __post_init__(self):
+        _check_nonnegative("noise level", self.level)
 
 
 def inject_noise(b, model, seed):
@@ -264,6 +292,26 @@ def _check_positive(key, value):
         raise ValueError(f"{key} must be positive, not {value!r}")
 
 
+def _check_nonnegative(key, value):
+    """Raise a ValueError naming ``key`` unless ``value`` is finite and >= 0."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{key} must be finite and nonnegative, not {value!r}")
+
+
+def _check_whole(key, value, low=1):
+    """Raise a ValueError naming ``key`` unless ``value`` is an integer >= ``low``
+    (1 or 0). A bool fails, and so does a float, even a whole one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        sign = "positive" if low else "nonnegative"
+        raise ValueError(f"{key} must be {sign} and whole, not {value!r}")
+
+
+def _check_distinct(key, names):
+    """Raise a ValueError naming ``key`` when ``names`` lists a name twice."""
+    if len(set(names)) != len(names):
+        raise ValueError(f"{key} must not repeat a name, not {list(names)!r}")
+
+
 _TOMO_VARIANTS = ("plain", "nonneg", "one")
 
 
@@ -281,9 +329,17 @@ class TomoSpec:
     variants: tuple = _TOMO_VARIANTS
 
     def __post_init__(self):
+        if not self.variants:
+            choices = ", ".join(_TOMO_VARIANTS)
+            raise ValueError(f"tomo variants must name at least one of {choices}")
         for variant in self.variants:
             _check_choice("tomo variant", variant, _TOMO_VARIANTS)
-        for key in ("iterations", "data_tolerance", "coupling_tolerance"):
+        _check_distinct("tomo variants", self.variants)
+        for key in ("height", "width", "n_angles", "rays_per_angle", "iterations"):
+            _check_whole(f"tomo {key}", getattr(self, key))
+        for key in ("noise_level", "lam"):
+            _check_nonnegative(f"tomo {key}", getattr(self, key))
+        for key in ("data_tolerance", "coupling_tolerance"):
             _check_positive(f"tomo {key}", getattr(self, key))
 
 
@@ -309,8 +365,15 @@ class ExperimentConfig:
             self.tomo = TomoSpec()
         for rule in self.rules:
             _check_choice("step rule", rule, solver.STEP_RULES)
-        for key in ("max_iterations", "tolerance", "pd_iterations"):
-            _check_positive(key, getattr(self, key))
+        _check_distinct("rules", self.rules)
+        for key in ("max_iterations", "pd_iterations"):
+            _check_whole(key, getattr(self, key))
+        _check_positive("tolerance", self.tolerance)
+        if self.lam is not None:
+            _check_nonnegative("lam", self.lam)
+        if isinstance(self.noise, ImpulsiveNoise) and self.noise.count > self.instance.m:
+            msg = f"noise count {self.noise.count} exceeds the {self.instance.m} data entries"
+            raise ValueError(msg)
 
     @classmethod
     def from_dict(cls, data):
@@ -347,20 +410,37 @@ def _write_trace_csv(path, header, columns):
 # ---------------------------------------------------------------------------
 
 
+def _planted_instance(config, runner):
+    """The configured instance. Raises ZeroData before generating it when its
+    sparsity is 0: x_true = 0 and b = 0 leave nothing to recover."""
+    if config.instance.sparsity == 0:
+        msg = f"{runner} needs instance sparsity >= 1: with sparsity 0, x_true and b are zero"
+        raise ZeroData(msg)
+    return generate_instance(config.instance)
+
+
+def _preset_setup(config, runner):
+    """The planted instance, the weight (``config.lam``, else 10 max|x_true|, or
+    10 for x_true = 0; quadratic presets ignore it) and the SolverConfig budget
+    and tolerance * ||b|| that bench-stepsizes and solve build presets from."""
+    inst = _planted_instance(config, runner)
+    lam = config.lam if config.lam is not None else 10.0 * (np.abs(inst.x_true).max() or 1.0)
+    tol = config.tolerance * np.linalg.norm(inst.b)
+    return inst, lam, {"max_iterations": config.max_iterations, "residual_tolerance": tol}
+
+
 def run_stepsize_benchmark(config):
     """Residual traces of the regularized equality solver under each step rule.
 
     Writes residuals.csv with one column per rule (same row count, shorter runs
     padded with their final residual). Returns the trace dict and terminations.
     Raises MissingRules, before anything runs, when the configuration names no
-    step rule.
+    step rule, and ZeroData for an instance with sparsity 0.
     """
     if not config.rules:
         rules = ", ".join(solver.STEP_RULES)
         raise MissingRules(f"bench-stepsizes needs at least one step rule in 'rules' ({rules})")
-    inst = generate_instance(config.instance)
-    lam = config.lam if config.lam is not None else 10.0 * (np.abs(inst.x_true).max() or 1.0)
-    b_norm = np.linalg.norm(inst.b)
+    inst, lam, budget = _preset_setup(config, "bench-stepsizes")
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -373,8 +453,7 @@ def run_stepsize_benchmark(config):
             inst.b,
             lam=lam,
             step_rule=solver.STEP_RULES[rule_name](),
-            max_iterations=config.max_iterations,
-            residual_tolerance=config.tolerance * b_norm,
+            **budget,
         )
         result = solver.run(cfg)
         # single constraint: every step is a pass boundary with a fresh violation
@@ -394,12 +473,13 @@ def run_noisy_recovery(config):
     Writes trace.csv (objective and p-norm feasibility gap per iteration per
     method) and summary.csv (relative reconstruction errors). The weight is
     certified on the exact data unless the configuration pins one. Raises
-    MissingNoise when the configuration has no noise model.
+    MissingNoise when the configuration has no noise model and ZeroData for an
+    instance with sparsity 0, before anything runs.
     """
     if config.noise is None:
         kinds = ", ".join(_NOISE_MODELS)
         raise MissingNoise(f"noisy-recovery needs a 'noise' block with a kind ({kinds})")
-    inst = generate_instance(config.instance)
+    inst = _planted_instance(config, "noisy-recovery")
     noisy, delta = inject_noise(inst.b, config.noise, config.seed)
     p = config.noise.p
     lam = config.lam if config.lam is not None else certify_lambda(inst.op, inst.x_true, inst.b)
@@ -599,18 +679,10 @@ def run_tomography(config):
 
 def run_solve(config):
     """Generic single run of a preset; writes the solver history CSV, with the
-    objective value of every step computed here."""
-    inst = generate_instance(config.instance)
-    # the quadratic presets ignore lam
-    lam = config.lam if config.lam is not None else 10.0 * (np.abs(inst.x_true).max() or 1.0)
-    cfg = solver.preset(
-        config.preset,
-        inst.op,
-        inst.b,
-        lam=lam,
-        max_iterations=config.max_iterations,
-        residual_tolerance=config.tolerance * np.linalg.norm(inst.b),
-    )
+    objective value of every step computed here. Raises ZeroData, before
+    anything runs, for an instance with sparsity 0."""
+    inst, lam, budget = _preset_setup(config, "solve")
+    cfg = solver.preset(config.preset, inst.op, inst.b, lam=lam, **budget)
     values = []
     result = solver.run(
         cfg, callback=lambda pair, record: values.append(cfg.objective.value(pair.x))

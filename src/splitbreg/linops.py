@@ -148,8 +148,7 @@ class ScaledIdentity(LinearOperator):
     def apply(self, x):
         return self.scale * np.asarray(x, dtype=float)
 
-    def apply_adjoint(self, y):
-        return self.scale * np.asarray(y, dtype=float)
+    apply_adjoint = apply  # c * I is self-adjoint
 
     def row(self, i):
         r = np.zeros(self.shape[1])

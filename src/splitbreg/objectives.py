@@ -74,7 +74,6 @@ class SquaredNorm(Objective):
 
     def __init__(self, dimension):
         self.dimension = int(dimension)
-        self.alpha = 1.0
         self._weights = np.zeros(self.dimension)
         self._weights.flags.writeable = False
 
@@ -104,7 +103,6 @@ class ElasticNet(Objective):
             raise ValueError("lam must be nonnegative")
         self.lam = float(lam)
         self.dimension = int(dimension)
-        self.alpha = 1.0
         self._weights = np.full(self.dimension, self.lam)
         self._weights.flags.writeable = False
 
@@ -165,7 +163,6 @@ class GroupElasticNet(Objective):
         self.labels = _partition_labels(groups)
         self.dimension = self.labels.size
         self.n_groups = int(self.labels.max()) + 1  # no group is empty
-        self.alpha = 1.0
 
     def _group_norms(self, v):
         sq = np.bincount(self.labels, weights=v * v, minlength=self.n_groups)
@@ -198,7 +195,6 @@ class GroupedMax(Objective):
         self.lam = float(lam)
         self.groups = [np.asarray(g, dtype=int) for g in groups]
         self.dimension = _partition_labels(self.groups).size
-        self.alpha = 1.0
 
     def value(self, x):
         x = _check_dim(x, self.dimension, "x")

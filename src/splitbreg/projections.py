@@ -91,9 +91,6 @@ class Point(RangeSet):
     def project(self, y):
         return self.b.copy()
 
-    def distance(self, y):
-        return float(np.linalg.norm(np.asarray(y, dtype=float) - self.b))
-
 
 class NormBall(RangeSet):
     """{y : ||y - center||_p <= radius} for p in {1, 2, inf}."""
@@ -424,18 +421,19 @@ class _LinesearchPlan:
     nonzeros (as _nonzeros gives it), ``a`` and the weights ``w`` on it, the
     index ``kinked`` of the support coordinates with w_j > 0, the mask
     ``free`` of those with w_j = 0 (None when there are none), ``a_sq`` = a.a
-    and whether the weights are ``finite`` on the support. For a normal and
-    weights without zeros it holds views only."""
+    (a set's ``norm_sq``, the same float) and whether the weights are
+    ``finite`` on the support. For a normal and weights without zeros it holds
+    views only."""
 
     __slots__ = ("supp", "a", "w", "kinked", "free", "a_sq", "finite")
 
-    def __init__(self, a, weights, supp):
+    def __init__(self, a, weights, supp, a_sq):
         self.supp = supp
         self.a, self.w = a[supp], weights[supp]
         self.kinked = _nonzeros(self.w)  # shrink weights are nonnegative
         free = self.w == 0.0
         self.free = free if free.any() else None
-        self.a_sq = float(np.dot(a, a))
+        self.a_sq = a_sq
         self.finite = _finite_weights(weights, supp)
 
 
@@ -458,7 +456,7 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
     x_star = np.asarray(x_star, dtype=float)
     if plan is None:
         a = np.asarray(a, dtype=float)
-        plan = _LinesearchPlan(a, obj.shrink_weights(), _nonzeros(a))
+        plan = _LinesearchPlan(a, obj.shrink_weights(), _nonzeros(a), float(np.dot(a, a)))
         if plan.a_sq == 0.0:
             raise ZeroDirection("linesearch direction is zero")
         if not math.isfinite(plan.a_sq):
@@ -575,7 +573,7 @@ def _build_projector(obj, target):
     if not np.any(weights):
         return lambda pair: _project_orthogonal(pair, target)
     if isinstance(target, _LinearSet):
-        plan = _LinesearchPlan(target.normal, weights, target.support)
+        plan = _LinesearchPlan(target.normal, weights, target.support, target.norm_sq)
         return lambda pair: _project_halfspace(obj, pair, target, plan)
     if isinstance(target, NonnegCone):
         if _finite_weights(weights, target.indices):

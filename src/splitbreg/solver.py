@@ -63,17 +63,13 @@ class Exact:
 
 @dataclass(frozen=True)
 class Inexact:
-    """Geometric forward tracking: the largest t = c^p * t_dynamic (p <= p_cap)
+    """Geometric forward tracking: the largest t = 2^p * t_dynamic (p <= 60)
     that keeps g'(t) <= 0."""
 
-    c: float = 2.0
-    p_cap: int = 60
 
-    def __post_init__(self):
-        if not self.c > 1.0:
-            raise ValueError("c must exceed 1")
-        if not self.p_cap >= 0:
-            raise ValueError("p_cap must be nonnegative")
+# Inexact's forward tracking doubles the dynamic step at most 60 times
+_DOUBLING = 2.0
+_MAX_DOUBLINGS = 60
 
 
 # the one table of step rules by name; run accepts these classes and subclasses
@@ -216,31 +212,32 @@ def _difficult_step(obj, pair, constraint, rule):
     d_sq = float(np.dot(d, d))
     if d_sq == 0.0:
         raise projections.ZeroDirection("separating halfspace has a zero normal")
+    t_dynamic = obj.alpha * w_norm * w_norm / d_sq
     if isinstance(rule, Constant):
         t = obj.alpha / op.norm_estimate() ** 2
     elif isinstance(rule, Dynamic):
-        t = obj.alpha * w_norm * w_norm / d_sq
+        t = t_dynamic
     elif isinstance(rule, Exact):
         # g'(0) = -||w||^2 exactly; passing it avoids the beta cancellation
         t = projections.exact_linesearch(
             obj, pair.x_star, d, beta, nonneg=True, gp0=-(w_norm * w_norm), x=pair.x
         )
     elif isinstance(rule, Inexact):
-        t = _forward_track(obj, pair.x_star, d, beta, obj.alpha * w_norm * w_norm / d_sq, rule)
+        t = _forward_track(obj, pair.x_star, d, beta, t_dynamic)
     else:
         raise TypeError(f"unknown step rule {rule!r}")
     return pair_from_dual(obj, pair.x_star - t * d), t, w_norm
 
 
-def _forward_track(obj, x_star, d, beta, t0, rule):
-    """Largest c^p * t0 with p <= p_cap keeping the linesearch derivative <= 0.
+def _forward_track(obj, x_star, d, beta, t0):
+    """Largest 2^p * t0 with p <= 60 keeping the linesearch derivative <= 0.
 
     t0 is the dynamic step, which always satisfies the descent condition, so
-    the returned step is at least t0 and below c times the exact minimizer.
+    the returned step is at least t0 and below twice the exact minimizer.
     """
     t = t0
-    for _ in range(rule.p_cap):
-        t_next = rule.c * t
+    for _ in range(_MAX_DOUBLINGS):
+        t_next = _DOUBLING * t
         gp = beta - float(np.dot(d, obj.grad_conjugate(x_star - t_next * d)))
         if gp > 0.0:
             break

@@ -188,3 +188,82 @@ def test_bench_without_rules_is_named_before_anything_runs(tmp_path, capsys, mon
     assert "error: bench-stepsizes needs at least one step rule in 'rules'" in err
     assert all(rule in err for rule in ("constant", "dynamic", "exact", "inexact"))
     assert not out.exists()
+
+
+_INSTANCE = {"m": 5, "n": 10, "sparsity": 2}
+_IMPULSIVE = {"kind": "impulsive", "count": 2}
+
+
+def _instance(**changes):
+    return {"instance": {**_INSTANCE, **changes}}
+
+
+def _noise(**changes):
+    # a change to None drops the key: a key the noise kind does not take
+    noise = {k: v for k, v in {**_IMPULSIVE, **changes}.items() if v is not None}
+    return {**_instance(), "noise": noise}
+
+
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [
+        # the instance block
+        ("solve", _instance(kind="foo"), "instance kind"),
+        ("tomo", _instance(kind="foo"), "instance kind"),
+        ("solve", _instance(amplitude="cauchy"), "instance amplitude"),
+        ("solve", _instance(m=5.5), "instance m"),
+        ("solve", _instance(m=0), "instance m"),
+        ("solve", _instance(m=True), "instance m"),
+        ("solve", _instance(n=0, sparsity=0), "instance n"),
+        ("solve", _instance(sparsity=2.5), "instance sparsity"),
+        ("solve", _instance(sparsity=-1), "instance sparsity"),
+        ("solve", _instance(m=12, n=8, kind="partial_dct"), "instance m"),
+        # zero data: sparsity 0 plants x_true = 0, so b = 0
+        ("solve", _instance(sparsity=0), "instance sparsity"),
+        ("bench-stepsizes", _instance(sparsity=0), "instance sparsity"),
+        ("noisy-recovery", {**_noise(), **_instance(sparsity=0)}, "instance sparsity"),
+        # budgets and tomography sizes
+        ("noisy-recovery", {**_noise(), "max_iterations": 100.5}, "max_iterations"),
+        ("noisy-recovery", {**_noise(), "max_iterations": 100.0}, "max_iterations"),
+        ("noisy-recovery", {**_noise(), "max_iterations": True}, "max_iterations"),
+        ("noisy-recovery", {**_noise(), "pd_iterations": 10.5}, "pd_iterations"),
+        ("tomo", {"tomo": {"iterations": 5.5}}, "tomo iterations"),
+        ("tomo", {"tomo": {"n_angles": 0}}, "tomo n_angles"),
+        ("tomo", {"tomo": {"height": 0}}, "tomo height"),
+        ("tomo", {"tomo": {"width": 2.5}}, "tomo width"),
+        ("tomo", {"tomo": {"rays_per_angle": True}}, "tomo rays_per_angle"),
+        # noise parameters, and the weights
+        ("noisy-recovery", _noise(count=100), "noise count"),
+        ("noisy-recovery", _noise(count=-1), "noise count"),
+        ("noisy-recovery", _noise(count=2.5), "noise count"),
+        ("noisy-recovery", _noise(kind="uniform", count=None, amplitude=-1), "noise amplitude"),
+        ("noisy-recovery", _noise(kind="gaussian", count=None, level=float("nan")), "noise level"),
+        ("noisy-recovery", _noise(kind="gaussian", count=None, level=-0.1), "noise level"),
+        ("noisy-recovery", {**_noise(), "lam": -1.0}, "lam"),
+        ("tomo", {"tomo": {"noise_level": float("nan")}}, "tomo noise_level"),
+        ("tomo", {"tomo": {"lam": -1.0}}, "tomo lam"),
+        # variant and rule lists
+        ("tomo", {"tomo": {"variants": []}}, "tomo variants"),
+        ("tomo", {"tomo": {"variants": ["plain", "plain"]}}, "tomo variants"),
+        ("bench-stepsizes", {**_instance(), "rules": ["exact", "exact"]}, "rules"),
+    ],
+)
+def test_malformed_configs_fail_before_anything_runs(
+    tmp_path, capsys, monkeypatch, command, payload, key
+):
+    # each malformed value is named when the configuration is built, or, for
+    # zero data, before the runner generates its instance: no file is written
+    # and neither the instance nor the weight certification is computed
+    called = []
+    for name in ("generate_instance", "certify_lambda"):
+        monkeypatch.setattr(
+            f"splitbreg.experiments.{name}", lambda *args, name=name, **kw: called.append(name)
+        )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not called
+    assert not out.exists()

@@ -388,7 +388,9 @@ def test_linesearch_optimality_property(case):
 
 
 def _plan(a, weights):
-    return projections._LinesearchPlan(a, weights, projections._nonzeros(a))
+    return projections._LinesearchPlan(
+        a, weights, projections._nonzeros(a), float(np.dot(a, a))
+    )
 
 
 @contextlib.contextmanager

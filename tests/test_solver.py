@@ -212,7 +212,7 @@ def test_inexact_rule_brackets_exact():
         cfg = SolverConfig(
             objective=obj,
             constraints=[Difficult(DenseMatrix(a), Point(b))],
-            step_rule=Inexact(c=2.0),
+            step_rule=Inexact(),
             max_iterations=1,
             x0_star=x_star,
         )
@@ -227,17 +227,6 @@ def test_inexact_rule_brackets_exact():
         t_ex = exact_linesearch(obj, x_star, d, beta, nonneg=True)
         assert t_dyn - 1e-12 <= t_in <= t_ex + 1e-12
         assert t_ex < 2.0 * t_in + 1e-12
-
-
-def test_inexact_validation():
-    with pytest.raises(ValueError):
-        Inexact(c=1.0)
-    with pytest.raises(ValueError):
-        Inexact(p_cap=-1)
-    with pytest.raises(ValueError):
-        Inexact(c=float("nan"))
-    with pytest.raises(ValueError):
-        Inexact(p_cap=float("nan"))
 
 
 def test_difficult_step_at_feasible_point_is_zero():
