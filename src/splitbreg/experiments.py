@@ -286,15 +286,22 @@ def _check_choice(key, value, choices):
         raise ValueError(f"{key} {value!r} is not one of {', '.join(choices)}")
 
 
+def _is_number(value):
+    """Whether ``value`` is a real number; a bool is not, nor is a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_positive(key, value):
-    """Raise a ValueError naming ``key`` unless ``value`` > 0 (NaN fails)."""
-    if not value > 0:
+    """Raise a ValueError naming ``key`` unless ``value`` is a number > 0 (NaN
+    fails)."""
+    if not (_is_number(value) and value > 0):
         raise ValueError(f"{key} must be positive, not {value!r}")
 
 
 def _check_nonnegative(key, value):
-    """Raise a ValueError naming ``key`` unless ``value`` is finite and >= 0."""
-    if not 0 <= value < math.inf:
+    """Raise a ValueError naming ``key`` unless ``value`` is a finite number
+    >= 0."""
+    if not (_is_number(value) and 0 <= value < math.inf):
         raise ValueError(f"{key} must be finite and nonnegative, not {value!r}")
 
 
@@ -585,13 +592,13 @@ def run_tomography(config):
     pass over the variant's constraint list.
 
     Writes trace.csv (per-pass data gap and coupling residual per variant),
-    summary.csv (final errors), timings.csv (ms per iteration) and PGM images.
+    summary.csv (final errors), timings.csv (ms per iteration) and PGM images,
+    and creates the output directory only once every variant's constraints
+    are built.
     """
     spec = config.tomo
     h, w = spec.height, spec.width
     hw = h * w
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     u_true = render_phantom(h, w)
     angles = np.arange(spec.n_angles) * (180.0 / spec.n_angles)
@@ -608,6 +615,11 @@ def run_tomography(config):
         [SquaredNorm(hw), GroupElasticNet(spec.lam, grad_op.pair_groups())]
     )
     ball = NormBall(noisy, delta, 2)
+    setups = {
+        v: _tomo_constraints(v, a_u, coupling_op, ball, hw, c_value, spec) for v in spec.variants
+    }
+    out = Path(config.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     results = {}
     traces = {}
@@ -615,7 +627,7 @@ def run_tomography(config):
     terminations = {}
     errors = {}
     for variant in spec.variants:
-        constraints, tols = _tomo_constraints(variant, a_u, coupling_op, ball, hw, c_value, spec)
+        constraints, tols = setups[variant]
         cfg = solver.SolverConfig(
             objective=objective,
             constraints=constraints,

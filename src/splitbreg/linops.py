@@ -175,7 +175,11 @@ class ZeroOperator(LinearOperator):
 
 class BlockRow(LinearOperator):
     """The block row [B_1 B_2 ...]: operators with one output length acting on
-    consecutive disjoint blocks of the input, their outputs added up."""
+    consecutive disjoint blocks of the input, their outputs added up.
+
+    ``zero_columns`` lists, as (start, stop) pairs, the column ranges of the
+    ``ZeroOperator`` blocks, adjacent ones merged: A^T w is +0.0 there for
+    every w, and a forward product never reads x there."""
 
     def __init__(self, ops):
         self.ops = list(ops)
@@ -186,16 +190,34 @@ class BlockRow(LinearOperator):
             raise ValueError("summed blocks must share their output length")
         self.col_offsets = np.cumsum([0] + [op.shape[1] for op in self.ops])
         self.shape = (m, int(self.col_offsets[-1]))
+        self._blocks = [
+            (op, int(a), int(b), isinstance(op, ZeroOperator))
+            for op, a, b in zip(self.ops, self.col_offsets[:-1], self.col_offsets[1:])
+        ]
+        zero = []
+        for _, a, b, is_zero in self._blocks:
+            if is_zero:
+                if zero and zero[-1][1] == a:
+                    zero[-1] = (zero[-1][0], b)
+                else:
+                    zero.append((a, b))
+        self.zero_columns = tuple(zero)
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
-        bounds = zip(self.col_offsets[:-1], self.col_offsets[1:])
-        outs = [op.apply(x[a:b]) for op, (a, b) in zip(self.ops, bounds)]
-        return sum(outs[1:], outs[0])
+        # a zero block adds the scalar 0.0 where it would add its zeros: the
+        # same sums bit for bit, -0.0 + 0.0 = +0.0 included
+        outs = [0.0 if z else op.apply(x[a:b]) for op, a, b, z in self._blocks]
+        total = sum(outs[1:], outs[0])
+        return total if isinstance(total, np.ndarray) else np.zeros(self.shape[0])
 
     def apply_adjoint(self, y):
         y = np.asarray(y, dtype=float)
-        return np.concatenate([op.apply_adjoint(y) for op in self.ops])
+        out = np.zeros(self.shape[1])  # what the zero blocks give
+        for op, a, b, z in self._blocks:
+            if not z:
+                out[a:b] = op.apply_adjoint(y)
+        return out
 
     def row(self, i):
         return np.concatenate([op.row(i) for op in self.ops])
@@ -208,6 +230,8 @@ class Grad2D(LinearOperator):
     and the along-height block second; both use a zero difference at the
     trailing column/row, so constant images map to zero and the adjoint is the
     matching negative divergence. The operator norm is below sqrt(8).
+    Both products work on the flat image, where a neighbour along the width
+    is 1 away and one along the height is w away, in contiguous passes.
     """
 
     def __init__(self, height, width):
@@ -217,30 +241,34 @@ class Grad2D(LinearOperator):
         self.shape = (2 * hw, hw)
 
     def apply(self, x):
-        h, w = self.height, self.width
-        u = np.asarray(x, dtype=float).reshape(h, w)
-        gx = np.zeros((h, w))
-        gy = np.zeros((h, w))
-        gx[:, :-1] = u[:, 1:] - u[:, :-1]
-        gy[:-1, :] = u[1:, :] - u[:-1, :]
-        return np.concatenate([gx.ravel(), gy.ravel()])
+        w, hw = self.width, self.height * self.width
+        x = np.asarray(x, dtype=float).ravel()
+        out = np.empty(2 * hw)
+        np.subtract(x[1:], x[:-1], out=out[: hw - 1])
+        out[w - 1 : hw : w] = 0.0  # the trailing column, and no wrap to the next row
+        np.subtract(x[w:], x[:-w], out=out[hw : 2 * hw - w])
+        out[2 * hw - w :] = 0.0  # the trailing row
+        return out
 
     def apply_adjoint(self, y):
-        h, w = self.height, self.width
-        hw = h * w
+        w, hw = self.width, self.height * self.width
         y = np.asarray(y, dtype=float)
-        p = y[:hw].reshape(h, w)
-        q = y[hw:].reshape(h, w)
-        out = np.zeros((h, w))
-        out[:, 1:] += p[:, :-1]
-        out[:, :-1] -= p[:, :-1]
-        out[1:, :] += q[:-1, :]
-        out[:-1, :] -= q[:-1, :]
-        return out.ravel()
+        p = y[:hw].copy()
+        p[w - 1 :: w] = 0.0  # the trailing column of p enters no sum
+        q = y[hw:]
+        out = np.zeros(hw)
+        # the sums of the 2-D form, in its order: a zero p_j adds 0.0 to
+        # 0.0 or subtracts it, which changes no bit
+        out[1:] += p[:-1]
+        out -= p
+        out[w:] += q[: hw - w]
+        out[: hw - w] -= q[: hw - w]
+        return out
 
     def pair_groups(self):
         """One row per pixel: the indices of its two difference components, in
-        the coordinates of this operator's output."""
+        the coordinates of this operator's output. Pixel j's group holds j and
+        h*w + j, the strided layout GroupElasticNet reads without a gather."""
         i = np.arange(self.height * self.width)
         return np.stack([i, i.size + i], axis=1)
 

@@ -9,6 +9,9 @@ Objectives are immutable after construction: what they precompute there (shrink
 weights, group labels) stays valid for their lifetime.
 """
 
+import functools
+import operator
+
 import numpy as np
 
 
@@ -163,9 +166,18 @@ class GroupElasticNet(Objective):
         self.labels = _partition_labels(groups)
         self.dimension = self.labels.size
         self.n_groups = int(self.labels.max()) + 1  # no group is empty
+        # the strided layout of Grad2D.pair_groups, labels[j] = j mod G: group
+        # g is column g of the (d/G, G) reshape
+        d, g = self.dimension, self.n_groups
+        self._strided = d % g == 0 and np.array_equal(self.labels, np.arange(d) % g)
 
     def _group_norms(self, v):
-        sq = np.bincount(self.labels, weights=v * v, minlength=self.n_groups)
+        vv = v * v
+        if self._strided:
+            # bincount's sums in bincount's order: v_g^2, then v_{G+g}^2, ...
+            sq = functools.reduce(operator.add, vv.reshape(-1, self.n_groups))
+        else:
+            sq = np.bincount(self.labels, weights=vv, minlength=self.n_groups)
         return np.sqrt(sq)
 
     def value(self, x):
@@ -178,6 +190,8 @@ class GroupElasticNet(Objective):
         scale = np.zeros(self.n_groups)
         nz = norms > 0.0
         scale[nz] = np.maximum(1.0 - self.lam / norms[nz], 0.0)
+        if self._strided:
+            return (x_star.reshape(-1, self.n_groups) * scale).ravel()
         return x_star * scale[self.labels]
 
 

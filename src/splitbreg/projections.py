@@ -45,11 +45,15 @@ class NoConvergence(RuntimeError):
 
 
 def _nonzeros(v):
-    """What indexes the nonzeros of v: ``slice(None)`` when v has no zeros, so
-    that gathers through it are views, else a read-only boolean mask."""
+    """What indexes the nonzeros of v: ``slice(None)`` when v has no zeros and
+    ``slice(a, b)`` when they are the one run v[a:b], so that gathers through
+    it are views, else a read-only boolean mask."""
     mask = v != 0.0
-    if np.count_nonzero(mask) == mask.size:
+    nz = np.flatnonzero(mask)
+    if nz.size == mask.size:
         return slice(None)
+    if nz.size and nz[-1] - nz[0] + 1 == nz.size:
+        return slice(int(nz[0]), int(nz[-1]) + 1)
     mask.flags.writeable = False
     return mask
 
@@ -133,14 +137,22 @@ class Box(RangeSet):
 class NonnegCone(RangeSet):
     """{y : y_j >= 0 for j in indices}; all coordinates when indices is None.
 
-    ``self.indices`` is what indexes the cone's coordinates: an int array, or
-    ``slice(None)`` for all of them. Negative indices are rejected: they would
-    count from the end of whatever vector the cone meets."""
+    ``self.indices`` is what indexes the cone's coordinates: ``slice(None)``
+    for all of them, ``slice(a, b)`` for indices a, a + 1, ..., b - 1 given in
+    that order (gathers through it are views), else an int array. Negative
+    indices are rejected: they would count from the end of whatever vector
+    the cone meets."""
 
     def __init__(self, indices=None):
-        self.indices = slice(None) if indices is None else np.asarray(indices, dtype=int)
-        if indices is not None and not np.all(self.indices >= 0):
+        if indices is None:
+            self.indices = slice(None)
+            return
+        idx = np.asarray(indices, dtype=int)
+        if not np.all(idx >= 0):
             raise ValueError("cone indices must be nonnegative")
+        if idx.ndim == 1 and idx.size and np.all(np.diff(idx) == 1):
+            idx = slice(int(idx[0]), int(idx[-1]) + 1)
+        self.indices = idx
 
     def project(self, y):
         y = np.array(y, dtype=float, copy=True)
@@ -152,7 +164,8 @@ class _LinearSet(RangeSet):
     """{y : <a, y> = beta}, or {y : <a, y> <= beta} when ``one_sided``: the one
     body of Hyperplane and Halfspace. The normal's length ``norm`` and the index
     ``support`` of its nonzeros are built here, once: ``slice(None)`` for a
-    normal without zeros, else a read-only boolean mask."""
+    normal without zeros, ``slice(a, b)`` when its nonzeros are one run, else
+    a read-only boolean mask."""
 
     one_sided = False
 
@@ -192,7 +205,8 @@ class Halfspace(_LinearSet):
 def data_fits(target, n):
     """Whether the data of a set fits vectors of length n: a normal or a point
     of length n, box bounds and a ball center of length n or 1 (which
-    broadcasts), cone indices below n. Sets of other types fit any length."""
+    broadcasts), cone indices below n (a slice's stop at most n). Sets of other
+    types fit any length."""
     if isinstance(target, _LinearSet):
         return target.normal.size == n
     if isinstance(target, Point):
@@ -202,7 +216,10 @@ def data_fits(target, n):
     if isinstance(target, Box):
         return {target.lower.size, target.upper.size} <= {1, n}
     if isinstance(target, NonnegCone):
-        return isinstance(target.indices, slice) or bool(np.all(target.indices < n))
+        idx = target.indices
+        if isinstance(idx, slice):
+            return idx.stop is None or idx.stop <= n
+        return bool(np.all(idx < n))
     return True
 
 
@@ -326,6 +343,10 @@ def _shrink_linesearch(plan, x_star, beta, nonneg, gp0=None, x=None):
     - fall back: only when the confirmation fails, sort all the kinks and
       bisect them with the from-scratch g'.
 
+    When no weight on the support is positive there is no kink: g' is one
+    line of slope ``plan.line_slope``, whose zero is taken in closed form
+    (the value the steps above give, bit for bit).
+
     The answer is that piece's zero clamped to the piece, i.e. the left endpoint
     on flat stretches, computed from scratch. All g' values are relative to
     g'(0), so callers that know g'(0) exactly (the solver knows it equals
@@ -344,8 +365,13 @@ def _shrink_linesearch(plan, x_star, beta, nonneg, gp0=None, x=None):
     if gp0 == 0.0 or (nonneg and gp0 >= 0.0):
         return 0.0
     sign = 1.0 if gp0 < 0.0 else -1.0
-    av = a if sign > 0.0 else -a
     gp0 = sign * float(gp0)
+    if plan.line_slope is not None:
+        # no kinks: the one piece below is all of t > 0, its slope is
+        # line_slope and its intercept change is +-0, so this is its answer
+        s = plan.line_slope
+        return sign * (max(-gp0 / s, 0.0) if s != 0.0 else 0.0)
+    av = a if sign > 0.0 else -a
 
     # u_j - t a_j crosses +w_j at t = lo_j / a_j and -w_j at t = hi_j / a_j;
     # coordinates with w_j = 0 keep their slope contribution for all t and
@@ -421,11 +447,13 @@ class _LinesearchPlan:
     nonzeros (as _nonzeros gives it), ``a`` and the weights ``w`` on it, the
     index ``kinked`` of the support coordinates with w_j > 0, the mask
     ``free`` of those with w_j = 0 (None when there are none), ``a_sq`` = a.a
-    (a set's ``norm_sq``, the same float) and whether the weights are
-    ``finite`` on the support. For a normal and weights without zeros it holds
+    (a set's ``norm_sq``, the same float), whether the weights are ``finite``
+    on the support, and ``line_slope``: when every weight on the support is
+    zero, g' has no kink and this is its one slope, a.a summed over the
+    support; None otherwise. For a normal whose nonzeros are one run it holds
     views only."""
 
-    __slots__ = ("supp", "a", "w", "kinked", "free", "a_sq", "finite")
+    __slots__ = ("supp", "a", "w", "kinked", "free", "a_sq", "finite", "line_slope")
 
     def __init__(self, a, weights, supp, a_sq):
         self.supp = supp
@@ -435,6 +463,7 @@ class _LinesearchPlan:
         self.free = free if free.any() else None
         self.a_sq = a_sq
         self.finite = _finite_weights(weights, supp)
+        self.line_slope = None if np.any(self.w) else float(np.dot(self.a, self.a))
 
 
 def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=None):

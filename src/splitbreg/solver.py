@@ -10,6 +10,7 @@ the limit solve the regularized problem and not just the feasibility problem.
 """
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import projections
 from .linops import LinearOperator, as_operator
-from .objectives import ElasticNet, SquaredNorm, pair_from_dual
+from .objectives import ElasticNet, PrimalDualPair, SquaredNorm, pair_from_dual
 
 
 class MissingLambda(ValueError):
@@ -159,6 +160,27 @@ class Difficult:
         return self._at(x)[3]
 
 
+def _live_parts(obj, op):
+    """The (slice, part) pairs of the parts of a product objective ``obj``
+    that the nonzero blocks of ``op`` act on, when every other part lies
+    wholly inside the columns of its zero blocks (``BlockRow.zero_columns``),
+    where A^T w is +0.0; None when no part is skipped that way. Both are read
+    through attributes, so wrappers that forward them count as what they
+    wrap."""
+    zero = getattr(op, "zero_columns", ())
+    slices = getattr(obj, "slices", None)  # a ProductObjective's blocks
+    if not zero or slices is None:
+        return None
+    live = []
+    for s, part in zip(slices, obj.parts):
+        inside = any(a <= s.start and s.stop <= b for a, b in zero)
+        if not inside and any(s.start < b and a < s.stop for a, b in zero):
+            return None  # across the edge of a zero block
+        if not inside:
+            live.append((s, part))
+    return live if len(live) < len(slices) else None
+
+
 @dataclass
 class SolverConfig:
     objective: object
@@ -202,7 +224,12 @@ class SolverResult:
 
 def _difficult_step(obj, pair, constraint, rule):
     """One separating-halfspace step. Returns (pair, step_size, w_norm); a point
-    whose residual is exactly zero gets a zero step."""
+    whose residual is exactly zero gets a zero step.
+
+    The new dual point is x* - t A^T w. Where ``_live_parts`` skips parts of
+    the objective, a finite t >= 0 leaves x* unchanged there bit for
+    bit (x*_j - t * (+0.0) = x*_j, -0.0 included), so only the live parts
+    are updated and their primal recomputed; the others keep x and x*."""
     op = constraint.op
     w, w_norm = constraint.residual(pair.x)
     try:
@@ -226,7 +253,14 @@ def _difficult_step(obj, pair, constraint, rule):
         t = _forward_track(obj, pair.x_star, d, beta, t_dynamic)
     else:
         raise TypeError(f"unknown step rule {rule!r}")
-    return pair_from_dual(obj, pair.x_star - t * d), t, w_norm
+    live = _live_parts(obj, op)
+    if live is None or not 0.0 <= t < math.inf:
+        return pair_from_dual(obj, pair.x_star - t * d), t, w_norm
+    x_star, x = pair.x_star.copy(), pair.x.copy()
+    for s, part in live:
+        x_star[s] = pair.x_star[s] - t * d[s]
+        x[s] = part.grad_conjugate(x_star[s])
+    return PrimalDualPair(x, x_star), t, w_norm
 
 
 def _forward_track(obj, x_star, d, beta, t0):

@@ -246,6 +246,19 @@ def _noise(**changes):
         ("tomo", {"tomo": {"variants": []}}, "tomo variants"),
         ("tomo", {"tomo": {"variants": ["plain", "plain"]}}, "tomo variants"),
         ("bench-stepsizes", {**_instance(), "rules": ["exact", "exact"]}, "rules"),
+        # numbers given as JSON strings or booleans, for every key that must
+        # be positive or finite and nonnegative
+        ("solve", {**_instance(), "tolerance": "1e-6"}, "tolerance"),
+        ("solve", {**_instance(), "tolerance": True}, "tolerance"),
+        ("tomo", {"tomo": {"data_tolerance": "1e-3"}}, "tomo data_tolerance"),
+        ("tomo", {"tomo": {"coupling_tolerance": "1e-2"}}, "tomo coupling_tolerance"),
+        ("noisy-recovery", _noise(kind="uniform", count=None, amplitude="1"), "noise amplitude"),
+        ("noisy-recovery", _noise(kind="gaussian", count=None, level="0.05"), "noise level"),
+        ("noisy-recovery", _noise(kind="gaussian", count=None, level=True), "noise level"),
+        ("noisy-recovery", {**_noise(), "lam": "1.0"}, "lam"),
+        ("tomo", {"tomo": {"noise_level": "0.05"}}, "tomo noise_level"),
+        ("tomo", {"tomo": {"lam": "0.7"}}, "tomo lam"),
+        ("tomo", {"tomo": {"lam": False}}, "tomo lam"),
     ],
 )
 def test_malformed_configs_fail_before_anything_runs(
@@ -266,4 +279,15 @@ def test_malformed_configs_fail_before_anything_runs(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert not called
+    assert not out.exists()
+
+
+def test_tomo_set_up_failure_writes_nothing(tmp_path, capsys):
+    # one ray per angle runs along the image's corner and hits no pixel: the
+    # projector fails to build before the output directory is created
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tomo": {"rays_per_angle": 1}}))
+    out = tmp_path / "run"
+    assert main(["tomo", "--config", str(path), "--out", str(out)]) == 1
+    assert "no ray intersects the image" in capsys.readouterr().err
     assert not out.exists()

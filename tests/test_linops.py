@@ -380,3 +380,59 @@ def test_projector_matches_pixel_clipping(height, width, seed):
             else:
                 np.testing.assert_allclose(row, clip, rtol=0.0, atol=1e-12)
     assert on_line > 0
+
+
+def test_block_row_zero_blocks_cost_nothing_and_change_no_bit():
+    # the reference is the plain sum and concatenation over every block; a
+    # negated identity turns +0.0 inputs into -0.0 outputs, which a zero
+    # block's +0.0 turns back into +0.0
+    rng = np.random.default_rng(4)
+    m = 5
+    dense = DenseMatrix(rng.standard_normal((m, 3)))
+    neg = ScaledIdentity(m, -1.0)
+    layouts = [
+        ([dense, ZeroOperator(m, 4)], ((3, 7),)),
+        ([ZeroOperator(m, 2), ZeroOperator(m, 1), neg], ((0, 3),)),
+        ([neg, ZeroOperator(m, 2), neg, ZeroOperator(m, 1)], ((5, 7), (12, 13))),
+        ([neg, neg], ()),
+        ([ZeroOperator(m, 3)], ((0, 3),)),
+    ]
+    for ops, zero_columns in layouts:
+        op = BlockRow(ops)
+        assert op.zero_columns == zero_columns
+        bounds = list(zip(op.col_offsets[:-1], op.col_offsets[1:]))
+        for _ in range(5):
+            x = rng.standard_normal(op.shape[1])
+            x[rng.random(x.size) < 0.5] = 0.0
+            y = rng.standard_normal(m)
+            y[rng.random(m) < 0.5] = -0.0
+            outs = [b.apply(x[lo:hi]) for b, (lo, hi) in zip(ops, bounds)]
+            assert op.apply(x).tobytes() == sum(outs[1:], outs[0]).tobytes()
+            adjoint = np.concatenate([b.apply_adjoint(y) for b in ops])
+            assert op.apply_adjoint(y).tobytes() == adjoint.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (3, 7), (6, 6)])
+def test_grad2d_matches_the_2d_formulas_bitwise(shape):
+    # the flat products against the differences of the 2-D image, signed
+    # zeros included
+    h, w = shape
+    rng = np.random.default_rng(5)
+    g = Grad2D(h, w)
+    for _ in range(10):
+        u = rng.standard_normal((h, w))
+        u[rng.random((h, w)) < 0.3] = 0.0
+        gx, gy = np.zeros((h, w)), np.zeros((h, w))
+        gx[:, :-1] = u[:, 1:] - u[:, :-1]
+        gy[:-1, :] = u[1:, :] - u[:-1, :]
+        expected = np.concatenate([gx.ravel(), gy.ravel()])
+        assert g.apply(u.ravel()).tobytes() == expected.tobytes()
+        y = rng.standard_normal(2 * h * w)
+        y[rng.random(y.size) < 0.3] = rng.choice([0.0, -0.0])
+        p, q = y[: h * w].reshape(h, w), y[h * w :].reshape(h, w)
+        out = np.zeros((h, w))
+        out[:, 1:] += p[:, :-1]
+        out[:, :-1] -= p[:, :-1]
+        out[1:, :] += q[:-1, :]
+        out[:-1, :] -= q[:-1, :]
+        assert g.apply_adjoint(y).tobytes() == out.ravel().tobytes()

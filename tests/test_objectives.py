@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitbreg.linops import Grad2D
 from splitbreg.objectives import (
@@ -296,3 +298,50 @@ def test_dimension_mismatch_raises():
         ElasticNet(1.0, 3).value(np.zeros(4))
     with pytest.raises(ValueError):
         SquaredNorm(3).grad_conjugate(np.zeros(2))
+
+
+def _bincount_group_elastic_net(f, v):
+    """(value, grad_conjugate) of a GroupElasticNet by its labels and bincount:
+    the formulas the strided layout replaces."""
+    norms = np.sqrt(np.bincount(f.labels, weights=v * v, minlength=f.n_groups))
+    scale = np.zeros(f.n_groups)
+    nz = norms > 0.0
+    scale[nz] = np.maximum(1.0 - f.lam / norms[nz], 0.0)
+    return float(f.lam * norms.sum() + 0.5 * np.dot(v, v)), v * scale[f.labels]
+
+
+@st.composite
+def _strided_cases(draw):
+    n_groups, size = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.standard_normal(n_groups * size) * 10.0 ** rng.uniform(-3, 3)
+    # signed zeros, and whole groups of them
+    v[rng.random(v.size) < 0.3] = draw(st.sampled_from([0.0, -0.0]))
+    zero_groups = draw(st.lists(st.integers(0, n_groups - 1), max_size=n_groups))
+    for g in zero_groups:
+        v[g::n_groups] = draw(st.sampled_from([0.0, -0.0]))
+    lam = draw(st.sampled_from([0.0]) | st.floats(0.0, 1e3))
+    return v, n_groups, size, lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_strided_cases())
+def test_strided_groups_match_the_bincount_path_bitwise(case):
+    # Grad2D.pair_groups' layout: group g holds g, G + g, 2G + g, ...
+    v, n_groups, size, lam = case
+    f = GroupElasticNet(lam, np.arange(n_groups * size).reshape(size, n_groups).T)
+    assert f._strided
+    value, grad = _bincount_group_elastic_net(f, v)
+    assert np.float64(f.value(v)).tobytes() == np.float64(value).tobytes()
+    assert f.grad_conjugate(v).tobytes() == grad.tobytes()
+
+
+def test_only_the_strided_layout_skips_bincount():
+    assert GroupElasticNet(1.0, Grad2D(3, 4).pair_groups())._strided
+    assert GroupElasticNet(1.0, [np.array([0, 2]), np.array([1, 3])])._strided
+    # consecutive pairs, a permuted layout and groups of unequal sizes
+    for groups in ([[0, 1], [2, 3]], [[1, 2], [0, 3]], [[0, 2, 4], [1, 3]]):
+        f = GroupElasticNet(0.5, [np.array(g) for g in groups])
+        assert not f._strided
+        v = np.linspace(-2.0, 2.0, f.dimension)
+        assert f.grad_conjugate(v).tobytes() == _bincount_group_elastic_net(f, v)[1].tobytes()

@@ -35,6 +35,7 @@ from splitbreg.projections import (
     ZeroNormal,
     bregman_project,
     bregman_projector,
+    data_fits,
     exact_linesearch,
     project_l1_ball,
     project_simplex,
@@ -932,3 +933,111 @@ def test_bregman_project_property(case):
         np.testing.assert_array_equal(out.x_star[-2:], pair.x_star[-2:])
     if not np.any(obj.shrink_weights()):
         np.testing.assert_array_equal(out.x, target.project(pair.x))
+
+
+# ---------------------------------------------------------------------------
+# kink-free linesearches and contiguous index sets
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _kink_free_cases(draw):
+    # a direction supported where the weights are zero: the squared-norm
+    # block of a product with an elastic net
+    n = draw(st.integers(1, 6))
+    ints = st.integers(-8, 8)
+    a = np.array(draw(st.lists(ints, min_size=n, max_size=n))) / 2.0
+    assume(np.any(a))
+    x_star = np.array(draw(st.lists(ints, min_size=n + 2, max_size=n + 2))) / 4.0
+    x_star[draw(st.integers(0, n + 1))] = draw(st.sampled_from([0.0, -0.0]))
+    beta = draw(st.floats(-10.0, 10.0))
+    return x_star, np.append(a, [0.0, 0.0]), beta, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_kink_free_cases())
+def test_kink_free_linesearch_is_the_kink_walk_in_closed_form(case):
+    x_star, a, beta, nonneg = case
+    obj = ProductObjective([SquaredNorm(a.size - 2), ElasticNet(1.0, 2)])
+    weights = obj.shrink_weights()
+    plan = _plan(a, weights)
+    assert plan.line_slope is not None
+    t = exact_linesearch(obj, x_star, a, beta, nonneg=nonneg, plan=plan)
+    # g' = 0 at t within rounding, unless a halfspace clamps t to 0
+    gp = beta - float(np.dot(a, obj.grad_conjugate(x_star - t * a)))
+    tol = 1e-12 * (1.0 + abs(beta) + np.abs(a) @ (np.abs(x_star) + np.abs(a) * abs(t)))
+    if nonneg:
+        assert t >= 0.0
+    if nonneg and t == 0.0:
+        assert gp >= -tol
+    else:
+        assert abs(gp) <= tol
+    # the kink walk on the same plan returns the same bits
+    walk = _plan(a, weights)
+    walk.line_slope = None
+    pair = pair_from_dual(obj, x_star)
+    for x in (None, pair.x):
+        t_walk = projections._shrink_linesearch(walk, x_star, beta, nonneg, x=x)
+        t_closed = projections._shrink_linesearch(plan, x_star, beta, nonneg, x=x)
+        assert np.float64(t_closed).tobytes() == np.float64(t_walk).tobytes()
+
+
+def test_weighted_supports_keep_the_kink_walk():
+    a = np.array([1.0, 2.0, 0.0])
+    assert _plan(a, np.array([0.0, 0.5, 0.0])).line_slope is None
+    assert _plan(a, np.array([0.0, np.nan, 0.0])).line_slope is None
+    assert _plan(a, np.array([0.0, 0.0, 3.0])).line_slope == 5.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]), min_size=1, max_size=12))
+def test_nonzeros_index_is_a_slice_for_one_run(values):
+    v = np.array(values)
+    idx = projections._nonzeros(v)
+    nz = np.flatnonzero(v)
+    if nz.size == v.size:
+        assert idx == slice(None)
+    elif nz.size and nz[-1] - nz[0] + 1 == nz.size:
+        assert idx == slice(int(nz[0]), int(nz[-1]) + 1)
+    else:
+        assert idx.dtype == bool and not idx.flags.writeable
+        np.testing.assert_array_equal(idx, v != 0.0)
+    mask = np.zeros(v.size, dtype=bool)
+    mask[idx] = True
+    np.testing.assert_array_equal(mask, v != 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 6),
+    st.integers(1, 6),
+    st.lists(st.sampled_from([0.0, -0.0, 1.5, -1.5, -3.0]), min_size=12, max_size=12),
+)
+def test_nonneg_cone_slices_act_like_their_index_arrays(start, length, values):
+    y = np.array(values)
+    run = np.arange(start, start + length)
+    cone = NonnegCone(run)
+    assert cone.indices == slice(start, start + length)
+    # the same indices in reverse order, one of them twice, stay an index array
+    reference = NonnegCone(np.append(run[::-1], start))
+    assert isinstance(reference.indices, np.ndarray)
+    assert cone.project(y).tobytes() == reference.project(y).tobytes()
+    assert cone.distance(y) == reference.distance(y)
+    obj = ElasticNet(0.5, y.size)
+    pair = pair_from_dual(obj, y)
+    via_slice = bregman_project(obj, pair, cone)
+    via_array = bregman_project(obj, pair, reference)
+    assert via_slice.x.tobytes() == via_array.x.tobytes()
+    assert via_slice.x_star.tobytes() == via_array.x_star.tobytes()
+
+
+def test_data_fits_bounds_a_slice_by_its_stop():
+    cone = NonnegCone(np.arange(2, 5))
+    assert cone.indices == slice(2, 5)
+    assert data_fits(cone, 5) and data_fits(cone, 9)
+    assert not data_fits(cone, 4)
+    assert data_fits(NonnegCone(), 1)
+    assert not data_fits(NonnegCone([4, 2]), 4)
+    plane = Hyperplane(np.array([0.0, 1.0, 2.0, 0.0]), 1.0)
+    assert plane.support == slice(1, 3)
+    assert data_fits(plane, 4) and not data_fits(plane, 3)

@@ -3,11 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitbreg.experiments import InstanceSpec, generate_instance
-from splitbreg.linops import DenseMatrix
+from splitbreg.linops import BlockRow, DenseMatrix, ZeroOperator
 from splitbreg.objectives import (
     ElasticNet,
+    GroupElasticNet,
+    ProductObjective,
     SquaredNorm,
     bregman_distance,
     pair_from_dual,
@@ -25,6 +29,7 @@ from splitbreg.projections import (
     ZeroDirection,
     exact_linesearch,
 )
+from splitbreg import solver
 from splitbreg.solver import (
     CSV_COLUMNS,
     AllZeroRows,
@@ -799,3 +804,80 @@ def test_history_csv_difficult_run(tmp_path):
         assert float(row[4]) == np.max(rec.violations)
     with pytest.raises(ValueError):  # one value per record
         history_to_csv(res, tmp_path / "short.csv", values[:-1])
+
+
+# ---------------------------------------------------------------------------
+# difficult steps that skip the zero blocks of a block row
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _zero_block_cases(draw):
+    # parts of 2-4 coordinates, each covered by a dense block or by one or
+    # two zero blocks; at least one of each kind
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["squared", "elastic", "group"]), min_size=2, max_size=4))
+    zero = draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
+    if all(zero) or not any(zero):
+        zero[0], zero[-1] = True, False
+    m = draw(st.integers(1, 4))
+    parts, blocks = [], []
+    for kind, is_zero in zip(kinds, zero):
+        n = 2 * draw(st.integers(1, 2))
+        if kind == "squared":
+            parts.append(SquaredNorm(n))
+        elif kind == "elastic":
+            parts.append(ElasticNet(draw(st.sampled_from([0.0, 0.5, 2.0])), n))
+        else:
+            lam = draw(st.sampled_from([0.0, 0.5]))
+            parts.append(GroupElasticNet(lam, np.arange(n).reshape(2, -1).T))
+        if not is_zero:
+            blocks.append(DenseMatrix(rng.standard_normal((m, n))))
+        elif draw(st.booleans()):  # adjacent zero blocks over one part
+            blocks += [ZeroOperator(m, 1), ZeroOperator(m, n - 1)]
+        else:
+            blocks.append(ZeroOperator(m, n))
+    obj = ProductObjective(parts)
+    x0_star = rng.standard_normal(obj.dimension) * 2.0
+    x0_star[rng.random(obj.dimension) < 0.3] = draw(st.sampled_from([0.0, -0.0]))
+    center = rng.standard_normal(m) * 3.0
+    target = draw(
+        st.sampled_from([Point(center), NormBall(center, 0.5, 2), NormBall(center, 1.0, 1)])
+    )
+    rule = draw(st.sampled_from([Constant(), Dynamic(), Exact(), Inexact()]))
+    return obj, BlockRow(blocks), target, rule, x0_star
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_zero_block_cases())
+def test_zero_block_steps_match_the_full_length_step_bitwise(case):
+    # the reference step updates every coordinate: x* - t A^T w with the full
+    # adjoint, and the primal of the whole objective
+    obj, op, target, rule, x0_star = case
+    constraint = Difficult(op, target)
+    cfg = SolverConfig(objective=obj, constraints=[constraint], step_rule=rule)
+    assert solver._live_parts(obj, op) is not None
+    pair = pair_from_dual(obj, x0_star)
+    for k in range(4):
+        w, _ = constraint.residual(pair.x)
+        d = op.apply_adjoint(w)
+        new_pair, record = step(cfg, pair, k)
+        t = record.step_size
+        reference = pair_from_dual(obj, pair.x_star - t * d)
+        assert new_pair.x_star.tobytes() == reference.x_star.tobytes()
+        assert new_pair.x.tobytes() == reference.x.tobytes()
+        pair = new_pair
+
+
+def test_live_parts_need_parts_inside_or_outside_the_zero_blocks():
+    m = 2
+    dense = DenseMatrix(np.ones((m, 3)))
+    op = BlockRow([dense, ZeroOperator(m, 3)])
+    inside = ProductObjective([SquaredNorm(3), ElasticNet(1.0, 3)])
+    assert solver._live_parts(inside, op) == [(slice(0, 3), inside.parts[0])]
+    # a part across the edge of the zero block, a plain objective, an
+    # operator without zero blocks
+    straddling = ProductObjective([SquaredNorm(2), ElasticNet(1.0, 4)])
+    assert solver._live_parts(straddling, op) is None
+    assert solver._live_parts(SquaredNorm(6), op) is None
+    assert solver._live_parts(inside, BlockRow([dense, dense])) is None
