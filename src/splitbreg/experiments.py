@@ -26,7 +26,7 @@ from .linops import (
 )
 from .objectives import ElasticNet, GroupElasticNet, ProductObjective, SquaredNorm
 from .projections import Hyperplane, NonnegCone, NormBall, Point
-from .solver import format_float, write_csv
+from .solver import _check_whole, format_float, write_csv
 
 
 class CertificationFailed(RuntimeError):
@@ -303,14 +303,6 @@ def _check_nonnegative(key, value):
     >= 0."""
     if not (_is_number(value) and 0 <= value < math.inf):
         raise ValueError(f"{key} must be finite and nonnegative, not {value!r}")
-
-
-def _check_whole(key, value, low=1):
-    """Raise a ValueError naming ``key`` unless ``value`` is an integer >= ``low``
-    (1 or 0). A bool fails, and so does a float, even a whole one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        sign = "positive" if low else "nonnegative"
-        raise ValueError(f"{key} must be {sign} and whole, not {value!r}")
 
 
 def _check_distinct(key, names):

@@ -527,7 +527,9 @@ def _project_halfspace(obj, pair, target, plan):
     Halfspace (identity on interior points, otherwise a step t >= 0), with the
     normal's linesearch ``plan``.
 
-    Where the weights are finite on the normal's support only those primal
+    The step x* - t a changes x* only on the normal's support; off it x* keeps
+    every bit, -0.0 included, which x* - t * 0.0 would turn into +0.0 for
+    t < 0. Where the weights are finite on the support only those primal
     coordinates are recomputed; the others keep their value."""
     a, beta = target.normal, target.offset
     if target.one_sided and float(np.dot(a, pair.x)) <= beta:
@@ -535,7 +537,8 @@ def _project_halfspace(obj, pair, target, plan):
     t = exact_linesearch(obj, pair.x_star, a, beta, nonneg=target.one_sided, x=pair.x, plan=plan)
     if t == 0.0:
         return pair
-    z_star = pair.x_star - t * a
+    z_star = pair.x_star.copy()
+    z_star[plan.supp] = pair.x_star[plan.supp] - t * plan.a
     if not plan.finite:
         return pair_from_dual(obj, z_star)
     z = pair.x.copy()

@@ -10,7 +10,9 @@ the limit solve the regularized problem and not just the feasibility problem.
 """
 
 import csv
+import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -40,6 +42,14 @@ class DimensionMismatch(ValueError):
     normal, bounds, a center, cone indices) does not fit the objective's
     coordinates (simple) or the operator's outputs (difficult); or x0_star or a
     residual tolerance array has the wrong length."""
+
+
+def _check_whole(key, value, low=1):
+    """Raise a ValueError naming ``key`` unless ``value`` is an integer >= ``low``
+    (1 or 0). A bool fails, and so does a float, even a whole one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        sign = "positive" if low else "nonnegative"
+        raise ValueError(f"{key} must be {sign} and whole, not {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +113,7 @@ class Custom:
             raise ValueError("order must be nonempty")
 
     def index(self, k, n):
-        i = self.order[k % len(self.order)]
-        if not 0 <= i < n:
-            raise ValueError(f"control index {i} out of range")
-        return i
+        return self.order[k % len(self.order)]  # run checks the order before step 0
 
 
 @dataclass
@@ -222,14 +229,19 @@ class SolverResult:
 # ---------------------------------------------------------------------------
 
 
-def _difficult_step(obj, pair, constraint, rule):
+def _simple_step(obj, target, pair):
+    """One Bregman projection onto a simple set. Returns (pair, NaN, NaN)."""
+    return projections.bregman_project(obj, pair, target), math.nan, math.nan
+
+
+def _difficult_step(obj, constraint, rule, live, pair):
     """One separating-halfspace step. Returns (pair, step_size, w_norm); a point
     whose residual is exactly zero gets a zero step.
 
-    The new dual point is x* - t A^T w. Where ``_live_parts`` skips parts of
-    the objective, a finite t >= 0 leaves x* unchanged there bit for
-    bit (x*_j - t * (+0.0) = x*_j, -0.0 included), so only the live parts
-    are updated and their primal recomputed; the others keep x and x*."""
+    The new dual point is x* - t A^T w. Where ``live`` (from ``_live_parts``)
+    skips parts of the objective, a finite t >= 0 leaves x* unchanged there
+    bit for bit (x*_j - t * (+0.0) = x*_j, -0.0 included), so only the live
+    parts are updated and their primal recomputed; the others keep x and x*."""
     op = constraint.op
     w, w_norm = constraint.residual(pair.x)
     try:
@@ -249,11 +261,8 @@ def _difficult_step(obj, pair, constraint, rule):
         t = projections.exact_linesearch(
             obj, pair.x_star, d, beta, nonneg=True, gp0=-(w_norm * w_norm), x=pair.x
         )
-    elif isinstance(rule, Inexact):
+    else:  # Inexact, the one rule left once run has checked it
         t = _forward_track(obj, pair.x_star, d, beta, t_dynamic)
-    else:
-        raise TypeError(f"unknown step rule {rule!r}")
-    live = _live_parts(obj, op)
     if live is None or not 0.0 <= t < math.inf:
         return pair_from_dual(obj, pair.x_star - t * d), t, w_norm
     x_star, x = pair.x_star.copy(), pair.x.copy()
@@ -279,24 +288,6 @@ def _forward_track(obj, x_star, d, beta, t0):
     return t
 
 
-def step(config, pair, k):
-    """Apply the k-th constraint step to a pair. Returns (pair, record); run
-    fills in the record's elapsed_ms."""
-    i = config.control.index(k, len(config.constraints))
-    constraint = config.constraints[i]
-    if isinstance(constraint, Simple):
-        new_pair = projections.bregman_project(config.objective, pair, constraint.target)
-        t_step, w_norm = float("nan"), float("nan")
-    else:
-        new_pair, t_step, w_norm = _difficult_step(
-            config.objective, pair, constraint, config.step_rule
-        )
-    record = IterationRecord(
-        k=k, constraint_index=i, step_size=t_step, w_norm=w_norm, elapsed_ms=float("nan")
-    )
-    return new_pair, record
-
-
 def run(config, callback=None):
     """Run the solver until every constraint violation is inside its tolerance
     (checked once per full pass over the constraint list) or the iteration cap.
@@ -307,13 +298,20 @@ def run(config, callback=None):
     A difficult constraint computes A x and its residual once per iterate:
     the pass-boundary violation and the next step at the same pair share them,
     and a callback can read the product through ``Difficult.product(pair.x)``.
-    Callbacks must therefore not modify the arrays of ``pair`` in place. Each simple constraint builds
-    its Bregman projector once, before step 0.
+    Callbacks must therefore not modify the arrays of ``pair`` in place.
+
+    Before step 0, run checks its input and sets up each constraint's step
+    once: a simple constraint builds its Bregman projector, a difficult one
+    takes the objective parts its operator reaches (``_live_parts``). A wrong
+    width or length, an unknown step rule, a ``max_iterations`` that is not a
+    whole number >= 0 and a ``Custom`` order naming a missing constraint all
+    raise then. run is the only stepping path.
     """
     obj = config.objective
     constraints = config.constraints
     if not constraints:
         raise ValueError("need at least one constraint")
+    steps = []  # constraint i's step, pair -> (pair, step_size, w_norm)
     for i, c in enumerate(constraints):  # every set-up error before step 0
         simple = isinstance(c, Simple)
         if not simple and c.op.shape[1] != obj.dimension:
@@ -326,8 +324,12 @@ def run(config, callback=None):
         if simple:
             # raises TypeError or BoxWithoutZero; the set keeps what it builds
             projections.bregman_projector(obj, c.target)
+            steps.append(functools.partial(_simple_step, obj, c.target))
         elif not isinstance(config.step_rule, tuple(STEP_RULES.values())):
             raise TypeError(f"unknown step rule {config.step_rule!r}")
+        else:
+            live = _live_parts(obj, c.op)
+            steps.append(functools.partial(_difficult_step, obj, c, config.step_rule, live))
     n = len(constraints)
     tols = np.asarray(config.residual_tolerance, dtype=float)
     if tols.shape not in ((), (1,), (n,)):
@@ -335,6 +337,11 @@ def run(config, callback=None):
     tols = np.broadcast_to(tols, (n,))
     if not np.all(tols > 0.0):
         raise ValueError("residual tolerances must be positive")
+    _check_whole("max_iterations", config.max_iterations, low=0)
+    if isinstance(config.control, Custom):
+        for i in config.control.order:
+            if not 0 <= i < n:
+                raise ValueError(f"control index {i} out of range")
 
     x0_star = (
         np.zeros(obj.dimension) if config.x0_star is None else np.asarray(config.x0_star, float)
@@ -348,8 +355,9 @@ def run(config, callback=None):
     termination = "max_iterations"
     start = time.perf_counter()
     for k in range(config.max_iterations):
-        pair, record = step(config, pair, k)
-        record.elapsed_ms = (time.perf_counter() - start) * 1e3
+        i = config.control.index(k, n)
+        pair, t, w_norm = steps[i](pair)
+        record = IterationRecord(k, i, t, w_norm, (time.perf_counter() - start) * 1e3)
         boundary = (k + 1) % n == 0 or k == config.max_iterations - 1
         if boundary:
             record.violations = np.array([c.violation(pair.x) for c in constraints])

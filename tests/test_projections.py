@@ -684,6 +684,20 @@ def test_bregman_hyperplane_squared_norm_is_orthogonal():
     np.testing.assert_allclose(out.x, [2.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "normal, beta", [([1.0, 1.0, 0.0, 0.0], 5.0), ([1.0, 1.0, -0.0, 0.0], -5.0)], ids=["t<0", "t>0"]
+)
+def test_bregman_hyperplane_keeps_x_star_off_the_support(normal, beta):
+    # x* - t * (+-0.0) would turn the -0.0 at coordinate 2 into +0.0 while x
+    # keeps -0.0 there, and the pair would stop being x = grad f*(x*)
+    obj = ProductObjective([SquaredNorm(2), GroupElasticNet(0.5, [[0, 1]])])
+    pair = pair_from_dual(obj, np.array([1.0, 1.0, -0.0, 0.3]))
+    out = bregman_project(obj, pair, Hyperplane(np.array(normal), beta))
+    assert np.dot(normal, out.x) == pytest.approx(beta)
+    assert out.x_star[2:].tobytes() == pair.x_star[2:].tobytes()
+    assert out.x.tobytes() == obj.grad_conjugate(out.x_star).tobytes()
+
+
 def test_bregman_hyperplane_minimality():
     rng = np.random.default_rng(18)
     for _ in range(50):

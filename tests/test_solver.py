@@ -49,7 +49,6 @@ from splitbreg.solver import (
     history_to_csv,
     preset,
     run,
-    step,
 )
 
 
@@ -60,6 +59,12 @@ def _equality_config(a, b, objective, rule, **kwargs):
         step_rule=rule,
         **kwargs,
     )
+
+
+def _difficult_step(cfg, pair):
+    """The step that run takes on the one difficult constraint of ``cfg``."""
+    obj, (c,) = cfg.objective, cfg.constraints
+    return solver._difficult_step(obj, c, cfg.step_rule, solver._live_parts(obj, c.op), pair)
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +243,17 @@ def test_difficult_step_at_feasible_point_is_zero():
     # only an exactly zero residual counts as feasible
     pair = pair_from_dual(SquaredNorm(2), np.array([1.0, 0.0]))
     cfg = _equality_config(np.array([[1.0, 0.0]]), np.array([1.0]), SquaredNorm(2), Exact())
-    new_pair, record = step(cfg, pair, 0)
+    new_pair, t, w_norm = _difficult_step(cfg, pair)
     assert new_pair is pair
-    assert record.step_size == 0.0
-    assert record.w_norm == 0.0
+    assert t == 0.0
+    assert w_norm == 0.0
     # a residual of 2**-52 still gets a real step
     cfg = _equality_config(
         np.array([[1.0, 0.0]]), np.array([1.0 + 2.0**-52]), SquaredNorm(2), Exact()
     )
-    new_pair, record = step(cfg, pair, 0)
-    assert record.step_size > 0.0
-    assert record.w_norm == 2.0**-52
+    new_pair, t, w_norm = _difficult_step(cfg, pair)
+    assert t > 0.0
+    assert w_norm == 2.0**-52
     assert new_pair.x[0] == 1.0 + 2.0**-52
 
 
@@ -368,6 +373,24 @@ def test_nan_tolerance_rejected_before_first_step(tol):
     with pytest.raises(ValueError, match="tolerances must be positive"):
         run(cfg, callback=lambda pair, record: seen.append(record.k))
     assert seen == []
+
+
+def test_custom_order_naming_a_missing_constraint_rejected_before_first_step():
+    cfg = preset("kaczmarz", [[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0], control=Custom([0, 5]))
+    seen = []
+    with pytest.raises(ValueError, match="control index 5 out of range"):
+        run(cfg, callback=lambda pair, record: seen.append(record.k))
+    assert seen == []
+
+
+@pytest.mark.parametrize("cap", [2.5, 3.0, True, -5, "10", None])
+def test_malformed_max_iterations_rejected_before_first_step(cap):
+    cfg = preset("landweber", np.eye(2), np.ones(2), max_iterations=cap)
+    seen = []
+    with pytest.raises(ValueError, match="max_iterations"):
+        run(cfg, callback=lambda pair, record: seen.append(record.k))
+    assert seen == []
+    assert run(replace(cfg, max_iterations=np.int64(1))).iterations == 1  # numpy integers pass
 
 
 def test_unknown_rule_rejected_before_first_step():
@@ -858,11 +881,10 @@ def test_zero_block_steps_match_the_full_length_step_bitwise(case):
     cfg = SolverConfig(objective=obj, constraints=[constraint], step_rule=rule)
     assert solver._live_parts(obj, op) is not None
     pair = pair_from_dual(obj, x0_star)
-    for k in range(4):
+    for _ in range(4):
         w, _ = constraint.residual(pair.x)
         d = op.apply_adjoint(w)
-        new_pair, record = step(cfg, pair, k)
-        t = record.step_size
+        new_pair, t, _ = _difficult_step(cfg, pair)
         reference = pair_from_dual(obj, pair.x_star - t * d)
         assert new_pair.x_star.tobytes() == reference.x_star.tobytes()
         assert new_pair.x.tobytes() == reference.x.tobytes()
@@ -881,3 +903,32 @@ def test_live_parts_need_parts_inside_or_outside_the_zero_blocks():
     assert solver._live_parts(straddling, op) is None
     assert solver._live_parts(SquaredNorm(6), op) is None
     assert solver._live_parts(inside, BlockRow([dense, dense])) is None
+
+
+class _CountingBlockRow(BlockRow):
+    """A BlockRow that counts the reads of its ``zero_columns``."""
+
+    reads = 0
+
+    @property
+    def zero_columns(self):
+        self.reads += 1
+        return self._zero_columns
+
+    @zero_columns.setter
+    def zero_columns(self, value):
+        self._zero_columns = value
+
+
+def test_live_parts_are_taken_once_per_run():
+    op = _CountingBlockRow([DenseMatrix(np.ones((2, 3))), ZeroOperator(2, 3)])
+    obj = ProductObjective([SquaredNorm(3), ElasticNet(1.0, 3)])
+    cfg = SolverConfig(
+        objective=obj,
+        constraints=[Difficult(op, Point(np.array([1.0, 2.0]))), Simple(NonnegCone())],
+        step_rule=Dynamic(),
+        max_iterations=6,
+    )
+    res = run(cfg)
+    assert res.iterations == 6
+    assert op.reads == 1
