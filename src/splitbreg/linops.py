@@ -10,7 +10,6 @@ projector are assembled here.
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class LinearOperator:
@@ -120,6 +119,8 @@ class SparseOperator(LinearOperator):
     """Operator backed by a scipy CSR matrix."""
 
     def __init__(self, mat):
+        import scipy.sparse as sp  # deferred: dense-only runs never load it
+
         self.mat = sp.csr_matrix(mat)
         self._mat_t = self.mat.T  # a CSC view over the same arrays, built once
         self.shape = self.mat.shape
@@ -368,6 +369,8 @@ def build_parallel_projector(height, width, angles_deg, rays_per_angle=None, off
     if sum(rays) == 0:
         raise ValueError("no ray intersects the image")
     nseg = np.concatenate(counts)
+    import scipy.sparse as sp  # deferred, as in SparseOperator
+
     mat = sp.coo_matrix(
         (np.concatenate(vals), (np.repeat(np.arange(nseg.size), nseg), np.concatenate(cols))),
         shape=(nseg.size, height * width),

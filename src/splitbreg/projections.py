@@ -12,7 +12,6 @@ import bisect
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .objectives import PrimalDualPair, pair_from_dual, soft_shrink
 
@@ -233,6 +232,7 @@ def project_simplex(y, total=1.0):
 
     Sort-and-threshold: the largest k with u_k - (cumsum_k - total)/k > 0 fixes
     the active support, and the common shift follows from the sum constraint.
+    Raises NonFiniteData when y holds a NaN or an infinity or its sum overflows.
     """
     if not total >= 0:
         raise ValueError("total must be nonnegative")
@@ -241,6 +241,8 @@ def project_simplex(y, total=1.0):
         return np.zeros_like(y)
     u = np.sort(y)[::-1]
     css = np.cumsum(u) - total
+    if not math.isfinite(css[-1]):
+        raise NonFiniteData(f"simplex projection input sums to {css[-1] + total}")
     ks = np.arange(1, y.size + 1)
     k = ks[u - css / ks > 0][-1]
     theta = css[k - 1] / k
@@ -251,13 +253,17 @@ def project_l1_ball(y, radius):
     """Euclidean projection onto {z : ||z||_1 <= radius}.
 
     Interior points are returned unchanged; otherwise project |y| onto the
-    simplex of size ``radius`` and restore the signs.
+    simplex of size ``radius`` and restore the signs. Raises NonFiniteData
+    when y holds a NaN or an infinity or the sum of |y| overflows.
     """
     if not radius >= 0:
         raise ValueError("radius must be nonnegative")
     y = np.asarray(y, dtype=float)
     a = np.abs(y)
-    if a.sum() <= radius:
+    total = a.sum()
+    if not math.isfinite(total):
+        raise NonFiniteData(f"l1-ball projection input has sum of |y| = {total}")
+    if total <= radius:
         return y.copy()
     return np.sign(y) * project_simplex(a, radius)
 
@@ -515,6 +521,8 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
         lo, hi = hi, 2.0 * hi
     else:
         raise NoConvergence("linesearch bracket expansion failed")
+    from scipy.optimize import brentq  # deferred: only this fallback needs a root finder
+
     return float(brentq(gp, *sorted((sign * lo + 0.0, sign * hi)), maxiter=200))
 
 

@@ -94,14 +94,26 @@ class Cyclic:
         return k % n
 
 
+_BLOCK = 1024
+
+
 class RandomUniform:
-    """Independent uniform draws, reproducible from the seed alone."""
+    """Independent uniform draws, reproducible from the seed alone: step k
+    reads entry k % _BLOCK of block k // _BLOCK, drawn by a generator seeded
+    with (seed, k // _BLOCK). The current block is kept, so each index is a
+    pure function of (seed, k, n) whatever order the steps are asked in."""
 
     def __init__(self, seed):
         self.seed = int(seed)
+        self._block = (None, None, None)  # (block number, n, its draws)
 
     def index(self, k, n):
-        return int(np.random.default_rng((self.seed, k)).integers(n))
+        b, i = divmod(k, _BLOCK)
+        block = self._block  # read once: another caller may swap it meanwhile
+        if block[:2] != (b, n):
+            block = (b, n, np.random.default_rng((self.seed, b)).integers(n, size=_BLOCK))
+            self._block = block
+        return int(block[2][i])
 
 
 class Custom:

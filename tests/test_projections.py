@@ -95,6 +95,16 @@ def test_l1_ball_matches_oracle():
         np.testing.assert_allclose(z, l1_ball_oracle(y, radius), atol=1e-8)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_l1_ball_and_simplex_name_non_finite_input(bad):
+    with pytest.raises(NonFiniteData):
+        NormBall(np.zeros(2), 1.0, 1).project(np.array([bad, 1.0]))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteData):
+        project_l1_ball(np.array([1e308, 1e308]), 1.0)  # |y| sums to inf
+    with pytest.raises(NonFiniteData):
+        project_simplex(np.array([bad, 1.0]), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # target sets
 # ---------------------------------------------------------------------------

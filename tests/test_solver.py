@@ -87,6 +87,18 @@ def test_random_uniform_control_deterministic():
     assert len(set(seq1)) > 1
 
 
+def test_random_uniform_indices_do_not_depend_on_call_order():
+    ks = list(range(1000, 1100)) + list(range(2040, 2060))  # across two block edges
+    c = RandomUniform(seed=7)
+    in_order = [c.index(k, 9) for k in ks]
+    assert [RandomUniform(seed=7).index(k, 9) for k in ks] == in_order  # fresh each call
+    c = RandomUniform(seed=7)
+    assert [c.index(k, 9) for k in reversed(ks)] == in_order[::-1]
+    shuffled = np.random.default_rng(1).permutation(len(ks))
+    assert [c.index(ks[j], 9) for j in shuffled] == [in_order[j] for j in shuffled]
+    assert c.index(5, 3) == RandomUniform(seed=7).index(5, 3)  # n is part of the key
+
+
 def test_custom_control_cycles():
     c = Custom([2, 0, 1])
     assert [c.index(k, 3) for k in range(6)] == [2, 0, 1, 2, 0, 1]
@@ -663,6 +675,13 @@ def test_infinite_matrix_entry_row_is_rejected():
     a[0, 0] = np.inf
     with pytest.raises(NonFiniteData, match="hyperplane"):
         preset("sparse_kaczmarz", a, b, lam=1.0)
+
+
+def test_non_finite_l1_ball_target_is_named():
+    c = Difficult(DenseMatrix(np.eye(2)), NormBall(np.array([np.inf, 0.0]), 1.0, 1))
+    cfg = SolverConfig(ElasticNet(1.0, 2), [c], step_rule=Dynamic(), max_iterations=5)
+    with pytest.raises(NonFiniteData, match="l1-ball"):
+        run(cfg)
 
 
 def test_operator_and_objective_dimensions_must_agree():
