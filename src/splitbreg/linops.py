@@ -317,9 +317,14 @@ def build_parallel_projector(height, width, angles_deg, rays_per_angle=None, off
     to position rays explicitly. Rays that miss the image are dropped, and the
     returned operator records which angle produced each kept row. Entries are
     exact intersection lengths with the pixels (Siddon's merge of a ray's
-    grid-line crossings), computed for all rays of one angle together.
+    grid-line crossings), computed for all rays of one angle together. An
+    empty grid, or a NaN or infinite angle or offset, raises ``ValueError``;
+    the recorded ray spacing is the median gap between the sorted offsets.
     """
     height, width = int(height), int(width)
+    if height < 1 or width < 1:
+        # a ray through an empty grid would index columns outside the matrix
+        raise ValueError(f"height and width must be at least 1, got {height} x {width}")
     angles_deg = np.asarray(angles_deg, dtype=float)
     if offsets is None:
         if rays_per_angle is None or rays_per_angle < 1:
@@ -328,8 +333,15 @@ def build_parallel_projector(height, width, angles_deg, rays_per_angle=None, off
         offsets = np.linspace(-diag / 2.0, diag / 2.0, int(rays_per_angle))
     else:
         offsets = np.asarray(offsets, dtype=float)
-    spacing = float(np.median(np.diff(offsets))) if offsets.size > 1 else 1.0
+    for name, values in (("angles_deg", angles_deg), ("offsets", offsets)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite")
+    spacing = float(np.median(np.diff(np.sort(offsets)))) if offsets.size > 1 else 1.0
     cx, cy = width / 2.0, height / 2.0
+    ncols = height * width
+    # the index dtype scipy gives a CSR matrix: int32 while every index fits
+    int32_max = np.iinfo(np.int32).max
+    col_dtype = np.int32 if ncols <= int32_max else np.int64
 
     counts, cols, vals = [], [], []
     for ang in angles_deg:
@@ -363,17 +375,24 @@ def build_parallel_projector(height, width, angles_deg, rays_per_angle=None, off
         keep = seg > 1e-12
         nseg = np.count_nonzero(keep, axis=1)
         counts.append(nseg[nseg > 0])  # a ray without a segment is dropped
-        cols.append(iy[keep] * width + ix[keep])
+        cols.append((iy[keep] * width + ix[keep]).astype(col_dtype))
         vals.append(seg[keep])
     rays = [c.size for c in counts]
     if sum(rays) == 0:
         raise ValueError("no ray intersects the image")
+    # CSR straight from the rays, in the index dtype and the canonical form
+    # (columns sorted and duplicates summed, by scipy's own routine) that a
+    # COO assembly converted with tocsr gives
     nseg = np.concatenate(counts)
     import scipy.sparse as sp  # deferred, as in SparseOperator
 
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.repeat(np.arange(nseg.size), nseg), np.concatenate(cols))),
-        shape=(nseg.size, height * width),
+    idx_dtype = np.int32 if max(int(nseg.sum()), ncols) <= int32_max else np.int64
+    indptr = np.zeros(nseg.size + 1, dtype=idx_dtype)
+    np.cumsum(nseg, out=indptr[1:])
+    mat = sp.csr_matrix(
+        (np.concatenate(vals), np.concatenate(cols, dtype=idx_dtype), indptr),
+        shape=(nseg.size, ncols),
     )
+    mat.sum_duplicates()
     row_angle = np.repeat(np.arange(angles_deg.size), rays)
     return ParallelProjector(mat, row_angle, angles_deg, spacing)

@@ -211,7 +211,7 @@ class SolverConfig:
     x0_star: np.ndarray = None
 
 
-@dataclass
+@dataclass(slots=True)  # no per-record __dict__: a run keeps one record per step
 class IterationRecord:
     k: int
     constraint_index: int

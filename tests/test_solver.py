@@ -848,6 +848,21 @@ def test_history_csv_difficult_run(tmp_path):
         history_to_csv(res, tmp_path / "short.csv", values[:-1])
 
 
+def test_iteration_records_are_slotted():
+    # a run keeps one record per step, so a record has no __dict__; run still
+    # sets the violations of a pass boundary after building its record
+    cfg = preset("kaczmarz", np.eye(3), np.ones(3), max_iterations=5, residual_tolerance=1e-18)
+    res = run(cfg)
+    rec = res.records[0]
+    assert not hasattr(rec, "__dict__")
+    assert rec.violations is None
+    assert res.records[2].violations.shape == (3,)  # the end of the first pass
+    rec.violations = np.zeros(3)
+    assert rec.violations.tolist() == [0.0, 0.0, 0.0]
+    with pytest.raises(AttributeError):
+        rec.note = "no such field"
+
+
 # ---------------------------------------------------------------------------
 # difficult steps that skip the zero blocks of a block row
 # ---------------------------------------------------------------------------
