@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import comparator, solver
+from ._checks import _check_whole
 from .linops import (
     BlockRow,
     DenseMatrix,
@@ -26,7 +27,7 @@ from .linops import (
 )
 from .objectives import ElasticNet, GroupElasticNet, ProductObjective, SquaredNorm
 from .projections import Hyperplane, NonnegCone, NormBall, Point
-from .solver import _check_whole, format_float, write_csv
+from .solver import format_float, write_csv
 
 
 class CertificationFailed(RuntimeError):
@@ -51,8 +52,20 @@ class ZeroData(ValueError):
 # ---------------------------------------------------------------------------
 
 
-_MATRIX_KINDS = ("gaussian", "bernoulli", "partial_dct")
-_AMPLITUDES = ("gaussian", "pm_one", "dynamic_range")
+# name -> draw(rng, m, n), the sensing matrix
+_MATRIX_KINDS = {
+    "gaussian": lambda rng, m, n: DenseMatrix(rng.standard_normal((m, n))),
+    "bernoulli": lambda rng, m, n: DenseMatrix(rng.choice([-1.0, 1.0], size=(m, n))),
+    "partial_dct": lambda rng, m, n: PartialDCT(n, rng.choice(n, size=m, replace=False)),
+}
+# name -> draw(rng, s), the planted amplitudes; dynamic_range draws the signs first
+_AMPLITUDES = {
+    "gaussian": lambda rng, s: rng.standard_normal(s),
+    "pm_one": lambda rng, s: rng.choice([-1.0, 1.0], size=s),
+    "dynamic_range": lambda rng, s: (
+        rng.choice([-1.0, 1.0], size=s) * 10.0 ** rng.uniform(0.0, 5.0, size=s)
+    ),
+}
 
 
 @dataclass
@@ -94,28 +107,12 @@ def generate_instance(spec):
     """
     rng = np.random.default_rng(spec.seed)
     m, n = int(spec.m), int(spec.n)
-    if spec.kind == "gaussian":
-        op = DenseMatrix(rng.standard_normal((m, n)))
-    elif spec.kind == "bernoulli":
-        op = DenseMatrix(rng.choice([-1.0, 1.0], size=(m, n)))
-    elif spec.kind == "partial_dct":
-        rows = rng.choice(n, size=m, replace=False)
-        op = PartialDCT(n, rows)
-    else:
-        raise ValueError(f"unknown matrix kind {spec.kind!r}")
+    op = _MATRIX_KINDS[spec.kind](rng, m, n)
     x = np.zeros(n)
     s = int(spec.sparsity)
     if s > 0:
         support = rng.choice(n, size=s, replace=False)
-        if spec.amplitude == "gaussian":
-            amps = rng.standard_normal(s)
-        elif spec.amplitude == "pm_one":
-            amps = rng.choice([-1.0, 1.0], size=s)
-        elif spec.amplitude == "dynamic_range":
-            amps = rng.choice([-1.0, 1.0], size=s) * 10.0 ** rng.uniform(0.0, 5.0, size=s)
-        else:
-            raise ValueError(f"unknown amplitude kind {spec.amplitude!r}")
-        x[support] = amps
+        x[support] = _AMPLITUDES[spec.amplitude](rng, s)
     return Instance(op=op, x_true=x, b=op.apply(x), spec=spec)
 
 

@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 
+from ._checks import _check_whole
+
 
 class LinearOperator:
     """A linear map with an explicit adjoint. Subclasses set ``shape = (m, n)``."""
@@ -318,8 +320,10 @@ def build_parallel_projector(height, width, angles_deg, rays_per_angle=None, off
     returned operator records which angle produced each kept row. Entries are
     exact intersection lengths with the pixels (Siddon's merge of a ray's
     grid-line crossings), computed for all rays of one angle together. An
-    empty grid, or a NaN or infinite angle or offset, raises ``ValueError``;
-    the recorded ray spacing is the median gap between the sorted offsets.
+    empty grid, angles or offsets that are not 1-d and finite, and a
+    ``rays_per_angle`` that is not a whole number >= 1 raise a named
+    ``ValueError``; the recorded ray spacing is the median gap between the
+    sorted offsets.
     """
     height, width = int(height), int(width)
     if height < 1 or width < 1:
@@ -327,13 +331,16 @@ def build_parallel_projector(height, width, angles_deg, rays_per_angle=None, off
         raise ValueError(f"height and width must be at least 1, got {height} x {width}")
     angles_deg = np.asarray(angles_deg, dtype=float)
     if offsets is None:
-        if rays_per_angle is None or rays_per_angle < 1:
+        if rays_per_angle is None:
             raise ValueError("need rays_per_angle when offsets are not given")
+        _check_whole("rays_per_angle", rays_per_angle)
         diag = float(np.hypot(height, width))
-        offsets = np.linspace(-diag / 2.0, diag / 2.0, int(rays_per_angle))
+        offsets = np.linspace(-diag / 2.0, diag / 2.0, rays_per_angle)
     else:
         offsets = np.asarray(offsets, dtype=float)
     for name, values in (("angles_deg", angles_deg), ("offsets", offsets)):
+        if values.ndim != 1:
+            raise ValueError(f"{name} must be one-dimensional, not of shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{name} must be finite")
     spacing = float(np.median(np.diff(np.sort(offsets)))) if offsets.size > 1 else 1.0

@@ -14,6 +14,8 @@ import operator
 
 import numpy as np
 
+from ._checks import _nonnegative
+
 
 class InvalidSubgradient(ValueError):
     """The supplied dual vector is not a subgradient at the supplied point."""
@@ -48,6 +50,7 @@ class Objective:
 
     alpha = 1.0
     dimension = 0
+    _weights = None  # an objective with shrink weights builds them once
 
     def value(self, x):
         raise NotImplementedError
@@ -69,7 +72,9 @@ class Objective:
         f = ||x||^2 / 2, whose Bregman projections are the orthogonal ones.
         Objectives with such weights build them once, at construction, and
         return that same read-only array on every call."""
-        return np.full(self.dimension, np.nan)
+        if self._weights is None:
+            return np.full(self.dimension, np.nan)
+        return self._weights
 
 
 class SquaredNorm(Objective):
@@ -91,9 +96,6 @@ class SquaredNorm(Objective):
     def grad_conjugate(self, x_star):
         return _check_dim(x_star, self.dimension, "x_star").copy()
 
-    def shrink_weights(self):
-        return self._weights
-
 
 class ElasticNet(Objective):
     """f(x) = lam * ||x||_1 + ||x||_2^2 / 2 with lam >= 0.
@@ -102,9 +104,7 @@ class ElasticNet(Objective):
     """
 
     def __init__(self, lam, dimension):
-        if not lam >= 0:
-            raise ValueError("lam must be nonnegative")
-        self.lam = float(lam)
+        self.lam = _nonnegative("lam", lam)
         self.dimension = int(dimension)
         self._weights = np.full(self.dimension, self.lam)
         self._weights.flags.writeable = False
@@ -121,9 +121,6 @@ class ElasticNet(Objective):
     def grad_conjugate(self, x_star):
         x_star = _check_dim(x_star, self.dimension, "x_star")
         return soft_shrink(x_star, self.lam)
-
-    def shrink_weights(self):
-        return self._weights
 
 
 def _partition_labels(groups):
@@ -160,9 +157,7 @@ class GroupElasticNet(Objective):
     """
 
     def __init__(self, lam, groups):
-        if not lam >= 0:
-            raise ValueError("lam must be nonnegative")
-        self.lam = float(lam)
+        self.lam = _nonnegative("lam", lam)
         self.labels = _partition_labels(groups)
         self.dimension = self.labels.size
         self.n_groups = int(self.labels.max()) + 1  # no group is empty
@@ -204,9 +199,7 @@ class GroupedMax(Objective):
     """
 
     def __init__(self, lam, groups):
-        if not lam >= 0:
-            raise ValueError("lam must be nonnegative")
-        self.lam = float(lam)
+        self.lam = _nonnegative("lam", lam)
         self.groups = [np.asarray(g, dtype=int) for g in groups]
         self.dimension = _partition_labels(self.groups).size
 
@@ -254,9 +247,6 @@ class ProductObjective(Objective):
         for p, s in zip(self.parts, self.slices):
             out[s] = p.grad_conjugate(x_star[s])
         return out
-
-    def shrink_weights(self):
-        return self._weights
 
 
 class PrimalDualPair:

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from ._checks import _nonnegative
 from .objectives import PrimalDualPair, pair_from_dual, soft_shrink
 
 
@@ -99,12 +100,10 @@ class NormBall(RangeSet):
     """{y : ||y - center||_p <= radius} for p in {1, 2, inf}."""
 
     def __init__(self, center, radius, p=2):
-        if not radius >= 0:
-            raise ValueError("radius must be nonnegative")
+        self.radius = _nonnegative("radius", radius)
         if p not in (1, 2, np.inf):
             raise ValueError("p must be 1, 2 or inf")
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
-        self.radius = float(radius)
         self.p = p
 
     def project(self, y):
@@ -234,8 +233,7 @@ def project_simplex(y, total=1.0):
     the active support, and the common shift follows from the sum constraint.
     Raises NonFiniteData when y holds a NaN or an infinity or its sum overflows.
     """
-    if not total >= 0:
-        raise ValueError("total must be nonnegative")
+    total = _nonnegative("total", total)
     y = np.asarray(y, dtype=float)
     if total == 0.0:
         return np.zeros_like(y)
@@ -256,8 +254,7 @@ def project_l1_ball(y, radius):
     simplex of size ``radius`` and restore the signs. Raises NonFiniteData
     when y holds a NaN or an infinity or the sum of |y| overflows.
     """
-    if not radius >= 0:
-        raise ValueError("radius must be nonnegative")
+    radius = _nonnegative("radius", radius)
     y = np.asarray(y, dtype=float)
     a = np.abs(y)
     total = a.sum()

@@ -12,13 +12,13 @@ the limit solve the regularized problem and not just the feasibility problem.
 import csv
 import functools
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import projections
+from ._checks import _check_whole
 from .linops import LinearOperator, as_operator
 from .objectives import ElasticNet, PrimalDualPair, SquaredNorm, pair_from_dual
 
@@ -42,14 +42,6 @@ class DimensionMismatch(ValueError):
     normal, bounds, a center, cone indices) does not fit the objective's
     coordinates (simple) or the operator's outputs (difficult); or x0_star or a
     residual tolerance array has the wrong length."""
-
-
-def _check_whole(key, value, low=1):
-    """Raise a ValueError naming ``key`` unless ``value`` is an integer >= ``low``
-    (1 or 0). A bool fails, and so does a float, even a whole one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        sign = "positive" if low else "nonnegative"
-        raise ValueError(f"{key} must be {sign} and whole, not {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +207,7 @@ class SolverConfig:
 class IterationRecord:
     k: int
     constraint_index: int
-    step_size: float  # NaN on non-linesearch simple steps
+    step_size: float  # t of a difficult step; NaN on every simple step, linesearch or not
     w_norm: float  # pre-step residual norm of the treated constraint; NaN on simple steps
     elapsed_ms: float
     violations: np.ndarray = None  # full per-constraint vector, set at pass boundaries

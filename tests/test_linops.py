@@ -509,6 +509,24 @@ def test_projector_rejects_non_finite_geometry(bad):
         build_parallel_projector(16, 16, angles, offsets=offsets)
 
 
+@pytest.mark.parametrize(
+    "angles,kwargs,match",
+    [
+        (0.0, dict(rays_per_angle=5), "angles_deg must be one-dimensional"),
+        ([[0.0, 90.0]], dict(rays_per_angle=5), "angles_deg must be one-dimensional"),
+        ([0.0], dict(offsets=[[-1.5, 1.5]]), "offsets must be one-dimensional"),
+        ([0.0], dict(rays_per_angle=2.7), "rays_per_angle must be positive and whole"),
+        ([0.0], dict(rays_per_angle=True), "rays_per_angle must be positive and whole"),
+        ([0.0], dict(), "need rays_per_angle when offsets are not given"),
+    ],
+    ids=["scalar-angle", "2d-angles", "2d-offsets", "fractional-rays", "bool-rays", "no-rays"],
+)
+def test_projector_rejects_malformed_geometry(angles, kwargs, match):
+    # named before any ray is traced: 2.7 rays would be 2, and True 1
+    with pytest.raises(ValueError, match=match):
+        build_parallel_projector(4, 4, angles, **kwargs)
+
+
 @pytest.mark.parametrize("height,width", [(0, 5), (5, 0), (-3, 5)])
 def test_projector_rejects_an_empty_grid(height, width):
     with pytest.raises(ValueError, match="height and width"):

@@ -43,7 +43,7 @@ from splitbreg.projections import (
 )
 from splitbreg import projections
 from splitbreg.linops import DenseMatrix
-from splitbreg.solver import Difficult, preset, run
+from splitbreg.solver import Custom, Difficult, preset, run
 
 from oracles import grid_minimize, l1_ball_oracle, simplex_oracle
 
@@ -145,28 +145,31 @@ def test_norm_ball_validation():
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build,message",
     [
-        lambda: NormBall(np.zeros(2), np.nan, 2),
-        lambda: NormBall(np.zeros(2), np.nan, 1),
-        lambda: NormBall(np.zeros(2), np.nan, np.inf),
-        lambda: Box(np.array([np.nan]), np.array([1.0])),
-        lambda: Box(np.array([0.0]), np.array([np.nan])),
-        lambda: NonnegCone([-1]),
-        lambda: project_simplex(np.ones(3), np.nan),
-        lambda: project_l1_ball(np.ones(3), np.nan),
-        lambda: ElasticNet(np.nan, 3),
-        lambda: GroupElasticNet(np.nan, [[0, 1]]),
-        lambda: GroupedMax(np.nan, [[0, 1]]),
+        (lambda: NormBall(np.zeros(2), np.nan, 2), "radius must be nonnegative"),
+        (lambda: NormBall(np.zeros(2), np.nan, 1), "radius must be nonnegative"),
+        (lambda: NormBall(np.zeros(2), np.nan, np.inf), "radius must be nonnegative"),
+        (lambda: Box(np.array([np.nan]), np.array([1.0])), "lower bound exceeds upper bound"),
+        (lambda: Box(np.array([0.0]), np.array([np.nan])), "lower bound exceeds upper bound"),
+        (lambda: NonnegCone([-1]), "cone indices must be nonnegative"),
+        (lambda: project_simplex(np.ones(3), np.nan), "total must be nonnegative"),
+        (lambda: project_l1_ball(np.ones(3), np.nan), "radius must be nonnegative"),
+        (lambda: ElasticNet(np.nan, 3), "lam must be nonnegative"),
+        (lambda: GroupElasticNet(np.nan, [[0, 1]]), "lam must be nonnegative"),
+        (lambda: GroupedMax(np.nan, [[0, 1]]), "lam must be nonnegative"),
+        (lambda: ProductObjective([]), "need at least one part"),
+        (lambda: Custom([]), "order must be nonempty"),
     ],
     ids=[
         "ball-2", "ball-1", "ball-inf", "box-lower", "box-upper", "cone-negative-index",
-        "simplex", "l1-ball", "elastic-net", "group-elastic-net", "grouped-max",
+        "simplex", "l1-ball", "elastic-net", "group-elastic-net", "grouped-max", "no-parts",
+        "empty-order",
     ],
 )
-def test_malformed_set_data_is_rejected(build):
+def test_malformed_set_data_is_rejected(build, message):
     # NaN fails every positive assertion; a negative index would count from the end
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         build()
 
 
@@ -884,17 +887,23 @@ def test_bregman_projector_is_kept_per_set_and_objective():
 def test_variational_inequality_of_projections():
     # <z_star - x_star, y - z> >= 0 for every feasible y certifies minimality
     rng = np.random.default_rng(24)
-    obj = ElasticNet(0.9, 3)
-    cases = []
+    en = ElasticNet(0.9, 3)
     a = np.array([1.0, -2.0, 0.5])
-    cases.append(("hyperplane", Hyperplane(a, 0.7)))
-    cases.append(("halfspace", Halfspace(a, -0.5)))
-    for name, target in cases:
+    # a normal reaching a group block, whose NaN weights take the root-finding
+    # linesearch
+    mixed = ProductObjective([en, GroupElasticNet(1.0, [np.array([0, 1])])])
+    cases = [
+        ("hyperplane", en, Hyperplane(a, 0.7)),
+        ("halfspace", en, Halfspace(a, -0.5)),
+        ("hyperplane+group", mixed, Hyperplane(np.append(a, [1.5, -1.0]), 0.7)),
+    ]
+    for name, obj, target in cases:
+        n = obj.dimension
         for _ in range(30):
-            pair = pair_from_dual(obj, rng.standard_normal(3) * 2.0)
+            pair = pair_from_dual(obj, rng.standard_normal(n) * 2.0)
             out = bregman_project(obj, pair, target)
             for _ in range(10):
-                y = target.project(rng.standard_normal(3) * 3.0)
+                y = target.project(rng.standard_normal(n) * 3.0)
                 lhs = np.dot(out.x_star - pair.x_star, y - out.x)
                 assert lhs >= -1e-9, name
 
@@ -934,11 +943,13 @@ def _projection_cases(draw):
         weights = halves(0, 4) if lam > 0.0 else np.zeros(n)
         parts = [ElasticNet(w, 1) for w in weights]
         if form == "product+group":
-            # a group block without shrink weights, off the set's support
+            # a group block without shrink weights, off the set's support or
+            # reached by a normal, whose linesearch then finds a root
             parts.append(GroupElasticNet(1.0, [np.array([0, 1])]))
             x_star = np.append(x_star, [1.5, -2.0])
             if kind != "nonneg":
-                target = type(target)(np.append(target.normal, [0.0, 0.0]), target.offset)
+                block = halves(-4, 4, size=2) if draw(st.booleans()) else np.zeros(2)
+                target = type(target)(np.append(target.normal, block), target.offset)
         obj = ProductObjective(parts)
     return obj, pair_from_dual(obj, x_star), target
 
@@ -952,7 +963,8 @@ def test_bregman_project_property(case):
     assert target.distance(out.x) <= 1e-9 * scale
     assert abs(fenchel_gap(obj, out.x_star, out.x)) <= 1e-9 * scale
     assert np.array_equal(out.x, obj.grad_conjugate(out.x_star))
-    if isinstance(obj, ProductObjective) and isinstance(obj.parts[-1], GroupElasticNet):
+    group = isinstance(obj, ProductObjective) and isinstance(obj.parts[-1], GroupElasticNet)
+    if group and not np.any(getattr(target, "normal", np.zeros(2))[-2:]):
         np.testing.assert_array_equal(out.x[-2:], pair.x[-2:])
         np.testing.assert_array_equal(out.x_star[-2:], pair.x_star[-2:])
     if not np.any(obj.shrink_weights()):
