@@ -2,7 +2,9 @@
 
 Everything here is deterministic given the configuration and seed; trace and
 summary CSVs contain no wall-clock columns (timings go into a separate file),
-so identical configurations produce bit-identical outputs.
+so identical configurations produce bit-identical outputs. The exception is
+``solve``'s history.csv: its elapsed_ms column is wall time, so only its other
+columns repeat bit for bit.
 """
 
 import json

@@ -320,16 +320,18 @@ def build_parallel_projector(height, width, angles_deg, rays_per_angle=None, off
     returned operator records which angle produced each kept row. Entries are
     exact intersection lengths with the pixels (Siddon's merge of a ray's
     grid-line crossings), computed for all rays of one angle together. An
-    empty grid, angles or offsets that are not 1-d and finite, and a
-    ``rays_per_angle`` that is not a whole number >= 1 raise a named
-    ``ValueError``; the recorded ray spacing is the median gap between the
-    sorted offsets.
+    empty grid, angles or offsets that are not 1-d and finite, a
+    ``rays_per_angle`` that is not a whole number >= 1 and both
+    ``rays_per_angle`` and ``offsets`` given raise a named ``ValueError``; the
+    recorded ray spacing is the median gap between the sorted offsets.
     """
     height, width = int(height), int(width)
     if height < 1 or width < 1:
         # a ray through an empty grid would index columns outside the matrix
         raise ValueError(f"height and width must be at least 1, got {height} x {width}")
     angles_deg = np.asarray(angles_deg, dtype=float)
+    if offsets is not None and rays_per_angle is not None:
+        raise ValueError("give rays_per_angle or offsets, not both")
     if offsets is None:
         if rays_per_angle is None:
             raise ValueError("need rays_per_angle when offsets are not given")

@@ -3,9 +3,13 @@
 The orthogonal projectors are what the separating-halfspace construction needs
 for "difficult" constraints; the Bregman projectors update a primal-dual pair
 for the "simple" ones. Every Bregman projector returns a new consistent pair
-(primal point plus admissible subgradient). Sets are immutable after
-construction: what they precompute there (a normal's length and support)
-stays valid for their lifetime.
+(primal point plus admissible subgradient). A set's data is fixed at
+construction: what it precomputes there (a normal's length and support) stays
+valid for its lifetime. One attribute is written later: ``bregman_projector``
+keeps the projector it last built in the set's ``_bregman``, keyed by the
+objective's identity. It stays while perfbench's tracer hooks
+``bregman_project(obj, pair, target)`` by name: that call carries no
+projector, so the set has to keep it.
 """
 
 import bisect

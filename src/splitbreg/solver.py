@@ -11,7 +11,9 @@ the limit solve the regularized problem and not just the feasibility problem.
 
 import csv
 import functools
+import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -82,42 +84,44 @@ STEP_RULES = {"constant": Constant, "dynamic": Dynamic, "exact": Exact, "inexact
 class Cyclic:
     """r(k) = k mod number of constraints."""
 
-    def index(self, k, n):
-        return k % n
+    def indices(self, n):
+        return itertools.cycle(range(n))
 
 
 _BLOCK = 1024
 
 
 class RandomUniform:
-    """Independent uniform draws, reproducible from the seed alone: step k
-    reads entry k % _BLOCK of block k // _BLOCK, drawn by a generator seeded
-    with (seed, k // _BLOCK). The current block is kept, so each index is a
-    pure function of (seed, k, n) whatever order the steps are asked in."""
+    """Independent uniform draws, reproducible from the seed alone: block b of
+    the stream is _BLOCK draws from a generator seeded with (seed, b), so step
+    k reads entry k % _BLOCK of block k // _BLOCK."""
 
     def __init__(self, seed):
+        _check_whole("seed", seed, low=0)
         self.seed = int(seed)
-        self._block = (None, None, None)  # (block number, n, its draws)
 
-    def index(self, k, n):
-        b, i = divmod(k, _BLOCK)
-        block = self._block  # read once: another caller may swap it meanwhile
-        if block[:2] != (b, n):
-            block = (b, n, np.random.default_rng((self.seed, b)).integers(n, size=_BLOCK))
-            self._block = block
-        return int(block[2][i])
+    def indices(self, n):
+        for b in itertools.count():
+            yield from np.random.default_rng((self.seed, b)).integers(n, size=_BLOCK).tolist()
 
 
 class Custom:
     """A fixed index list, cycled when the run is longer than the list."""
 
     def __init__(self, order):
-        self.order = [int(i) for i in order]
+        self.order = list(order)
         if not self.order:
             raise ValueError("order must be nonempty")
+        for i in self.order:
+            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+                raise ValueError(f"order must hold integers, not {i!r}")
+        self.order = [int(i) for i in self.order]
 
-    def index(self, k, n):
-        return self.order[k % len(self.order)]  # run checks the order before step 0
+    def indices(self, n):
+        for i in self.order:
+            if not 0 <= i < n:
+                raise ValueError(f"control index {i} out of range")
+        return itertools.cycle(self.order)
 
 
 @dataclass
@@ -306,10 +310,12 @@ def run(config, callback=None):
 
     Before step 0, run checks its input and sets up each constraint's step
     once: a simple constraint builds its Bregman projector, a difficult one
-    takes the objective parts its operator reaches (``_live_parts``). A wrong
-    width or length, an unknown step rule, a ``max_iterations`` that is not a
-    whole number >= 0 and a ``Custom`` order naming a missing constraint all
-    raise then. run is the only stepping path.
+    takes the objective parts its operator reaches (``_live_parts``), and the
+    control hands over this run's index stream, ``control.indices(n)``, from
+    which each step takes the next index (a stream that ends early raises
+    StopIteration). A wrong width or length, an unknown step rule, a
+    ``max_iterations`` that is not a whole number >= 0 and a ``Custom`` order
+    naming a missing constraint all raise then. run is the only stepping path.
     """
     obj = config.objective
     constraints = config.constraints
@@ -342,10 +348,7 @@ def run(config, callback=None):
     if not np.all(tols > 0.0):
         raise ValueError("residual tolerances must be positive")
     _check_whole("max_iterations", config.max_iterations, low=0)
-    if isinstance(config.control, Custom):
-        for i in config.control.order:
-            if not 0 <= i < n:
-                raise ValueError(f"control index {i} out of range")
+    indices = config.control.indices(n)  # this run's own stream of indices
 
     x0_star = (
         np.zeros(obj.dimension) if config.x0_star is None else np.asarray(config.x0_star, float)
@@ -359,7 +362,7 @@ def run(config, callback=None):
     termination = "max_iterations"
     start = time.perf_counter()
     for k in range(config.max_iterations):
-        i = config.control.index(k, n)
+        i = next(indices)
         pair, t, w_norm = steps[i](pair)
         record = IterationRecord(k, i, t, w_norm, (time.perf_counter() - start) * 1e3)
         boundary = (k + 1) % n == 0 or k == config.max_iterations - 1

@@ -518,11 +518,15 @@ def test_projector_rejects_non_finite_geometry(bad):
         ([0.0], dict(rays_per_angle=2.7), "rays_per_angle must be positive and whole"),
         ([0.0], dict(rays_per_angle=True), "rays_per_angle must be positive and whole"),
         ([0.0], dict(), "need rays_per_angle when offsets are not given"),
+        ([0.0], dict(rays_per_angle=2.7, offsets=[-1.5, -0.5, 0.5, 1.5]),
+         "give rays_per_angle or offsets, not both"),
     ],
-    ids=["scalar-angle", "2d-angles", "2d-offsets", "fractional-rays", "bool-rays", "no-rays"],
+    ids=["scalar-angle", "2d-angles", "2d-offsets", "fractional-rays", "bool-rays", "no-rays",
+         "rays-and-offsets"],
 )
 def test_projector_rejects_malformed_geometry(angles, kwargs, match):
-    # named before any ray is traced: 2.7 rays would be 2, and True 1
+    # named before any ray is traced: 2.7 rays would be 2, and True 1; with
+    # offsets as well, the ray count would be ignored
     with pytest.raises(ValueError, match=match):
         build_parallel_projector(4, 4, angles, **kwargs)
 

@@ -43,7 +43,7 @@ from splitbreg.projections import (
 )
 from splitbreg import projections
 from splitbreg.linops import DenseMatrix
-from splitbreg.solver import Custom, Difficult, preset, run
+from splitbreg.solver import Custom, Difficult, RandomUniform, preset, run
 
 from oracles import grid_minimize, l1_ball_oracle, simplex_oracle
 
@@ -160,15 +160,23 @@ def test_norm_ball_validation():
         (lambda: GroupedMax(np.nan, [[0, 1]]), "lam must be nonnegative"),
         (lambda: ProductObjective([]), "need at least one part"),
         (lambda: Custom([]), "order must be nonempty"),
+        (lambda: Custom([1.5, 0]), "order must hold integers, not 1.5"),
+        (lambda: Custom([True, 0]), "order must hold integers, not True"),
+        (lambda: Custom(["1", 0]), "order must hold integers, not '1'"),
+        (lambda: RandomUniform(-1), "seed must be nonnegative and whole, not -1"),
+        (lambda: RandomUniform(1.5), "seed must be nonnegative and whole, not 1.5"),
+        (lambda: RandomUniform(True), "seed must be nonnegative and whole, not True"),
     ],
     ids=[
         "ball-2", "ball-1", "ball-inf", "box-lower", "box-upper", "cone-negative-index",
         "simplex", "l1-ball", "elastic-net", "group-elastic-net", "grouped-max", "no-parts",
-        "empty-order",
+        "empty-order", "fractional-order", "bool-order", "string-order", "negative-seed",
+        "fractional-seed", "bool-seed",
     ],
 )
 def test_malformed_set_data_is_rejected(build, message):
-    # NaN fails every positive assertion; a negative index would count from the end
+    # NaN fails every positive assertion; a negative index would count from the
+    # end; a float, bool or string seed or order entry would be cast silently
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
 

@@ -1,5 +1,7 @@
+import copy
 import csv
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -73,35 +75,57 @@ def _difficult_step(cfg, pair):
 
 
 def test_cyclic_control():
-    c = Cyclic()
-    assert [c.index(k, 3) for k in range(7)] == [0, 1, 2, 0, 1, 2, 0]
+    assert list(islice(Cyclic().indices(3), 7)) == [0, 1, 2, 0, 1, 2, 0]
 
 
 def test_random_uniform_control_deterministic():
-    c1 = RandomUniform(seed=42)
-    c2 = RandomUniform(seed=42)
-    seq1 = [c1.index(k, 5) for k in range(50)]
-    seq2 = [c2.index(k, 5) for k in range(50)]
+    seq1 = list(islice(RandomUniform(seed=42).indices(5), 50))
+    seq2 = list(islice(RandomUniform(seed=42).indices(5), 50))
     assert seq1 == seq2
     assert set(seq1) <= set(range(5))
     assert len(set(seq1)) > 1
 
 
-def test_random_uniform_indices_do_not_depend_on_call_order():
-    ks = list(range(1000, 1100)) + list(range(2040, 2060))  # across two block edges
-    c = RandomUniform(seed=7)
-    in_order = [c.index(k, 9) for k in ks]
-    assert [RandomUniform(seed=7).index(k, 9) for k in ks] == in_order  # fresh each call
-    c = RandomUniform(seed=7)
-    assert [c.index(k, 9) for k in reversed(ks)] == in_order[::-1]
-    shuffled = np.random.default_rng(1).permutation(len(ks))
-    assert [c.index(ks[j], 9) for j in shuffled] == [in_order[j] for j in shuffled]
-    assert c.index(5, 3) == RandomUniform(seed=7).index(5, 3)  # n is part of the key
+@pytest.mark.parametrize("n", [1, 3, 1000])
+def test_random_uniform_stream_follows_the_block_rule(n):
+    # step k reads entry k % 1024 of the 1024 draws seeded with (seed, k // 1024)
+    def index(k):
+        return int(np.random.default_rng((7, k // 1024)).integers(n, size=1024)[k % 1024])
+
+    stream = list(islice(RandomUniform(seed=7).indices(n), 3 * 1024))
+    assert stream == [index(k) for k in range(3 * 1024)]
+    assert all(type(i) is int for i in stream)
+
+
+def test_random_uniform_stream_depends_on_n():
+    # n is part of the key: the same seed draws other indices for another n
+    assert list(islice(RandomUniform(seed=7).indices(3), 50)) != list(
+        islice(RandomUniform(seed=7).indices(9), 50)
+    )
 
 
 def test_custom_control_cycles():
-    c = Custom([2, 0, 1])
-    assert [c.index(k, 3) for k in range(6)] == [2, 0, 1, 2, 0, 1]
+    assert list(islice(Custom([2, 0, 1]).indices(3), 6)) == [2, 0, 1, 2, 0, 1]
+
+
+def test_controls_have_no_index_method():
+    for control in (Cyclic(), RandomUniform(0), Custom([0])):
+        assert not hasattr(control, "index")
+
+
+@pytest.mark.parametrize(
+    "control", [Cyclic(), RandomUniform(3), Custom([2, 0, 0, 1])], ids=["cyclic", "random", "custom"]
+)
+def test_run_follows_its_control(control):
+    a = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0], [3.0, 0.0, 1.0]])
+    b = a @ np.array([1.0, -2.0, 0.5])
+    cfg = preset("kaczmarz", a, b, control=control, max_iterations=5000)
+    before = copy.deepcopy(vars(control))
+    result = run(cfg)
+    assert result.termination == "tolerance"
+    got = [r.constraint_index for r in result.records]
+    assert got == list(islice(control.indices(3), len(got)))
+    assert vars(control) == before
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +412,30 @@ def test_nan_tolerance_rejected_before_first_step(tol):
 
 
 def test_custom_order_naming_a_missing_constraint_rejected_before_first_step():
-    cfg = preset("kaczmarz", [[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0], control=Custom([0, 5]))
+    for order, bad in (([0, 5], 5), ([0, -1], -1)):  # -1 would name the last one
+        cfg = preset("kaczmarz", [[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0], control=Custom(order))
+        seen = []
+        with pytest.raises(ValueError, match=f"^control index {bad} out of range$"):
+            run(cfg, callback=lambda pair, record: seen.append(record.k))
+        assert seen == []
+
+
+def test_controls_take_numpy_integers():
+    assert list(islice(Custom(np.array([1, 0])).indices(2), 3)) == [1, 0, 1]
+    assert type(Custom(np.array([1, 0])).order[0]) is int
+    assert RandomUniform(np.int64(7)).seed == 7
+
+
+def test_index_stream_that_ends_early_raises():
+    class Twice:
+        def indices(self, n):
+            return iter([0, 1])
+
+    cfg = preset("kaczmarz", [[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0], control=Twice())
     seen = []
-    with pytest.raises(ValueError, match="control index 5 out of range"):
+    with pytest.raises(StopIteration):
         run(cfg, callback=lambda pair, record: seen.append(record.k))
-    assert seen == []
+    assert seen == [0, 1]
 
 
 @pytest.mark.parametrize("cap", [2.5, 3.0, True, -5, "10", None])
