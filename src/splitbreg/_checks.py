@@ -12,8 +12,10 @@ def _check_whole(key, value, low=1):
 
 
 def _nonnegative(key, value):
-    """``value`` as a float; raises a ValueError naming ``key`` unless it is
-    >= 0. NaN fails and +inf passes."""
+    """``value`` as a float; raises a ValueError naming ``key`` unless it is a
+    real number >= 0. A bool fails, and so does NaN; +inf passes."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a real number, not {value!r}")
     if not value >= 0:
         raise ValueError(f"{key} must be nonnegative")
     return float(value)

@@ -181,7 +181,7 @@ class BlockRow(LinearOperator):
     consecutive disjoint blocks of the input, their outputs added up.
 
     ``zero_columns`` lists, as (start, stop) pairs, the column ranges of the
-    ``ZeroOperator`` blocks, adjacent ones merged: A^T w is +0.0 there for
+    ``ZeroOperator`` blocks, each zero block as built: A^T w is +0.0 there for
     every w, and a forward product never reads x there."""
 
     def __init__(self, ops):
@@ -197,14 +197,7 @@ class BlockRow(LinearOperator):
             (op, int(a), int(b), isinstance(op, ZeroOperator))
             for op, a, b in zip(self.ops, self.col_offsets[:-1], self.col_offsets[1:])
         ]
-        zero = []
-        for _, a, b, is_zero in self._blocks:
-            if is_zero:
-                if zero and zero[-1][1] == a:
-                    zero[-1] = (zero[-1][0], b)
-                else:
-                    zero.append((a, b))
-        self.zero_columns = tuple(zero)
+        self.zero_columns = tuple((a, b) for _, a, b, z in self._blocks if z)
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)

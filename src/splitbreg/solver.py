@@ -178,10 +178,10 @@ class Difficult:
 def _live_parts(obj, op):
     """The (slice, part) pairs of the parts of a product objective ``obj``
     that the nonzero blocks of ``op`` act on, when every other part lies
-    wholly inside the columns of its zero blocks (``BlockRow.zero_columns``),
-    where A^T w is +0.0; None when no part is skipped that way. Both are read
-    through attributes, so wrappers that forward them count as what they
-    wrap."""
+    wholly inside one of its zero blocks (``BlockRow.zero_columns``, each
+    zero block as built), where A^T w is +0.0; None when no part is skipped
+    that way. Both are read through attributes, so wrappers that forward them
+    count as what they wrap."""
     zero = getattr(op, "zero_columns", ())
     slices = getattr(obj, "slices", None)  # a ProductObjective's blocks
     if not zero or slices is None:
@@ -313,7 +313,8 @@ def run(config, callback=None):
     takes the objective parts its operator reaches (``_live_parts``), and the
     control hands over this run's index stream, ``control.indices(n)``, from
     which each step takes the next index (a stream that ends early raises
-    StopIteration). A wrong width or length, an unknown step rule, a
+    StopIteration, and an index outside 0..n-1 a ValueError before its step
+    runs). A wrong width or length, an unknown step rule, a
     ``max_iterations`` that is not a whole number >= 0 and a ``Custom`` order
     naming a missing constraint all raise then. run is the only stepping path.
     """
@@ -363,6 +364,8 @@ def run(config, callback=None):
     start = time.perf_counter()
     for k in range(config.max_iterations):
         i = next(indices)
+        if not 0 <= i < n:
+            raise ValueError(f"control index {i} out of range")
         pair, t, w_norm = steps[i](pair)
         record = IterationRecord(k, i, t, w_norm, (time.perf_counter() - start) * 1e3)
         boundary = (k + 1) % n == 0 or k == config.max_iterations - 1

@@ -561,7 +561,7 @@ def test_block_row_zero_blocks_cost_nothing_and_change_no_bit():
     neg = ScaledIdentity(m, -1.0)
     layouts = [
         ([dense, ZeroOperator(m, 4)], ((3, 7),)),
-        ([ZeroOperator(m, 2), ZeroOperator(m, 1), neg], ((0, 3),)),
+        ([ZeroOperator(m, 2), ZeroOperator(m, 1), neg], ((0, 2), (2, 3))),
         ([neg, ZeroOperator(m, 2), neg, ZeroOperator(m, 1)], ((5, 7), (12, 13))),
         ([neg, neg], ()),
         ([ZeroOperator(m, 3)], ((0, 3),)),

@@ -2,6 +2,7 @@ import bisect
 import contextlib
 import math
 import pickle
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -166,18 +167,56 @@ def test_norm_ball_validation():
         (lambda: RandomUniform(-1), "seed must be nonnegative and whole, not -1"),
         (lambda: RandomUniform(1.5), "seed must be nonnegative and whole, not 1.5"),
         (lambda: RandomUniform(True), "seed must be nonnegative and whole, not True"),
+        (lambda: Point(np.ones((2, 2))), "b must be one-dimensional, not of shape (2, 2)"),
+        (
+            lambda: NormBall(np.ones((2, 2)), 1.0),
+            "center must be one-dimensional, not of shape (2, 2)",
+        ),
+        (
+            lambda: Box(-np.ones((2, 2)), np.ones((2, 2))),
+            "lower must be one-dimensional, not of shape (2, 2)",
+        ),
+        (
+            lambda: Box(np.zeros(2), np.ones((1, 2))),
+            "upper must be one-dimensional, not of shape (1, 2)",
+        ),
+        (
+            lambda: Box(np.zeros(2), np.ones(3)),
+            "lower and upper must have equal sizes or size 1, not (2, 3)",
+        ),
+        (
+            lambda: Hyperplane(np.ones((2, 3)), 1.0),
+            "normal must be one-dimensional, not of shape (2, 3)",
+        ),
+        (
+            lambda: Halfspace(np.ones((3, 1)), 1.0),
+            "normal must be one-dimensional, not of shape (3, 1)",
+        ),
+        (
+            lambda: NonnegCone(np.array([True, False, True])),
+            "cone indices must be integers, not bool",
+        ),
+        (lambda: NonnegCone([1.7, 0.2]), "cone indices must be integers, not float64"),
+        (lambda: NormBall(np.zeros(2), "1"), "radius must be a real number, not '1'"),
+        (lambda: NormBall(np.zeros(2), True), "radius must be a real number, not True"),
+        (lambda: ElasticNet(True, 2), "lam must be a real number, not True"),
+        (lambda: project_simplex(np.ones(3), None), "total must be a real number, not None"),
     ],
     ids=[
         "ball-2", "ball-1", "ball-inf", "box-lower", "box-upper", "cone-negative-index",
         "simplex", "l1-ball", "elastic-net", "group-elastic-net", "grouped-max", "no-parts",
         "empty-order", "fractional-order", "bool-order", "string-order", "negative-seed",
-        "fractional-seed", "bool-seed",
+        "fractional-seed", "bool-seed", "matrix-point", "matrix-center", "matrix-bounds",
+        "matrix-upper", "unequal-bounds", "matrix-normal", "column-normal", "bool-cone-indices",
+        "float-cone-indices", "string-radius", "bool-radius", "bool-lam", "none-total",
     ],
 )
 def test_malformed_set_data_is_rejected(build, message):
     # NaN fails every positive assertion; a negative index would count from the
-    # end; a float, bool or string seed or order entry would be cast silently
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    # end; a float, bool or string seed, order entry, cone index, radius or
+    # weight would be cast silently or fail unnamed; data of more than one
+    # dimension or bounds of two sizes would fail in numpy's broadcasting
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 
 
@@ -197,6 +236,14 @@ def test_box_and_cone():
     np.testing.assert_allclose(cone.project(np.array([-1.0, 2.0])), [0.0, 2.0])
     part = NonnegCone(np.array([0]))
     np.testing.assert_allclose(part.project(np.array([-1.0, -2.0])), [0.0, -2.0])
+    # integer lists and arrays of any integer type, and no index at all
+    spread = NonnegCone([0, 2])
+    np.testing.assert_array_equal(spread.project([-1.0, -2.0, -3.0]), [0.0, -2.0, 0.0])
+    assert NonnegCone(np.array([1, 2], dtype=np.uint8)).indices == slice(1, 3)
+    np.testing.assert_array_equal(NonnegCone([]).project([-1.0]), [-1.0])
+    # radii and weights given as numpy scalars
+    assert NormBall(np.zeros(2), np.float32(0.5)).radius == 0.5
+    assert ElasticNet(np.int64(2), 2).lam == 2.0
 
 
 def test_hyperplane_and_halfspace():
@@ -626,7 +673,12 @@ def _full_sort_linesearch(x_star, a, beta, weights, nonneg, gp0=None, x=None):
 
 def test_planned_linesearch_matches_the_full_sort_reference_bitwise():
     rng = np.random.default_rng(20261019)
-    seen = set()
+    seen, locates, locate = set(), [], projections._locate_root_piece
+
+    def counted(*args):
+        locates.append(args)
+        return locate(*args)
+
     for case in range(600):
         n = int(rng.integers(200, 400))
         a = rng.standard_normal(n)
@@ -646,7 +698,11 @@ def test_planned_linesearch_matches_the_full_sort_reference_bitwise():
         x = s0 if rng.random() < 0.5 else None
         want = _full_sort_linesearch(x_star, a, beta, weights, nonneg, gp0=gp0, x=x)
         args = (_plan(a, weights), x_star, beta, nonneg)
-        got = projections._shrink_linesearch(*args, gp0=gp0, x=x)
+        locates.clear()
+        with pytest.MonkeyPatch.context() as mp:  # one locate: a far root is bisected
+            mp.setattr(projections, "_locate_root_piece", counted)
+            got = projections._shrink_linesearch(*args, gp0=gp0, x=x)
+        assert len(locates) <= 1, case
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), case
         with _forced_bisection():  # the fallback bisects every kink, not the nearest
             forced = projections._shrink_linesearch(*args, gp0=gp0, x=x)

@@ -420,6 +420,22 @@ def test_custom_order_naming_a_missing_constraint_rejected_before_first_step():
         assert seen == []
 
 
+@pytest.mark.parametrize("bad", [-1, 2], ids=["minus-one", "n"])
+def test_out_of_range_index_from_any_control_raises_before_its_step(bad):
+    # -1 would run the last constraint, n would raise a bare IndexError
+    class ThenBad:
+        def indices(self, n):
+            return iter([0, bad, 0, 0])
+
+    cfg = preset(
+        "kaczmarz", [[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0], control=ThenBad(), max_iterations=4
+    )
+    seen = []
+    with pytest.raises(ValueError, match=f"^control index {bad} out of range$"):
+        run(cfg, callback=lambda pair, record: seen.append(record.k))
+    assert seen == [0]
+
+
 def test_controls_take_numpy_integers():
     assert list(islice(Custom(np.array([1, 0])).indices(2), 3)) == [1, 0, 1]
     assert type(Custom(np.array([1, 0])).order[0]) is int
@@ -436,6 +452,35 @@ def test_index_stream_that_ends_early_raises():
     with pytest.raises(StopIteration):
         run(cfg, callback=lambda pair, record: seen.append(record.k))
     assert seen == [0, 1]
+
+
+def test_one_difficult_shared_by_two_runs_changes_neither():
+    # tomography shares its Difficult constraints across variants: each run
+    # must match a run over its own copy, sequential and nested alike
+    rng = np.random.default_rng(11)
+    a, b = rng.standard_normal((6, 10)), rng.standard_normal(6)
+    shared = Difficult(DenseMatrix(a), NormBall(b, 0.1, 2))
+
+    def configs(d):
+        return (
+            SolverConfig(ElasticNet(0.5, 10), [d, Simple(NonnegCone())], max_iterations=30),
+            SolverConfig(SquaredNorm(10), [d], step_rule=Dynamic(), max_iterations=20),
+        )
+
+    def outcome(result):
+        steps = np.array([(r.constraint_index, r.step_size) for r in result.records])
+        return steps.tobytes(), result.x.tobytes()
+
+    want = [outcome(run(configs(Difficult(shared.op, shared.target))[i])) for i in range(2)]
+    first, second = configs(shared)
+    assert [outcome(run(first)), outcome(run(second))] == want
+    inner = []
+
+    def start_second(pair, record):
+        if record.k == 3:
+            inner.append(outcome(run(second)))
+
+    assert [outcome(run(first, callback=start_second))] + inner == want
 
 
 @pytest.mark.parametrize("cap", [2.5, 3.0, True, -5, "10", None])
@@ -921,7 +966,7 @@ def _zero_block_cases(draw):
     if all(zero) or not any(zero):
         zero[0], zero[-1] = True, False
     m = draw(st.integers(1, 4))
-    parts, blocks = [], []
+    parts, blocks, split = [], [], False
     for kind, is_zero in zip(kinds, zero):
         n = 2 * draw(st.integers(1, 2))
         if kind == "squared":
@@ -935,6 +980,7 @@ def _zero_block_cases(draw):
             blocks.append(DenseMatrix(rng.standard_normal((m, n))))
         elif draw(st.booleans()):  # adjacent zero blocks over one part
             blocks += [ZeroOperator(m, 1), ZeroOperator(m, n - 1)]
+            split = True
         else:
             blocks.append(ZeroOperator(m, n))
     obj = ProductObjective(parts)
@@ -945,18 +991,19 @@ def _zero_block_cases(draw):
         st.sampled_from([Point(center), NormBall(center, 0.5, 2), NormBall(center, 1.0, 1)])
     )
     rule = draw(st.sampled_from([Constant(), Dynamic(), Exact(), Inexact()]))
-    return obj, BlockRow(blocks), target, rule, x0_star
+    return obj, BlockRow(blocks), target, rule, x0_star, split
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=_zero_block_cases())
 def test_zero_block_steps_match_the_full_length_step_bitwise(case):
     # the reference step updates every coordinate: x* - t A^T w with the full
-    # adjoint, and the primal of the whole objective
-    obj, op, target, rule, x0_star = case
+    # adjoint, and the primal of the whole objective; a part over two zero
+    # blocks lies inside neither, so that step is the full-length one
+    obj, op, target, rule, x0_star, split = case
     constraint = Difficult(op, target)
     cfg = SolverConfig(objective=obj, constraints=[constraint], step_rule=rule)
-    assert solver._live_parts(obj, op) is not None
+    assert (solver._live_parts(obj, op) is None) == split
     pair = pair_from_dual(obj, x0_star)
     for _ in range(4):
         w, _ = constraint.residual(pair.x)
