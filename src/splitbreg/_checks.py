@@ -11,11 +11,24 @@ def _check_whole(key, value, low=1):
         raise ValueError(f"{key} must be {sign} and whole, not {value!r}")
 
 
+def _is_real(value):
+    """Whether ``value`` is a real number: numpy's real scalars are; a bool, a
+    string, None and a complex number are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(key, value):
+    """``value`` as a float; raises a ValueError naming ``key`` unless it is a
+    real number (_is_real). NaN and infinities pass."""
+    if not _is_real(value):
+        raise ValueError(f"{key} must be a real number, not {value!r}")
+    return float(value)
+
+
 def _nonnegative(key, value):
     """``value`` as a float; raises a ValueError naming ``key`` unless it is a
     real number >= 0. A bool fails, and so does NaN; +inf passes."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{key} must be a real number, not {value!r}")
+    value = _real(key, value)
     if not value >= 0:
         raise ValueError(f"{key} must be nonnegative")
-    return float(value)
+    return value

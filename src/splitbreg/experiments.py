@@ -9,7 +9,6 @@ columns repeat bit for bit.
 
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import comparator, solver
-from ._checks import _check_whole
+from ._checks import _check_whole, _is_real
 from .linops import (
     BlockRow,
     DenseMatrix,
@@ -285,22 +284,17 @@ def _check_choice(key, value, choices):
         raise ValueError(f"{key} {value!r} is not one of {', '.join(choices)}")
 
 
-def _is_number(value):
-    """Whether ``value`` is a real number; a bool is not, nor is a string."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _check_positive(key, value):
     """Raise a ValueError naming ``key`` unless ``value`` is a number > 0 (NaN
     fails)."""
-    if not (_is_number(value) and value > 0):
+    if not (_is_real(value) and value > 0):
         raise ValueError(f"{key} must be positive, not {value!r}")
 
 
 def _check_nonnegative(key, value):
     """Raise a ValueError naming ``key`` unless ``value`` is a finite number
     >= 0."""
-    if not (_is_number(value) and 0 <= value < math.inf):
+    if not (_is_real(value) and 0 <= value < math.inf):
         raise ValueError(f"{key} must be finite and nonnegative, not {value!r}")
 
 

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ._checks import _nonnegative
+from ._checks import _nonnegative, _real
 from .objectives import PrimalDualPair, pair_from_dual, soft_shrink
 
 
@@ -190,7 +190,7 @@ class _LinearSet(RangeSet):
         self.norm_sq = float(np.dot(self.normal, self.normal))
         if self.norm_sq == 0.0:
             raise ZeroNormal(f"{type(self).__name__.lower()} normal is zero")
-        self.offset = float(offset)
+        self.offset = _real("offset", offset)
         if not (math.isfinite(self.norm_sq) and math.isfinite(self.offset)):
             raise NonFiniteData(f"{type(self).__name__.lower()} normal or offset is not finite")
         self.norm = math.sqrt(self.norm_sq)
@@ -315,33 +315,42 @@ def separating_halfspace(op, x, w, w_norm):
 # ---------------------------------------------------------------------------
 
 
-# The prefix-sum guess sorts only this many of the nearest positive kinks; a
-# root past these is bisected over all of them. Measured on the perfbench
-# sparse-kaczmarz rows (m=200, n=1000): over seed 0, items 0-2 (1200 steps) the
-# number of kinks before the root was 0 in 59% of the steps, at most 10 in
-# 99.8% and never above 13; over all 60 items of seeds 0 and 7 (about 24,500
-# steps each) it never exceeded 14 and 20.
-_NEAR_KINKS = 33
+# The kink walk crosses at most this many kinks before it hands the step to the
+# full sort and bisection. Measured on the perfbench sparse-kaczmarz rows
+# (m=200, n=1000): over seed 0, items 0-2 (1200 steps) the number of kinks
+# before the root was 0 in 59% of the steps, at most 10 in 99.8% and never
+# above 13; over all 60 items of seeds 0 and 7 (about 24,500 steps each) it
+# never exceeded 14 and 20.
+_WALK_CAP = 32
 
 
-def _locate_root_piece(ends, jumps, gp0, slope):
-    """Index i of the piece (ends[i], ends[i + 1]) on which a nondecreasing,
-    continuous, piecewise-linear g' first reaches 0, in a few array passes.
-
-    g' is ``gp0 < 0`` at ends[0] = 0, its slope is ``slope`` on the first
-    piece and jumps by ``jumps[k]`` at the kink ends[k + 1]; the last end is
-    inf. Prefix sums of the jumps and of jump * kink give g' at every kink at
-    once, g'(e_k) = gp0 + e_k (slope + C1_k) - C2_k with inclusive sums C1
-    and C2, so the answer is ``ends.size - 2`` when g' < 0 at every kink. The
-    rounding of these sums can misplace a root that sits at or near a kink,
-    so the answer is a guess for the caller to confirm.
-    """
-    e = ends[1:-1]
-    c1 = np.cumsum(jumps)
-    c2 = np.cumsum(jumps * e)
-    hit = e * (slope + c1) - c2 >= -gp0
-    k = int(hit.argmax())
-    return k if hit[k] else e.size
+def _walk_kinks(first, on, u, w, a, gp, s):
+    """The ends [0, k_1, ..., k_c+1] of the pieces up to the one on which g'
+    reaches 0, crossing kinks in order with one argmin and an O(1) update
+    each; None past _WALK_CAP crossings. ``first`` holds each kinked
+    coordinate's next kink (inf for none) and ``on`` whether it leaves the
+    active set there; u, w and a are its x*_j, w_j and (mirrored) a_j, gp < 0
+    is g' at the first kink and s the slope before it. A leaving coordinate
+    re-enters at (u_j + copysign(w_j, a_j)) / a_j. g' is a running sum, so the
+    last piece is a guess to confirm; both arrays are changed."""
+    j = int(first.argmin())
+    ends = [0.0, float(first[j])]
+    for _ in range(_WALK_CAP):
+        aj = float(a[j])
+        if on[j]:
+            on[j] = False
+            s -= aj * aj
+            first[j] = (float(u[j]) + math.copysign(float(w[j]), aj)) / aj
+        else:
+            s += aj * aj
+            first[j] = math.inf
+        j = int(first.argmin())
+        k = float(first[j])
+        gp += s * (k - ends[-1])
+        ends.append(k)
+        if gp >= 0.0 or k == math.inf:
+            return ends
+    return None
 
 
 def _shrink_linesearch(plan, x_star, beta, nonneg, gp0=None, x=None):
@@ -353,28 +362,32 @@ def _shrink_linesearch(plan, x_star, beta, nonneg, gp0=None, x=None):
     nondecreasing, with kinks where some x*_j - t a_j crosses +-w_j. After
     mirroring to g(-t) when g'(0) > 0, the root lies at t > 0, and:
 
-    - first piece: g' built from scratch on (0, first positive kink) gives the
-      answer when it is >= 0 at the kink, and the piece's slope otherwise;
-    - locate: the _NEAR_KINKS nearest positive kinks are sorted, and prefix
-      sums over them give g' at each (_locate_root_piece); when g' < 0 at all
-      of them and more kinks lie beyond, go straight to the fall back;
+    - first piece, from the pair: on (0, first kink) the active coordinates
+      are the support of x = S_w(x_star) and the zero-weight ones, so the
+      slope s is a.a over them, the intercept change a sum of exact zeros and
+      g' = g'(0) + s t, in the from-scratch piece's bits. The first kink is
+      the least next kink, (u_j + copysign(w_j, a_j)) / a_j, or the leaving
+      one for an active coordinate moving toward [-w_j, w_j]. A kink at 0
+      (a tie |x*_j| = w_j) is crossed first and the piece built from scratch;
+    - walk: past the first kink, cross the kinks in order (_walk_kinks);
     - confirm: g' built from scratch on the guessed piece is >= 0 at its
       right end (trivially so on the last piece, which runs to infinity), and
       on the piece to its left it is < 0;
-    - fall back: only when the confirmation fails or the root lies past the
-      near kinks, sort all the kinks and bisect them with the from-scratch g'.
+    - fall back: only when the confirmation fails or the walk passes
+      _WALK_CAP kinks, sort all the kinks and bisect them with the
+      from-scratch g'.
 
     When no weight on the support is positive there is no kink: g' is one
     line of slope ``plan.line_slope``, whose zero is taken in closed form
     (the value the steps above give, bit for bit).
 
     The answer is that piece's zero clamped to the piece, i.e. the left endpoint
-    on flat stretches, computed from scratch. All g' values are relative to
-    g'(0), so callers that know g'(0) exactly (the solver knows it equals
-    -||w||^2) keep full precision even when beta and the intercepts cancel
-    almost completely. ``gp0`` overrides the computed g'(0) and ``x``, the
-    primal grad f*(x_star), supplies the shrinkage of x_star. Raises
-    NonFiniteData when g'(0) is NaN or infinite.
+    on flat stretches. All g' values are relative to g'(0), so callers that
+    know g'(0) exactly (the solver knows it equals -||w||^2) keep full
+    precision even when beta and the intercepts cancel almost completely.
+    ``gp0`` overrides the computed g'(0) and ``x``, the primal grad
+    f*(x_star), supplies the shrinkage of x_star. Raises NonFiniteData when
+    g'(0) is NaN or infinite.
     """
     a, wv, free, kinked = plan.a, plan.w, plan.free, plan.kinked
     u = x_star[plan.supp]
@@ -394,19 +407,12 @@ def _shrink_linesearch(plan, x_star, beta, nonneg, gp0=None, x=None):
         return sign * (max(-gp0 / s, 0.0) if s != 0.0 else 0.0)
     av = a if sign > 0.0 else -a
 
-    # u_j - t a_j crosses +w_j at t = lo_j / a_j and -w_j at t = hi_j / a_j;
-    # coordinates with w_j = 0 keep their slope contribution for all t and
-    # have no kinks
-    lo, hi = u - wv, u + wv
-    ak = av[kinked]
-    kinks = np.concatenate((lo[kinked] / ak, hi[kinked] / ak))
-    ahead = np.flatnonzero(kinks > 0.0)
-
     def piece(left, right):
         # slope, intercept change and g'(right) on (left, right); a
         # coordinate with w_j = 0 stays active where it crosses 0, and on the
         # last piece (midpoint inf) every coordinate is active. Unchanged
         # coordinates contribute exact zeros, so no large dot products cancel
+        lo, hi = u - wv, u + wv
         shifted = u - (0.5 * (left + right)) * av
         pos = shifted > wv
         act = np.abs(shifted) > wv
@@ -417,38 +423,46 @@ def _shrink_linesearch(plan, x_star, beta, nonneg, gp0=None, x=None):
         s, delta = float(np.dot(a_act, a_act)), float(np.dot(av, s0 - r))
         return s, delta, gp0 + delta + s * right
 
-    def ends_of(idx):
-        # the sorted kinks idx between 0 and inf, and their slope jumps:
-        # -a_j |a_j| where a coordinate leaves the active set at lo_j / a_j,
-        # +a_j |a_j| where it re-enters at hi_j / a_j
-        order = idx[np.argsort(kinks[idx])]
-        aj = ak[order % ak.size]
-        jumps = aj * np.abs(aj)
-        jumps[order < ak.size] *= -1.0
-        return np.concatenate(([0.0], kinks[order], [np.inf])), jumps
-
-    left, right = 0.0, kinks[ahead].min() if ahead.size else np.inf
-    s, delta, gp = piece(left, right)
+    nz = s0 != 0.0
+    uk, wk, ak, on = u[kinked], wv[kinked], av[kinked], nz[kinked]
+    idx = on.nonzero()[0]
+    a_act = ak[idx] if free is None else av[nz | free]
+    s = float(np.dot(a_act, a_act))
+    cw = np.copysign(wk, ak)
+    first = (uk + cw) / ak
+    near = (uk[idx] - cw[idx]) / ak[idx]
+    near[near < 0.0] = np.inf
+    first[idx] = near
+    left, right = 0.0, float(first[first.argmin()]) if first.size else math.inf
+    if right > 0.0:
+        delta, gp = 0.0, gp0 + s * right
+    else:
+        # kinks at 0 (or a NaN in x_star): a tie moving outward enters for
+        # good; an active coordinate leaves on a +0 near kink, not on a -0 one
+        zero = np.flatnonzero(first == 0.0)
+        leave = zero[on[zero] & ~np.signbit(first[zero])]
+        on[leave] = False
+        first[zero] = np.inf
+        first[leave] = (uk[leave] + cw[leave]) / ak[leave]
+        right = float(first[first.argmin()])
+        s, delta, gp = piece(left, right)
     if gp < 0.0:  # past the first kink (g'(inf) is never < 0)
-        near = ahead
-        if ahead.size > _NEAR_KINKS:
-            near = ahead[np.argpartition(kinks[ahead], _NEAR_KINKS - 1)[:_NEAR_KINKS]]
-        ends, jumps = ends_of(near)
-        i = _locate_root_piece(ends, jumps, gp0, s)
-        if i == near.size < ahead.size:
-            i = 0  # past the near kinks, more beyond: bisect them all below
+        ends = _walk_kinks(first, on, uk, wk, ak, gp, s)
+        if ends is not None:
+            left, right = ends[-2], ends[-1]
+            s, delta, gp = piece(left, right)
         # confirm from scratch: g' >= 0 at the piece's right end (the last
         # piece runs to inf) and < 0 at its left end (known at the first kink)
-        last = ends.size - 2
-        if i > 0:
-            s, delta, gp = piece(ends[i], ends[i + 1])
-        if i == 0 or (i < last and gp < 0.0) or (i > 1 and piece(ends[i - 1], ends[i])[2] >= 0.0):
-            ends = ends_of(ahead)[0]
+        if ends is None or (right < math.inf and gp < 0.0) or (
+            len(ends) > 3 and piece(ends[-3], left)[2] >= 0.0
+        ):
+            kinks = np.concatenate(((uk - wk) / ak, (uk + wk) / ak))
+            ends = np.concatenate(([0.0], np.sort(kinks[kinks > 0.0]), [np.inf]))
             i = bisect.bisect_left(
                 range(ends.size - 2), True, key=lambda j: piece(ends[j], ends[j + 1])[2] >= 0.0
             )
-            s, delta, gp = piece(ends[i], ends[i + 1])
-        left, right = ends[i], ends[i + 1]
+            left, right = ends[i], ends[i + 1]
+            s, delta, gp = piece(left, right)
     if gp == 0.0:
         return sign * right
     if s == 0.0:
@@ -461,6 +475,22 @@ def _finite_weights(weights, idx):
     return bool(np.all(np.isfinite(weights[idx])))
 
 
+class _WeightVerdicts:
+    """The verdicts a linesearch plan takes on shrink weights ``w``: the index
+    ``kinked`` of the nonzero ones (as _nonzeros gives it), the mask ``free``
+    of the zero ones (None when there are none), whether all are ``finite``
+    and whether ``any`` is nonzero. run takes them once on all of the
+    objective's weights and hands them to the projectors it builds."""
+
+    __slots__ = ("w", "kinked", "free", "finite", "any")
+
+    def __init__(self, w):
+        self.w, self.kinked = w, _nonzeros(w)  # shrink weights are nonnegative
+        free = w == 0.0
+        self.free = free if free.any() else None
+        self.finite, self.any = _finite_weights(w, slice(None)), bool(np.any(w))
+
+
 class _LinesearchPlan:
     """What a linesearch along a fixed direction a under fixed shrink weights
     needs besides x_star and beta, built once: the index ``supp`` of a's
@@ -470,20 +500,19 @@ class _LinesearchPlan:
     (a set's ``norm_sq``, the same float), whether the weights are ``finite``
     on the support, and ``line_slope``: when every weight on the support is
     zero, g' has no kink and this is its one slope, a.a summed over the
-    support; None otherwise. For a normal whose nonzeros are one run it holds
-    views only."""
+    support; None otherwise. For an a without zeros they are the handed-in
+    ``verdicts`` on all the weights, if any, else taken here on the support.
+    For a normal whose nonzeros are one run it holds views only."""
 
     __slots__ = ("supp", "a", "w", "kinked", "free", "a_sq", "finite", "line_slope")
 
-    def __init__(self, a, weights, supp, a_sq):
-        self.supp = supp
-        self.a, self.w = a[supp], weights[supp]
-        self.kinked = _nonzeros(self.w)  # shrink weights are nonnegative
-        free = self.w == 0.0
-        self.free = free if free.any() else None
-        self.a_sq = a_sq
-        self.finite = _finite_weights(weights, supp)
-        self.line_slope = None if np.any(self.w) else float(np.dot(self.a, self.a))
+    def __init__(self, a, weights, supp, a_sq, verdicts=None):
+        self.supp, self.a, self.a_sq = supp, a[supp], a_sq
+        if verdicts is None or self.a.size < a.size:
+            verdicts = _WeightVerdicts(weights[supp])
+        self.w, self.kinked, self.free = verdicts.w, verdicts.kinked, verdicts.free
+        self.finite = verdicts.finite
+        self.line_slope = None if verdicts.any else float(np.dot(self.a, self.a))
 
 
 def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=None):
@@ -559,6 +588,9 @@ def _project_halfspace(obj, pair, target, plan):
     t = exact_linesearch(obj, pair.x_star, a, beta, nonneg=target.one_sided, x=pair.x, plan=plan)
     if t == 0.0:
         return pair
+    if plan.finite and plan.a.size == a.size:  # a has no zeros: both vectors whole
+        z_star = pair.x_star - t * plan.a
+        return PrimalDualPair(soft_shrink(z_star, plan.w), z_star)
     z_star = pair.x_star.copy()
     z_star[plan.supp] = pair.x_star[plan.supp] - t * plan.a
     if not plan.finite:
@@ -604,7 +636,7 @@ def _project_orthogonal(pair, target):
     return PrimalDualPair(z, z.copy())
 
 
-def bregman_projector(obj, target):
+def bregman_projector(obj, target, verdicts=None):
     """The Bregman projector onto ``target`` under ``obj``, as a function of the
     pair: the one dispatch table behind bregman_project (see there for the
     supported pairings, tried in order). Raises TypeError for an unsupported
@@ -612,27 +644,30 @@ def bregman_projector(obj, target):
 
     The set keeps the projector it last built, keyed by the identity of the
     objective, so a run dispatches once per simple constraint (sets and shrink
-    weights never change after construction)."""
+    weights never change after construction), on the ``verdicts`` it took once
+    on the shrink weights (_WeightVerdicts; a build without them takes its own)."""
     owner, projector = target._bregman
     if owner is not obj:
-        projector = _build_projector(obj, target)
+        projector = _build_projector(obj, target, verdicts)
         target._bregman = (obj, projector)
     return projector
 
 
-def _build_projector(obj, target):
-    """bregman_projector's dispatch. The objective's shrink weights are read
-    here, once, and every verdict on them is taken here too."""
-    weights = obj.shrink_weights()
-    if not np.any(weights):
+def _build_projector(obj, target, verdicts):
+    """bregman_projector's dispatch, on the ``verdicts`` on the objective's
+    shrink weights (_WeightVerdicts, taken here when none are handed in)."""
+    if verdicts is None:
+        verdicts = _WeightVerdicts(obj.shrink_weights())
+    weights = verdicts.w
+    if not verdicts.any:
         return lambda pair: _project_orthogonal(pair, target)
     if isinstance(target, _LinearSet):
-        plan = _LinesearchPlan(target.normal, weights, target.support, target.norm_sq)
+        plan = _LinesearchPlan(target.normal, weights, target.support, target.norm_sq, verdicts)
         return lambda pair: _project_halfspace(obj, pair, target, plan)
     if isinstance(target, NonnegCone):
         if _finite_weights(weights, target.indices):
             return lambda pair: _project_nonneg(pair, weights, target.indices)
-    elif isinstance(target, Box) and _finite_weights(weights, slice(None)):
+    elif isinstance(target, Box) and verdicts.finite:
         if np.any(target.lower > 0.0) or np.any(target.upper < 0.0):
             raise BoxWithoutZero("box must contain the origin componentwise")
         return lambda pair: _project_box(pair, weights, target.lower, target.upper)

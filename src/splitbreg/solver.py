@@ -309,20 +309,23 @@ def run(config, callback=None):
     Callbacks must therefore not modify the arrays of ``pair`` in place.
 
     Before step 0, run checks its input and sets up each constraint's step
-    once: a simple constraint builds its Bregman projector, a difficult one
-    takes the objective parts its operator reaches (``_live_parts``), and the
-    control hands over this run's index stream, ``control.indices(n)``, from
-    which each step takes the next index (a stream that ends early raises
-    StopIteration, and an index outside 0..n-1 a ValueError before its step
-    runs). A wrong width or length, an unknown step rule, a
-    ``max_iterations`` that is not a whole number >= 0 and a ``Custom`` order
-    naming a missing constraint all raise then. run is the only stepping path.
+    once: a simple constraint builds its Bregman projector (all of them on one
+    set of verdicts on the objective's shrink weights, which are read once), a
+    difficult one takes the objective parts its operator reaches
+    (``_live_parts``), and the control hands over this run's index stream,
+    ``control.indices(n)``, from which each step takes the next index (a
+    stream that ends early raises StopIteration, and an index outside 0..n-1
+    a ValueError before its step runs). A wrong width or length, an unknown
+    step rule, a ``max_iterations`` that is not a whole number >= 0 and a
+    ``Custom`` order naming a missing constraint all raise then. run is the
+    only stepping path.
     """
     obj = config.objective
     constraints = config.constraints
     if not constraints:
         raise ValueError("need at least one constraint")
     steps = []  # constraint i's step, pair -> (pair, step_size, w_norm)
+    verdicts = None  # on the shrink weights, taken once, at the first simple constraint
     for i, c in enumerate(constraints):  # every set-up error before step 0
         simple = isinstance(c, Simple)
         if not simple and c.op.shape[1] != obj.dimension:
@@ -334,7 +337,8 @@ def run(config, callback=None):
             raise DimensionMismatch(msg)
         if simple:
             # raises TypeError or BoxWithoutZero; the set keeps what it builds
-            projections.bregman_projector(obj, c.target)
+            verdicts = verdicts or projections._WeightVerdicts(obj.shrink_weights())
+            projections.bregman_projector(obj, c.target, verdicts)
             steps.append(functools.partial(_simple_step, obj, c.target))
         elif not isinstance(config.step_rule, tuple(STEP_RULES.values())):
             raise TypeError(f"unknown step rule {config.step_rule!r}")

@@ -1,11 +1,13 @@
 """Independent reference computations used by the tests.
 
 Everything here is brute force on purpose: subset enumeration for the KKT
-systems of the small projection problems, and grid refinement for convex
-one-dimensional minimization. None of it shares code paths with the package.
+systems of the small projection problems, grid refinement for convex
+one-dimensional minimization, and exact rational arithmetic for the l1
+linesearch. None of it shares code paths with the package.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -114,3 +116,52 @@ def grid_minimize(func, lo, hi, resolution=1e-5, points=2001, vectorized=False):
 def fd_directional(func, x, d, h=1e-6):
     """Central finite difference of a scalar function along d."""
     return (func(x + h * d) - func(x - h * d)) / (2.0 * h)
+
+
+def l1_linesearch_oracle(x_star, a, beta, weights, nonneg=False, gp0=None, x=None):
+    """The smallest-|t| minimizer of g(t) = f*(x_star - t a) + t beta, over
+    t >= 0 with ``nonneg``, for f = sum_j w_j |x_j| + x_j^2 / 2 with finite
+    weights, as an exact Fraction (every float converts exactly).
+
+    g'(t) = g'(0) + sum_j a_j (s_j - S_w(x*_j - t a_j)) with S_w the soft
+    shrinkage and s the shrinkage at t = 0, or ``x`` when given; g'(0) is
+    ``gp0`` when given, else beta - <a, s>. g' is continuous, nondecreasing
+    and linear between the kinks (x*_j -+ w_j) / a_j, so the root nearest 0
+    is found by evaluating g' exactly at the kinks in order of |t| and
+    interpolating on the piece where its sign changes: the left end of a flat
+    stretch, and the answer 0 when g'(0) = 0 or a halfspace clamps it."""
+    xs, av, ws = ([Fraction(float(v)) for v in vec] for vec in (x_star, a, weights))
+
+    def shrink(v, w):
+        return max(abs(v) - w, Fraction(0)) * (1 if v > 0 else -1)
+
+    s0 = [shrink(v, w) for v, w in zip(xs, ws)]
+    if x is not None:
+        s0 = [Fraction(float(v)) for v in x]
+    if gp0 is None:
+        g0 = Fraction(float(beta)) - sum(aj * sj for aj, sj in zip(av, s0))
+    else:
+        g0 = Fraction(float(gp0))
+
+    def gp(t):
+        return g0 + sum(
+            aj * (sj - shrink(v - t * aj, w)) for v, aj, w, sj in zip(xs, av, ws, s0) if aj
+        )
+
+    if g0 == 0 or (nonneg and g0 > 0):
+        return Fraction(0)
+    sign = 1 if g0 < 0 else -1  # the root lies at sign * t for t > 0
+    kinks = sorted(
+        {sign * (v + e * w) / aj for v, aj, w in zip(xs, av, ws) if aj for e in (-1, 1)}
+    )
+    ends = [Fraction(0)] + [k for k in kinks if k > 0]
+    values = [sign * gp(sign * e) for e in ends]
+    for i in range(1, len(ends)):
+        if values[i] >= 0:
+            left, right = ends[i - 1], ends[i]
+            t = left - values[i - 1] * (right - left) / (values[i] - values[i - 1])
+            return sign * t
+    # past the last kink g' is linear: one more point on that line gives it
+    last = ends[-1]
+    slope = sign * gp(sign * (last + 1)) - values[-1]
+    return sign * (last - values[-1] / slope)

@@ -1,8 +1,10 @@
 import bisect
 import contextlib
+import itertools
 import math
 import pickle
 import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,7 +48,7 @@ from splitbreg import projections
 from splitbreg.linops import DenseMatrix
 from splitbreg.solver import Custom, Difficult, RandomUniform, preset, run
 
-from oracles import grid_minimize, l1_ball_oracle, simplex_oracle
+from oracles import grid_minimize, l1_ball_oracle, l1_linesearch_oracle, simplex_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +203,10 @@ def test_norm_ball_validation():
         (lambda: NormBall(np.zeros(2), True), "radius must be a real number, not True"),
         (lambda: ElasticNet(True, 2), "lam must be a real number, not True"),
         (lambda: project_simplex(np.ones(3), None), "total must be a real number, not None"),
+        (lambda: Hyperplane([1.0, 2.0], "1"), "offset must be a real number, not '1'"),
+        (lambda: Halfspace([1.0, 2.0], True), "offset must be a real number, not True"),
+        (lambda: Hyperplane([1.0, 2.0], None), "offset must be a real number, not None"),
+        (lambda: Hyperplane([1.0, 2.0], 1 + 2j), "offset must be a real number, not (1+2j)"),
     ],
     ids=[
         "ball-2", "ball-1", "ball-inf", "box-lower", "box-upper", "cone-negative-index",
@@ -209,15 +215,25 @@ def test_norm_ball_validation():
         "fractional-seed", "bool-seed", "matrix-point", "matrix-center", "matrix-bounds",
         "matrix-upper", "unequal-bounds", "matrix-normal", "column-normal", "bool-cone-indices",
         "float-cone-indices", "string-radius", "bool-radius", "bool-lam", "none-total",
+        "string-offset", "bool-offset", "none-offset", "complex-offset",
     ],
 )
 def test_malformed_set_data_is_rejected(build, message):
     # NaN fails every positive assertion; a negative index would count from the
     # end; a float, bool or string seed, order entry, cone index, radius or
-    # weight would be cast silently or fail unnamed; data of more than one
-    # dimension or bounds of two sizes would fail in numpy's broadcasting
+    # weight, and a non-real offset, would be cast silently or fail unnamed;
+    # data of more than one dimension or bounds of two sizes would fail in
+    # numpy's broadcasting
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_numpy_scalar_offsets_are_accepted():
+    # a row preset's b[i] and any numpy integer or float scalar are real numbers
+    b = np.array([1.5, -2.0])
+    assert Hyperplane([1.0, 2.0], b[0]).offset == 1.5
+    assert Halfspace([1.0, 2.0], np.int64(-3)).offset == -3.0
+    assert type(Hyperplane([1.0, 2.0], np.float32(0.5)).offset) is float
 
 
 def test_infinite_set_data_is_accepted():
@@ -456,30 +472,34 @@ def test_linesearch_optimality_property(case):
         assert np.sign(t) * gp(k) < -tol
 
 
-def _plan(a, weights):
+def _plan(a, weights, handed=False):
+    # a plan as exact_linesearch builds it (verdicts taken on the support), or
+    # as run's projectors build it (verdicts on all the weights handed in)
+    verdicts = projections._WeightVerdicts(weights) if handed else None
     return projections._LinesearchPlan(
-        a, weights, projections._nonzeros(a), float(np.dot(a, a))
+        a, weights, projections._nonzeros(a), float(np.dot(a, a)), verdicts
     )
 
 
 @contextlib.contextmanager
 def _forced_bisection():
-    """Make the prefix-sum locate guess one piece off (cyclically), so that
-    every linesearch with positive kinks must reject its guess and bisect.
-    Yields the counts of guesses and of bisections."""
+    """Make the kink walk guess the first piece, on which g' is known to stay
+    below 0, so that every linesearch that walks must reject its guess and
+    bisect. Yields the counts of guesses and of bisections."""
     counts = {"guesses": 0, "bisections": 0}
-    locate = projections._locate_root_piece
+    walk = projections._walk_kinks
 
-    def wrong(ends, *args):
+    def wrong(*args):
         counts["guesses"] += 1
-        return (locate(ends, *args) + 1) % (ends.size - 1)
+        ends = walk(*args)
+        return None if ends is None else ends[:2]
 
     def bisect_left(*args, **kwargs):
         counts["bisections"] += 1
         return bisect.bisect_left(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(projections, "_locate_root_piece", wrong)
+        mp.setattr(projections, "_walk_kinks", wrong)
         mp.setattr(projections, "bisect", SimpleNamespace(bisect_left=bisect_left))
         yield counts
 
@@ -567,7 +587,7 @@ def test_fallback_linesearch_mirrors_its_bracket_exactly():
 
 
 def test_linesearch_without_positive_kinks_does_no_locate_work(monkeypatch):
-    monkeypatch.setattr(projections, "_locate_root_piece", None)  # a call would raise
+    monkeypatch.setattr(projections, "_walk_kinks", None)  # a call would raise
     # zero weights on the support of a: no kinks at all, g' is linear
     a, x_star, beta = np.array([1.0, -2.0, 0.0, 0.5]), np.array([0.5, 1.0, 3.0, -1.0]), 0.25
     weights = np.array([0.0, 0.0, 1.0, 0.0])
@@ -596,7 +616,7 @@ def test_sparse_kaczmarz_solve_is_bitwise_equal_through_the_fallback():
 
 def test_partially_sorted_sparse_kaczmarz_solve_is_bitwise_equal_through_the_fallback():
     # rows of 200 coordinates give each step far more positive kinks than the
-    # nearest few the locate step sorts; every wrong guess is caught
+    # few the walk crosses; every wrong guess is caught
     rng = np.random.default_rng(4)
     a = rng.standard_normal((30, 200))
     x_true = np.zeros(200)
@@ -612,8 +632,8 @@ def test_partially_sorted_sparse_kaczmarz_solve_is_bitwise_equal_through_the_fal
 
 
 def _full_sort_locate(ends, jumps, gp0, slope):
-    # _locate_root_piece before the partial sort: ``slope`` is g''s slope past
-    # the last kink
+    # the prefix-sum locate step the kink walk replaced, as it was before its
+    # partial sort: ``slope`` is g''s slope past the last kink
     e = ends[1:-1]
     c1 = np.cumsum(jumps)
     c2 = np.cumsum(jumps * e)
@@ -673,11 +693,11 @@ def _full_sort_linesearch(x_star, a, beta, weights, nonneg, gp0=None, x=None):
 
 def test_planned_linesearch_matches_the_full_sort_reference_bitwise():
     rng = np.random.default_rng(20261019)
-    seen, locates, locate = set(), [], projections._locate_root_piece
+    seen, walks, walk = set(), [], projections._walk_kinks
 
     def counted(*args):
-        locates.append(args)
-        return locate(*args)
+        walks.append(args)
+        return walk(*args)
 
     for case in range(600):
         n = int(rng.integers(200, 400))
@@ -698,13 +718,13 @@ def test_planned_linesearch_matches_the_full_sort_reference_bitwise():
         x = s0 if rng.random() < 0.5 else None
         want = _full_sort_linesearch(x_star, a, beta, weights, nonneg, gp0=gp0, x=x)
         args = (_plan(a, weights), x_star, beta, nonneg)
-        locates.clear()
-        with pytest.MonkeyPatch.context() as mp:  # one locate: a far root is bisected
-            mp.setattr(projections, "_locate_root_piece", counted)
+        walks.clear()
+        with pytest.MonkeyPatch.context() as mp:  # one walk: a far root is bisected
+            mp.setattr(projections, "_walk_kinks", counted)
             got = projections._shrink_linesearch(*args, gp0=gp0, x=x)
-        assert len(locates) <= 1, case
+        assert len(walks) <= 1, case
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), case
-        with _forced_bisection():  # the fallback bisects every kink, not the nearest
+        with _forced_bisection():  # the fallback bisects every kink
             forced = projections._shrink_linesearch(*args, gp0=gp0, x=x)
         assert np.float64(forced).tobytes() == np.float64(want).tobytes(), case
         # the number of kinks between 0 and the root
@@ -712,12 +732,225 @@ def test_planned_linesearch_matches_the_full_sort_reference_bitwise():
         u, w, av = x_star[supp], weights[supp], a[supp]
         kinks = np.concatenate(((u - w) / av, (u + w) / av)) * np.sign(got)
         before = int(np.count_nonzero((kinks > 0.0) & (kinks < abs(got))))
-        seen.add((got > 0.0, nonneg, before == 0, before > projections._NEAR_KINKS))
+        seen.add((got > 0.0, nonneg, before == 0, before > projections._WALK_CAP))
     # both signs, with and without nonneg, roots before the first kink and past
-    # the partially sorted ones
+    # the walk's cap
     assert {(True, False, True, False), (False, False, True, False)} <= seen
     assert {(True, False, False, True), (False, False, False, True)} <= seen
     assert {(True, True, True, False), (True, True, False, True)} <= seen
+
+
+# (x_star, a, weights, beta, nonneg) at the edges of the first piece and of
+# the kink walk
+_PAST_THE_CAP = projections._WALK_CAP + 8  # more kinks before the root than the walk crosses
+_EDGE_CASES = {
+    # |x*_j| = w_j: coordinate 0 moves into [-1, 1] and coordinate 1 out of it,
+    # then the other way round (g'(0) of the other sign); the root lies past
+    # the first kink
+    "ties": (np.array([1.0, -1.0, 0.5]), np.array([1.0, 1.0, 0.5]), np.ones(3), -4.0, False),
+    "mirrored-ties": (
+        np.array([1.0, -1.0, 0.5]), np.array([1.0, 1.0, 0.5]), np.ones(3), 4.0, False
+    ),
+    # g' = t - 1 on (0, 1) and 0 on [1, 1.5]: the root is the kink at 1
+    "root-at-a-kink": (np.array([2.0, 0.5]), np.array([1.0, 1.0]), np.ones(2), 0.0, False),
+    # a flat zero stretch that starts at a kink: the answer is 0.5, not 1
+    "flat-from-a-kink": (np.array([1.0, 1.0]), np.array([1.0, 1.5]), np.full(2, 0.5), 0.0, False),
+    # the root sits on the second kink, which the walk's running sums read as
+    # just below 0
+    "root-on-a-walked-kink": (
+        np.array([0.0, 0.0, 0.5, -2.5]),
+        np.array([0.0, 0.5, 1.0, 1.5]),
+        np.array([0.0, 0.0, 0.0, 0.5]),
+        3.0,
+        False,
+    ),
+    # x = 0: the first piece has slope 0
+    "x-zero": (np.array([0.25, -0.5]), np.array([1.0, 2.0]), np.ones(2), 3.0, False),
+    # -0.0 in x_star, on zero weights and on a positive one
+    "negative-zeros": (
+        np.array([-0.0, 0.5, -0.0, -0.0]),
+        np.array([1.0, -1.0, 0.5, 2.0]),
+        np.array([0.0, 0.5, 0.0, 1.0]),
+        1.0,
+        False,
+    ),
+    # a mask support with zero weights on it
+    "mask-support": (
+        np.array([0.5, 3.0, -1.5, 2.0, -0.25]),
+        np.array([1.0, 0.0, -2.0, 0.0, 0.5]),
+        np.array([1.0, 1.0, 0.0, 1.0, 0.5]),
+        -1.0,
+        False,
+    ),
+    "nonneg": (np.array([1.0, -2.0, 0.5]), np.array([1.0, -1.0, 2.0]), np.ones(3), -0.5, True),
+    # every coordinate enters before the root, at distinct kinks
+    "past-the-cap": (
+        np.zeros(_PAST_THE_CAP),
+        1.0 + np.arange(_PAST_THE_CAP) / _PAST_THE_CAP,
+        np.ones(_PAST_THE_CAP),
+        -1000.0,
+        False,
+    ),
+}
+
+
+def test_walked_linesearch_matches_the_full_sort_reference_at_the_edges():
+    walks = []
+    walk = projections._walk_kinks
+
+    def spy(*args):
+        walks.append(walk(*args))
+        return walks[-1]
+
+    answers = {}
+    for name, (x_star, a, weights, beta, nonneg) in _EDGE_CASES.items():
+        s0 = soft_shrink(x_star, weights)
+        for gp0, x, handed in itertools.product((None, beta - float(a @ s0)), (None, s0), (0, 1)):
+            want = _full_sort_linesearch(x_star, a, beta, weights, nonneg, gp0=gp0, x=x)
+            args = (_plan(a, weights, handed), x_star, beta, nonneg)
+            walks.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(projections, "_walk_kinks", spy)
+                got = projections._shrink_linesearch(*args, gp0=gp0, x=x)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), name
+            with _forced_bisection():
+                forced = projections._shrink_linesearch(*args, gp0=gp0, x=x)
+            assert np.float64(forced).tobytes() == np.float64(want).tobytes(), name
+            answers[name] = got
+            if name == "past-the-cap":
+                assert walks == [None]  # the walk stops at its cap
+            if name.endswith("ties"):
+                assert len(walks) == 1 and walks[0] is not None
+    assert answers["root-at-a-kink"] == 1.0
+    assert answers["flat-from-a-kink"] == 0.5
+    assert np.float64(answers["root-on-a-walked-kink"]).tobytes() == np.float64(-2.0).tobytes()
+    assert answers["nonneg"] >= 0.0
+
+
+@st.composite
+def _tie_rich_cases(draw):
+    # quarter-integer data with weights among a few values, so that x*_j often
+    # equals +-w_j (a kink at 0), kinks coincide and roots land on them; zero
+    # entries of a give mask supports and -0.0 entries of x_star signed zeros
+    n = draw(st.integers(1, 8))
+    quarters = st.integers(-12, 12).map(lambda v: v / 4.0)
+    levels = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    weights = np.array(draw(st.lists(levels, min_size=n, max_size=n)))
+    a = np.array(draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))) / 4.0
+    assume(np.any(a))
+    x_star = np.array(draw(st.lists(quarters, min_size=n, max_size=n)))
+    for j in range(n):
+        x_star[j] = draw(st.sampled_from([x_star[j], weights[j], -weights[j], -0.0]))
+    return x_star, a, weights, draw(quarters) * 2.0, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_tie_rich_cases(), with_gp0=st.booleans(), with_x=st.booleans(), handed=st.booleans())
+def test_walked_linesearch_matches_the_full_sort_reference_bitwise(
+    case, with_gp0, with_x, handed
+):
+    x_star, a, weights, beta, nonneg = case
+    s0 = soft_shrink(x_star, weights)
+    gp0 = beta - float(a @ s0) if with_gp0 else None
+    x = s0 if with_x else None
+    want = _full_sort_linesearch(x_star, a, beta, weights, nonneg, gp0=gp0, x=x)
+    got = projections._shrink_linesearch(
+        _plan(a, weights, handed), x_star, beta, nonneg, gp0=gp0, x=x
+    )
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_benchmark_shaped_sparse_kaczmarz_solve_matches_the_full_sort_reference():
+    # the sparse-kaczmarz benchmark's instance shape (200 dense rows of 1000,
+    # 5 planted entries in [0.5, 1], lam = 10 max|x|) solved as it is, and
+    # with every row linesearch taken by the full-sort reference
+    rng = np.random.default_rng([0, 0])
+    a = rng.standard_normal((200, 1000))
+    x_true = np.zeros(1000)
+    x_true[rng.choice(1000, size=5, replace=False)] = rng.choice([-1.0, 1.0], 5) * rng.uniform(
+        0.5, 1.0, 5
+    )
+    b = a @ x_true
+    lam = 10.0 * float(np.abs(x_true).max())
+
+    def solve():
+        tol = 1e-6 * float(np.linalg.norm(b))
+        return run(preset("sparse_kaczmarz", a, b, lam=lam, residual_tolerance=tol))
+
+    def reference(plan, x_star, beta, nonneg, gp0=None, x=None):
+        x = None if x is None else x[plan.supp]
+        return _full_sort_linesearch(x_star[plan.supp], plan.a, beta, plan.w, nonneg, gp0, x)
+
+    res = solve()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projections, "_shrink_linesearch", reference)
+        ref = solve()
+
+    def rows(result):
+        return [
+            (
+                r.k,
+                r.constraint_index,
+                np.float64(r.step_size).tobytes(),
+                np.float64(r.w_norm).tobytes(),
+                None if r.violations is None else r.violations.tobytes(),
+            )
+            for r in result.records
+        ]
+
+    assert res.termination == ref.termination == "tolerance"
+    assert rows(res) == rows(ref)
+    assert res.x.tobytes() == ref.x.tobytes()
+    assert res.pair.x_star.tobytes() == ref.pair.x_star.tobytes()
+
+
+# the relative error the l1 linesearch meets against exact arithmetic on
+# small dyadic data
+_ORACLE_REL_EPS = 1e-12
+
+
+@st.composite
+def _dyadic_cases(draw):
+    # n <= 8, about 20% zero weights, mixed weights through a product of
+    # one-coordinate elastic nets, and about 30% halfspaces
+    n = draw(st.integers(1, 8))
+    quarters = st.integers(-12, 12).map(lambda v: v / 4.0)
+    a = np.array(draw(st.lists(quarters, min_size=n, max_size=n)))
+    assume(np.any(a))
+    x_star = np.array(draw(st.lists(quarters, min_size=n, max_size=n)))
+    levels = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+    weights = np.array(draw(st.lists(levels, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        obj = ProductObjective([ElasticNet(w, 1) for w in weights])
+    else:
+        weights[:] = weights[0]
+        obj = ElasticNet(weights[0], n)
+    nonneg = draw(st.integers(0, 9)) < 3
+    return obj, x_star, a, weights, draw(quarters) * 2.0, nonneg
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=_dyadic_cases(),
+    with_plan=st.booleans(),
+    with_gp0=st.booleans(),
+    with_x=st.booleans(),
+)
+@example(  # a flat zero stretch on [0.5, 1] that starts at a kink
+    case=(ElasticNet(0.5, 2), np.ones(2), np.array([1.0, 1.5]), np.full(2, 0.5), 0.0, False),
+    with_plan=True,
+    with_gp0=False,
+    with_x=False,
+)
+def test_l1_linesearch_matches_the_exact_oracle(case, with_plan, with_gp0, with_x):
+    obj, x_star, a, weights, beta, nonneg = case
+    s0 = soft_shrink(x_star, weights)
+    gp0 = beta - float(a @ s0) if with_gp0 else None
+    x = s0 if with_x else None
+    plan = _plan(a, weights, True) if with_plan else None
+    t = exact_linesearch(obj, x_star, a, beta, nonneg=nonneg, gp0=gp0, x=x, plan=plan)
+    exact = l1_linesearch_oracle(x_star, a, beta, weights, nonneg=nonneg, gp0=gp0, x=x)
+    assert abs(Fraction(t) - exact) <= Fraction(_ORACLE_REL_EPS) * abs(exact), (t, exact)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
