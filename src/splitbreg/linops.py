@@ -40,6 +40,18 @@ class LinearOperator:
         return np.stack([self.apply(eye[:, j]) for j in range(self.shape[1])], axis=1)
 
 
+def _checked_input(op, v, n):
+    """``v`` as a float array, checked to be a vector of length n: the one
+    input check of the matrix-free operators, which would otherwise slice,
+    broadcast or ignore a vector of another length. The ValueError names
+    ``op`` and both lengths."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        name = type(op).__name__
+        raise ValueError(f"{name} takes a vector of length {n}, not of shape {v.shape}")
+    return v
+
+
 def operator_norm(op, tol=1e-6, max_iter=1000):
     """Estimate ||A||_2 by power iteration on A^T A.
 
@@ -149,7 +161,7 @@ class ScaledIdentity(LinearOperator):
         self._norm = abs(self.scale)
 
     def apply(self, x):
-        return self.scale * np.asarray(x, dtype=float)
+        return self.scale * _checked_input(self, x, self.shape[1])
 
     apply_adjoint = apply  # c * I is self-adjoint
 
@@ -167,9 +179,11 @@ class ZeroOperator(LinearOperator):
         self._norm = 0.0
 
     def apply(self, x):
+        _checked_input(self, x, self.shape[1])
         return np.zeros(self.shape[0])
 
     def apply_adjoint(self, y):
+        _checked_input(self, y, self.shape[0])
         return np.zeros(self.shape[1])
 
     def row(self, i):
@@ -200,7 +214,7 @@ class BlockRow(LinearOperator):
         self.zero_columns = tuple((a, b) for _, a, b, z in self._blocks if z)
 
     def apply(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _checked_input(self, x, self.shape[1])
         # a zero block adds the scalar 0.0 where it would add its zeros: the
         # same sums bit for bit, -0.0 + 0.0 = +0.0 included
         outs = [0.0 if z else op.apply(x[a:b]) for op, a, b, z in self._blocks]
@@ -208,7 +222,7 @@ class BlockRow(LinearOperator):
         return total if isinstance(total, np.ndarray) else np.zeros(self.shape[0])
 
     def apply_adjoint(self, y):
-        y = np.asarray(y, dtype=float)
+        y = _checked_input(self, y, self.shape[0])
         out = np.zeros(self.shape[1])  # what the zero blocks give
         for op, a, b, z in self._blocks:
             if not z:
@@ -238,7 +252,7 @@ class Grad2D(LinearOperator):
 
     def apply(self, x):
         w, hw = self.width, self.height * self.width
-        x = np.asarray(x, dtype=float).ravel()
+        x = _checked_input(self, np.ravel(x), hw)  # an h x w image, or its rows in a row
         out = np.empty(2 * hw)
         np.subtract(x[1:], x[:-1], out=out[: hw - 1])
         out[w - 1 : hw : w] = 0.0  # the trailing column, and no wrap to the next row
@@ -248,7 +262,7 @@ class Grad2D(LinearOperator):
 
     def apply_adjoint(self, y):
         w, hw = self.width, self.height * self.width
-        y = np.asarray(y, dtype=float)
+        y = _checked_input(self, y, 2 * hw)
         p = y[:hw].copy()
         p[w - 1 :: w] = 0.0  # the trailing column of p enters no sum
         q = y[hw:]

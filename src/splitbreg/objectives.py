@@ -89,10 +89,6 @@ class SquaredNorm(Objective):
         x = _check_dim(x, self.dimension, "x")
         return float(0.5 * np.dot(x, x))
 
-    def conjugate(self, x_star):
-        x_star = _check_dim(x_star, self.dimension, "x_star")
-        return float(0.5 * np.dot(x_star, x_star))
-
     def grad_conjugate(self, x_star):
         return _check_dim(x_star, self.dimension, "x_star").copy()
 
@@ -112,11 +108,6 @@ class ElasticNet(Objective):
     def value(self, x):
         x = _check_dim(x, self.dimension, "x")
         return float(self.lam * np.abs(x).sum() + 0.5 * np.dot(x, x))
-
-    def conjugate(self, x_star):
-        x_star = _check_dim(x_star, self.dimension, "x_star")
-        z = soft_shrink(x_star, self.lam)
-        return float(0.5 * np.dot(z, z))
 
     def grad_conjugate(self, x_star):
         x_star = _check_dim(x_star, self.dimension, "x_star")
@@ -236,10 +227,6 @@ class ProductObjective(Objective):
     def value(self, x):
         x = _check_dim(x, self.dimension, "x")
         return float(sum(p.value(x[s]) for p, s in zip(self.parts, self.slices)))
-
-    def conjugate(self, x_star):
-        x_star = _check_dim(x_star, self.dimension, "x_star")
-        return float(sum(p.conjugate(x_star[s]) for p, s in zip(self.parts, self.slices)))
 
     def grad_conjugate(self, x_star):
         x_star = _check_dim(x_star, self.dimension, "x_star")

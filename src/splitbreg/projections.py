@@ -5,14 +5,16 @@ for "difficult" constraints; the Bregman projectors update a primal-dual pair
 for the "simple" ones. Every Bregman projector returns a new consistent pair
 (primal point plus admissible subgradient). A set's data is fixed at
 construction: what it precomputes there (a normal's length and support) stays
-valid for its lifetime. One attribute is written later: ``bregman_projector``
-keeps the projector it last built in the set's ``_bregman``, keyed by the
+valid for its lifetime. One attribute is written later: ``bregman_projector``,
+the one projector dispatch, keeps the projector it last built (a partial of
+one of the ``_project_*`` forms) in the set's ``_bregman``, keyed by the
 objective's identity. It stays while perfbench's tracer hooks
 ``bregman_project(obj, pair, target)`` by name: that call carries no
 projector, so the set has to keep it.
 """
 
 import bisect
+import functools
 import math
 
 import numpy as np
@@ -83,7 +85,7 @@ class RangeSet:
     _bregman = (None, None)
 
     def __getstate__(self):
-        # the kept projector is a closure, which cannot be pickled; a copy
+        # the kept projector holds the objective and the set itself; a copy
         # builds its own
         return {k: v for k, v in self.__dict__.items() if k != "_bregman"}
 
@@ -367,15 +369,14 @@ def _shrink_linesearch(plan, x_star, beta, nonneg, gp0=None, x=None):
       slope s is a.a over them, the intercept change a sum of exact zeros and
       g' = g'(0) + s t, in the from-scratch piece's bits. The first kink is
       the least next kink, (u_j + copysign(w_j, a_j)) / a_j, or the leaving
-      one for an active coordinate moving toward [-w_j, w_j]. A kink at 0
-      (a tie |x*_j| = w_j) is crossed first and the piece built from scratch;
+      one for an active coordinate moving toward [-w_j, w_j];
     - walk: past the first kink, cross the kinks in order (_walk_kinks);
     - confirm: g' built from scratch on the guessed piece is >= 0 at its
       right end (trivially so on the last piece, which runs to infinity), and
       on the piece to its left it is < 0;
-    - fall back: only when the confirmation fails or the walk passes
-      _WALK_CAP kinks, sort all the kinks and bisect them with the
-      from-scratch g'.
+    - fall back: when the first kink is at 0 (a tie |x*_j| = w_j), the
+      confirmation fails or the walk passes _WALK_CAP kinks, sort all the
+      kinks and bisect them with the from-scratch g'.
 
     When no weight on the support is positive there is no kink: g' is one
     line of slope ``plan.line_slope``, whose zero is taken in closed form
@@ -434,20 +435,11 @@ def _shrink_linesearch(plan, x_star, beta, nonneg, gp0=None, x=None):
     near[near < 0.0] = np.inf
     first[idx] = near
     left, right = 0.0, float(first[first.argmin()]) if first.size else math.inf
-    if right > 0.0:
-        delta, gp = 0.0, gp0 + s * right
-    else:
-        # kinks at 0 (or a NaN in x_star): a tie moving outward enters for
-        # good; an active coordinate leaves on a +0 near kink, not on a -0 one
-        zero = np.flatnonzero(first == 0.0)
-        leave = zero[on[zero] & ~np.signbit(first[zero])]
-        on[leave] = False
-        first[zero] = np.inf
-        first[leave] = (uk[leave] + cw[leave]) / ak[leave]
-        right = float(first[first.argmin()])
-        s, delta, gp = piece(left, right)
-    if gp < 0.0:  # past the first kink (g'(inf) is never < 0)
-        ends = _walk_kinks(first, on, uk, wk, ak, gp, s)
+    delta, gp = 0.0, gp0 + s * right
+    # past the first kink (g'(inf) is never < 0), or a kink at 0 (a tie
+    # |x*_j| = w_j, or a NaN in x_star), which only the fallback places
+    if gp < 0.0 or not right > 0.0:
+        ends = _walk_kinks(first, on, uk, wk, ak, gp, s) if right > 0.0 else None
         if ends is not None:
             left, right = ends[-2], ends[-1]
             s, delta, gp = piece(left, right)
@@ -470,11 +462,6 @@ def _shrink_linesearch(plan, x_star, beta, nonneg, gp0=None, x=None):
     return sign * min(max(-(gp0 + delta) / s, left), right)
 
 
-def _finite_weights(weights, idx):
-    """Whether the shrink weights are finite on ``idx``."""
-    return bool(np.all(np.isfinite(weights[idx])))
-
-
 class _WeightVerdicts:
     """The verdicts a linesearch plan takes on shrink weights ``w``: the index
     ``kinked`` of the nonzero ones (as _nonzeros gives it), the mask ``free``
@@ -488,7 +475,7 @@ class _WeightVerdicts:
         self.w, self.kinked = w, _nonzeros(w)  # shrink weights are nonnegative
         free = w == 0.0
         self.free = free if free.any() else None
-        self.finite, self.any = _finite_weights(w, slice(None)), bool(np.any(w))
+        self.finite, self.any = bool(np.all(np.isfinite(w))), bool(np.any(w))
 
 
 class _LinesearchPlan:
@@ -502,11 +489,16 @@ class _LinesearchPlan:
     zero, g' has no kink and this is its one slope, a.a summed over the
     support; None otherwise. For an a without zeros they are the handed-in
     ``verdicts`` on all the weights, if any, else taken here on the support.
-    For a normal whose nonzeros are one run it holds views only."""
+    For a normal whose nonzeros are one run it holds views only. Raises
+    ZeroDirection when a_sq is 0 and NonFiniteData when it is not finite."""
 
     __slots__ = ("supp", "a", "w", "kinked", "free", "a_sq", "finite", "line_slope")
 
     def __init__(self, a, weights, supp, a_sq, verdicts=None):
+        if a_sq == 0.0:
+            raise ZeroDirection("linesearch direction is zero")
+        if not math.isfinite(a_sq):
+            raise NonFiniteData("linesearch direction is not finite or its square overflows")
         self.supp, self.a, self.a_sq = supp, a[supp], a_sq
         if verdicts is None or self.a.size < a.size:
             verdicts = _WeightVerdicts(weights[supp])
@@ -525,8 +517,9 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
     supplies an exactly-known g'(0) and ``x`` the primal grad f*(x_star) that
     a caller holding a consistent pair already has (see _shrink_linesearch).
     ``plan`` is the _LinesearchPlan of ``a`` under ``obj`` when the caller
-    keeps one (bregman_projector does, per hyperplane); without it the plan is
-    built here. Raises ZeroDirection for a zero ``a`` and NonFiniteData when
+    has one (bregman_projector keeps one per hyperplane, and a difficult step
+    under Exact builds its own on run's weight verdicts); without it the plan
+    is built here. Raises ZeroDirection for a zero ``a`` and NonFiniteData when
     x_star, a or beta holds a NaN or an infinity: a plan's ``a`` is taken as
     checked, and the others are judged by g'(0) and by the step, not by a pass
     over x_star.
@@ -535,10 +528,6 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
     if plan is None:
         a = np.asarray(a, dtype=float)
         plan = _LinesearchPlan(a, obj.shrink_weights(), _nonzeros(a), float(np.dot(a, a)))
-        if plan.a_sq == 0.0:
-            raise ZeroDirection("linesearch direction is zero")
-        if not math.isfinite(plan.a_sq):
-            raise NonFiniteData("linesearch direction is not finite or its square overflows")
     if plan.finite:
         t = _shrink_linesearch(plan, x_star, beta, nonneg, gp0=gp0, x=x)
         if not math.isfinite(t):
@@ -573,7 +562,7 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
 # Bregman projections
 # ---------------------------------------------------------------------------
 
-def _project_halfspace(obj, pair, target, plan):
+def _project_halfspace(obj, target, plan, pair):
     """Exact-linesearch projection onto a Hyperplane, or onto a one-sided
     Halfspace (identity on interior points, otherwise a step t >= 0), with the
     normal's linesearch ``plan``.
@@ -600,7 +589,7 @@ def _project_halfspace(obj, pair, target, plan):
     return PrimalDualPair(z, z_star)
 
 
-def _project_nonneg(pair, weights, idx):
+def _project_nonneg(weights, idx, pair):
     """Closed form for objectives that are coordinatewise "w_j |x_j| + x_j^2/2"
     on idx: the admissible subgradient clamps the dual to the nonnegative
     orthant there and the primal is its shrinkage."""
@@ -611,7 +600,7 @@ def _project_nonneg(pair, weights, idx):
     return PrimalDualPair(z, z_star)
 
 
-def _project_box(pair, weights, lower, upper):
+def _project_box(weights, lower, upper, pair):
     """Closed form for coordinatewise l1 + squared objectives and a box
     containing the origin (bregman_projector checks that once).
 
@@ -631,49 +620,44 @@ def _project_box(pair, weights, lower, upper):
     return PrimalDualPair(soft_shrink(z_star, weights), z_star)
 
 
-def _project_orthogonal(pair, target):
+def _project_orthogonal(target, pair):
     z = target.project(pair.x)
     return PrimalDualPair(z, z.copy())
 
 
 def bregman_projector(obj, target, verdicts=None):
     """The Bregman projector onto ``target`` under ``obj``, as a function of the
-    pair: the one dispatch table behind bregman_project (see there for the
-    supported pairings, tried in order). Raises TypeError for an unsupported
-    pairing and BoxWithoutZero for a box the closed form cannot take.
+    pair: a partial of one of the ``_project_*`` forms, picked here, by the one
+    dispatch table behind bregman_project (see there for the supported
+    pairings, tried in order). Raises TypeError for an unsupported pairing and
+    BoxWithoutZero for a box the closed form cannot take.
 
     The set keeps the projector it last built, keyed by the identity of the
     objective, so a run dispatches once per simple constraint (sets and shrink
     weights never change after construction), on the ``verdicts`` it took once
     on the shrink weights (_WeightVerdicts; a build without them takes its own)."""
     owner, projector = target._bregman
-    if owner is not obj:
-        projector = _build_projector(obj, target, verdicts)
-        target._bregman = (obj, projector)
-    return projector
-
-
-def _build_projector(obj, target, verdicts):
-    """bregman_projector's dispatch, on the ``verdicts`` on the objective's
-    shrink weights (_WeightVerdicts, taken here when none are handed in)."""
-    if verdicts is None:
-        verdicts = _WeightVerdicts(obj.shrink_weights())
+    if owner is obj:
+        return projector
+    verdicts = verdicts or _WeightVerdicts(obj.shrink_weights())
     weights = verdicts.w
     if not verdicts.any:
-        return lambda pair: _project_orthogonal(pair, target)
-    if isinstance(target, _LinearSet):
+        projector = functools.partial(_project_orthogonal, target)
+    elif isinstance(target, _LinearSet):
         plan = _LinesearchPlan(target.normal, weights, target.support, target.norm_sq, verdicts)
-        return lambda pair: _project_halfspace(obj, pair, target, plan)
-    if isinstance(target, NonnegCone):
-        if _finite_weights(weights, target.indices):
-            return lambda pair: _project_nonneg(pair, weights, target.indices)
+        projector = functools.partial(_project_halfspace, obj, target, plan)
+    elif isinstance(target, NonnegCone) and np.all(np.isfinite(weights[target.indices])):
+        projector = functools.partial(_project_nonneg, weights, target.indices)
     elif isinstance(target, Box) and verdicts.finite:
         if np.any(target.lower > 0.0) or np.any(target.upper < 0.0):
             raise BoxWithoutZero("box must contain the origin componentwise")
-        return lambda pair: _project_box(pair, weights, target.lower, target.upper)
-    raise TypeError(
-        f"no Bregman projector for {type(target).__name__} under {type(obj).__name__}"
-    )
+        projector = functools.partial(_project_box, weights, target.lower, target.upper)
+    else:
+        raise TypeError(
+            f"no Bregman projector for {type(target).__name__} under {type(obj).__name__}"
+        )
+    target._bregman = (obj, projector)
+    return projector
 
 
 def bregman_project(obj, pair, target):

@@ -242,9 +242,11 @@ def _simple_step(obj, target, pair):
     return projections.bregman_project(obj, pair, target), math.nan, math.nan
 
 
-def _difficult_step(obj, constraint, rule, live, pair):
+def _difficult_step(obj, constraint, rule, live, pair, verdicts=None):
     """One separating-halfspace step. Returns (pair, step_size, w_norm); a point
-    whose residual is exactly zero gets a zero step.
+    whose residual is exactly zero gets a zero step. Under Exact the
+    linesearch plan of A^T w is built on ``verdicts``, run's verdicts on the
+    objective's shrink weights (taken here when none are handed in).
 
     The new dual point is x* - t A^T w. Where ``live`` (from ``_live_parts``)
     skips parts of the objective, a finite t >= 0 leaves x* unchanged there
@@ -265,9 +267,12 @@ def _difficult_step(obj, constraint, rule, live, pair):
     elif isinstance(rule, Dynamic):
         t = t_dynamic
     elif isinstance(rule, Exact):
+        verdicts = verdicts or projections._WeightVerdicts(obj.shrink_weights())
+        supp = projections._nonzeros(d)
+        plan = projections._LinesearchPlan(d, verdicts.w, supp, d_sq, verdicts)
         # g'(0) = -||w||^2 exactly; passing it avoids the beta cancellation
         t = projections.exact_linesearch(
-            obj, pair.x_star, d, beta, nonneg=True, gp0=-(w_norm * w_norm), x=pair.x
+            obj, pair.x_star, d, beta, nonneg=True, gp0=-(w_norm * w_norm), x=pair.x, plan=plan
         )
     else:  # Inexact, the one rule left once run has checked it
         t = _forward_track(obj, pair.x_star, d, beta, t_dynamic)
@@ -309,23 +314,25 @@ def run(config, callback=None):
     Callbacks must therefore not modify the arrays of ``pair`` in place.
 
     Before step 0, run checks its input and sets up each constraint's step
-    once: a simple constraint builds its Bregman projector (all of them on one
-    set of verdicts on the objective's shrink weights, which are read once), a
-    difficult one takes the objective parts its operator reaches
-    (``_live_parts``), and the control hands over this run's index stream,
-    ``control.indices(n)``, from which each step takes the next index (a
-    stream that ends early raises StopIteration, and an index outside 0..n-1
-    a ValueError before its step runs). A wrong width or length, an unknown
-    step rule, a ``max_iterations`` that is not a whole number >= 0 and a
-    ``Custom`` order naming a missing constraint all raise then. run is the
-    only stepping path.
+    once: a simple constraint builds its Bregman projector, a difficult one
+    takes the objective parts its operator reaches (``_live_parts``), both on
+    one set of verdicts on the objective's shrink weights (read once; a
+    difficult step uses them under Exact, for its linesearch plans), and the
+    control hands over this run's index stream, ``control.indices(n)``, from
+    which each step takes the next index (a stream that ends early raises
+    StopIteration, and an index outside 0..n-1 a ValueError before its step
+    runs). A wrong width or length, an unknown step rule, a
+    ``max_iterations`` that is not a whole number >= 0 and a ``Custom`` order
+    naming a missing constraint all raise then. run is the only stepping
+    path.
     """
     obj = config.objective
     constraints = config.constraints
     if not constraints:
         raise ValueError("need at least one constraint")
     steps = []  # constraint i's step, pair -> (pair, step_size, w_norm)
-    verdicts = None  # on the shrink weights, taken once, at the first simple constraint
+    rule = config.step_rule
+    verdicts = None  # on the shrink weights, taken once, at the first step that needs them
     for i, c in enumerate(constraints):  # every set-up error before step 0
         simple = isinstance(c, Simple)
         if not simple and c.op.shape[1] != obj.dimension:
@@ -335,16 +342,18 @@ def run(config, callback=None):
         if not projections.data_fits(c.target, length):
             msg = f"constraint {i}: {type(c.target).__name__} does not fit length {length}"
             raise DimensionMismatch(msg)
+        if simple or isinstance(rule, Exact):
+            verdicts = verdicts or projections._WeightVerdicts(obj.shrink_weights())
         if simple:
             # raises TypeError or BoxWithoutZero; the set keeps what it builds
-            verdicts = verdicts or projections._WeightVerdicts(obj.shrink_weights())
             projections.bregman_projector(obj, c.target, verdicts)
             steps.append(functools.partial(_simple_step, obj, c.target))
-        elif not isinstance(config.step_rule, tuple(STEP_RULES.values())):
-            raise TypeError(f"unknown step rule {config.step_rule!r}")
+        elif not isinstance(rule, tuple(STEP_RULES.values())):
+            raise TypeError(f"unknown step rule {rule!r}")
         else:
             live = _live_parts(obj, c.op)
-            steps.append(functools.partial(_difficult_step, obj, c, config.step_rule, live))
+            step = functools.partial(_difficult_step, obj, c, rule, live, verdicts=verdicts)
+            steps.append(step)
     n = len(constraints)
     tols = np.asarray(config.residual_tolerance, dtype=float)
     if tols.shape not in ((), (1,), (n,)):

@@ -165,3 +165,101 @@ def l1_linesearch_oracle(x_star, a, beta, weights, nonneg=False, gp0=None, x=Non
     last = ends[-1]
     slope = sign * gp(sign * (last + 1)) - values[-1]
     return sign * (last - values[-1] / slope)
+
+
+def _fractions(vec):
+    return [Fraction(float(v)) for v in vec]
+
+
+def _shrink(v, w):
+    """S_w(v) = sign(v) max(|v| - w, 0) on Fractions."""
+    return max(abs(v) - w, Fraction(0)) * (1 if v > 0 else -1)
+
+
+def simplex_threshold_oracle(y, total=1.0):
+    """The exact theta with sum_j max(y_j - theta, 0) = total, as a Fraction,
+    so that the projection onto {z >= 0, sum z = total} is max(y - theta, 0).
+
+    The sum is continuous and strictly decreasing in theta while positive, so
+    theta is found by trying each k = 1..n: with the k largest entries
+    positive, theta = (their sum - total) / k, valid when it leaves exactly
+    those k above it (ties at theta count as not above). For total = 0 every
+    theta >= max(y) gives z = 0; the oracle returns max(y)."""
+    ys, total = sorted(_fractions(y), reverse=True), Fraction(float(total))
+    if total == 0:
+        return ys[0]
+    head = Fraction(0)
+    for k, v in enumerate(ys, start=1):
+        head += v
+        theta = (head - total) / k
+        if v > theta and (k == len(ys) or ys[k] <= theta):
+            return theta
+    raise AssertionError("no threshold found")
+
+
+def l1_ball_threshold_oracle(y, radius):
+    """The exact theta >= 0 with z = sign(y) max(|y| - theta, 0) the projection
+    onto {||z||_1 <= radius}, as a Fraction: 0 for a point inside the ball,
+    else the simplex threshold of |y| with total ``radius``."""
+    a = [abs(v) for v in _fractions(y)]
+    if sum(a) <= Fraction(float(radius)):
+        return Fraction(0)
+    return simplex_threshold_oracle([float(v) for v in a], radius)
+
+
+def box_bregman_oracle(x_star, weights, lower, upper):
+    """The Bregman projection of the pair (S_w(x_star), x_star) onto the box
+    lower <= z <= upper, which holds 0, for f = sum_j w_j |z_j| + z_j^2 / 2, as
+    exact (z, z_star) lists of Fractions; a bound of None is infinite.
+
+    z minimizes f(z) - <x_star, z> over the box, coordinate by coordinate:
+    the clipped shrinkage. The subgradient z_star is x_star where the
+    shrinkage is inside the box, bound +- w at a nonzero bound, and 0 where
+    z sits on a zero bound that x_star lies beyond."""
+    z, z_star = [], []
+    for v, w, lo, hi in zip(_fractions(x_star), _fractions(weights), lower, upper):
+        lo = None if lo is None else Fraction(float(lo))
+        hi = None if hi is None else Fraction(float(hi))
+        s = _shrink(v, w)
+        zj = s if hi is None or s <= hi else hi
+        zj = zj if lo is None or zj >= lo else lo
+        if zj == 0 and ((lo == 0 and v < 0) or (hi == 0 and v > 0)):
+            zsj = Fraction(0)
+        elif zj != s:
+            zsj = zj + w if zj == hi else zj - w
+        else:
+            zsj = v
+        z.append(zj)
+        z_star.append(zsj)
+    return z, z_star
+
+
+def nonneg_cone_as_box(n, indices):
+    """The bounds (lower, upper) of {z in R^n : z_j >= 0 for j in indices} as
+    a box for box_bregman_oracle and bregman_pair_is_optimal: [0, inf) on
+    the cone's coordinates, no bound elsewhere (None is infinite). The cone's
+    Bregman closed form is the box's on these bounds."""
+    inside = np.zeros(n, dtype=bool)
+    inside[indices] = True
+    return [0.0 if i else None for i in inside], [None] * n
+
+
+def bregman_pair_is_optimal(x_star, weights, lower, upper, z, z_star):
+    """Whether (z, z_star) is the Bregman projection of (S_w(x_star), x_star)
+    onto the box, checked exactly: the pair is consistent (z = S_w(z_star),
+    i.e. z_star is a subgradient of f at z), z lies in the box, and
+    x_star - z_star lies in the box's normal cone at z (>= 0 at an upper
+    bound, <= 0 at a lower one, 0 strictly inside). A bound of None is
+    infinite."""
+    rows = zip(_fractions(x_star), _fractions(weights), lower, upper)
+    for (v, w, lo, hi), zj, zsj in zip(rows, _fractions(z), _fractions(z_star)):
+        lo = None if lo is None else Fraction(float(lo))
+        hi = None if hi is None else Fraction(float(hi))
+        if _shrink(zsj, w) != zj:
+            return False
+        if (lo is not None and zj < lo) or (hi is not None and zj > hi):
+            return False
+        gap = v - zsj
+        if (gap > 0 and zj != hi) or (gap < 0 and zj != lo):
+            return False
+    return True

@@ -102,6 +102,29 @@ def test_dense_product_checks_the_length_of_x():
         op.apply(np.zeros(63))
 
 
+@pytest.mark.parametrize(
+    "call, name, want, given",
+    [
+        (lambda: BlockRow([DenseMatrix(np.eye(2))] * 2).apply(np.ones(5)), "BlockRow", 4, 5),
+        (lambda: BlockRow([ZeroOperator(2, 3)]).apply_adjoint(np.ones(3)), "BlockRow", 2, 3),
+        (lambda: ScaledIdentity(3, 2.0).apply(np.ones(5)), "ScaledIdentity", 3, 5),
+        (lambda: ZeroOperator(2, 3).apply(np.ones(7)), "ZeroOperator", 3, 7),
+        (lambda: ZeroOperator(2, 3).apply_adjoint(np.ones(9)), "ZeroOperator", 2, 9),
+        (lambda: Grad2D(2, 2).apply_adjoint(np.ones(12)), "Grad2D", 8, 12),
+        (lambda: Grad2D(2, 2).apply(np.ones((3, 2))), "Grad2D", 4, 6),
+    ],
+)
+def test_matrix_free_products_check_the_input_length(call, name, want, given):
+    message = rf"{name} takes a vector of length {want}, not of shape \({given},\)"
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_grad2d_takes_an_image_or_its_flat_rows():
+    g, image = Grad2D(2, 3), np.arange(6.0).reshape(2, 3)
+    assert g.apply(image).tobytes() == g.apply(image.ravel()).tobytes()
+
+
 def test_operator_norm_diagonal():
     op = DenseMatrix(np.diag([3.0, 1.0]))
     assert op.norm_estimate() == pytest.approx(3.0, rel=1e-6)

@@ -48,7 +48,17 @@ from splitbreg import projections
 from splitbreg.linops import DenseMatrix
 from splitbreg.solver import Custom, Difficult, RandomUniform, preset, run
 
-from oracles import grid_minimize, l1_ball_oracle, l1_linesearch_oracle, simplex_oracle
+from oracles import (
+    box_bregman_oracle,
+    bregman_pair_is_optimal,
+    grid_minimize,
+    l1_ball_oracle,
+    l1_ball_threshold_oracle,
+    l1_linesearch_oracle,
+    nonneg_cone_as_box,
+    simplex_oracle,
+    simplex_threshold_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +106,48 @@ def test_l1_ball_matches_oracle():
         z = project_l1_ball(y, radius)
         assert np.abs(z).sum() <= radius + 1e-10
         np.testing.assert_allclose(z, l1_ball_oracle(y, radius), atol=1e-8)
+
+
+# the error the simplex and l1-ball projections meet against their exact
+# thresholds on small dyadic data, relative to the input's scale: max|y| plus
+# the total or radius
+_THRESHOLD_REL_EPS = 1e-15
+
+
+@st.composite
+def _dyadic_vectors(draw):
+    # n <= 8 quarter-integers from a short range, so entries repeat and the
+    # threshold often equals one of them
+    n = draw(st.integers(1, 8))
+    return np.array(draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))) / 4.0
+
+
+def _assert_near(z, exact, scale):
+    # |z_j - exact_j| <= _THRESHOLD_REL_EPS * scale for every j
+    bound = Fraction(_THRESHOLD_REL_EPS) * Fraction(float(scale))
+    for zj, ej in zip(z, exact):
+        assert abs(Fraction(float(zj)) - ej) <= bound, (zj, ej)
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=_dyadic_vectors(), total=st.integers(0, 16).map(lambda v: v / 4.0))
+def test_simplex_projection_meets_the_exact_threshold(y, total):
+    theta = simplex_threshold_oracle(y, total)
+    exact = [max(Fraction(float(v)) - theta, Fraction(0)) for v in y]
+    assert sum(exact) == Fraction(total)
+    z = project_simplex(y, total)
+    assert np.all(z >= 0.0)
+    _assert_near(z, exact, np.abs(y).max() + total)
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=_dyadic_vectors(), radius=st.integers(0, 16).map(lambda v: v / 4.0))
+def test_l1_ball_projection_meets_the_exact_threshold(y, radius):
+    theta = l1_ball_threshold_oracle(y, radius)
+    assert theta >= 0
+    exact = [max(abs(v) - theta, Fraction(0)) * (1 if v > 0 else -1) for v in map(Fraction, y)]
+    assert sum(map(abs, exact)) <= Fraction(radius)
+    _assert_near(project_l1_ball(y, radius), exact, np.abs(y).max() + radius)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -517,14 +569,17 @@ def _forced_bisection():
 )
 def test_located_root_matches_bisection(case, gp0):
     # the located and confirmed piece gives the bisected answer bit for bit;
-    # a wrong guess is always caught by the from-scratch confirmation
+    # a wrong guess is always caught by the from-scratch confirmation, and
+    # only a kink at 0 (a tie |x*_j| = w_j) is bisected without a guess
     x_star, a, weights, beta, nonneg, _ = case
     args = (_plan(a, weights), x_star, beta, nonneg)
     t = projections._shrink_linesearch(*args, gp0=gp0)
     with _forced_bisection() as counts:
         t_bisected = projections._shrink_linesearch(*args, gp0=gp0)
     assert np.float64(t).tobytes() == np.float64(t_bisected).tobytes()
-    assert counts["bisections"] == counts["guesses"] <= 1
+    assert counts["guesses"] <= counts["bisections"] <= 1
+    if counts["bisections"] > counts["guesses"]:
+        assert np.any((a != 0.0) & (weights > 0.0) & (np.abs(x_star) == weights))
     # the primal a consistent pair holds stands in for the shrinkage of x_star
     t_from_x = projections._shrink_linesearch(*args, gp0=gp0, x=soft_shrink(x_star, weights))
     assert np.float64(t_from_x).tobytes() == np.float64(t).tobytes()
@@ -820,7 +875,7 @@ def test_walked_linesearch_matches_the_full_sort_reference_at_the_edges():
             if name == "past-the-cap":
                 assert walks == [None]  # the walk stops at its cap
             if name.endswith("ties"):
-                assert len(walks) == 1 and walks[0] is not None
+                assert walks == []  # a kink at 0 goes straight to the bisection
     assert answers["root-at-a-kink"] == 1.0
     assert answers["flat-from-a-kink"] == 0.5
     assert np.float64(answers["root-on-a-walked-kink"]).tobytes() == np.float64(-2.0).tobytes()
@@ -951,6 +1006,34 @@ def test_l1_linesearch_matches_the_exact_oracle(case, with_plan, with_gp0, with_
     t = exact_linesearch(obj, x_star, a, beta, nonneg=nonneg, gp0=gp0, x=x, plan=plan)
     exact = l1_linesearch_oracle(x_star, a, beta, weights, nonneg=nonneg, gp0=gp0, x=x)
     assert abs(Fraction(t) - exact) <= Fraction(_ORACLE_REL_EPS) * abs(exact), (t, exact)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=_tie_rich_cases(),
+    with_plan=st.booleans(),
+    with_gp0=st.booleans(),
+    with_x=st.booleans(),
+)
+@example(case=_EDGE_CASES["ties"], with_plan=False, with_gp0=False, with_x=False)
+@example(case=_EDGE_CASES["mirrored-ties"], with_plan=True, with_gp0=True, with_x=True)
+def test_tie_rich_linesearch_meets_the_oracle_and_the_full_sort_reference(
+    case, with_plan, with_gp0, with_x
+):
+    # ties |x*_j| = w_j moving into [-w_j, w_j] and out of it (a kink at 0,
+    # which goes straight to the sort-and-bisect fallback), -0.0 entries,
+    # zero weights and halfspaces, through the public entry point
+    x_star, a, weights, beta, nonneg = case
+    obj = ProductObjective([ElasticNet(w, 1) for w in weights])
+    s0 = soft_shrink(x_star, weights)
+    gp0 = beta - float(a @ s0) if with_gp0 else None
+    x = s0 if with_x else None
+    plan = _plan(a, weights, True) if with_plan else None
+    t = exact_linesearch(obj, x_star, a, beta, nonneg=nonneg, gp0=gp0, x=x, plan=plan)
+    exact = l1_linesearch_oracle(x_star, a, beta, weights, nonneg=nonneg, gp0=gp0, x=x)
+    assert abs(Fraction(t) - exact) <= Fraction(_ORACLE_REL_EPS) * abs(exact), (t, exact)
+    want = _full_sort_linesearch(x_star, a, beta, weights, nonneg, gp0=gp0, x=x)
+    assert np.float64(t).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -1122,6 +1205,75 @@ def test_bregman_box_minimality():
         for _ in range(10):
             y = box.project(rng.standard_normal(3) * 2.0)
             assert d_star <= bregman_distance(obj, pair.x, pair.x_star, y) + 1e-9
+
+
+# the error the Box and NonnegCone Bregman closed forms meet against exact
+# arithmetic on small dyadic data, relative to each exact coordinate
+_CLOSED_FORM_REL_EPS = 1e-15
+
+
+@st.composite
+def _dyadic_closed_form_cases(draw):
+    # per-coordinate weights among a few levels (zero included) and x_star
+    # often at a tie: +-w_j (shrinkage at 0), bound +- w_j (shrinkage on the
+    # bound) or -0.0; bounds that are 0, finite or infinite
+    n = draw(st.integers(1, 6))
+
+    def column(*levels):
+        return np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+
+    weights = column(0.0, 0.25, 0.5, 1.0)
+    lower, upper = column(-np.inf, -1.0, -0.5, 0.0), column(0.0, 0.5, 1.0, np.inf)
+    x_star = np.empty(n)
+    for j in range(n):
+        w, ties = weights[j], [weights[j], -weights[j], -0.0]
+        ties += [b + e * w for b, e in ((lower[j], -1), (upper[j], 1)) if math.isfinite(b)]
+        x_star[j] = draw(st.sampled_from(ties) | st.integers(-12, 12).map(lambda v: v / 4.0))
+    return x_star, weights, lower, upper
+
+
+def _assert_matches_exactly(got, exact):
+    # within _CLOSED_FORM_REL_EPS of each exact coordinate (so an exact 0 is 0)
+    for g, e in zip(got, exact):
+        assert abs(Fraction(float(g)) - e) <= Fraction(_CLOSED_FORM_REL_EPS) * abs(e), (got, exact)
+
+
+def _finite_or_none(bounds):
+    return [float(b) if math.isfinite(b) else None for b in bounds]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_dyadic_closed_form_cases())
+@example(  # x_star beyond a zero upper bound, and inside the box at a zero lower one
+    case=(np.array([3.0, -0.5]), np.ones(2), np.array([-1.0, 0.0]), np.array([0.0, 1.0]))
+)
+def test_bregman_box_matches_the_exact_oracle(case):
+    x_star, weights, lower, upper = case
+    obj = ProductObjective([ElasticNet(w, 1) for w in weights])
+    out = bregman_project(obj, pair_from_dual(obj, x_star), Box(lower, upper))
+    bounds = _finite_or_none(lower), _finite_or_none(upper)
+    z, z_star = box_bregman_oracle(x_star, weights, *bounds)
+    assert bregman_pair_is_optimal(x_star, weights, *bounds, z, z_star)
+    assert bregman_pair_is_optimal(x_star, weights, *bounds, out.x, out.x_star)
+    _assert_matches_exactly(out.x, z)
+    _assert_matches_exactly(out.x_star, z_star)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_dyadic_closed_form_cases(), data=st.data())
+def test_bregman_nonneg_cone_matches_the_exact_oracle(case, data):
+    x_star, weights, _, _ = case
+    n = x_star.size
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    indices = data.draw(st.sampled_from([None, np.flatnonzero(mask)]))
+    obj = ProductObjective([ElasticNet(w, 1) for w in weights])
+    out = bregman_project(obj, pair_from_dual(obj, x_star), NonnegCone(indices))
+    bounds = nonneg_cone_as_box(n, slice(None) if indices is None else indices)
+    z, z_star = box_bregman_oracle(x_star, weights, *bounds)
+    assert bregman_pair_is_optimal(x_star, weights, *bounds, z, z_star)
+    assert bregman_pair_is_optimal(x_star, weights, *bounds, out.x, out.x_star)
+    _assert_matches_exactly(out.x, z)
+    _assert_matches_exactly(out.x_star, z_star)
 
 
 def test_bregman_dispatch_pure_quadratic_reduces_to_orthogonal():

@@ -728,6 +728,18 @@ def test_sparse_kaczmarz_reads_the_shrink_weights_once_per_run():
     assert cfg.objective.weight_reads == 1
 
 
+def test_linearized_bregman_reads_the_shrink_weights_once_per_run():
+    # a difficult step under Exact builds its linesearch plan on the verdicts
+    # run took at set-up, not on a fresh read of the weights
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((20, 60))
+    cfg = preset("linearized_bregman", a, a @ rng.standard_normal(60), lam=1.0,
+                 max_iterations=300, residual_tolerance=1e-18)
+    cfg.objective = _CountingElasticNet(1.0, 60)
+    assert run(cfg).iterations == 300
+    assert cfg.objective.weight_reads == 1
+
+
 # ---------------------------------------------------------------------------
 # malformed input fails early with a named error
 # ---------------------------------------------------------------------------
