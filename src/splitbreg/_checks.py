@@ -11,6 +11,13 @@ def _check_whole(key, value, low=1):
         raise ValueError(f"{key} must be {sign} and whole, not {value!r}")
 
 
+def _check_choice(key, value, choices):
+    """Raise a ValueError naming ``key``, the bad ``value`` and the ``choices``
+    unless ``value`` is one of them."""
+    if value not in tuple(choices):
+        raise ValueError(f"{key} {value!r} is not one of {', '.join(map(str, choices))}")
+
+
 def _is_real(value):
     """Whether ``value`` is a real number: numpy's real scalars are; a bool, a
     string, None and a complex number are not."""

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _check_choice, _check_whole, _nonnegative
 from .linops import as_operator
 from .objectives import soft_shrink
-from .projections import NormBall, Point
+from .projections import NonFiniteData, NormBall, Point
 
 
 @dataclass
@@ -59,15 +60,29 @@ def prox_g(y, sigma, ball):
 
 
 def run_pd(config):
-    """Run the primal-dual iteration for the configured budget."""
+    """Run the primal-dual iteration for the configured budget.
+
+    Before the first iteration it raises a ValueError naming the field for a
+    ``lam`` or ``delta`` that is not a real number >= 0, a ``noise_norm``
+    other than 1, 2 or inf, a ``max_iterations`` or ``record_every`` that is
+    not a whole number >= 0 and a ``b`` that does not match the operator, and
+    NonFiniteData for a ``b`` holding a NaN or an infinity.
+    """
     op = as_operator(config.op)
     b = np.atleast_1d(np.asarray(config.b, dtype=float))
     m, n = op.shape
+    lam = _nonnegative("lam", config.lam)
+    delta = _nonnegative("delta", config.delta)
+    p = config.noise_norm
+    _check_choice("noise_norm", p, (1, 2, np.inf))
+    _check_whole("max_iterations", config.max_iterations, low=0)
+    _check_whole("record_every", config.record_every, low=0)
+    if b.shape != (m,):
+        raise ValueError(f"b has shape {b.shape}, not ({m},)")
+    if not np.all(np.isfinite(b)):
+        raise NonFiniteData("b is not finite")
     # fixed steps tau = sigma = 0.99 / ||A||, so tau * sigma * ||A||^2 < 1
     tau = sigma = 0.99 / op.norm_estimate()
-    p = config.noise_norm
-    lam = float(config.lam)
-    delta = float(config.delta)
     ball = Point(b) if delta == 0.0 else NormBall(b, delta, p)
 
     x = np.zeros(n)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import comparator, solver
-from ._checks import _check_whole, _is_real
+from ._checks import _check_choice, _check_whole, _is_real
 from .linops import (
     BlockRow,
     DenseMatrix,
@@ -275,13 +275,6 @@ def projection_mass_estimate(projector, values):
 # ---------------------------------------------------------------------------
 # experiment configuration
 # ---------------------------------------------------------------------------
-
-
-def _check_choice(key, value, choices):
-    """Raise a ValueError naming ``key``, the bad ``value`` and the ``choices``
-    unless ``value`` is one of them."""
-    if value not in tuple(choices):
-        raise ValueError(f"{key} {value!r} is not one of {', '.join(choices)}")
 
 
 def _check_positive(key, value):

@@ -46,6 +46,9 @@ class Objective:
         Modulus of strong convexity; grad_conjugate is (1/alpha)-Lipschitz.
     dimension : int
         Length of the primal (and dual) vectors.
+
+    The verdicts on the shrink weights that linesearch plans and Bregman
+    projectors read are taken once, at first use (``_verdicts``).
     """
 
     alpha = 1.0
@@ -75,6 +78,15 @@ class Objective:
         if self._weights is None:
             return np.full(self.dimension, np.nan)
         return self._weights
+
+    @functools.cached_property
+    def _verdicts(self):
+        """projections._WeightVerdicts on ``self.shrink_weights()``: a wrapper
+        that inherits this class takes its own through its own
+        ``shrink_weights``."""
+        from .projections import _WeightVerdicts  # deferred: avoids an import cycle
+
+        return _WeightVerdicts(self.shrink_weights())
 
 
 class SquaredNorm(Objective):
@@ -118,6 +130,8 @@ def _partition_labels(groups):
     """The group label of every coordinate. ``groups`` is a 2-d array with one
     group per row, or a list of index arrays; either way the groups must
     partition range(d), where d is the total group size."""
+    if not len(groups):
+        raise ValueError("need at least one group")
     if isinstance(groups, np.ndarray) and groups.ndim == 2:
         sizes = np.full(groups.shape[0], groups.shape[1])
         idx = groups.astype(int, copy=False).ravel()

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from ._checks import _nonnegative, _real
+from ._checks import _check_choice, _nonnegative, _real
 from .objectives import PrimalDualPair, pair_from_dual, soft_shrink
 
 
@@ -116,8 +116,7 @@ class NormBall(RangeSet):
 
     def __init__(self, center, radius, p=2):
         self.radius = _nonnegative("radius", radius)
-        if p not in (1, 2, np.inf):
-            raise ValueError("p must be 1, 2 or inf")
+        _check_choice("p", p, (1, 2, np.inf))
         self.center = _vector("center", center)
         self.p = p
 
@@ -251,12 +250,15 @@ def project_simplex(y, total=1.0):
 
     Sort-and-threshold: the largest k with u_k - (cumsum_k - total)/k > 0 fixes
     the active support, and the common shift follows from the sum constraint.
-    Raises NonFiniteData when y holds a NaN or an infinity or its sum overflows.
+    Raises NonFiniteData when y holds a NaN or an infinity or its sum overflows,
+    and a ValueError for an empty y with a positive total (an empty set).
     """
     total = _nonnegative("total", total)
     y = np.asarray(y, dtype=float)
     if total == 0.0:
         return np.zeros_like(y)
+    if not y.size:
+        raise ValueError(f"an empty vector has no point on the simplex of total {total}")
     u = np.sort(y)[::-1]
     css = np.cumsum(u) - total
     if not math.isfinite(css[-1]):
@@ -370,13 +372,13 @@ def _shrink_linesearch(plan, x_star, beta, nonneg, gp0=None, x=None):
       g' = g'(0) + s t, in the from-scratch piece's bits. The first kink is
       the least next kink, (u_j + copysign(w_j, a_j)) / a_j, or the leaving
       one for an active coordinate moving toward [-w_j, w_j];
-    - walk: past the first kink, cross the kinks in order (_walk_kinks);
+    - walk: past the first kink, cross the kinks in order (_walk_kinks), a
+      kink at 0 (a tie |x*_j| = w_j) like any other;
     - confirm: g' built from scratch on the guessed piece is >= 0 at its
       right end (trivially so on the last piece, which runs to infinity), and
       on the piece to its left it is < 0;
-    - fall back: when the first kink is at 0 (a tie |x*_j| = w_j), the
-      confirmation fails or the walk passes _WALK_CAP kinks, sort all the
-      kinks and bisect them with the from-scratch g'.
+    - fall back: when the confirmation fails or the walk passes _WALK_CAP
+      kinks, sort all the kinks and bisect them with the from-scratch g'.
 
     When no weight on the support is positive there is no kink: g' is one
     line of slope ``plan.line_slope``, whose zero is taken in closed form
@@ -388,11 +390,18 @@ def _shrink_linesearch(plan, x_star, beta, nonneg, gp0=None, x=None):
     precision even when beta and the intercepts cancel almost completely.
     ``gp0`` overrides the computed g'(0) and ``x``, the primal grad
     f*(x_star), supplies the shrinkage of x_star. Raises NonFiniteData when
-    g'(0) is NaN or infinite.
+    g'(0) is NaN or infinite, or when ``x`` or ``gp0`` is given and x_star
+    holds a NaN or an infinity on the support.
     """
     a, wv, free, kinked = plan.a, plan.w, plan.free, plan.kinked
     u = x_star[plan.supp]
     s0 = soft_shrink(u, wv) if x is None else x[plan.supp]
+    # a handed-in x or g'(0) does not show a NaN or an inf in u; u.u does, or
+    # it overflows and the exact test decides (np.vdot, unlike np.dot, does
+    # not warn when it overflows)
+    if x is not None or gp0 is not None:
+        if not math.isfinite(np.vdot(u, u)) and not np.all(np.isfinite(u)):
+            raise NonFiniteData("linesearch x_star is not finite")
     if gp0 is None:
         gp0 = beta - float(np.dot(a, s0))
     if not math.isfinite(gp0):
@@ -436,10 +445,8 @@ def _shrink_linesearch(plan, x_star, beta, nonneg, gp0=None, x=None):
     first[idx] = near
     left, right = 0.0, float(first[first.argmin()]) if first.size else math.inf
     delta, gp = 0.0, gp0 + s * right
-    # past the first kink (g'(inf) is never < 0), or a kink at 0 (a tie
-    # |x*_j| = w_j, or a NaN in x_star), which only the fallback places
-    if gp < 0.0 or not right > 0.0:
-        ends = _walk_kinks(first, on, uk, wk, ak, gp, s) if right > 0.0 else None
+    if gp < 0.0:  # past the first kink (g'(inf) is never < 0)
+        ends = _walk_kinks(first, on, uk, wk, ak, gp, s)
         if ends is not None:
             left, right = ends[-2], ends[-1]
             s, delta, gp = piece(left, right)
@@ -463,11 +470,11 @@ def _shrink_linesearch(plan, x_star, beta, nonneg, gp0=None, x=None):
 
 
 class _WeightVerdicts:
-    """The verdicts a linesearch plan takes on shrink weights ``w``: the index
-    ``kinked`` of the nonzero ones (as _nonzeros gives it), the mask ``free``
-    of the zero ones (None when there are none), whether all are ``finite``
-    and whether ``any`` is nonzero. run takes them once on all of the
-    objective's weights and hands them to the projectors it builds."""
+    """The verdicts a linesearch plan and a Bregman projector take on shrink
+    weights ``w``: the index ``kinked`` of the nonzero ones (as _nonzeros
+    gives it), the mask ``free`` of the zero ones (None when there are none),
+    whether all are ``finite`` and whether ``any`` is nonzero. An objective
+    takes them on all its weights at first use (``Objective._verdicts``)."""
 
     __slots__ = ("w", "kinked", "free", "finite", "any")
 
@@ -487,21 +494,21 @@ class _LinesearchPlan:
     (a set's ``norm_sq``, the same float), whether the weights are ``finite``
     on the support, and ``line_slope``: when every weight on the support is
     zero, g' has no kink and this is its one slope, a.a summed over the
-    support; None otherwise. For an a without zeros they are the handed-in
-    ``verdicts`` on all the weights, if any, else taken here on the support.
-    For a normal whose nonzeros are one run it holds views only. Raises
-    ZeroDirection when a_sq is 0 and NonFiniteData when it is not finite."""
+    support; None otherwise. They are ``verdicts`` (on all the weights) for
+    an a without zeros, else taken here on the support. For a normal whose
+    nonzeros are one run it holds views only. Raises ZeroDirection when a_sq
+    is 0 and NonFiniteData when it is not finite."""
 
     __slots__ = ("supp", "a", "w", "kinked", "free", "a_sq", "finite", "line_slope")
 
-    def __init__(self, a, weights, supp, a_sq, verdicts=None):
+    def __init__(self, a, verdicts, supp, a_sq):
         if a_sq == 0.0:
             raise ZeroDirection("linesearch direction is zero")
         if not math.isfinite(a_sq):
             raise NonFiniteData("linesearch direction is not finite or its square overflows")
         self.supp, self.a, self.a_sq = supp, a[supp], a_sq
-        if verdicts is None or self.a.size < a.size:
-            verdicts = _WeightVerdicts(weights[supp])
+        if self.a.size < a.size:
+            verdicts = _WeightVerdicts(verdicts.w[supp])
         self.w, self.kinked, self.free = verdicts.w, verdicts.kinked, verdicts.free
         self.finite = verdicts.finite
         self.line_slope = None if verdicts.any else float(np.dot(self.a, self.a))
@@ -517,17 +524,17 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
     supplies an exactly-known g'(0) and ``x`` the primal grad f*(x_star) that
     a caller holding a consistent pair already has (see _shrink_linesearch).
     ``plan`` is the _LinesearchPlan of ``a`` under ``obj`` when the caller
-    has one (bregman_projector keeps one per hyperplane, and a difficult step
-    under Exact builds its own on run's weight verdicts); without it the plan
-    is built here. Raises ZeroDirection for a zero ``a`` and NonFiniteData when
-    x_star, a or beta holds a NaN or an infinity: a plan's ``a`` is taken as
-    checked, and the others are judged by g'(0) and by the step, not by a pass
-    over x_star.
+    has one (bregman_projector keeps one per hyperplane); without it the plan
+    is built here, on the objective's weight verdicts. Raises ZeroDirection
+    for a zero ``a`` and NonFiniteData when x_star, a or beta holds a NaN or
+    an infinity: a plan's ``a`` is taken as checked, and the others are
+    judged by g'(0) (or, when ``x`` or ``gp0`` is given, x_star on the
+    support) and by the step.
     """
     x_star = np.asarray(x_star, dtype=float)
     if plan is None:
         a = np.asarray(a, dtype=float)
-        plan = _LinesearchPlan(a, obj.shrink_weights(), _nonzeros(a), float(np.dot(a, a)))
+        plan = _LinesearchPlan(a, obj._verdicts, _nonzeros(a), float(np.dot(a, a)))
     if plan.finite:
         t = _shrink_linesearch(plan, x_star, beta, nonneg, gp0=gp0, x=x)
         if not math.isfinite(t):
@@ -625,33 +632,32 @@ def _project_orthogonal(target, pair):
     return PrimalDualPair(z, z.copy())
 
 
-def bregman_projector(obj, target, verdicts=None):
+def bregman_projector(obj, target):
     """The Bregman projector onto ``target`` under ``obj``, as a function of the
-    pair: a partial of one of the ``_project_*`` forms, picked here, by the one
-    dispatch table behind bregman_project (see there for the supported
-    pairings, tried in order). Raises TypeError for an unsupported pairing and
-    BoxWithoutZero for a box the closed form cannot take.
+    pair: a partial of one of the ``_project_*`` forms, picked here, on the
+    objective's weight verdicts, by the one dispatch table behind
+    bregman_project (see there for the supported pairings, tried in order).
+    Raises TypeError for an unsupported pairing and BoxWithoutZero for a box
+    the closed form cannot take.
 
     The set keeps the projector it last built, keyed by the identity of the
     objective, so a run dispatches once per simple constraint (sets and shrink
-    weights never change after construction), on the ``verdicts`` it took once
-    on the shrink weights (_WeightVerdicts; a build without them takes its own)."""
+    weights never change after construction)."""
     owner, projector = target._bregman
     if owner is obj:
         return projector
-    verdicts = verdicts or _WeightVerdicts(obj.shrink_weights())
-    weights = verdicts.w
+    verdicts = obj._verdicts
     if not verdicts.any:
         projector = functools.partial(_project_orthogonal, target)
     elif isinstance(target, _LinearSet):
-        plan = _LinesearchPlan(target.normal, weights, target.support, target.norm_sq, verdicts)
+        plan = _LinesearchPlan(target.normal, verdicts, target.support, target.norm_sq)
         projector = functools.partial(_project_halfspace, obj, target, plan)
-    elif isinstance(target, NonnegCone) and np.all(np.isfinite(weights[target.indices])):
-        projector = functools.partial(_project_nonneg, weights, target.indices)
+    elif isinstance(target, NonnegCone) and np.all(np.isfinite(verdicts.w[target.indices])):
+        projector = functools.partial(_project_nonneg, verdicts.w, target.indices)
     elif isinstance(target, Box) and verdicts.finite:
         if np.any(target.lower > 0.0) or np.any(target.upper < 0.0):
             raise BoxWithoutZero("box must contain the origin componentwise")
-        projector = functools.partial(_project_box, weights, target.lower, target.upper)
+        projector = functools.partial(_project_box, verdicts.w, target.lower, target.upper)
     else:
         raise TypeError(
             f"no Bregman projector for {type(target).__name__} under {type(obj).__name__}"

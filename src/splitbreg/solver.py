@@ -242,11 +242,9 @@ def _simple_step(obj, target, pair):
     return projections.bregman_project(obj, pair, target), math.nan, math.nan
 
 
-def _difficult_step(obj, constraint, rule, live, pair, verdicts=None):
+def _difficult_step(obj, constraint, rule, live, pair):
     """One separating-halfspace step. Returns (pair, step_size, w_norm); a point
-    whose residual is exactly zero gets a zero step. Under Exact the
-    linesearch plan of A^T w is built on ``verdicts``, run's verdicts on the
-    objective's shrink weights (taken here when none are handed in).
+    whose residual is exactly zero gets a zero step.
 
     The new dual point is x* - t A^T w. Where ``live`` (from ``_live_parts``)
     skips parts of the objective, a finite t >= 0 leaves x* unchanged there
@@ -267,12 +265,9 @@ def _difficult_step(obj, constraint, rule, live, pair, verdicts=None):
     elif isinstance(rule, Dynamic):
         t = t_dynamic
     elif isinstance(rule, Exact):
-        verdicts = verdicts or projections._WeightVerdicts(obj.shrink_weights())
-        supp = projections._nonzeros(d)
-        plan = projections._LinesearchPlan(d, verdicts.w, supp, d_sq, verdicts)
         # g'(0) = -||w||^2 exactly; passing it avoids the beta cancellation
         t = projections.exact_linesearch(
-            obj, pair.x_star, d, beta, nonneg=True, gp0=-(w_norm * w_norm), x=pair.x, plan=plan
+            obj, pair.x_star, d, beta, nonneg=True, gp0=-(w_norm * w_norm), x=pair.x
         )
     else:  # Inexact, the one rule left once run has checked it
         t = _forward_track(obj, pair.x_star, d, beta, t_dynamic)
@@ -315,9 +310,7 @@ def run(config, callback=None):
 
     Before step 0, run checks its input and sets up each constraint's step
     once: a simple constraint builds its Bregman projector, a difficult one
-    takes the objective parts its operator reaches (``_live_parts``), both on
-    one set of verdicts on the objective's shrink weights (read once; a
-    difficult step uses them under Exact, for its linesearch plans), and the
+    takes the objective parts its operator reaches (``_live_parts``), and the
     control hands over this run's index stream, ``control.indices(n)``, from
     which each step takes the next index (a stream that ends early raises
     StopIteration, and an index outside 0..n-1 a ValueError before its step
@@ -332,7 +325,6 @@ def run(config, callback=None):
         raise ValueError("need at least one constraint")
     steps = []  # constraint i's step, pair -> (pair, step_size, w_norm)
     rule = config.step_rule
-    verdicts = None  # on the shrink weights, taken once, at the first step that needs them
     for i, c in enumerate(constraints):  # every set-up error before step 0
         simple = isinstance(c, Simple)
         if not simple and c.op.shape[1] != obj.dimension:
@@ -342,18 +334,15 @@ def run(config, callback=None):
         if not projections.data_fits(c.target, length):
             msg = f"constraint {i}: {type(c.target).__name__} does not fit length {length}"
             raise DimensionMismatch(msg)
-        if simple or isinstance(rule, Exact):
-            verdicts = verdicts or projections._WeightVerdicts(obj.shrink_weights())
         if simple:
             # raises TypeError or BoxWithoutZero; the set keeps what it builds
-            projections.bregman_projector(obj, c.target, verdicts)
+            projections.bregman_projector(obj, c.target)
             steps.append(functools.partial(_simple_step, obj, c.target))
         elif not isinstance(rule, tuple(STEP_RULES.values())):
             raise TypeError(f"unknown step rule {rule!r}")
         else:
             live = _live_parts(obj, c.op)
-            step = functools.partial(_difficult_step, obj, c, rule, live, verdicts=verdicts)
-            steps.append(step)
+            steps.append(functools.partial(_difficult_step, obj, c, rule, live))
     n = len(constraints)
     tols = np.asarray(config.residual_tolerance, dtype=float)
     if tols.shape not in ((), (1,), (n,)):

@@ -9,8 +9,8 @@ from splitbreg.comparator import (
     prox_g,
     run_pd,
 )
-from splitbreg.objectives import ElasticNet
-from splitbreg.projections import NormBall, Point
+from splitbreg.objectives import ElasticNet, GroupedMax, GroupElasticNet
+from splitbreg.projections import NonFiniteData, NormBall, Point, project_simplex
 from splitbreg.solver import Exact, preset, run
 
 
@@ -133,3 +133,33 @@ def test_pd_noise_ball_relaxes_the_solution():
         assert loose.records[-1].feasibility_gap <= 1e-6
         obj = ElasticNet(lam, 6)
         assert obj.value(loose.x) <= obj.value(tight.x) + 1e-8
+
+
+def _pd(**fields):
+    return run_pd(PDConfig(**{"lam": 0.1, "op": np.eye(2), "b": np.ones(2), **fields}))
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: _pd(lam=np.nan), ValueError, "^lam must be nonnegative"),
+        (lambda: _pd(lam=-1.0), ValueError, "^lam must be nonnegative"),
+        (lambda: _pd(delta=np.nan), ValueError, "^delta must be nonnegative"),
+        (lambda: _pd(b=np.array([1.0, np.nan])), NonFiniteData, "^b is not finite"),
+        (lambda: _pd(b=np.ones(3)), ValueError, r"^b has shape \(3,\), not \(2,\)"),
+        (lambda: _pd(max_iterations=-1), ValueError, "^max_iterations must be nonnegative"),
+        (lambda: _pd(record_every=-1), ValueError, "^record_every must be nonnegative"),
+        (lambda: _pd(noise_norm=3), ValueError, "^noise_norm 3 is not one of 1, 2, inf$"),
+        (lambda: project_simplex(np.zeros(0), 1.0), ValueError, "^an empty vector has no point"),
+        (lambda: GroupElasticNet(1.0, []), ValueError, "^need at least one group"),
+        (lambda: GroupedMax(1.0, []), ValueError, "^need at least one group"),
+    ],
+    ids=[
+        "pd-nan-lam", "pd-negative-lam", "pd-nan-delta", "pd-nan-b", "pd-short-b",
+        "pd-negative-budget", "pd-negative-record-every", "pd-noise-norm-at-delta-0",
+        "empty-simplex", "group-elastic-net-without-groups", "grouped-max-without-groups",
+    ],
+)
+def test_degenerate_inputs_raise_named_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

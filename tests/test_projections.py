@@ -524,13 +524,11 @@ def test_linesearch_optimality_property(case):
         assert np.sign(t) * gp(k) < -tol
 
 
-def _plan(a, weights, handed=False):
-    # a plan as exact_linesearch builds it (verdicts taken on the support), or
-    # as run's projectors build it (verdicts on all the weights handed in)
-    verdicts = projections._WeightVerdicts(weights) if handed else None
-    return projections._LinesearchPlan(
-        a, weights, projections._nonzeros(a), float(np.dot(a, a)), verdicts
-    )
+def _plan(a, weights):
+    # a plan as exact_linesearch and the projectors build it, on the verdicts
+    # taken on all the weights
+    verdicts = projections._WeightVerdicts(weights)
+    return projections._LinesearchPlan(a, verdicts, projections._nonzeros(a), float(np.dot(a, a)))
 
 
 @contextlib.contextmanager
@@ -570,16 +568,15 @@ def _forced_bisection():
 def test_located_root_matches_bisection(case, gp0):
     # the located and confirmed piece gives the bisected answer bit for bit;
     # a wrong guess is always caught by the from-scratch confirmation, and
-    # only a kink at 0 (a tie |x*_j| = w_j) is bisected without a guess
+    # nothing is bisected without a guess, a kink at 0 (a tie |x*_j| = w_j)
+    # included
     x_star, a, weights, beta, nonneg, _ = case
     args = (_plan(a, weights), x_star, beta, nonneg)
     t = projections._shrink_linesearch(*args, gp0=gp0)
     with _forced_bisection() as counts:
         t_bisected = projections._shrink_linesearch(*args, gp0=gp0)
     assert np.float64(t).tobytes() == np.float64(t_bisected).tobytes()
-    assert counts["guesses"] <= counts["bisections"] <= 1
-    if counts["bisections"] > counts["guesses"]:
-        assert np.any((a != 0.0) & (weights > 0.0) & (np.abs(x_star) == weights))
+    assert counts["bisections"] == counts["guesses"] <= 1
     # the primal a consistent pair holds stands in for the shrinkage of x_star
     t_from_x = projections._shrink_linesearch(*args, gp0=gp0, x=soft_shrink(x_star, weights))
     assert np.float64(t_from_x).tobytes() == np.float64(t).tobytes()
@@ -860,9 +857,9 @@ def test_walked_linesearch_matches_the_full_sort_reference_at_the_edges():
     answers = {}
     for name, (x_star, a, weights, beta, nonneg) in _EDGE_CASES.items():
         s0 = soft_shrink(x_star, weights)
-        for gp0, x, handed in itertools.product((None, beta - float(a @ s0)), (None, s0), (0, 1)):
+        for gp0, x in itertools.product((None, beta - float(a @ s0)), (None, s0)):
             want = _full_sort_linesearch(x_star, a, beta, weights, nonneg, gp0=gp0, x=x)
-            args = (_plan(a, weights, handed), x_star, beta, nonneg)
+            args = (_plan(a, weights), x_star, beta, nonneg)
             walks.clear()
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(projections, "_walk_kinks", spy)
@@ -875,7 +872,7 @@ def test_walked_linesearch_matches_the_full_sort_reference_at_the_edges():
             if name == "past-the-cap":
                 assert walks == [None]  # the walk stops at its cap
             if name.endswith("ties"):
-                assert walks == []  # a kink at 0 goes straight to the bisection
+                assert len(walks) == 1  # a kink at 0 is walked like any other
     assert answers["root-at-a-kink"] == 1.0
     assert answers["flat-from-a-kink"] == 0.5
     assert np.float64(answers["root-on-a-walked-kink"]).tobytes() == np.float64(-2.0).tobytes()
@@ -900,18 +897,14 @@ def _tie_rich_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_tie_rich_cases(), with_gp0=st.booleans(), with_x=st.booleans(), handed=st.booleans())
-def test_walked_linesearch_matches_the_full_sort_reference_bitwise(
-    case, with_gp0, with_x, handed
-):
+@given(case=_tie_rich_cases(), with_gp0=st.booleans(), with_x=st.booleans())
+def test_walked_linesearch_matches_the_full_sort_reference_bitwise(case, with_gp0, with_x):
     x_star, a, weights, beta, nonneg = case
     s0 = soft_shrink(x_star, weights)
     gp0 = beta - float(a @ s0) if with_gp0 else None
     x = s0 if with_x else None
     want = _full_sort_linesearch(x_star, a, beta, weights, nonneg, gp0=gp0, x=x)
-    got = projections._shrink_linesearch(
-        _plan(a, weights, handed), x_star, beta, nonneg, gp0=gp0, x=x
-    )
+    got = projections._shrink_linesearch(_plan(a, weights), x_star, beta, nonneg, gp0=gp0, x=x)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
@@ -1002,7 +995,7 @@ def test_l1_linesearch_matches_the_exact_oracle(case, with_plan, with_gp0, with_
     s0 = soft_shrink(x_star, weights)
     gp0 = beta - float(a @ s0) if with_gp0 else None
     x = s0 if with_x else None
-    plan = _plan(a, weights, True) if with_plan else None
+    plan = _plan(a, weights) if with_plan else None
     t = exact_linesearch(obj, x_star, a, beta, nonneg=nonneg, gp0=gp0, x=x, plan=plan)
     exact = l1_linesearch_oracle(x_star, a, beta, weights, nonneg=nonneg, gp0=gp0, x=x)
     assert abs(Fraction(t) - exact) <= Fraction(_ORACLE_REL_EPS) * abs(exact), (t, exact)
@@ -1021,14 +1014,14 @@ def test_tie_rich_linesearch_meets_the_oracle_and_the_full_sort_reference(
     case, with_plan, with_gp0, with_x
 ):
     # ties |x*_j| = w_j moving into [-w_j, w_j] and out of it (a kink at 0,
-    # which goes straight to the sort-and-bisect fallback), -0.0 entries,
+    # which is walked like any other), -0.0 entries,
     # zero weights and halfspaces, through the public entry point
     x_star, a, weights, beta, nonneg = case
     obj = ProductObjective([ElasticNet(w, 1) for w in weights])
     s0 = soft_shrink(x_star, weights)
     gp0 = beta - float(a @ s0) if with_gp0 else None
     x = s0 if with_x else None
-    plan = _plan(a, weights, True) if with_plan else None
+    plan = _plan(a, weights) if with_plan else None
     t = exact_linesearch(obj, x_star, a, beta, nonneg=nonneg, gp0=gp0, x=x, plan=plan)
     exact = l1_linesearch_oracle(x_star, a, beta, weights, nonneg=nonneg, gp0=gp0, x=x)
     assert abs(Fraction(t) - exact) <= Fraction(_ORACLE_REL_EPS) * abs(exact), (t, exact)
@@ -1055,6 +1048,22 @@ def test_linesearch_rejects_non_finite_data(obj, where, bad):
         # a hyperplane step, whose normal was checked when the set was built
         with pytest.raises(NonFiniteData):
             bregman_project(obj, pair_from_dual(obj, x_star), Hyperplane(a, beta))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("with_plan", [False, True], ids=["no-plan", "plan"])
+@pytest.mark.parametrize("handed", ["x", "gp0"])
+def test_linesearch_names_a_non_finite_x_star_beside_a_handed_in_x_or_gp0(bad, with_plan, handed):
+    # x (or g'(0)) taken from x_star before a NaN or an inf was written into
+    # it: neither shows the bad entry, which must still be named
+    obj = ElasticNet(0.7, 4)
+    x_star, a, beta = np.array([1.5, -0.3, 2.0, -1.0]), np.array([1.0, -0.5, 0.25, 2.0]), 0.3
+    x = soft_shrink(x_star, 0.7)
+    kwargs = {"x": x} if handed == "x" else {"gp0": beta - float(a @ x)}
+    x_star[1] = bad
+    plan = _plan(a, obj.shrink_weights()) if with_plan else None
+    with pytest.raises(NonFiniteData, match="x_star is not finite"):
+        exact_linesearch(obj, x_star, a, beta, plan=plan, **kwargs)
 
 
 # ---------------------------------------------------------------------------

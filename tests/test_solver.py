@@ -13,6 +13,7 @@ from splitbreg.linops import BlockRow, DenseMatrix, ZeroOperator
 from splitbreg.objectives import (
     ElasticNet,
     GroupElasticNet,
+    Objective,
     ProductObjective,
     SquaredNorm,
     bregman_distance,
@@ -729,8 +730,8 @@ def test_sparse_kaczmarz_reads_the_shrink_weights_once_per_run():
 
 
 def test_linearized_bregman_reads_the_shrink_weights_once_per_run():
-    # a difficult step under Exact builds its linesearch plan on the verdicts
-    # run took at set-up, not on a fresh read of the weights
+    # a difficult step under Exact builds its linesearch plan on the
+    # objective's verdicts, not on a fresh read of the weights
     rng = np.random.default_rng(17)
     a = rng.standard_normal((20, 60))
     cfg = preset("linearized_bregman", a, a @ rng.standard_normal(60), lam=1.0,
@@ -738,6 +739,56 @@ def test_linearized_bregman_reads_the_shrink_weights_once_per_run():
     cfg.objective = _CountingElasticNet(1.0, 60)
     assert run(cfg).iterations == 300
     assert cfg.objective.weight_reads == 1
+
+
+def test_an_objective_takes_its_weight_verdicts_once_for_every_consumer():
+    # two runs (row projectors, then linesearch plans along A^T w) and a
+    # linesearch without a plan all read the verdicts the objective took
+    rng = np.random.default_rng(18)
+    a = rng.standard_normal((6, 10))
+    b = a @ rng.standard_normal(10)
+    obj = _CountingElasticNet(1.0, 10)
+    for name in ("sparse_kaczmarz", "linearized_bregman"):
+        cfg = preset(name, a, b, lam=1.0, max_iterations=30, residual_tolerance=1e-18)
+        cfg.objective = obj
+        assert run(cfg).iterations == 30
+    exact_linesearch(obj, rng.standard_normal(10), a[0], 0.5)
+    assert obj.weight_reads == 1
+
+
+class _ForwardingObjective(Objective):
+    """A wrapper shaped like a tracing one: it inherits Objective, forwards
+    what it does not define and counts its own shrink-weight reads."""
+
+    def __init__(self, inner):
+        self.inner, self.alpha, self.dimension = inner, inner.alpha, inner.dimension
+        self.weight_reads = 0
+
+    def __getattr__(self, name):
+        if name == "inner":  # not set yet
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
+    def grad_conjugate(self, x_star):
+        return self.inner.grad_conjugate(x_star)
+
+    def shrink_weights(self):
+        self.weight_reads += 1
+        return self.inner.shrink_weights()
+
+
+def test_a_forwarding_wrapper_takes_its_own_weight_verdicts_once():
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal((6, 10))
+    inner = _CountingElasticNet(1.0, 10)
+    wrapper = _ForwardingObjective(inner)
+    for _ in range(2):
+        cfg = preset("sparse_kaczmarz", a, a @ rng.standard_normal(10), lam=1.0,
+                     max_iterations=30, residual_tolerance=1e-18)
+        cfg.objective = wrapper
+        assert run(cfg).iterations == 30
+    assert wrapper.weight_reads == inner.weight_reads == 1  # through the wrapper
+    assert "_verdicts" in vars(wrapper) and "_verdicts" not in vars(inner)
 
 
 # ---------------------------------------------------------------------------
