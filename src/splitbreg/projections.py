@@ -134,7 +134,11 @@ class NormBall(RangeSet):
 
 
 class Box(RangeSet):
-    """{y : lower <= y <= upper} componentwise."""
+    """{y : lower <= y <= upper} componentwise, with bounds of y's length or
+    of length 1 (which broadcasts). ``indices`` indexes the coordinates the
+    bounds hold on: all of them for a Box, the cone's for a NonnegCone."""
+
+    indices = slice(None)
 
     def __init__(self, lower, upper):
         self.lower, self.upper = _vector("lower", lower), _vector("upper", upper)
@@ -145,11 +149,14 @@ class Box(RangeSet):
             raise ValueError("lower bound exceeds upper bound")
 
     def project(self, y):
-        return np.clip(np.asarray(y, dtype=float), self.lower, self.upper)
+        v = np.array(y, dtype=float, copy=True)
+        v[self.indices] = np.minimum(np.maximum(v[self.indices], self.lower), self.upper)
+        return v
 
 
-class NonnegCone(RangeSet):
-    """{y : y_j >= 0 for j in indices}; all coordinates when indices is None.
+class NonnegCone(Box):
+    """{y : y_j >= 0 for j in indices}; all coordinates when indices is None:
+    the box [0, inf) on those coordinates.
 
     ``self.indices`` is what indexes the cone's coordinates: ``slice(None)``
     for all of them, ``slice(a, b)`` for indices a, a + 1, ..., b - 1 given in
@@ -158,8 +165,8 @@ class NonnegCone(RangeSet):
     the cone meets."""
 
     def __init__(self, indices=None):
+        super().__init__(0.0, np.inf)
         if indices is None:
-            self.indices = slice(None)
             return
         idx = np.asarray(indices)
         if idx.size and idx.dtype.kind not in "iu":
@@ -170,11 +177,6 @@ class NonnegCone(RangeSet):
         if idx.ndim == 1 and idx.size and np.all(np.diff(idx) == 1):
             idx = slice(int(idx[0]), int(idx[-1]) + 1)
         self.indices = idx
-
-    def project(self, y):
-        y = np.array(y, dtype=float, copy=True)
-        y[self.indices] = np.maximum(y[self.indices], 0.0)
-        return y
 
 
 class _LinearSet(RangeSet):
@@ -222,8 +224,8 @@ class Halfspace(_LinearSet):
 def data_fits(target, n):
     """Whether the data of a set fits vectors of length n: a normal or a point
     of length n, box bounds and a ball center of length n or 1 (which
-    broadcasts), cone indices below n (a slice's stop at most n). Sets of other
-    types fit any length."""
+    broadcasts), a box's indices below n (a slice's stop at most n). Sets of
+    other types fit any length."""
     if isinstance(target, _LinearSet):
         return target.normal.size == n
     if isinstance(target, Point):
@@ -231,12 +233,12 @@ def data_fits(target, n):
     if isinstance(target, NormBall):
         return target.center.size in (1, n)
     if isinstance(target, Box):
-        return {target.lower.size, target.upper.size} <= {1, n}
-    if isinstance(target, NonnegCone):
         idx = target.indices
         if isinstance(idx, slice):
-            return idx.stop is None or idx.stop <= n
-        return bool(np.all(idx < n))
+            inside = idx.stop is None or idx.stop <= n
+        else:
+            inside = bool(np.all(idx < n))
+        return inside and {target.lower.size, target.upper.size} <= {1, n}
     return True
 
 
@@ -389,19 +391,12 @@ def _shrink_linesearch(plan, x_star, beta, nonneg, gp0=None, x=None):
     know g'(0) exactly (the solver knows it equals -||w||^2) keep full
     precision even when beta and the intercepts cancel almost completely.
     ``gp0`` overrides the computed g'(0) and ``x``, the primal grad
-    f*(x_star), supplies the shrinkage of x_star. Raises NonFiniteData when
-    g'(0) is NaN or infinite, or when ``x`` or ``gp0`` is given and x_star
-    holds a NaN or an infinity on the support.
+    f*(x_star), supplies the shrinkage of x_star (exact_linesearch checks
+    x_star beside them). Raises NonFiniteData when g'(0) is NaN or infinite.
     """
     a, wv, free, kinked = plan.a, plan.w, plan.free, plan.kinked
     u = x_star[plan.supp]
     s0 = soft_shrink(u, wv) if x is None else x[plan.supp]
-    # a handed-in x or g'(0) does not show a NaN or an inf in u; u.u does, or
-    # it overflows and the exact test decides (np.vdot, unlike np.dot, does
-    # not warn when it overflows)
-    if x is not None or gp0 is not None:
-        if not math.isfinite(np.vdot(u, u)) and not np.all(np.isfinite(u)):
-            raise NonFiniteData("linesearch x_star is not finite")
     if gp0 is None:
         gp0 = beta - float(np.dot(a, s0))
     if not math.isfinite(gp0):
@@ -527,14 +522,23 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
     has one (bregman_projector keeps one per hyperplane); without it the plan
     is built here, on the objective's weight verdicts. Raises ZeroDirection
     for a zero ``a`` and NonFiniteData when x_star, a or beta holds a NaN or
-    an infinity: a plan's ``a`` is taken as checked, and the others are
-    judged by g'(0) (or, when ``x`` or ``gp0`` is given, x_star on the
-    support) and by the step.
+    an infinity: a plan's ``a`` is taken as checked, beta is checked here,
+    and x_star is judged by g'(0) (or, when ``x`` or ``gp0`` is given, on
+    the support, for both engines) and by the step.
     """
+    if not math.isfinite(beta):
+        raise NonFiniteData(f"linesearch beta is {beta}")
     x_star = np.asarray(x_star, dtype=float)
     if plan is None:
         a = np.asarray(a, dtype=float)
         plan = _LinesearchPlan(a, obj._verdicts, _nonzeros(a), float(np.dot(a, a)))
+    if x is not None or gp0 is not None:
+        # a handed-in x or g'(0) does not show a NaN or an inf in x_star; u.u
+        # does, or it overflows and the exact test decides (np.vdot, unlike
+        # np.dot, does not warn when it overflows)
+        u = x_star[plan.supp]
+        if not math.isfinite(np.vdot(u, u)) and not np.all(np.isfinite(u)):
+            raise NonFiniteData("linesearch x_star is not finite")
     if plan.finite:
         t = _shrink_linesearch(plan, x_star, beta, nonneg, gp0=gp0, x=x)
         if not math.isfinite(t):
@@ -571,16 +575,14 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
 
 def _project_halfspace(obj, target, plan, pair):
     """Exact-linesearch projection onto a Hyperplane, or onto a one-sided
-    Halfspace (identity on interior points, otherwise a step t >= 0), with the
-    normal's linesearch ``plan``.
+    Halfspace (a step t >= 0, which is 0 on interior points, where
+    g'(0) = beta - <a, x> >= 0), with the normal's linesearch ``plan``.
 
     The step x* - t a changes x* only on the normal's support; off it x* keeps
     every bit, -0.0 included, which x* - t * 0.0 would turn into +0.0 for
     t < 0. Where the weights are finite on the support only those primal
     coordinates are recomputed; the others keep their value."""
     a, beta = target.normal, target.offset
-    if target.one_sided and float(np.dot(a, pair.x)) <= beta:
-        return pair
     t = exact_linesearch(obj, pair.x_star, a, beta, nonneg=target.one_sided, x=pair.x, plan=plan)
     if t == 0.0:
         return pair
@@ -596,35 +598,27 @@ def _project_halfspace(obj, target, plan, pair):
     return PrimalDualPair(z, z_star)
 
 
-def _project_nonneg(weights, idx, pair):
+def _project_box(weights, idx, lower, upper, pair):
     """Closed form for objectives that are coordinatewise "w_j |x_j| + x_j^2/2"
-    on idx: the admissible subgradient clamps the dual to the nonnegative
-    orthant there and the primal is its shrinkage."""
-    z_star = pair.x_star.copy()
-    z_star[idx] = np.maximum(z_star[idx], 0.0)
-    z = pair.x.copy()
-    z[idx] = soft_shrink(z_star[idx], weights[idx])
-    return PrimalDualPair(z, z_star)
+    on a box's indices idx, with ``weights`` the w_j there, and a box that
+    holds the origin (bregman_projector checks that once).
 
-
-def _project_box(weights, lower, upper, pair):
-    """Closed form for coordinatewise l1 + squared objectives and a box
-    containing the origin (bregman_projector checks that once).
-
-    The admissible subgradient keeps the dual value inside the box, shifts by
-    +-w at active bounds, and is zeroed on coordinates pinned to a zero bound
-    from outside. The primal is its shrinkage: the clipped shrinkage up to a
-    rounding at active bounds, so that the pair is consistent bit for bit.
+    The admissible subgradient is x* clipped on idx to the dual bounds
+    ``lower`` and ``upper``, taken once: lower - w where the box's lower bound
+    is below 0, else 0, and upper + w where its upper bound is above 0, else
+    0. So x* moves to bound -+ w when its shrinkage passes a nonzero bound and
+    to 0 when it lies beyond a zero bound (a -0.0 there reads +0.0, as
+    np.maximum gives it). The primal is its shrinkage: the clipped shrinkage
+    up to a rounding at active bounds, so that the pair is consistent bit for
+    bit.
     """
-    lower = np.broadcast_to(lower, pair.x_star.shape)
-    upper = np.broadcast_to(upper, pair.x_star.shape)
-    s = soft_shrink(pair.x_star, weights)
-    z_star = np.where(s > upper, upper + weights, np.where(s < lower, lower - weights, pair.x_star))
-    pinned = (np.clip(s, lower, upper) == 0.0) & (
-        ((lower == 0.0) & (pair.x_star < 0.0)) | ((upper == 0.0) & (pair.x_star > 0.0))
-    )
-    z_star = np.where(pinned, 0.0, z_star)
-    return PrimalDualPair(soft_shrink(z_star, weights), z_star)
+    v = np.maximum(pair.x_star[idx], lower)
+    np.minimum(v, upper, out=v)
+    z_star = pair.x_star.copy()
+    z_star[idx] = v
+    z = pair.x.copy()
+    z[idx] = soft_shrink(v, weights)
+    return PrimalDualPair(z, z_star)
 
 
 def _project_orthogonal(target, pair):
@@ -652,12 +646,13 @@ def bregman_projector(obj, target):
     elif isinstance(target, _LinearSet):
         plan = _LinesearchPlan(target.normal, verdicts, target.support, target.norm_sq)
         projector = functools.partial(_project_halfspace, obj, target, plan)
-    elif isinstance(target, NonnegCone) and np.all(np.isfinite(verdicts.w[target.indices])):
-        projector = functools.partial(_project_nonneg, verdicts.w, target.indices)
-    elif isinstance(target, Box) and verdicts.finite:
-        if np.any(target.lower > 0.0) or np.any(target.upper < 0.0):
+    elif isinstance(target, Box) and np.all(np.isfinite(w := verdicts.w[target.indices])):
+        lower, upper = target.lower, target.upper
+        if np.any(lower > 0.0) or np.any(upper < 0.0):
             raise BoxWithoutZero("box must contain the origin componentwise")
-        projector = functools.partial(_project_box, verdicts.w, target.lower, target.upper)
+        lower = np.where(lower < 0.0, lower - w, 0.0)
+        upper = np.where(upper > 0.0, upper + w, 0.0)
+        projector = functools.partial(_project_box, w, target.indices, lower, upper)
     else:
         raise TypeError(
             f"no Bregman projector for {type(target).__name__} under {type(obj).__name__}"
@@ -681,13 +676,13 @@ def bregman_project(obj, pair, target):
     Hyperplane        any                                  exact linesearch
     Halfspace         any                                  identity inside, else
                                                            exact linesearch (t >= 0)
-    NonnegCone        w finite on the cone's indices       closed form
-    Box with 0 in it  w finite everywhere                  closed form
+    Box with 0 in it  w finite on the box's indices        closed form: x*
+                                                           clipped to dual bounds
     ================  ===================================  =========================
 
     For a purely quadratic objective the Bregman projection is the orthogonal
     one, which is how Kaczmarz and Landweber arise as special cases. Every
     other pairing raises TypeError; a box without the origin raises
-    BoxWithoutZero.
+    BoxWithoutZero. A NonnegCone is the Box [0, inf) on its indices.
     """
     return bregman_projector(obj, target)(pair)

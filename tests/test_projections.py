@@ -1066,6 +1066,37 @@ def test_linesearch_names_a_non_finite_x_star_beside_a_handed_in_x_or_gp0(bad, w
         exact_linesearch(obj, x_star, a, beta, plan=plan, **kwargs)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("with_x", [False, True], ids=["gp0", "gp0-and-x"])
+def test_linesearch_names_a_non_finite_beta_beside_a_handed_in_gp0(bad, with_x):
+    # a handed-in g'(0) leaves beta unread on the kink walk
+    obj, x_star, a = ElasticNet(0.7, 3), np.array([1.5, -0.3, 2.0]), np.array([1.0, -0.5, 0.25])
+    x = soft_shrink(x_star, 0.7) if with_x else None
+    with pytest.raises(NonFiniteData, match="beta"):
+        exact_linesearch(obj, x_star, a, bad, gp0=-1.0, x=x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("handed", ["gp0", "gp0-and-x"])
+def test_root_finding_linesearch_names_a_non_finite_x_star_beside_a_handed_in_gp0(bad, handed):
+    # group weights are not finite, so the root find, not the kink walk, runs
+    obj = GroupElasticNet(0.5, [np.array([0, 1, 2])])
+    x_star, a, beta = np.array([1.0, -2.0, 0.5]), np.array([1.0, 0.5, -1.0]), 0.3
+    x = obj.grad_conjugate(x_star)
+    kwargs = {"gp0": beta - float(a @ x), "x": x if handed == "gp0-and-x" else None}
+    x_star[1] = bad
+    with pytest.raises(NonFiniteData, match="x_star is not finite"):
+        exact_linesearch(obj, x_star, a, beta, **kwargs)
+
+
+def test_halfspace_step_names_a_non_finite_pair_that_reads_as_interior():
+    # <a, x> = -inf <= beta would read as inside the halfspace
+    obj = ElasticNet(0.7, 3)
+    pair = pair_from_dual(obj, np.array([-np.inf, 0.5, 1.0]))
+    with pytest.raises(NonFiniteData, match="x_star is not finite"):
+        bregman_project(obj, pair, Halfspace(np.array([1.0, 1.0, 0.0]), 0.0))
+
+
 # ---------------------------------------------------------------------------
 # Bregman projections
 # ---------------------------------------------------------------------------
@@ -1283,6 +1314,27 @@ def test_bregman_nonneg_cone_matches_the_exact_oracle(case, data):
     assert bregman_pair_is_optimal(x_star, weights, *bounds, out.x, out.x_star)
     _assert_matches_exactly(out.x, z)
     _assert_matches_exactly(out.x_star, z_star)
+
+
+def test_nonneg_cone_bregman_step_is_the_box_step_bit_for_bit():
+    # the cone is the box [0, inf) on its indices, no bound elsewhere: the
+    # same x and x* bytes, -0.0 entries of x* included (both read +0.0 on
+    # the indices)
+    rng = np.random.default_rng(29)
+    for k in range(300):
+        n = int(rng.integers(1, 9))
+        weights = rng.choice([0.0, 0.3, 1.1], n) * rng.random(n)
+        obj = ProductObjective([ElasticNet(w, 1) for w in weights])
+        x_star = rng.standard_normal(n) * 2.0
+        x_star[rng.random(n) < 0.3] = -0.0
+        mask = rng.random(n) < 0.6 if k % 2 else np.ones(n, dtype=bool)
+        cone = NonnegCone(np.flatnonzero(mask) if k % 2 else None)
+        box = Box(np.where(mask, 0.0, -np.inf), np.full(n, np.inf))
+        pair = pair_from_dual(obj, x_star)
+        got, want = bregman_project(obj, pair, cone), bregman_project(obj, pair, box)
+        assert got.x.tobytes() == want.x.tobytes(), (x_star, mask)
+        assert got.x_star.tobytes() == want.x_star.tobytes(), (x_star, mask)
+        assert cone.project(x_star).tobytes() == box.project(x_star).tobytes()
 
 
 def test_bregman_dispatch_pure_quadratic_reduces_to_orthogonal():
