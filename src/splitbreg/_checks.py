@@ -2,19 +2,24 @@
 
 import numbers
 
+import numpy as np
+
 
 def _check_whole(key, value, low=1):
-    """Raise a ValueError naming ``key`` unless ``value`` is an integer >= ``low``
-    (1 or 0). A bool fails, and so does a float, even a whole one."""
+    """``value`` as an int; raises a ValueError naming ``key`` unless it is an
+    integer >= ``low`` (1 or 0). A bool fails, and so does a float, even a
+    whole one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         sign = "positive" if low else "nonnegative"
         raise ValueError(f"{key} must be {sign} and whole, not {value!r}")
+    return int(value)
 
 
 def _check_choice(key, value, choices):
     """Raise a ValueError naming ``key``, the bad ``value`` and the ``choices``
-    unless ``value`` is one of them."""
-    if value not in tuple(choices):
+    unless ``value`` is one of them. A bool, Python's or numpy's, is never a
+    choice, even where one equals 1 or 0."""
+    if isinstance(value, (bool, np.bool_)) or value not in tuple(choices):
         raise ValueError(f"{key} {value!r} is not one of {', '.join(map(str, choices))}")
 
 

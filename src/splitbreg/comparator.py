@@ -15,7 +15,7 @@ import numpy as np
 
 from ._checks import _check_choice, _check_whole, _nonnegative
 from .linops import as_operator
-from .objectives import soft_shrink
+from .objectives import ElasticNet, soft_shrink
 from .projections import NonFiniteData, NormBall, Point
 
 
@@ -71,7 +71,8 @@ def run_pd(config):
     op = as_operator(config.op)
     b = np.atleast_1d(np.asarray(config.b, dtype=float))
     m, n = op.shape
-    lam = _nonnegative("lam", config.lam)
+    objective = ElasticNet(config.lam, n)  # checks lam
+    lam = objective.lam
     delta = _nonnegative("delta", config.delta)
     p = config.noise_norm
     _check_choice("noise_norm", p, (1, 2, np.inf))
@@ -93,7 +94,7 @@ def run_pd(config):
         records.append(
             PDRecord(
                 k=k,
-                objective_value=float(lam * np.abs(xk).sum() + 0.5 * np.dot(xk, xk)),
+                objective_value=objective.value(xk),
                 feasibility_gap=float(np.linalg.norm(op.apply(xk) - b, p)) - delta,
             )
         )

@@ -156,7 +156,8 @@ class ScaledIdentity(LinearOperator):
     """c * I on n coordinates."""
 
     def __init__(self, n, scale=1.0):
-        self.shape = (int(n), int(n))
+        n = _check_whole("n", n, low=0)
+        self.shape = (n, n)
         self.scale = float(scale)
         self._norm = abs(self.scale)
 
@@ -175,7 +176,7 @@ class ZeroOperator(LinearOperator):
     """The zero map R^n -> R^m."""
 
     def __init__(self, m, n):
-        self.shape = (int(m), int(n))
+        self.shape = (_check_whole("m", m, low=0), _check_whole("n", n, low=0))
         self._norm = 0.0
 
     def apply(self, x):
@@ -245,8 +246,8 @@ class Grad2D(LinearOperator):
     """
 
     def __init__(self, height, width):
-        self.height = int(height)
-        self.width = int(width)
+        self.height = _check_whole("height", height, low=0)
+        self.width = _check_whole("width", width)  # apply strides by the width
         hw = self.height * self.width
         self.shape = (2 * hw, hw)
 

@@ -14,7 +14,7 @@ import operator
 
 import numpy as np
 
-from ._checks import _nonnegative
+from ._checks import _check_whole, _nonnegative
 
 
 class InvalidSubgradient(ValueError):
@@ -93,7 +93,7 @@ class SquaredNorm(Objective):
     """f(x) = ||x||_2^2 / 2. Self-conjugate; grad f* is the identity."""
 
     def __init__(self, dimension):
-        self.dimension = int(dimension)
+        self.dimension = _check_whole("dimension", dimension, low=0)
         self._weights = np.zeros(self.dimension)
         self._weights.flags.writeable = False
 
@@ -113,7 +113,7 @@ class ElasticNet(Objective):
 
     def __init__(self, lam, dimension):
         self.lam = _nonnegative("lam", lam)
-        self.dimension = int(dimension)
+        self.dimension = _check_whole("dimension", dimension, low=0)
         self._weights = np.full(self.dimension, self.lam)
         self._weights.flags.writeable = False
 

@@ -359,18 +359,21 @@ def _walk_kinks(first, on, u, w, a, gp, s):
     return None
 
 
-def _shrink_linesearch(plan, x_star, beta, nonneg, gp0=None, x=None):
+def _shrink_linesearch(plan, u, s0, gp0, sign):
     """Exact minimizer of g(t) = f*(x_star - t a) + t beta when f is a sum of
     coordinatewise ``w_j |x_j| + x_j^2 / 2`` terms, for the direction a and
-    the finite weights w of ``plan``.
+    the finite weights w of ``plan``: the kink-walk engine of
+    exact_linesearch, which is its one entry. That entry checks x_star and
+    g'(0), takes the t = 0 decision and mirrors the problem to g(sign t), so
+    here the root lies at t > 0; ``u`` is x_star on a's support, ``s0`` its
+    shrinkage there and ``gp0`` = sign g'(0) < 0. The answer is sign t.
 
     g'(t) = beta - <a, S_w(x_star - t a)> is piecewise linear and
-    nondecreasing, with kinks where some x*_j - t a_j crosses +-w_j. After
-    mirroring to g(-t) when g'(0) > 0, the root lies at t > 0, and:
+    nondecreasing, with kinks where some x*_j - t a_j crosses +-w_j, and:
 
     - first piece, from the pair: on (0, first kink) the active coordinates
-      are the support of x = S_w(x_star) and the zero-weight ones, so the
-      slope s is a.a over them, the intercept change a sum of exact zeros and
+      are the support of s0 and the zero-weight ones, so the slope s is a.a
+      over them, the intercept change a sum of exact zeros and
       g' = g'(0) + s t, in the from-scratch piece's bits. The first kink is
       the least next kink, (u_j + copysign(w_j, a_j)) / a_j, or the leaving
       one for an active coordinate moving toward [-w_j, w_j];
@@ -390,21 +393,8 @@ def _shrink_linesearch(plan, x_star, beta, nonneg, gp0=None, x=None):
     on flat stretches. All g' values are relative to g'(0), so callers that
     know g'(0) exactly (the solver knows it equals -||w||^2) keep full
     precision even when beta and the intercepts cancel almost completely.
-    ``gp0`` overrides the computed g'(0) and ``x``, the primal grad
-    f*(x_star), supplies the shrinkage of x_star (exact_linesearch checks
-    x_star beside them). Raises NonFiniteData when g'(0) is NaN or infinite.
     """
     a, wv, free, kinked = plan.a, plan.w, plan.free, plan.kinked
-    u = x_star[plan.supp]
-    s0 = soft_shrink(u, wv) if x is None else x[plan.supp]
-    if gp0 is None:
-        gp0 = beta - float(np.dot(a, s0))
-    if not math.isfinite(gp0):
-        raise NonFiniteData(f"linesearch derivative at 0 is {gp0}")
-    if gp0 == 0.0 or (nonneg and gp0 >= 0.0):
-        return 0.0
-    sign = 1.0 if gp0 < 0.0 else -1.0
-    gp0 = sign * float(gp0)
     if plan.line_slope is not None:
         # no kinks: the one piece below is all of t > 0, its slope is
         # line_slope and its intercept change is +-0, so this is its answer
@@ -512,19 +502,25 @@ class _LinesearchPlan:
 def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=None):
     """Exact minimizer of g(t) = f*(x_star - t a) + t beta.
 
-    Uses the piecewise-linear kink walk whenever the objective exposes finite
-    per-coordinate shrink weights on the support of ``a``, and a bracketed root
-    find on the monotone derivative otherwise. With ``nonneg`` the minimization
-    is over t >= 0 (halfspace targets); otherwise over all of R. ``gp0``
-    supplies an exactly-known g'(0) and ``x`` the primal grad f*(x_star) that
-    a caller holding a consistent pair already has (see _shrink_linesearch).
+    The one entry of two engines: the piecewise-linear kink walk
+    (_shrink_linesearch) whenever the objective exposes finite
+    per-coordinate shrink weights on the support of ``a``, and a bracketed
+    root find on the monotone derivative otherwise. With ``nonneg`` the
+    minimization is over t >= 0 (halfspace targets); otherwise over all of
+    R. ``gp0`` supplies an exactly-known g'(0) and ``x`` the primal grad
+    f*(x_star) that a caller holding a consistent pair already has.
     ``plan`` is the _LinesearchPlan of ``a`` under ``obj`` when the caller
     has one (bregman_projector keeps one per hyperplane); without it the plan
-    is built here, on the objective's weight verdicts. Raises ZeroDirection
-    for a zero ``a`` and NonFiniteData when x_star, a or beta holds a NaN or
-    an infinity: a plan's ``a`` is taken as checked, beta is checked here,
-    and x_star is judged by g'(0) (or, when ``x`` or ``gp0`` is given, on
-    the support, for both engines) and by the step.
+    is built here, on the objective's weight verdicts.
+
+    Once for both engines, it checks beta and all of x_star, takes g'(0)
+    (``gp0``, else the engine's own: beta - <a, S_w(x_star)> on the support
+    for the walk, from grad f* for the root find) and checks it, returns 0
+    when g'(0) = 0 or, with ``nonneg``, g'(0) >= 0, and mirrors the problem
+    to g(sign t) so that the engine finds a root at t > 0. Raises
+    ZeroDirection for a zero ``a`` and NonFiniteData when x_star, a, beta,
+    g'(0) or the step holds a NaN or an infinity (a plan's ``a`` is taken as
+    checked).
     """
     if not math.isfinite(beta):
         raise NonFiniteData(f"linesearch beta is {beta}")
@@ -532,32 +528,38 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
     if plan is None:
         a = np.asarray(a, dtype=float)
         plan = _LinesearchPlan(a, obj._verdicts, _nonzeros(a), float(np.dot(a, a)))
-    if x is not None or gp0 is not None:
-        # a handed-in x or g'(0) does not show a NaN or an inf in x_star; u.u
-        # does, or it overflows and the exact test decides (np.vdot, unlike
-        # np.dot, does not warn when it overflows)
-        u = x_star[plan.supp]
-        if not math.isfinite(np.vdot(u, u)) and not np.all(np.isfinite(u)):
-            raise NonFiniteData("linesearch x_star is not finite")
+    # x*.x* shows a NaN or an inf, or it overflows and the exact test decides
+    # (np.vdot, unlike np.dot, does not warn when it overflows)
+    if not math.isfinite(np.vdot(x_star, x_star)) and not np.all(np.isfinite(x_star)):
+        raise NonFiniteData("linesearch x_star is not finite")
+
+    def gp(t):  # the root find's g'
+        return beta - float(np.dot(a, obj.grad_conjugate(x_star - t * a)))
+
     if plan.finite:
-        t = _shrink_linesearch(plan, x_star, beta, nonneg, gp0=gp0, x=x)
+        u = x_star[plan.supp]
+        s0 = soft_shrink(u, plan.w) if x is None else x[plan.supp]
+        if gp0 is None:
+            gp0 = beta - float(np.dot(plan.a, s0))
+    elif gp0 is None:
+        gp0 = gp(0.0)
+    gp0 = float(gp0)
+    if not math.isfinite(gp0):
+        raise NonFiniteData(f"linesearch derivative at 0 is {gp0}")
+    if gp0 == 0.0 or (nonneg and gp0 >= 0.0):
+        return 0.0
+    # mirrored to g(sign * t), the root lies at t > 0, where sign g'(sign t)
+    # starts below 0
+    sign = 1.0 if gp0 < 0.0 else -1.0
+    gp0 *= sign
+    if plan.finite:
+        t = _shrink_linesearch(plan, u, s0, gp0, sign)
         if not math.isfinite(t):
             raise NonFiniteData(f"linesearch step is {t}")
         return t
-
-    def gp(t):
-        return beta - float(np.dot(a, obj.grad_conjugate(x_star - t * a)))
-
-    g0 = gp(0.0) if gp0 is None else float(gp0)
-    if not math.isfinite(g0):
-        raise NonFiniteData(f"linesearch derivative at 0 is {g0}")
-    if g0 == 0.0 or (nonneg and g0 >= 0.0):
-        return 0.0
-    # mirrored to g(sign * s), the root lies at s > 0, where sign g'(sign s)
-    # starts below 0 and |g'| grows at most like ||a||^2 / alpha; + 0.0 keeps a
-    # mirrored bracket end at 0 from turning into -0.0
-    sign = 1.0 if g0 < 0.0 else -1.0
-    lo, hi = 0.0, obj.alpha * abs(g0) / plan.a_sq
+    # |g'| grows at most like ||a||^2 / alpha; + 0.0 keeps a mirrored bracket
+    # end at 0 from turning into -0.0
+    lo, hi = 0.0, obj.alpha * -gp0 / plan.a_sq
     for _ in range(200):
         if sign * gp(sign * hi) >= 0.0:
             break

@@ -9,7 +9,8 @@ from splitbreg.comparator import (
     prox_g,
     run_pd,
 )
-from splitbreg.objectives import ElasticNet, GroupedMax, GroupElasticNet
+from splitbreg.linops import Grad2D, ScaledIdentity, ZeroOperator
+from splitbreg.objectives import ElasticNet, GroupedMax, GroupElasticNet, SquaredNorm
 from splitbreg.projections import NonFiniteData, NormBall, Point, project_simplex
 from splitbreg.solver import Exact, preset, run
 
@@ -153,11 +154,28 @@ def _pd(**fields):
         (lambda: project_simplex(np.zeros(0), 1.0), ValueError, "^an empty vector has no point"),
         (lambda: GroupElasticNet(1.0, []), ValueError, "^need at least one group"),
         (lambda: GroupedMax(1.0, []), ValueError, "^need at least one group"),
+        # a bool is never a choice, though True == 1
+        (lambda: _pd(noise_norm=True), ValueError, "^noise_norm True is not one of 1, 2, inf$"),
+        (lambda: _pd(noise_norm=np.True_), ValueError, r"^noise_norm (np\.)?True_? is not one of"),
+        (lambda: NormBall(np.zeros(3), 1.0, True), ValueError, "^p True is not one of 1, 2, inf$"),
+        # sizes are whole and nonnegative: never truncated, never taken negative
+        (lambda: ElasticNet(0.5, 2.7), ValueError, "^dimension must be nonnegative and whole"),
+        (lambda: SquaredNorm(True), ValueError, "^dimension must be nonnegative and whole"),
+        (lambda: SquaredNorm(-2), ValueError, "^dimension must be nonnegative and whole"),
+        (lambda: ScaledIdentity(2.5), ValueError, "^n must be nonnegative and whole"),
+        (lambda: ZeroOperator(-1, 3), ValueError, "^m must be nonnegative and whole"),
+        (lambda: ZeroOperator(3, 1.0), ValueError, "^n must be nonnegative and whole"),
+        (lambda: Grad2D(-2, 3), ValueError, "^height must be nonnegative and whole"),
+        (lambda: Grad2D(3, 0), ValueError, "^width must be positive and whole"),
     ],
     ids=[
         "pd-nan-lam", "pd-negative-lam", "pd-nan-delta", "pd-nan-b", "pd-short-b",
         "pd-negative-budget", "pd-negative-record-every", "pd-noise-norm-at-delta-0",
         "empty-simplex", "group-elastic-net-without-groups", "grouped-max-without-groups",
+        "pd-bool-noise-norm", "pd-numpy-bool-noise-norm", "ball-bool-p",
+        "elastic-net-fractional-size", "squared-norm-bool-size", "squared-norm-negative-size",
+        "identity-fractional-size", "zero-operator-negative-rows", "zero-operator-float-columns",
+        "gradient-negative-height", "gradient-zero-width",
     ],
 )
 def test_degenerate_inputs_raise_named_errors(call, error, match):

@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 import re
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -531,6 +532,11 @@ def _plan(a, weights):
     return projections._LinesearchPlan(a, verdicts, projections._nonzeros(a), float(np.dot(a, a)))
 
 
+def _linesearch(plan, x_star, beta, nonneg, gp0=None, x=None):
+    # the kink walk through its one entry, on a ready plan
+    return exact_linesearch(None, x_star, None, beta, nonneg, gp0=gp0, x=x, plan=plan)
+
+
 @contextlib.contextmanager
 def _forced_bisection():
     """Make the kink walk guess the first piece, on which g' is known to stay
@@ -572,13 +578,13 @@ def test_located_root_matches_bisection(case, gp0):
     # included
     x_star, a, weights, beta, nonneg, _ = case
     args = (_plan(a, weights), x_star, beta, nonneg)
-    t = projections._shrink_linesearch(*args, gp0=gp0)
+    t = _linesearch(*args, gp0=gp0)
     with _forced_bisection() as counts:
-        t_bisected = projections._shrink_linesearch(*args, gp0=gp0)
+        t_bisected = _linesearch(*args, gp0=gp0)
     assert np.float64(t).tobytes() == np.float64(t_bisected).tobytes()
     assert counts["bisections"] == counts["guesses"] <= 1
     # the primal a consistent pair holds stands in for the shrinkage of x_star
-    t_from_x = projections._shrink_linesearch(*args, gp0=gp0, x=soft_shrink(x_star, weights))
+    t_from_x = _linesearch(*args, gp0=gp0, x=soft_shrink(x_star, weights))
     assert np.float64(t_from_x).tobytes() == np.float64(t).tobytes()
 
 
@@ -643,11 +649,11 @@ def test_linesearch_without_positive_kinks_does_no_locate_work(monkeypatch):
     # zero weights on the support of a: no kinks at all, g' is linear
     a, x_star, beta = np.array([1.0, -2.0, 0.0, 0.5]), np.array([0.5, 1.0, 3.0, -1.0]), 0.25
     weights = np.array([0.0, 0.0, 1.0, 0.0])
-    t = projections._shrink_linesearch(_plan(a, weights), x_star, beta, False)
+    t = _linesearch(_plan(a, weights), x_star, beta, False)
     assert t == pytest.approx((a @ x_star - beta) / (a @ a))
     # kinks at t = -4 and t = -2 only, behind the root at t = 1 of g'(t) = t - 1
     one = np.ones(1)
-    t = projections._shrink_linesearch(_plan(one, one), -3.0 * one, -3.0, False)
+    t = _linesearch(_plan(one, one), -3.0 * one, -3.0, False)
     assert t == 1.0
 
 
@@ -773,11 +779,11 @@ def test_planned_linesearch_matches_the_full_sort_reference_bitwise():
         walks.clear()
         with pytest.MonkeyPatch.context() as mp:  # one walk: a far root is bisected
             mp.setattr(projections, "_walk_kinks", counted)
-            got = projections._shrink_linesearch(*args, gp0=gp0, x=x)
+            got = _linesearch(*args, gp0=gp0, x=x)
         assert len(walks) <= 1, case
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), case
         with _forced_bisection():  # the fallback bisects every kink
-            forced = projections._shrink_linesearch(*args, gp0=gp0, x=x)
+            forced = _linesearch(*args, gp0=gp0, x=x)
         assert np.float64(forced).tobytes() == np.float64(want).tobytes(), case
         # the number of kinks between 0 and the root
         supp = (a != 0.0) & (weights > 0.0)
@@ -863,10 +869,10 @@ def test_walked_linesearch_matches_the_full_sort_reference_at_the_edges():
             walks.clear()
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(projections, "_walk_kinks", spy)
-                got = projections._shrink_linesearch(*args, gp0=gp0, x=x)
+                got = _linesearch(*args, gp0=gp0, x=x)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), name
             with _forced_bisection():
-                forced = projections._shrink_linesearch(*args, gp0=gp0, x=x)
+                forced = _linesearch(*args, gp0=gp0, x=x)
             assert np.float64(forced).tobytes() == np.float64(want).tobytes(), name
             answers[name] = got
             if name == "past-the-cap":
@@ -904,7 +910,7 @@ def test_walked_linesearch_matches_the_full_sort_reference_bitwise(case, with_gp
     gp0 = beta - float(a @ s0) if with_gp0 else None
     x = s0 if with_x else None
     want = _full_sort_linesearch(x_star, a, beta, weights, nonneg, gp0=gp0, x=x)
-    got = projections._shrink_linesearch(_plan(a, weights), x_star, beta, nonneg, gp0=gp0, x=x)
+    got = _linesearch(_plan(a, weights), x_star, beta, nonneg, gp0=gp0, x=x)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
@@ -925,9 +931,8 @@ def test_benchmark_shaped_sparse_kaczmarz_solve_matches_the_full_sort_reference(
         tol = 1e-6 * float(np.linalg.norm(b))
         return run(preset("sparse_kaczmarz", a, b, lam=lam, residual_tolerance=tol))
 
-    def reference(plan, x_star, beta, nonneg, gp0=None, x=None):
-        x = None if x is None else x[plan.supp]
-        return _full_sort_linesearch(x_star[plan.supp], plan.a, beta, plan.w, nonneg, gp0, x)
+    def reference(plan, u, s0, gp0, sign):
+        return _full_sort_linesearch(u, plan.a, 0.0, plan.w, False, sign * gp0, s0)
 
     res = solve()
     with pytest.MonkeyPatch.context() as mp:
@@ -1053,11 +1058,15 @@ def test_linesearch_rejects_non_finite_data(obj, where, bad):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("with_plan", [False, True], ids=["no-plan", "plan"])
 @pytest.mark.parametrize("handed", ["x", "gp0"])
-def test_linesearch_names_a_non_finite_x_star_beside_a_handed_in_x_or_gp0(bad, with_plan, handed):
+@pytest.mark.parametrize("a1", [-0.5, 0.0], ids=["on-the-support", "off-the-support"])
+def test_linesearch_names_a_non_finite_x_star_beside_a_handed_in_x_or_gp0(
+    bad, with_plan, handed, a1
+):
     # x (or g'(0)) taken from x_star before a NaN or an inf was written into
-    # it: neither shows the bad entry, which must still be named
+    # it: neither shows the bad entry, which must still be named, on a's
+    # support or off it, where the walk never reads x_star but the step keeps it
     obj = ElasticNet(0.7, 4)
-    x_star, a, beta = np.array([1.5, -0.3, 2.0, -1.0]), np.array([1.0, -0.5, 0.25, 2.0]), 0.3
+    x_star, a, beta = np.array([1.5, -0.3, 2.0, -1.0]), np.array([1.0, a1, 0.25, 2.0]), 0.3
     x = soft_shrink(x_star, 0.7)
     kwargs = {"x": x} if handed == "x" else {"gp0": beta - float(a @ x)}
     x_star[1] = bad
@@ -1077,16 +1086,22 @@ def test_linesearch_names_a_non_finite_beta_beside_a_handed_in_gp0(bad, with_x):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("handed", ["gp0", "gp0-and-x"])
-def test_root_finding_linesearch_names_a_non_finite_x_star_beside_a_handed_in_gp0(bad, handed):
-    # group weights are not finite, so the root find, not the kink walk, runs
-    obj = GroupElasticNet(0.5, [np.array([0, 1, 2])])
-    x_star, a, beta = np.array([1.0, -2.0, 0.5]), np.array([1.0, 0.5, -1.0]), 0.3
+@pytest.mark.parametrize("handed", ["neither", "gp0", "x", "gp0-and-x"])
+@pytest.mark.parametrize("a1", [0.5, 0.0], ids=["on-the-support", "off-the-support"])
+def test_root_finding_linesearch_names_a_non_finite_x_star(bad, handed, a1):
+    # group weights are not finite, so the root find, not the kink walk, runs;
+    # off a's support the bad entry still spoils its group's norm. It is named
+    # before any evaluation can warn, whatever is handed in
+    obj = GroupElasticNet(0.5, [[0, 1, 2]])
+    x_star, a, beta = np.array([1.0, -2.0, 0.5]), np.array([1.0, a1, -1.0]), 0.3
     x = obj.grad_conjugate(x_star)
-    kwargs = {"gp0": beta - float(a @ x), "x": x if handed == "gp0-and-x" else None}
+    gp0 = beta - float(a @ x) if handed.startswith("gp0") else None
+    x = x if handed.endswith("x") else None
     x_star[1] = bad
-    with pytest.raises(NonFiniteData, match="x_star is not finite"):
-        exact_linesearch(obj, x_star, a, beta, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteData, match="x_star is not finite"):
+            exact_linesearch(obj, x_star, a, beta, gp0=gp0, x=x)
 
 
 def test_halfspace_step_names_a_non_finite_pair_that_reads_as_interior():
@@ -1523,8 +1538,8 @@ def test_kink_free_linesearch_is_the_kink_walk_in_closed_form(case):
     walk.line_slope = None
     pair = pair_from_dual(obj, x_star)
     for x in (None, pair.x):
-        t_walk = projections._shrink_linesearch(walk, x_star, beta, nonneg, x=x)
-        t_closed = projections._shrink_linesearch(plan, x_star, beta, nonneg, x=x)
+        t_walk = _linesearch(walk, x_star, beta, nonneg, x=x)
+        t_closed = _linesearch(plan, x_star, beta, nonneg, x=x)
         assert np.float64(t_closed).tobytes() == np.float64(t_walk).tobytes()
 
 
