@@ -73,7 +73,7 @@ def run_pd(config):
     m, n = op.shape
     objective = ElasticNet(config.lam, n)  # checks lam
     lam = objective.lam
-    delta = _nonnegative("delta", config.delta)
+    delta = _nonnegative("delta", config.delta, bound=True)
     p = config.noise_norm
     _check_choice("noise_norm", p, (1, 2, np.inf))
     _check_whole("max_iterations", config.max_iterations, low=0)
@@ -83,7 +83,8 @@ def run_pd(config):
     if not np.all(np.isfinite(b)):
         raise NonFiniteData("b is not finite")
     # fixed steps tau = sigma = 0.99 / ||A||, so tau * sigma * ||A||^2 < 1
-    tau = sigma = 0.99 / op.norm_estimate()
+    # any step fits an operator of norm 0 (one without rows, or all zeros)
+    tau = sigma = 0.99 / (op.norm_estimate() or 1.0)
     ball = Point(b) if delta == 0.0 else NormBall(b, delta, p)
 
     x = np.zeros(n)

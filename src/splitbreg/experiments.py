@@ -8,7 +8,6 @@ columns repeat bit for bit.
 """
 
 import json
-import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import comparator, solver
-from ._checks import _check_choice, _check_whole, _is_real
+from ._checks import _check_choice, _check_distinct, _check_whole, _nonnegative, _positive
 from .linops import (
     BlockRow,
     DenseMatrix,
@@ -84,6 +83,7 @@ class InstanceSpec:
         _check_whole("instance m", self.m)
         _check_whole("instance n", self.n)
         _check_whole("instance sparsity", self.sparsity, low=0)
+        _check_whole("instance seed", self.seed, low=0)
         if not self.sparsity <= self.n:
             raise ValueError(f"instance sparsity {self.sparsity} exceeds n = {self.n}")
         if self.kind == "partial_dct" and self.m > self.n:
@@ -143,7 +143,7 @@ class UniformNoise:
     p = np.inf
 
     def __post_init__(self):
-        _check_nonnegative("noise amplitude", self.amplitude)
+        _nonnegative("noise amplitude", self.amplitude)
 
 
 @dataclass
@@ -155,7 +155,7 @@ class GaussianNoise:
     p = 2
 
     def __post_init__(self):
-        _check_nonnegative("noise level", self.level)
+        _nonnegative("noise level", self.level)
 
 
 def inject_noise(b, model, seed):
@@ -277,26 +277,6 @@ def projection_mass_estimate(projector, values):
 # ---------------------------------------------------------------------------
 
 
-def _check_positive(key, value):
-    """Raise a ValueError naming ``key`` unless ``value`` is a number > 0 (NaN
-    fails)."""
-    if not (_is_real(value) and value > 0):
-        raise ValueError(f"{key} must be positive, not {value!r}")
-
-
-def _check_nonnegative(key, value):
-    """Raise a ValueError naming ``key`` unless ``value`` is a finite number
-    >= 0."""
-    if not (_is_real(value) and 0 <= value < math.inf):
-        raise ValueError(f"{key} must be finite and nonnegative, not {value!r}")
-
-
-def _check_distinct(key, names):
-    """Raise a ValueError naming ``key`` when ``names`` lists a name twice."""
-    if len(set(names)) != len(names):
-        raise ValueError(f"{key} must not repeat a name, not {list(names)!r}")
-
-
 _TOMO_VARIANTS = ("plain", "nonneg", "one")
 
 
@@ -323,9 +303,9 @@ class TomoSpec:
         for key in ("height", "width", "n_angles", "rays_per_angle", "iterations"):
             _check_whole(f"tomo {key}", getattr(self, key))
         for key in ("noise_level", "lam"):
-            _check_nonnegative(f"tomo {key}", getattr(self, key))
+            _nonnegative(f"tomo {key}", getattr(self, key))
         for key in ("data_tolerance", "coupling_tolerance"):
-            _check_positive(f"tomo {key}", getattr(self, key))
+            _positive(f"tomo {key}", getattr(self, key))
 
 
 @dataclass
@@ -353,9 +333,10 @@ class ExperimentConfig:
         _check_distinct("rules", self.rules)
         for key in ("max_iterations", "pd_iterations"):
             _check_whole(key, getattr(self, key))
-        _check_positive("tolerance", self.tolerance)
+        _check_whole("seed", self.seed, low=0)
+        _positive("tolerance", self.tolerance)
         if self.lam is not None:
-            _check_nonnegative("lam", self.lam)
+            _nonnegative("lam", self.lam)
         if isinstance(self.noise, ImpulsiveNoise) and self.noise.count > self.instance.m:
             msg = f"noise count {self.noise.count} exceeds the {self.instance.m} data entries"
             raise ValueError(msg)

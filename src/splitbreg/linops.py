@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from ._checks import _check_whole
+from ._checks import _check_distinct, _check_indices, _check_whole, _nonnegative, _real, _vector
 
 
 class LinearOperator:
@@ -40,25 +40,16 @@ class LinearOperator:
         return np.stack([self.apply(eye[:, j]) for j in range(self.shape[1])], axis=1)
 
 
-def _checked_input(op, v, n):
-    """``v`` as a float array, checked to be a vector of length n: the one
-    input check of the matrix-free operators, which would otherwise slice,
-    broadcast or ignore a vector of another length. The ValueError names
-    ``op`` and both lengths."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (n,):
-        name = type(op).__name__
-        raise ValueError(f"{name} takes a vector of length {n}, not of shape {v.shape}")
-    return v
-
-
 def operator_norm(op, tol=1e-6, max_iter=1000):
     """Estimate ||A||_2 by power iteration on A^T A.
 
     Deterministic start vector; stops when the Rayleigh quotient changes by
     less than ``tol`` relatively. Warns and returns the best estimate if the
-    cap is hit.
+    cap is hit. ``tol`` must be a real number >= 0 (+inf stops after one
+    step) and ``max_iter`` a whole number >= 1.
     """
+    tol = _nonnegative("tol", tol, bound=True)
+    max_iter = _check_whole("max_iter", max_iter)
     m, n = op.shape
     if m == 0 or n == 0:
         return 0.0
@@ -107,15 +98,15 @@ class DenseMatrix(LinearOperator):
         self._finite = a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
     def apply(self, x):
-        x = np.asarray(x)
-        if self._finite and x.shape == (self.shape[1],):
+        x = _vector("x", x, self.shape[1])
+        if self._finite:
             nz = (x != 0.0).nonzero()[0]  # NaN entries count, -0.0 ones do not
             if _GATHER_FACTOR * nz.size <= x.size:
                 return self.a[:, nz] @ x[nz]
         return self.a @ x
 
     def apply_adjoint(self, y):
-        return self.a.T @ y
+        return self.a.T @ _vector("y", y, self.shape[0])
 
     def row(self, i):
         return self.a[i]
@@ -140,10 +131,10 @@ class SparseOperator(LinearOperator):
         self.shape = self.mat.shape
 
     def apply(self, x):
-        return self.mat @ x
+        return self.mat @ _vector("x", x, self.shape[1])
 
     def apply_adjoint(self, y):
-        return self._mat_t @ y
+        return self._mat_t @ _vector("y", y, self.shape[0])
 
     def row(self, i):
         return self.mat.getrow(i).toarray().ravel()
@@ -158,11 +149,11 @@ class ScaledIdentity(LinearOperator):
     def __init__(self, n, scale=1.0):
         n = _check_whole("n", n, low=0)
         self.shape = (n, n)
-        self.scale = float(scale)
+        self.scale = _real("scale", scale)
         self._norm = abs(self.scale)
 
     def apply(self, x):
-        return self.scale * _checked_input(self, x, self.shape[1])
+        return self.scale * _vector("x", x, self.shape[1])
 
     apply_adjoint = apply  # c * I is self-adjoint
 
@@ -180,11 +171,11 @@ class ZeroOperator(LinearOperator):
         self._norm = 0.0
 
     def apply(self, x):
-        _checked_input(self, x, self.shape[1])
+        _vector("x", x, self.shape[1])
         return np.zeros(self.shape[0])
 
     def apply_adjoint(self, y):
-        _checked_input(self, y, self.shape[0])
+        _vector("y", y, self.shape[0])
         return np.zeros(self.shape[1])
 
     def row(self, i):
@@ -215,7 +206,7 @@ class BlockRow(LinearOperator):
         self.zero_columns = tuple((a, b) for _, a, b, z in self._blocks if z)
 
     def apply(self, x):
-        x = _checked_input(self, x, self.shape[1])
+        x = _vector("x", x, self.shape[1])
         # a zero block adds the scalar 0.0 where it would add its zeros: the
         # same sums bit for bit, -0.0 + 0.0 = +0.0 included
         outs = [0.0 if z else op.apply(x[a:b]) for op, a, b, z in self._blocks]
@@ -223,7 +214,7 @@ class BlockRow(LinearOperator):
         return total if isinstance(total, np.ndarray) else np.zeros(self.shape[0])
 
     def apply_adjoint(self, y):
-        y = _checked_input(self, y, self.shape[0])
+        y = _vector("y", y, self.shape[0])
         out = np.zeros(self.shape[1])  # what the zero blocks give
         for op, a, b, z in self._blocks:
             if not z:
@@ -253,7 +244,7 @@ class Grad2D(LinearOperator):
 
     def apply(self, x):
         w, hw = self.width, self.height * self.width
-        x = _checked_input(self, np.ravel(x), hw)  # an h x w image, or its rows in a row
+        x = _vector("x", np.ravel(x), hw)  # an h x w image, or its rows in a row
         out = np.empty(2 * hw)
         np.subtract(x[1:], x[:-1], out=out[: hw - 1])
         out[w - 1 : hw : w] = 0.0  # the trailing column, and no wrap to the next row
@@ -263,7 +254,7 @@ class Grad2D(LinearOperator):
 
     def apply_adjoint(self, y):
         w, hw = self.width, self.height * self.width
-        y = _checked_input(self, y, 2 * hw)
+        y = _vector("y", y, 2 * hw)
         p = y[:hw].copy()
         p[w - 1 :: w] = 0.0  # the trailing column of p enters no sum
         q = y[hw:]
@@ -285,21 +276,24 @@ class Grad2D(LinearOperator):
 
 
 def dct_row(n, j):
-    """Row j of the orthonormal type-II DCT matrix of size n."""
-    if not 0 <= j < n:
-        raise ValueError("row index out of range")
+    """Row j of the orthonormal type-II DCT matrix of size n, a whole number
+    >= 1, for a row index j in range(n)."""
+    n = _check_whole("n", n)
+    _check_indices("row index", [j], n)
     scale = np.sqrt(1.0 / n) if j == 0 else np.sqrt(2.0 / n)
     return scale * np.cos(np.pi * (2 * np.arange(n) + 1) * j / (2 * n))
 
 
 class PartialDCT(DenseMatrix):
-    """A subset of distinct rows of the orthonormal DCT-II matrix."""
+    """A subset of distinct rows of the orthonormal DCT-II matrix of size n."""
 
     def __init__(self, n, rows):
-        rows = np.asarray(rows, dtype=int)
-        if np.unique(rows).size != rows.size:
-            raise ValueError("rows must be distinct")
-        super().__init__(np.stack([dct_row(int(n), int(j)) for j in rows]))
+        n = _check_whole("n", n)
+        rows = _check_indices("row index", rows, n).tolist()
+        if not rows:
+            raise ValueError("need at least one row")
+        _check_distinct("rows", rows)
+        super().__init__(np.stack([dct_row(n, j) for j in rows]))
         self._norm = 1.0  # orthonormal rows
 
 
@@ -333,11 +327,9 @@ def build_parallel_projector(height, width, angles_deg, rays_per_angle=None, off
     ``rays_per_angle`` and ``offsets`` given raise a named ``ValueError``; the
     recorded ray spacing is the median gap between the sorted offsets.
     """
-    height, width = int(height), int(width)
-    if height < 1 or width < 1:
-        # a ray through an empty grid would index columns outside the matrix
-        raise ValueError(f"height and width must be at least 1, got {height} x {width}")
-    angles_deg = np.asarray(angles_deg, dtype=float)
+    # a ray through an empty grid would index columns outside the matrix
+    height, width = (_check_whole("height and width", v) for v in (height, width))
+    angles_deg = _vector("angles_deg", angles_deg)
     if offsets is not None and rays_per_angle is not None:
         raise ValueError("give rays_per_angle or offsets, not both")
     if offsets is None:
@@ -347,10 +339,8 @@ def build_parallel_projector(height, width, angles_deg, rays_per_angle=None, off
         diag = float(np.hypot(height, width))
         offsets = np.linspace(-diag / 2.0, diag / 2.0, rays_per_angle)
     else:
-        offsets = np.asarray(offsets, dtype=float)
+        offsets = _vector("offsets", offsets)
     for name, values in (("angles_deg", angles_deg), ("offsets", offsets)):
-        if values.ndim != 1:
-            raise ValueError(f"{name} must be one-dimensional, not of shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{name} must be finite")
     spacing = float(np.median(np.diff(np.sort(offsets)))) if offsets.size > 1 else 1.0

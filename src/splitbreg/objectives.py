@@ -14,7 +14,7 @@ import operator
 
 import numpy as np
 
-from ._checks import _check_whole, _nonnegative
+from ._checks import _check_indices, _check_whole, _nonnegative, _vector
 
 
 class InvalidSubgradient(ValueError):
@@ -28,13 +28,6 @@ def soft_shrink(x, lam):
     """
     x = np.asarray(x, dtype=float)
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
-
-
-def _check_dim(v, dimension, name):
-    v = np.asarray(v, dtype=float)
-    if v.shape != (dimension,):
-        raise ValueError(f"{name} has shape {v.shape}, expected ({dimension},)")
-    return v
 
 
 class Objective:
@@ -98,11 +91,11 @@ class SquaredNorm(Objective):
         self._weights.flags.writeable = False
 
     def value(self, x):
-        x = _check_dim(x, self.dimension, "x")
+        x = _vector("x", x, self.dimension)
         return float(0.5 * np.dot(x, x))
 
     def grad_conjugate(self, x_star):
-        return _check_dim(x_star, self.dimension, "x_star").copy()
+        return _vector("x_star", x_star, self.dimension).copy()
 
 
 class ElasticNet(Objective):
@@ -118,11 +111,11 @@ class ElasticNet(Objective):
         self._weights.flags.writeable = False
 
     def value(self, x):
-        x = _check_dim(x, self.dimension, "x")
+        x = _vector("x", x, self.dimension)
         return float(self.lam * np.abs(x).sum() + 0.5 * np.dot(x, x))
 
     def grad_conjugate(self, x_star):
-        x_star = _check_dim(x_star, self.dimension, "x_star")
+        x_star = _vector("x_star", x_star, self.dimension)
         return soft_shrink(x_star, self.lam)
 
 
@@ -134,16 +127,14 @@ def _partition_labels(groups):
         raise ValueError("need at least one group")
     if isinstance(groups, np.ndarray) and groups.ndim == 2:
         sizes = np.full(groups.shape[0], groups.shape[1])
-        idx = groups.astype(int, copy=False).ravel()
+        groups = [groups.ravel()]  # one pass over the rows laid end to end
     else:
-        groups = [np.asarray(g, dtype=int) for g in groups]
-        sizes = np.array([g.size for g in groups], dtype=int)
-        idx = np.concatenate(groups)
+        sizes = np.array([np.size(g) for g in groups], dtype=int)
+    d = int(sizes.sum())
+    idx = np.concatenate([_check_indices("group index", g, d) for g in groups])
     if np.any(sizes == 0):
         raise ValueError("empty group")
-    if idx.min() < 0 or idx.max() >= idx.size:
-        raise ValueError("group index out of range")
-    labels = np.full(idx.size, -1, dtype=int)
+    labels = np.full(d, -1, dtype=int)
     labels[idx] = np.repeat(np.arange(sizes.size), sizes)
     # d indices in range leave a coordinate unlabelled only when another one
     # is listed twice
@@ -181,11 +172,11 @@ class GroupElasticNet(Objective):
         return np.sqrt(sq)
 
     def value(self, x):
-        x = _check_dim(x, self.dimension, "x")
+        x = _vector("x", x, self.dimension)
         return float(self.lam * self._group_norms(x).sum() + 0.5 * np.dot(x, x))
 
     def grad_conjugate(self, x_star):
-        x_star = _check_dim(x_star, self.dimension, "x_star")
+        x_star = _vector("x_star", x_star, self.dimension)
         norms = self._group_norms(x_star)
         scale = np.zeros(self.n_groups)
         nz = norms > 0.0
@@ -205,18 +196,19 @@ class GroupedMax(Objective):
 
     def __init__(self, lam, groups):
         self.lam = _nonnegative("lam", lam)
-        self.groups = [np.asarray(g, dtype=int) for g in groups]
-        self.dimension = _partition_labels(self.groups).size
+        groups = list(groups)
+        self.dimension = _partition_labels(groups).size
+        self.groups = [np.asarray(g, dtype=int) for g in groups]  # checked integers
 
     def value(self, x):
-        x = _check_dim(x, self.dimension, "x")
+        x = _vector("x", x, self.dimension)
         total = sum(g.size * np.abs(x[g]).max() for g in self.groups)
         return float(self.lam * total + 0.5 * np.dot(x, x))
 
     def grad_conjugate(self, x_star):
         from .projections import project_l1_ball  # deferred: avoids an import cycle
 
-        x_star = _check_dim(x_star, self.dimension, "x_star")
+        x_star = _vector("x_star", x_star, self.dimension)
         out = np.empty_like(x_star)
         for g in self.groups:
             block = x_star[g]
@@ -239,11 +231,11 @@ class ProductObjective(Objective):
         self._weights.flags.writeable = False
 
     def value(self, x):
-        x = _check_dim(x, self.dimension, "x")
+        x = _vector("x", x, self.dimension)
         return float(sum(p.value(x[s]) for p, s in zip(self.parts, self.slices)))
 
     def grad_conjugate(self, x_star):
-        x_star = _check_dim(x_star, self.dimension, "x_star")
+        x_star = _vector("x_star", x_star, self.dimension)
         out = np.empty_like(x_star)
         for p, s in zip(self.parts, self.slices):
             out[s] = p.grad_conjugate(x_star[s])
@@ -277,10 +269,11 @@ def fenchel_gap(obj, x_star, x):
     """Fenchel-Young gap f*(x*) - <x*, x> + f(x).
 
     Nonnegative for every pair; zero exactly when x_star is a subgradient of the
-    objective at x (equivalently x = grad f*(x_star)).
+    objective at x (equivalently x = grad f*(x_star)). Both vectors must be
+    finite and of the objective's dimension: a ValueError names the other.
     """
-    x = np.asarray(x, dtype=float)
-    x_star = np.asarray(x_star, dtype=float)
+    x = _vector("x", x, obj.dimension, finite=True)
+    x_star = _vector("x_star", x_star, obj.dimension, finite=True)
     return float(obj.conjugate(x_star) - np.dot(x_star, x) + obj.value(x))
 
 
@@ -289,11 +282,11 @@ def bregman_distance(obj, x, x_star, y):
 
     Raises InvalidSubgradient when the Fenchel-Young gap of (x, x_star) exceeds
     1e-8 * (1 + |f(x)|); with an admissible pair the result is nonnegative and
-    bounded below by alpha/2 * ||x - y||^2.
+    bounded below by alpha/2 * ||x - y||^2. The vectors are checked as in
+    fenchel_gap.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    x_star = np.asarray(x_star, dtype=float)
+    x = _vector("x", x, obj.dimension, finite=True)
+    y = _vector("y", y, obj.dimension, finite=True)
     fx = obj.value(x)
     gap = fenchel_gap(obj, x_star, x)
     if abs(gap) > 1e-8 * (1.0 + abs(fx)):

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from ._checks import _check_choice, _nonnegative, _real
+from ._checks import _check_choice, _check_indices, _nonnegative, _real, _vector
 from .objectives import PrimalDualPair, pair_from_dual, soft_shrink
 
 
@@ -48,15 +48,6 @@ class BoxWithoutZero(ValueError):
 
 class NoConvergence(RuntimeError):
     """The root-finding linesearch could not bracket its root within its cap."""
-
-
-def _vector(key, value):
-    """``value`` as a one-dimensional float array (a scalar has length 1);
-    raises a ValueError naming ``key`` when it has more dimensions."""
-    v = np.atleast_1d(np.asarray(value, dtype=float))
-    if v.ndim != 1:
-        raise ValueError(f"{key} must be one-dimensional, not of shape {v.shape}")
-    return v
 
 
 def _nonzeros(v):
@@ -115,7 +106,7 @@ class NormBall(RangeSet):
     """{y : ||y - center||_p <= radius} for p in {1, 2, inf}."""
 
     def __init__(self, center, radius, p=2):
-        self.radius = _nonnegative("radius", radius)
+        self.radius = _nonnegative("radius", radius, bound=True)
         _check_choice("p", p, (1, 2, np.inf))
         self.center = _vector("center", center)
         self.p = p
@@ -165,16 +156,11 @@ class NonnegCone(Box):
     the cone meets."""
 
     def __init__(self, indices=None):
-        super().__init__(0.0, np.inf)
+        super().__init__([0.0], [np.inf])
         if indices is None:
             return
-        idx = np.asarray(indices)
-        if idx.size and idx.dtype.kind not in "iu":
-            raise ValueError(f"cone indices must be integers, not {idx.dtype}")
-        idx = idx.astype(int)
-        if not np.all(idx >= 0):
-            raise ValueError("cone indices must be nonnegative")
-        if idx.ndim == 1 and idx.size and np.all(np.diff(idx) == 1):
+        idx = _check_indices("cone indices", indices)
+        if idx.size and np.all(np.diff(idx) == 1):
             idx = slice(int(idx[0]), int(idx[-1]) + 1)
         self.indices = idx
 
@@ -193,7 +179,7 @@ class _LinearSet(RangeSet):
         self.norm_sq = float(np.dot(self.normal, self.normal))
         if self.norm_sq == 0.0:
             raise ZeroNormal(f"{type(self).__name__.lower()} normal is zero")
-        self.offset = _real("offset", offset)
+        self.offset = _real("offset", offset, finite=False)
         if not (math.isfinite(self.norm_sq) and math.isfinite(self.offset)):
             raise NonFiniteData(f"{type(self).__name__.lower()} normal or offset is not finite")
         self.norm = math.sqrt(self.norm_sq)
@@ -256,7 +242,7 @@ def project_simplex(y, total=1.0):
     and a ValueError for an empty y with a positive total (an empty set).
     """
     total = _nonnegative("total", total)
-    y = np.asarray(y, dtype=float)
+    y = _vector("y", y)
     if total == 0.0:
         return np.zeros_like(y)
     if not y.size:
@@ -278,8 +264,8 @@ def project_l1_ball(y, radius):
     simplex of size ``radius`` and restore the signs. Raises NonFiniteData
     when y holds a NaN or an infinity or the sum of |y| overflows.
     """
-    radius = _nonnegative("radius", radius)
-    y = np.asarray(y, dtype=float)
+    radius = _nonnegative("radius", radius, bound=True)
+    y = _vector("y", y)
     a = np.abs(y)
     total = a.sum()
     if not math.isfinite(total):

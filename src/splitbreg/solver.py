@@ -13,14 +13,13 @@ import csv
 import functools
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import projections
-from ._checks import _check_whole
+from ._checks import _check_indices, _check_whole, _integers, _vector
 from .linops import LinearOperator, as_operator
 from .objectives import ElasticNet, PrimalDualPair, SquaredNorm, pair_from_dual
 
@@ -97,8 +96,7 @@ class RandomUniform:
     k reads entry k % _BLOCK of block k // _BLOCK."""
 
     def __init__(self, seed):
-        _check_whole("seed", seed, low=0)
-        self.seed = int(seed)
+        self.seed = _check_whole("seed", seed, low=0)
 
     def indices(self, n):
         for b in itertools.count():
@@ -106,21 +104,17 @@ class RandomUniform:
 
 
 class Custom:
-    """A fixed index list, cycled when the run is longer than the list."""
+    """A fixed index list, cycled when the run is longer than the list. Its
+    entries must be integers; each must lie in range(n) for a run over n
+    constraints, which ``indices(n)`` checks before step 0."""
 
     def __init__(self, order):
-        self.order = list(order)
+        self.order = _integers("order", list(order)).tolist()
         if not self.order:
             raise ValueError("order must be nonempty")
-        for i in self.order:
-            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-                raise ValueError(f"order must hold integers, not {i!r}")
-        self.order = [int(i) for i in self.order]
 
     def indices(self, n):
-        for i in self.order:
-            if not 0 <= i < n:
-                raise ValueError(f"control index {i} out of range")
+        _check_indices("control index", self.order, n)
         return itertools.cycle(self.order)
 
 
@@ -412,10 +406,8 @@ def preset(name, a, b, lam=None, step_rule=None, **kwargs):
     keyword arguments go straight into SolverConfig.
     """
     op = as_operator(a)
-    b = np.atleast_1d(np.asarray(b, dtype=float))
     m, n = op.shape
-    if b.shape != (m,):
-        raise ValueError("right-hand side does not match the operator")
+    b = _vector("b", b, m)
 
     def rows():
         constraints = []

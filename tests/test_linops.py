@@ -105,17 +105,18 @@ def test_dense_product_checks_the_length_of_x():
 @pytest.mark.parametrize(
     "call, name, want, given",
     [
-        (lambda: BlockRow([DenseMatrix(np.eye(2))] * 2).apply(np.ones(5)), "BlockRow", 4, 5),
-        (lambda: BlockRow([ZeroOperator(2, 3)]).apply_adjoint(np.ones(3)), "BlockRow", 2, 3),
-        (lambda: ScaledIdentity(3, 2.0).apply(np.ones(5)), "ScaledIdentity", 3, 5),
-        (lambda: ZeroOperator(2, 3).apply(np.ones(7)), "ZeroOperator", 3, 7),
-        (lambda: ZeroOperator(2, 3).apply_adjoint(np.ones(9)), "ZeroOperator", 2, 9),
-        (lambda: Grad2D(2, 2).apply_adjoint(np.ones(12)), "Grad2D", 8, 12),
-        (lambda: Grad2D(2, 2).apply(np.ones((3, 2))), "Grad2D", 4, 6),
+        (lambda: BlockRow([DenseMatrix(np.eye(2))] * 2).apply(np.ones(5)), "x", 4, 5),
+        (lambda: BlockRow([ZeroOperator(2, 3)]).apply_adjoint(np.ones(3)), "y", 2, 3),
+        (lambda: ScaledIdentity(3, 2.0).apply(np.ones(5)), "x", 3, 5),
+        (lambda: ZeroOperator(2, 3).apply(np.ones(7)), "x", 3, 7),
+        (lambda: ZeroOperator(2, 3).apply_adjoint(np.ones(9)), "y", 2, 9),
+        (lambda: Grad2D(2, 2).apply_adjoint(np.ones(12)), "y", 8, 12),
+        (lambda: Grad2D(2, 2).apply(np.ones((3, 2))), "x", 4, 6),
     ],
 )
 def test_matrix_free_products_check_the_input_length(call, name, want, given):
-    message = rf"{name} takes a vector of length {want}, not of shape \({given},\)"
+    # ``name`` is the argument the product was handed
+    message = rf"^{name} must be a vector of length {want}, not of shape \({given},\)$"
     with pytest.raises(ValueError, match=message):
         call()
 
@@ -535,9 +536,9 @@ def test_projector_rejects_non_finite_geometry(bad):
 @pytest.mark.parametrize(
     "angles,kwargs,match",
     [
-        (0.0, dict(rays_per_angle=5), "angles_deg must be one-dimensional"),
-        ([[0.0, 90.0]], dict(rays_per_angle=5), "angles_deg must be one-dimensional"),
-        ([0.0], dict(offsets=[[-1.5, 1.5]]), "offsets must be one-dimensional"),
+        (0.0, dict(rays_per_angle=5), "angles_deg must be a vector"),
+        ([[0.0, 90.0]], dict(rays_per_angle=5), "angles_deg must be a vector"),
+        ([0.0], dict(offsets=[[-1.5, 1.5]]), "offsets must be a vector"),
         ([0.0], dict(rays_per_angle=2.7), "rays_per_angle must be positive and whole"),
         ([0.0], dict(rays_per_angle=True), "rays_per_angle must be positive and whole"),
         ([0.0], dict(), "need rays_per_angle when offsets are not given"),

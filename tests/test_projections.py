@@ -209,11 +209,11 @@ def test_norm_ball_validation():
         (lambda: Box(np.array([np.nan]), np.array([1.0])), "lower bound exceeds upper bound"),
         (lambda: Box(np.array([0.0]), np.array([np.nan])), "lower bound exceeds upper bound"),
         (lambda: NonnegCone([-1]), "cone indices must be nonnegative"),
-        (lambda: project_simplex(np.ones(3), np.nan), "total must be nonnegative"),
+        (lambda: project_simplex(np.ones(3), np.nan), "total must be nonnegative and finite"),
         (lambda: project_l1_ball(np.ones(3), np.nan), "radius must be nonnegative"),
-        (lambda: ElasticNet(np.nan, 3), "lam must be nonnegative"),
-        (lambda: GroupElasticNet(np.nan, [[0, 1]]), "lam must be nonnegative"),
-        (lambda: GroupedMax(np.nan, [[0, 1]]), "lam must be nonnegative"),
+        (lambda: ElasticNet(np.nan, 3), "lam must be nonnegative and finite"),
+        (lambda: GroupElasticNet(np.nan, [[0, 1]]), "lam must be nonnegative and finite"),
+        (lambda: GroupedMax(np.nan, [[0, 1]]), "lam must be nonnegative and finite"),
         (lambda: ProductObjective([]), "need at least one part"),
         (lambda: Custom([]), "order must be nonempty"),
         (lambda: Custom([1.5, 0]), "order must hold integers, not 1.5"),
@@ -222,18 +222,18 @@ def test_norm_ball_validation():
         (lambda: RandomUniform(-1), "seed must be nonnegative and whole, not -1"),
         (lambda: RandomUniform(1.5), "seed must be nonnegative and whole, not 1.5"),
         (lambda: RandomUniform(True), "seed must be nonnegative and whole, not True"),
-        (lambda: Point(np.ones((2, 2))), "b must be one-dimensional, not of shape (2, 2)"),
+        (lambda: Point(np.ones((2, 2))), "b must be a vector, not of shape (2, 2)"),
         (
             lambda: NormBall(np.ones((2, 2)), 1.0),
-            "center must be one-dimensional, not of shape (2, 2)",
+            "center must be a vector, not of shape (2, 2)",
         ),
         (
             lambda: Box(-np.ones((2, 2)), np.ones((2, 2))),
-            "lower must be one-dimensional, not of shape (2, 2)",
+            "lower must be a vector, not of shape (2, 2)",
         ),
         (
             lambda: Box(np.zeros(2), np.ones((1, 2))),
-            "upper must be one-dimensional, not of shape (1, 2)",
+            "upper must be a vector, not of shape (1, 2)",
         ),
         (
             lambda: Box(np.zeros(2), np.ones(3)),
@@ -241,17 +241,17 @@ def test_norm_ball_validation():
         ),
         (
             lambda: Hyperplane(np.ones((2, 3)), 1.0),
-            "normal must be one-dimensional, not of shape (2, 3)",
+            "normal must be a vector, not of shape (2, 3)",
         ),
         (
             lambda: Halfspace(np.ones((3, 1)), 1.0),
-            "normal must be one-dimensional, not of shape (3, 1)",
+            "normal must be a vector, not of shape (3, 1)",
         ),
         (
             lambda: NonnegCone(np.array([True, False, True])),
-            "cone indices must be integers, not bool",
+            "cone indices must hold integers, not True",
         ),
-        (lambda: NonnegCone([1.7, 0.2]), "cone indices must be integers, not float64"),
+        (lambda: NonnegCone([1.7, 0.2]), "cone indices must hold integers, not 1.7"),
         (lambda: NormBall(np.zeros(2), "1"), "radius must be a real number, not '1'"),
         (lambda: NormBall(np.zeros(2), True), "radius must be a real number, not True"),
         (lambda: ElasticNet(True, 2), "lam must be a real number, not True"),
@@ -293,7 +293,9 @@ def test_infinite_set_data_is_accepted():
     np.testing.assert_array_equal(NormBall(np.zeros(2), np.inf, 2).project([3.0, 4.0]), [3.0, 4.0])
     box = Box(np.array([-np.inf, 0.0]), np.array([np.inf, np.inf]))
     np.testing.assert_array_equal(box.project([-5.0, -1.0]), [-5.0, 0.0])
-    assert ElasticNet(np.inf, 2).shrink_weights()[0] == np.inf
+    # a weight has no "no bound" reading: an infinite one is rejected
+    with pytest.raises(ValueError, match="^lam must be nonnegative and finite$"):
+        ElasticNet(np.inf, 2)
 
 
 def test_box_and_cone():
