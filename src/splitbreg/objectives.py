@@ -245,8 +245,13 @@ class ProductObjective(Objective):
 class PrimalDualPair:
     """A primal point together with an admissible subgradient.
 
-    The pair is consistent by construction: ``x == grad_conjugate(x_star)``,
-    equivalently ``x_star`` is a subgradient of the objective at ``x``.
+    The pairs the package builds are consistent by construction,
+    ``x == grad_conjugate(x_star)`` bit for bit (equivalently ``x_star`` is a
+    subgradient of the objective at ``x``): pair_from_dual builds the start
+    pair and every step writes its new pair through one writer
+    (``projections._moved``), which recomputes x from the new x_star on every
+    objective part where x_star changed. The class itself holds the arrays
+    it is handed.
     """
 
     __slots__ = ("x", "x_star")
@@ -260,8 +265,8 @@ class PrimalDualPair:
 
 
 def pair_from_dual(obj, x_star):
-    """Build a consistent pair from a dual vector: x = grad f*(x_star)."""
-    x_star = np.asarray(x_star, dtype=float)
+    """Build a consistent pair from a dual vector: x = grad f*(x_star), which
+    checks x_star as the objective's vector."""
     return PrimalDualPair(obj.grad_conjugate(x_star), x_star)
 
 

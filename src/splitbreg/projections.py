@@ -2,15 +2,18 @@
 
 The orthogonal projectors are what the separating-halfspace construction needs
 for "difficult" constraints; the Bregman projectors update a primal-dual pair
-for the "simple" ones. Every Bregman projector returns a new consistent pair
-(primal point plus admissible subgradient). A set's data is fixed at
-construction: what it precomputes there (a normal's length and support) stays
-valid for its lifetime. One attribute is written later: ``bregman_projector``,
-the one projector dispatch, keeps the projector it last built (a partial of
-one of the ``_project_*`` forms) in the set's ``_bregman``, keyed by the
-objective's identity. It stays while perfbench's tracer hooks
-``bregman_project(obj, pair, target)`` by name: that call carries no
-projector, so the set has to keep it.
+for the "simple" ones. Every step of a run, simple or difficult, writes its
+new pair through one writer, ``_moved``, by one rule: x* changes only on the
+step's support (every other bit kept, -0.0 included) and x = grad f*(x*) is
+recomputed on the objective parts that support meets (``_footprint``, taken
+once per constraint), so each pair is consistent by construction. A set's
+data is fixed at construction: what it precomputes there (a normal's length
+and support) stays valid for its lifetime. One attribute is written later:
+``bregman_projector``, the one projector dispatch, keeps the projector it
+last built (a partial of one of the ``_project_*`` forms) in the set's
+``_bregman``, keyed by the objective's identity. It stays while perfbench's
+tracer hooks ``bregman_project(obj, pair, target)`` by name: that call
+carries no projector, so the set has to keep it.
 """
 
 import bisect
@@ -20,7 +23,7 @@ import math
 import numpy as np
 
 from ._checks import _check_choice, _check_indices, _nonnegative, _real, _vector
-from .objectives import PrimalDualPair, pair_from_dual, soft_shrink
+from .objectives import PrimalDualPair, soft_shrink
 
 
 class FeasiblePoint(ValueError):
@@ -44,6 +47,15 @@ class ZeroDirection(ValueError):
 
 class BoxWithoutZero(ValueError):
     """The Bregman box projection needs a box containing the origin."""
+
+
+class DimensionMismatch(ValueError):
+    """A vector or a set does not fit the vectors it meets: a set's data (a
+    normal, bounds, a center, cone indices) does not fit the objective's
+    coordinates or an operator's outputs, a linesearch's direction or x_star
+    is not of the objective's length, or, in a run, an operator does not act
+    on the objective's coordinates or x0_star or a residual tolerance array
+    has the wrong length."""
 
 
 class NoConvergence(RuntimeError):
@@ -458,26 +470,27 @@ class _WeightVerdicts:
 
 class _LinesearchPlan:
     """What a linesearch along a fixed direction a under fixed shrink weights
-    needs besides x_star and beta, built once: the index ``supp`` of a's
-    nonzeros (as _nonzeros gives it), ``a`` and the weights ``w`` on it, the
-    index ``kinked`` of the support coordinates with w_j > 0, the mask
-    ``free`` of those with w_j = 0 (None when there are none), ``a_sq`` = a.a
-    (a set's ``norm_sq``, the same float), whether the weights are ``finite``
-    on the support, and ``line_slope``: when every weight on the support is
-    zero, g' has no kink and this is its one slope, a.a summed over the
-    support; None otherwise. They are ``verdicts`` (on all the weights) for
-    an a without zeros, else taken here on the support. For a normal whose
-    nonzeros are one run it holds views only. Raises ZeroDirection when a_sq
-    is 0 and NonFiniteData when it is not finite."""
+    needs besides x_star and beta, built once: a's ``shape``, which x_star
+    must have, the index ``supp`` of a's nonzeros (as _nonzeros gives it),
+    ``a`` and the weights ``w`` on it, the index ``kinked`` of the support
+    coordinates with w_j > 0, the mask ``free`` of those with w_j = 0 (None
+    when there are none), ``a_sq`` = a.a (a set's ``norm_sq``, the same
+    float), whether the weights are ``finite`` on the support, and
+    ``line_slope``: when every weight on the support is zero, g' has no kink
+    and this is its one slope, a.a summed over the support; None otherwise.
+    They are ``verdicts`` (on all the weights) for an a without zeros, else
+    taken here on the support. For a normal whose nonzeros are one run it
+    holds views only. Raises ZeroDirection when a_sq is 0 and NonFiniteData
+    when it is not finite."""
 
-    __slots__ = ("supp", "a", "w", "kinked", "free", "a_sq", "finite", "line_slope")
+    __slots__ = ("shape", "supp", "a", "w", "kinked", "free", "a_sq", "finite", "line_slope")
 
     def __init__(self, a, verdicts, supp, a_sq):
         if a_sq == 0.0:
             raise ZeroDirection("linesearch direction is zero")
         if not math.isfinite(a_sq):
             raise NonFiniteData("linesearch direction is not finite or its square overflows")
-        self.supp, self.a, self.a_sq = supp, a[supp], a_sq
+        self.shape, self.supp, self.a, self.a_sq = a.shape, supp, a[supp], a_sq
         if self.a.size < a.size:
             verdicts = _WeightVerdicts(verdicts.w[supp])
         self.w, self.kinked, self.free = verdicts.w, verdicts.kinked, verdicts.free
@@ -504,16 +517,21 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
     for the walk, from grad f* for the root find) and checks it, returns 0
     when g'(0) = 0 or, with ``nonneg``, g'(0) >= 0, and mirrors the problem
     to g(sign t) so that the engine finds a root at t > 0. Raises
-    ZeroDirection for a zero ``a`` and NonFiniteData when x_star, a, beta,
-    g'(0) or the step holds a NaN or an infinity (a plan's ``a`` is taken as
-    checked).
+    ZeroDirection for a zero ``a``, DimensionMismatch when x_star or ``a`` is
+    not a vector of the objective's length and NonFiniteData when x_star, a,
+    beta, g'(0) or the step holds a NaN or an infinity (a plan's ``a`` is
+    taken as checked).
     """
     if not math.isfinite(beta):
         raise NonFiniteData(f"linesearch beta is {beta}")
-    x_star = np.asarray(x_star, dtype=float)
     if plan is None:
-        a = np.asarray(a, dtype=float)
+        a, shape = np.asarray(a, dtype=float), obj._verdicts.w.shape
+        if a.shape != shape:
+            raise DimensionMismatch(f"linesearch direction has shape {a.shape}, not {shape}")
         plan = _LinesearchPlan(a, obj._verdicts, _nonzeros(a), float(np.dot(a, a)))
+    x_star = np.asarray(x_star, dtype=float)
+    if x_star.shape != plan.shape:
+        raise DimensionMismatch(f"linesearch x_star has shape {x_star.shape}, not {plan.shape}")
     # x*.x* shows a NaN or an inf, or it overflows and the exact test decides
     # (np.vdot, unlike np.dot, does not warn when it overflows)
     if not math.isfinite(np.vdot(x_star, x_star)) and not np.all(np.isfinite(x_star)):
@@ -561,57 +579,73 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
 # Bregman projections
 # ---------------------------------------------------------------------------
 
-def _project_halfspace(obj, target, plan, pair):
+def _footprint(obj, supp):
+    """The (slice, part) pairs of the parts of a product objective ``obj``
+    that the index ``supp`` meets; None when it meets every part or when
+    ``obj`` has no parts. The parts are read through attributes, so wrappers
+    that forward them count as what they wrap. Taken once per constraint."""
+    if (slices := getattr(obj, "slices", None)) is None:  # a ProductObjective's blocks
+        return None
+    on = np.zeros(obj.dimension, dtype=bool)
+    on[supp] = True
+    met = [(s, part) for s, part in zip(slices, obj.parts) if on[s].any()]
+    return None if len(met) == len(slices) else met
+
+
+def _moved(obj, parts, pair, supp, values):
+    """The one pair writer of every step. x* takes ``values`` on the index
+    ``supp`` and keeps every other bit, -0.0 included; ``values`` is the
+    whole new x* when ``supp`` is ``slice(None)``. x is then grad f*(x*) on
+    each (slice, part) of ``parts`` (from _footprint), or on all of x when
+    ``parts`` is None. Off those parts x* has not changed, so x keeps bits
+    that were grad f*'s already: the new pair is consistent by construction
+    whenever the old one was."""
+    x_star = values if type(supp) is slice and supp == slice(None) else pair.x_star.copy()
+    if x_star is not values:
+        x_star[supp] = values
+    if parts is None:
+        return PrimalDualPair(obj.grad_conjugate(x_star), x_star)
+    x = pair.x.copy()
+    for s, part in parts:
+        x[s] = part.grad_conjugate(x_star[s])
+    return PrimalDualPair(x, x_star)
+
+
+def _project_halfspace(obj, parts, target, plan, pair):
     """Exact-linesearch projection onto a Hyperplane, or onto a one-sided
     Halfspace (a step t >= 0, which is 0 on interior points, where
-    g'(0) = beta - <a, x> >= 0), with the normal's linesearch ``plan``.
-
-    The step x* - t a changes x* only on the normal's support; off it x* keeps
-    every bit, -0.0 included, which x* - t * 0.0 would turn into +0.0 for
-    t < 0. Where the weights are finite on the support only those primal
-    coordinates are recomputed; the others keep their value."""
+    g'(0) = beta - <a, x> >= 0), with the normal's linesearch ``plan``: x*
+    moves to x* - t a on the normal's support."""
     a, beta = target.normal, target.offset
     t = exact_linesearch(obj, pair.x_star, a, beta, nonneg=target.one_sided, x=pair.x, plan=plan)
     if t == 0.0:
         return pair
-    if plan.finite and plan.a.size == a.size:  # a has no zeros: both vectors whole
-        z_star = pair.x_star - t * plan.a
-        return PrimalDualPair(soft_shrink(z_star, plan.w), z_star)
-    z_star = pair.x_star.copy()
-    z_star[plan.supp] = pair.x_star[plan.supp] - t * plan.a
-    if not plan.finite:
-        return pair_from_dual(obj, z_star)
-    z = pair.x.copy()
-    z[plan.supp] = soft_shrink(z_star[plan.supp], plan.w)
-    return PrimalDualPair(z, z_star)
+    return _moved(obj, parts, pair, plan.supp, pair.x_star[plan.supp] - t * plan.a)
 
 
-def _project_box(weights, idx, lower, upper, pair):
+def _project_box(obj, parts, idx, lower, upper, pair):
     """Closed form for objectives that are coordinatewise "w_j |x_j| + x_j^2/2"
-    on a box's indices idx, with ``weights`` the w_j there, and a box that
-    holds the origin (bregman_projector checks that once).
+    on a box's indices idx, and a box that holds the origin
+    (bregman_projector checks that once).
 
     The admissible subgradient is x* clipped on idx to the dual bounds
     ``lower`` and ``upper``, taken once: lower - w where the box's lower bound
     is below 0, else 0, and upper + w where its upper bound is above 0, else
     0. So x* moves to bound -+ w when its shrinkage passes a nonzero bound and
     to 0 when it lies beyond a zero bound (a -0.0 there reads +0.0, as
-    np.maximum gives it). The primal is its shrinkage: the clipped shrinkage
-    up to a rounding at active bounds, so that the pair is consistent bit for
-    bit.
+    np.maximum gives it). The primal is grad f* of the clipped x*, as _moved
+    writes every pair: the clipped shrinkage up to a rounding at active
+    bounds.
     """
     v = np.maximum(pair.x_star[idx], lower)
     np.minimum(v, upper, out=v)
-    z_star = pair.x_star.copy()
-    z_star[idx] = v
-    z = pair.x.copy()
-    z[idx] = soft_shrink(v, weights)
-    return PrimalDualPair(z, z_star)
+    return _moved(obj, parts, pair, idx, v)
 
 
-def _project_orthogonal(target, pair):
-    z = target.project(pair.x)
-    return PrimalDualPair(z, z.copy())
+def _project_orthogonal(obj, parts, target, pair):
+    """Under f = ||x||^2 / 2 (every shrink weight zero) the projection of x:
+    x* = P(x), and x = grad f*(P(x))."""
+    return _moved(obj, parts, pair, slice(None), target.project(pair.x))
 
 
 def bregman_projector(obj, target):
@@ -619,8 +653,12 @@ def bregman_projector(obj, target):
     pair: a partial of one of the ``_project_*`` forms, picked here, on the
     objective's weight verdicts, by the one dispatch table behind
     bregman_project (see there for the supported pairings, tried in order).
-    Raises TypeError for an unsupported pairing and BoxWithoutZero for a box
-    the closed form cannot take.
+    Raises DimensionMismatch for a set whose data does not fit the
+    objective's length, TypeError for an unsupported pairing and
+    BoxWithoutZero for a box the closed form cannot take. Each form moves x*
+    on the support of its step (the whole vector, a normal's ``support`` or a
+    box's ``indices``) and recomputes x on the objective parts that support
+    meets (_footprint), both through _moved.
 
     The set keeps the projector it last built, keyed by the identity of the
     objective, so a run dispatches once per simple constraint (sets and shrink
@@ -628,23 +666,26 @@ def bregman_projector(obj, target):
     owner, projector = target._bregman
     if owner is obj:
         return projector
+    if not data_fits(target, obj.dimension):
+        raise DimensionMismatch(f"{type(target).__name__} does not fit length {obj.dimension}")
     verdicts = obj._verdicts
     if not verdicts.any:
-        projector = functools.partial(_project_orthogonal, target)
+        supp, form, data = slice(None), _project_orthogonal, (target,)
     elif isinstance(target, _LinearSet):
         plan = _LinesearchPlan(target.normal, verdicts, target.support, target.norm_sq)
-        projector = functools.partial(_project_halfspace, obj, target, plan)
+        supp, form, data = target.support, _project_halfspace, (target, plan)
     elif isinstance(target, Box) and np.all(np.isfinite(w := verdicts.w[target.indices])):
         lower, upper = target.lower, target.upper
         if np.any(lower > 0.0) or np.any(upper < 0.0):
             raise BoxWithoutZero("box must contain the origin componentwise")
         lower = np.where(lower < 0.0, lower - w, 0.0)
         upper = np.where(upper > 0.0, upper + w, 0.0)
-        projector = functools.partial(_project_box, w, target.indices, lower, upper)
+        supp, form, data = target.indices, _project_box, (target.indices, lower, upper)
     else:
         raise TypeError(
             f"no Bregman projector for {type(target).__name__} under {type(obj).__name__}"
         )
+    projector = functools.partial(form, obj, _footprint(obj, supp), *data)
     target._bregman = (obj, projector)
     return projector
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import projections
 from ._checks import _check_indices, _check_whole, _integers, _vector
 from .linops import LinearOperator, as_operator
-from .objectives import ElasticNet, PrimalDualPair, SquaredNorm, pair_from_dual
+from .objectives import ElasticNet, SquaredNorm, pair_from_dual
 
 
 class MissingLambda(ValueError):
@@ -37,12 +37,7 @@ class AllZeroRows(ValueError):
     left to act on."""
 
 
-class DimensionMismatch(ValueError):
-    """A constraint does not fit the vectors it meets: a difficult constraint's
-    operator does not act on the objective's coordinates, or a set's data (a
-    normal, bounds, a center, cone indices) does not fit the objective's
-    coordinates (simple) or the operator's outputs (difficult); or x0_star or a
-    residual tolerance array has the wrong length."""
+DimensionMismatch = projections.DimensionMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -169,27 +164,6 @@ class Difficult:
         return self._at(x)[3]
 
 
-def _live_parts(obj, op):
-    """The (slice, part) pairs of the parts of a product objective ``obj``
-    that the nonzero blocks of ``op`` act on, when every other part lies
-    wholly inside one of its zero blocks (``BlockRow.zero_columns``, each
-    zero block as built), where A^T w is +0.0; None when no part is skipped
-    that way. Both are read through attributes, so wrappers that forward them
-    count as what they wrap."""
-    zero = getattr(op, "zero_columns", ())
-    slices = getattr(obj, "slices", None)  # a ProductObjective's blocks
-    if not zero or slices is None:
-        return None
-    live = []
-    for s, part in zip(slices, obj.parts):
-        inside = any(a <= s.start and s.stop <= b for a, b in zero)
-        if not inside and any(s.start < b and a < s.stop for a, b in zero):
-            return None  # across the edge of a zero block
-        if not inside:
-            live.append((s, part))
-    return live if len(live) < len(slices) else None
-
-
 @dataclass
 class SolverConfig:
     objective: object
@@ -236,14 +210,15 @@ def _simple_step(obj, target, pair):
     return projections.bregman_project(obj, pair, target), math.nan, math.nan
 
 
-def _difficult_step(obj, constraint, rule, live, pair):
+def _difficult_step(obj, constraint, rule, supp, parts, pair):
     """One separating-halfspace step. Returns (pair, step_size, w_norm); a point
     whose residual is exactly zero gets a zero step.
 
-    The new dual point is x* - t A^T w. Where ``live`` (from ``_live_parts``)
-    skips parts of the objective, a finite t >= 0 leaves x* unchanged there
-    bit for bit (x*_j - t * (+0.0) = x*_j, -0.0 included), so only the live
-    parts are updated and their primal recomputed; the others keep x and x*."""
+    The new dual point is x* - t A^T w, written through projections._moved on
+    ``supp``, the columns the operator's nonzero blocks act on, with x
+    recomputed on the objective ``parts`` that support meets. Off ``supp``
+    A^T w is +0.0, so x* keeps every bit there, -0.0 included: what
+    x*_j - t * (+0.0) gives for any finite t >= 0."""
     op = constraint.op
     w, w_norm = constraint.residual(pair.x)
     try:
@@ -265,13 +240,21 @@ def _difficult_step(obj, constraint, rule, live, pair):
         )
     else:  # Inexact, the one rule left once run has checked it
         t = _forward_track(obj, pair.x_star, d, beta, t_dynamic)
-    if live is None or not 0.0 <= t < math.inf:
-        return pair_from_dual(obj, pair.x_star - t * d), t, w_norm
-    x_star, x = pair.x_star.copy(), pair.x.copy()
-    for s, part in live:
-        x_star[s] = pair.x_star[s] - t * d[s]
-        x[s] = part.grad_conjugate(x_star[s])
-    return PrimalDualPair(x, x_star), t, w_norm
+    return projections._moved(obj, parts, pair, supp, pair.x_star[supp] - t * d[supp]), t, w_norm
+
+
+def _reach(obj, op):
+    """(supp, parts) of a difficult step through ``op``: the index ``supp``
+    (as projections._nonzeros gives it) of the columns its nonzero blocks
+    act on, all but its ``zero_columns`` (BlockRow's, read through the
+    attribute, so wrappers that forward it count as what they wrap), where
+    A^T w is +0.0 for every w, and the objective ``parts`` that supp meets
+    (projections._footprint)."""
+    cols = np.ones(obj.dimension, dtype=bool)
+    for a, b in getattr(op, "zero_columns", ()):
+        cols[a:b] = False
+    supp = projections._nonzeros(cols)
+    return supp, projections._footprint(obj, supp)
 
 
 def _forward_track(obj, x_star, d, beta, t0):
@@ -304,13 +287,17 @@ def run(config, callback=None):
 
     Before step 0, run checks its input and sets up each constraint's step
     once: a simple constraint builds its Bregman projector, a difficult one
-    takes the objective parts its operator reaches (``_live_parts``), and the
-    control hands over this run's index stream, ``control.indices(n)``, from
-    which each step takes the next index (a stream that ends early raises
-    StopIteration, and an index outside 0..n-1 a ValueError before its step
-    runs). A wrong width or length, an unknown step rule, a
-    ``max_iterations`` that is not a whole number >= 0 and a ``Custom`` order
-    naming a missing constraint all raise then. run is the only stepping
+    takes the columns its operator's nonzero blocks act on and the objective
+    parts they meet (``projections._footprint``), and the control hands over
+    this run's index stream, ``control.indices(n)``, from which each step
+    takes the next index (a stream that ends early raises StopIteration, and
+    an index outside 0..n-1 a ValueError before its step runs). Every step
+    writes its pair through ``projections._moved``: x* changes on the step's
+    support only and x = grad f*(x*) is recomputed on the parts it meets, so
+    every pair a run hands over is consistent by construction. A wrong width
+    or length, an unknown step rule, a ``max_iterations`` that is not a whole
+    number >= 0 and a ``Custom`` order naming a missing constraint all raise
+    then. run is the only stepping
     path.
     """
     obj = config.objective
@@ -335,8 +322,7 @@ def run(config, callback=None):
         elif not isinstance(rule, tuple(STEP_RULES.values())):
             raise TypeError(f"unknown step rule {rule!r}")
         else:
-            live = _live_parts(obj, c.op)
-            steps.append(functools.partial(_difficult_step, obj, c, rule, live))
+            steps.append(functools.partial(_difficult_step, obj, c, rule, *_reach(obj, c.op)))
     n = len(constraints)
     tols = np.asarray(config.residual_tolerance, dtype=float)
     if tols.shape not in ((), (1,), (n,)):
@@ -466,14 +452,16 @@ def history_to_csv(result, path, objective_values):
     first two is a float.
 
     ``objective_values`` holds f(x) after each step, in record order (collect
-    it in run's callback). max_violation carries the most recent full-pass
-    violation maximum forward between pass boundaries (NaN before the first
-    boundary).
+    it in run's callback); a ValueError names another count before the file
+    is opened. max_violation carries the most recent full-pass violation
+    maximum forward between pass boundaries (NaN before the first boundary).
     """
+    if len(values := list(objective_values)) != result.iterations:
+        raise ValueError(f"objective_values: {len(values)} values for {result.iterations} records")
 
     def rows():
         latest = float("nan")
-        for rec, value in zip(result.records, objective_values, strict=True):
+        for rec, value in zip(result.records, values):
             if rec.violations is not None:
                 latest = float(np.max(rec.violations))
             floats = (rec.step_size, rec.w_norm, latest, value, rec.elapsed_ms)

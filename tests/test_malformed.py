@@ -125,8 +125,8 @@ def _linesearch(x_star, beta, n=2):
     return exact_linesearch(ElasticNet(1.0, n), x_star, np.ones(n), beta)
 
 
-def _projected(x_star):
-    obj = ElasticNet(1.0, 2)
+def _projected(x_star, n=2):
+    obj = ElasticNet(1.0, n)
     return bregman_project(obj, pair_from_dual(obj, x_star), Hyperplane([1.0, 1.0], 1.0))
 
 
@@ -320,8 +320,8 @@ ROWS = {
         "a step's pair holds the arrays it is handed; the objective and the sets check them"
     ),
     "pair_from_dual": dict(
-        bool=Valid(
-            "x_star is read as floats (bools as 0 and 1)", lambda: pair_from_dual(_EN, [True, 0])
+        bool=Raises(
+            lambda: pair_from_dual(_EN, [True, 0]), "^x_star must hold real numbers, not bools$"
         ),
         float=Valid("no whole number is due", lambda: pair_from_dual(_EN, [0.5, 0.0])),
         negative=Valid("x_star may be negative", lambda: pair_from_dual(_EN, [-3.0, 0.0])),
@@ -344,7 +344,10 @@ ROWS = {
         empty=Valid("the pair of R^0", lambda: pair_from_dual(ElasticNet(1.0, 0), [])),
     ),
     "fenchel_gap": dict(
-        bool=Valid("vectors are read as floats", lambda: fenchel_gap(_EN, [True, 0], [1.0, 0.0])),
+        bool=Raises(
+            lambda: fenchel_gap(_EN, [True, 0], [1.0, 0.0]),
+            "^x_star must hold real numbers, not bools$",
+        ),
         float=Valid("no whole number is due", lambda: fenchel_gap(_EN, [0.5, 0.0], [0.0, 0.0])),
         negative=Valid(
             "entries may be negative", lambda: fenchel_gap(_EN, [-2.0, 0.0], [0.0, 0.0])
@@ -362,8 +365,9 @@ ROWS = {
         empty=Valid("the gap on R^0 is 0", lambda: fenchel_gap(ElasticNet(1.0, 0), [], [])),
     ),
     "bregman_distance": dict(
-        bool=Valid(
-            "vectors are read as floats", lambda: bregman_distance(_EN, [0, 0], [0, 0], [True, 0])
+        bool=Raises(
+            lambda: bregman_distance(_EN, [0, 0], [0, 0], [True, 0]),
+            "^y must hold real numbers, not bools$",
         ),
         float=Valid(
             "no whole number is due", lambda: bregman_distance(_EN, [0, 0], [0, 0], [0.5, 0])
@@ -399,7 +403,7 @@ ROWS = {
     },
     # sets and projections
     "Point": dict(
-        bool=Valid("entries are real numbers; bools read as 0 and 1", lambda: Point([True])),
+        bool=Raises(lambda: Point([True]), "^b must hold real numbers, not bools$"),
         float=Valid("no whole number is due", lambda: Point([0.5])),
         negative=Valid("entries may be negative", lambda: Point([-1.0])),
         nan=Raises(
@@ -442,7 +446,7 @@ ROWS = {
         ),
     ),
     "Box": dict(
-        bool=Valid("bounds are real numbers; bools read as 0 and 1", lambda: Box([False], [True])),
+        bool=Raises(lambda: Box([False], [True]), "^lower must hold real numbers, not bools$"),
         float=Valid("no whole number is due", lambda: Box([0.5], [1.5])),
         negative=Valid("a bound may be negative", lambda: Box([-1.0], [1.0])),
         nan=Raises(lambda: Box([nan], [1.0]), "^lower bound exceeds upper bound$"),
@@ -542,11 +546,15 @@ ROWS = {
         inf=Raises(
             lambda: _linesearch([inf, 0.0], 1.0), "^linesearch x_star is not finite$", NonFiniteData
         ),
-        dimension=Valid(
-            "the row step's hot path: run fits every set to the objective before step 0"
+        dimension=Raises(
+            lambda: _linesearch(np.zeros((2, 1)), 1.0),
+            r"^linesearch x_star has shape \(2, 1\), not \(2,\)$",
+            DimensionMismatch,
         ),
-        length=Valid(
-            "the row step's hot path: run fits every set to the objective before step 0"
+        length=Raises(
+            lambda: exact_linesearch(_EN, np.zeros(2), np.ones(3), 1.0),
+            r"^linesearch direction has shape \(3,\), not \(2,\)$",
+            DimensionMismatch,
         ),
         empty=Raises(
             lambda: _linesearch([], 1.0, n=0), "^linesearch direction is zero$", ZeroDirection
@@ -558,8 +566,16 @@ ROWS = {
                       NonFiniteData),
         "inf": Raises(lambda: _projected([inf, 0.0]), "^linesearch x_star is not finite$",
                       NonFiniteData),
-        "dimension": Valid("run fits every set to the objective before step 0 (DimensionMismatch)"),
-        "length": Valid("run fits every set to the objective before step 0 (DimensionMismatch)"),
+        "dimension": Raises(
+            lambda: _projected(np.zeros(3), n=3),
+            "^Hyperplane does not fit length 3$",
+            DimensionMismatch,
+        ),
+        "length": Raises(
+            lambda: bregman_project(_EN, pair_from_dual(_EN, np.zeros(2)), NonnegCone([5])),
+            "^NonnegCone does not fit length 2$",
+            DimensionMismatch,
+        ),
         "empty": Valid(
             "the projection onto the box of R^0",
             lambda: bregman_project(
@@ -792,7 +808,8 @@ ROWS = {
             lambda result: [nan] * result.iterations
         )),
         "length": Raises(
-            lambda: _history(lambda result: []), r"^zip\(\) argument 2 is shorter than argument 1$"
+            lambda: _history(lambda result: []),
+            "^objective_values: 0 values for 2 records$",
         ),
     },
     # the comparator

@@ -30,9 +30,10 @@ from splitbreg.projections import (
     NormBall,
     Point,
     ZeroDirection,
+    bregman_project,
     exact_linesearch,
 )
-from splitbreg import solver
+from splitbreg import projections, solver
 from splitbreg.solver import (
     CSV_COLUMNS,
     AllZeroRows,
@@ -67,7 +68,7 @@ def _equality_config(a, b, objective, rule, **kwargs):
 def _difficult_step(cfg, pair):
     """The step that run takes on the one difficult constraint of ``cfg``."""
     obj, (c,) = cfg.objective, cfg.constraints
-    return solver._difficult_step(obj, c, cfg.step_rule, solver._live_parts(obj, c.op), pair)
+    return solver._difficult_step(obj, c, cfg.step_rule, *solver._reach(obj, c.op), pair)
 
 
 # ---------------------------------------------------------------------------
@@ -996,8 +997,12 @@ def test_history_csv_difficult_run(tmp_path):
         assert float(row[2]) == rec.step_size
         assert float(row[3]) == rec.w_norm
         assert float(row[4]) == np.max(rec.violations)
-    with pytest.raises(ValueError):  # one value per record
-        history_to_csv(res, tmp_path / "short.csv", values[:-1])
+    # one value per record, checked before the file is opened
+    for bad in (values[:-1], values + [0.0]):
+        match = rf"^objective_values: {len(bad)} values for {res.iterations} records$"
+        with pytest.raises(ValueError, match=match):
+            history_to_csv(res, tmp_path / "bad.csv", bad)
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_iteration_records_are_slotted():
@@ -1020,31 +1025,38 @@ def test_iteration_records_are_slotted():
 # ---------------------------------------------------------------------------
 
 
+_KINDS = st.sampled_from(["squared", "elastic", "group"])
+
+
+def _part(draw, kind):
+    """A part of 2 or 4 coordinates for a ProductObjective."""
+    n = 2 * draw(st.integers(1, 2))
+    if kind == "squared":
+        return SquaredNorm(n)
+    if kind == "elastic":
+        return ElasticNet(draw(st.sampled_from([0.0, 0.5, 2.0])), n)
+    return GroupElasticNet(draw(st.sampled_from([0.0, 0.5])), np.arange(n).reshape(2, -1).T)
+
+
 @st.composite
 def _zero_block_cases(draw):
     # parts of 2-4 coordinates, each covered by a dense block or by one or
     # two zero blocks; at least one of each kind
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = draw(st.lists(st.sampled_from(["squared", "elastic", "group"]), min_size=2, max_size=4))
+    kinds = draw(st.lists(_KINDS, min_size=2, max_size=4))
     zero = draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
     if all(zero) or not any(zero):
         zero[0], zero[-1] = True, False
     m = draw(st.integers(1, 4))
-    parts, blocks, split = [], [], False
+    parts, blocks, split = [], [], []
     for kind, is_zero in zip(kinds, zero):
-        n = 2 * draw(st.integers(1, 2))
-        if kind == "squared":
-            parts.append(SquaredNorm(n))
-        elif kind == "elastic":
-            parts.append(ElasticNet(draw(st.sampled_from([0.0, 0.5, 2.0])), n))
-        else:
-            lam = draw(st.sampled_from([0.0, 0.5]))
-            parts.append(GroupElasticNet(lam, np.arange(n).reshape(2, -1).T))
+        parts.append(_part(draw, kind))
+        n = parts[-1].dimension
         if not is_zero:
             blocks.append(DenseMatrix(rng.standard_normal((m, n))))
         elif draw(st.booleans()):  # adjacent zero blocks over one part
             blocks += [ZeroOperator(m, 1), ZeroOperator(m, n - 1)]
-            split = True
+            split.append(len(parts) - 1)
         else:
             blocks.append(ZeroOperator(m, n))
     obj = ProductObjective(parts)
@@ -1055,19 +1067,24 @@ def _zero_block_cases(draw):
         st.sampled_from([Point(center), NormBall(center, 0.5, 2), NormBall(center, 1.0, 1)])
     )
     rule = draw(st.sampled_from([Constant(), Dynamic(), Exact(), Inexact()]))
-    return obj, BlockRow(blocks), target, rule, x0_star, split
+    return obj, BlockRow(blocks), target, rule, x0_star, zero, split
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=_zero_block_cases())
 def test_zero_block_steps_match_the_full_length_step_bitwise(case):
     # the reference step updates every coordinate: x* - t A^T w with the full
-    # adjoint, and the primal of the whole objective; a part over two zero
-    # blocks lies inside neither, so that step is the full-length one
-    obj, op, target, rule, x0_star, split = case
+    # adjoint, and the primal of the whole objective. The step itself moves
+    # only the parts its nonzero blocks reach: a part under one zero block or
+    # under two adjacent ones is skipped
+    obj, op, target, rule, x0_star, zero, split = case
     constraint = Difficult(op, target)
     cfg = SolverConfig(objective=obj, constraints=[constraint], step_rule=rule)
-    assert (solver._live_parts(obj, op) is None) == split
+    _, parts = solver._reach(obj, op)
+    met = [s for s, _ in parts]
+    assert met == [s for s, is_zero in zip(obj.slices, zero) if not is_zero]
+    for i in split:  # a part covered by two adjacent zero blocks is skipped too
+        assert obj.slices[i] not in met
     pair = pair_from_dual(obj, x0_star)
     for _ in range(4):
         w, _ = constraint.residual(pair.x)
@@ -1079,18 +1096,27 @@ def test_zero_block_steps_match_the_full_length_step_bitwise(case):
         pair = new_pair
 
 
-def test_live_parts_need_parts_inside_or_outside_the_zero_blocks():
+def test_footprint_names_the_parts_a_support_meets():
     m = 2
     dense = DenseMatrix(np.ones((m, 3)))
     op = BlockRow([dense, ZeroOperator(m, 3)])
     inside = ProductObjective([SquaredNorm(3), ElasticNet(1.0, 3)])
-    assert solver._live_parts(inside, op) == [(slice(0, 3), inside.parts[0])]
-    # a part across the edge of the zero block, a plain objective, an
-    # operator without zero blocks
+    assert solver._reach(inside, op) == (slice(0, 3), [(slice(0, 3), inside.parts[0])])
+    # a part across the edge of the zero block is met like any other; a
+    # support that meets every part and an objective without parts name none
     straddling = ProductObjective([SquaredNorm(2), ElasticNet(1.0, 4)])
-    assert solver._live_parts(straddling, op) is None
-    assert solver._live_parts(SquaredNorm(6), op) is None
-    assert solver._live_parts(inside, BlockRow([dense, dense])) is None
+    assert solver._reach(straddling, op) == (slice(0, 3), None)
+    assert solver._reach(SquaredNorm(6), op) == (slice(0, 3), None)
+    assert solver._reach(inside, BlockRow([dense, dense])) == (slice(None), None)
+    # two adjacent zero blocks over one part, and the supports of sets: a
+    # normal's mask, a cone's int indices and a cone without indices
+    adjacent = BlockRow([dense, ZeroOperator(m, 1), ZeroOperator(m, 2)])
+    assert solver._reach(inside, adjacent)[1] == [(slice(0, 3), inside.parts[0])]
+    normal = Hyperplane([0.0, 0.0, 0.0, 1.0, 0.0, 2.0], 1.0)
+    assert projections._footprint(inside, normal.support) == [(slice(3, 6), inside.parts[1])]
+    assert projections._footprint(inside, NonnegCone([4, 1]).indices) is None
+    assert projections._footprint(inside, NonnegCone([]).indices) == []
+    assert projections._footprint(SquaredNorm(6), NonnegCone([]).indices) is None
 
 
 class _CountingBlockRow(BlockRow):
@@ -1108,7 +1134,7 @@ class _CountingBlockRow(BlockRow):
         self._zero_columns = value
 
 
-def test_live_parts_are_taken_once_per_run():
+def test_zero_columns_are_read_once_per_run():
     op = _CountingBlockRow([DenseMatrix(np.ones((2, 3))), ZeroOperator(2, 3)])
     obj = ProductObjective([SquaredNorm(3), ElasticNet(1.0, 3)])
     cfg = SolverConfig(
@@ -1120,3 +1146,82 @@ def test_live_parts_are_taken_once_per_run():
     res = run(cfg)
     assert res.iterations == 6
     assert op.reads == 1
+
+
+# ---------------------------------------------------------------------------
+# the pair invariant of every step
+# ---------------------------------------------------------------------------
+
+# half-integers with both zeros: shrinkage ties, exact zeros and -0.0
+_HALVES = st.sampled_from([-2.0, -1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0])
+
+
+def _halves(draw, n):
+    return np.array(draw(st.lists(_HALVES, min_size=n, max_size=n)))
+
+
+@st.composite
+def _objectives(draw):
+    if draw(st.booleans()):
+        return ElasticNet(draw(st.sampled_from([0.0, 0.5, 1.0])), draw(st.integers(1, 5)))
+    kinds = draw(st.lists(_KINDS, min_size=1, max_size=3))
+    return ProductObjective([_part(draw, kind) for kind in kinds])
+
+
+@st.composite
+def _steps(draw):
+    """(objective, start pair, one step as a function of the pair, the mask of
+    the coordinates the step may move): a Bregman projection onto each simple
+    set type, or a difficult step under each rule on a block row with zero
+    blocks over any columns."""
+    obj = draw(_objectives())
+    n = obj.dimension
+    pair = pair_from_dual(obj, _halves(draw, n))
+    weights = obj.shrink_weights()
+    finite = np.flatnonzero(np.isfinite(weights)).tolist()
+    kind = draw(st.sampled_from(["hyperplane", "halfspace", "cone", "box", "difficult"]))
+    if kind == "box" and len(finite) < n:
+        kind = "cone"  # the closed form needs finite weights on the box's indices
+    moved = np.zeros(n, dtype=bool)
+    if kind in ("hyperplane", "halfspace"):
+        normal = _halves(draw, n)
+        normal[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1.0, 0.5, 2.0]))
+        target = (Hyperplane if kind == "hyperplane" else Halfspace)(normal, draw(_HALVES))
+        moved[normal != 0.0] = True
+    elif kind == "cone":
+        indices = draw(st.lists(st.sampled_from(finite), unique=True)) if finite else []
+        target = NonnegCone(indices)
+        moved[indices] = True
+    elif kind == "box":
+        size = draw(st.sampled_from([1, n]))
+        target = Box(-np.abs(_halves(draw, size)), np.abs(_halves(draw, size)))
+        moved[:] = True
+    else:
+        m, blocks, start = draw(st.integers(1, 3)), [], 0
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        while start < n:  # the last block is dense when no other is
+            width = draw(st.integers(1, n - start))
+            if draw(st.booleans()) and (moved.any() or start + width < n):
+                blocks.append(ZeroOperator(m, width))
+            else:
+                blocks.append(DenseMatrix(rng.standard_normal((m, width))))
+                moved[start : start + width] = True
+            start += width
+        constraint = Difficult(BlockRow(blocks), Point(_halves(draw, m)))
+        rule = draw(st.sampled_from([Constant(), Dynamic(), Exact(), Inexact()]))
+        cfg = SolverConfig(objective=obj, constraints=[constraint], step_rule=rule)
+        return obj, pair, lambda p: _difficult_step(cfg, p)[0], moved
+    if not np.any(weights):  # f = ||x||^2 / 2: the orthogonal route moves all of x*
+        moved[:] = True
+    return obj, pair, lambda p: bregman_project(obj, p, target), moved
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_steps())
+def test_every_step_writes_a_consistent_pair_and_keeps_x_star_off_its_support(case):
+    obj, pair, step, moved = case
+    for _ in range(2):
+        new = step(pair)
+        assert new.x.tobytes() == obj.grad_conjugate(new.x_star).tobytes()
+        assert new.x_star[~moved].tobytes() == pair.x_star[~moved].tobytes()
+        pair = new
