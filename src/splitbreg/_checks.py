@@ -12,9 +12,11 @@ there is one to show, the bad value or its shape. The classes are:
 - nonnegative (_nonnegative) and positive (_positive): real numbers >= 0 and
   > 0; NaN fails;
 - distinct names (_check_distinct);
+- real entries (_reals): an array or nested list of real numbers; a bool
+  fails, also inside a list of floats (vectors, DenseMatrix, SparseOperator);
 - vector (_vector): one-dimensional, of length n where one is given, real
-  entries (a bool fails, also inside a list of floats), and all finite where
-  asked (fenchel_gap, bregman_distance);
+  entries (_reals), and all finite where asked (fenchel_gap,
+  bregman_distance);
 - integers (_integers) and index array (_check_indices): one-dimensional,
   integers only (a bool, a float or a string fails, also inside a list of
   ints), and for indices nonnegative, below n where one is given.
@@ -90,19 +92,27 @@ def _check_distinct(key, names):
         raise ValueError(f"{key} must be distinct, not {list(names)!r}")
 
 
-def _vector(key, value, n=None, finite=False):
-    """``value`` as a float array; raises a ValueError naming ``key`` and the
-    shape unless it is one-dimensional and, where ``n`` is given, of length n,
-    naming ``key`` when it holds a bool (a bool array, or a bool inside a
-    list), and naming ``key`` unless it is all finite where ``finite`` is
-    asked for. A valid float64 array costs np.asarray, an identity test and a
-    compare or two: the matrix-free products and the objectives run it on
-    every call."""
+def _reals(key, value):
+    """``value`` as a float array; raises a ValueError naming ``key`` when it
+    holds a bool (a bool array, or a bool inside a list). A float64 array
+    costs np.asarray, which hands it back as is, and an identity test (the
+    matrix-free products and the objectives run this on every call), and
+    another int or float array a dtype compare."""
     v = np.asarray(value, dtype=float)
-    # a float64 array comes back as is; other input is read entry by entry,
-    # since np.asarray turns the bools of a list into numbers
-    if v is not value and any(type(e) in (bool, np.bool_) for e in np.asarray(value, object).flat):
-        raise ValueError(f"{key} must hold real numbers, not bools")
+    # other input is read entry by entry, since np.asarray turns the bools of
+    # a list into numbers
+    if v is not value and not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
+        if any(type(e) in (bool, np.bool_) for e in np.asarray(value, object).flat):
+            raise ValueError(f"{key} must hold real numbers, not bools")
+    return v
+
+
+def _vector(key, value, n=None, finite=False):
+    """``value`` as a float array of real entries (_reals); raises a
+    ValueError naming ``key`` and the shape unless it is one-dimensional and,
+    where ``n`` is given, of length n, and naming ``key`` unless it is all
+    finite where ``finite`` is asked for."""
+    v = _reals(key, value)
     if v.ndim != 1 or (n is not None and v.size != n):
         length = "" if n is None else f" of length {n}"
         raise ValueError(f"{key} must be a vector{length}, not of shape {v.shape}")

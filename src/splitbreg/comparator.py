@@ -62,6 +62,10 @@ def prox_g(y, sigma, ball):
 def run_pd(config):
     """Run the primal-dual iteration for the configured budget.
 
+    Each record's ``feasibility_gap`` is ``NormBall(b, delta, p).gap(A x)``;
+    at delta = 0 the dual step projects onto ``Point(b)`` instead of that
+    ball.
+
     Before the first iteration it raises a ValueError naming the field for a
     ``lam`` or ``delta`` that is not a real number >= 0, a ``noise_norm``
     other than 1, 2 or inf, a ``max_iterations`` or ``record_every`` that is
@@ -85,7 +89,9 @@ def run_pd(config):
     # fixed steps tau = sigma = 0.99 / ||A||, so tau * sigma * ||A||^2 < 1
     # any step fits an operator of norm 0 (one without rows, or all zeros)
     tau = sigma = 0.99 / (op.norm_estimate() or 1.0)
-    ball = Point(b) if delta == 0.0 else NormBall(b, delta, p)
+    ball = NormBall(b, delta, p)  # its gap is the records' feasibility_gap
+    # a radius-0 ball projects onto b in other bits than the point {b} does
+    prox_set = Point(b) if delta == 0.0 else ball
 
     x = np.zeros(n)
     y = np.zeros(m)
@@ -96,13 +102,13 @@ def run_pd(config):
             PDRecord(
                 k=k,
                 objective_value=objective.value(xk),
-                feasibility_gap=float(np.linalg.norm(op.apply(xk) - b, p)) - delta,
+                feasibility_gap=ball.gap(op.apply(xk)),
             )
         )
 
     for k in range(config.max_iterations):
         x_new = prox_f(x - tau * op.apply_adjoint(y), tau, lam)
-        y = prox_g(y + sigma * op.apply(2.0 * x_new - x), sigma, ball)
+        y = prox_g(y + sigma * op.apply(2.0 * x_new - x), sigma, prox_set)
         x = x_new
         if config.record_every and (k + 1) % config.record_every == 0:
             record(k, x)

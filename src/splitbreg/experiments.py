@@ -125,7 +125,8 @@ def generate_instance(spec):
 @dataclass
 class ImpulsiveNoise:
     """Replace ``count`` entries by the data maximum or minimum (equal odds).
-    The matching discrepancy is the 1-norm of the perturbation."""
+    The matching discrepancy is the 1-norm of the perturbation; ``perturb``
+    draws both."""
 
     count: int
     p = 1
@@ -133,11 +134,18 @@ class ImpulsiveNoise:
     def __post_init__(self):
         _check_whole("noise count", self.count, low=0)
 
+    def perturb(self, rng, b):
+        """(noisy copy of ``b``, delta), drawn from ``rng``."""
+        noisy = b.copy()
+        idx = rng.choice(b.size, size=int(self.count), replace=False)
+        noisy[idx] = rng.choice([b.max(), b.min()], size=idx.size)
+        return noisy, float(np.abs(noisy - b).sum())
+
 
 @dataclass
 class UniformNoise:
     """Add iid uniform noise from [-amplitude, amplitude]; discrepancy is the
-    max-norm of the perturbation."""
+    max-norm of the perturbation; ``perturb`` draws both."""
 
     amplitude: float = 1.0
     p = np.inf
@@ -145,11 +153,16 @@ class UniformNoise:
     def __post_init__(self):
         _nonnegative("noise amplitude", self.amplitude)
 
+    def perturb(self, rng, b):
+        """(noisy copy of ``b``, delta), drawn from ``rng``."""
+        noisy = b + rng.uniform(-self.amplitude, self.amplitude, size=b.size)
+        return noisy, float(np.abs(noisy - b).max())
+
 
 @dataclass
 class GaussianNoise:
     """Add Gaussian noise rescaled to ``level * ||b||_2``; discrepancy is the
-    2-norm of the perturbation."""
+    2-norm of the perturbation; ``perturb`` draws both."""
 
     level: float = 0.05
     p = 2
@@ -157,27 +170,23 @@ class GaussianNoise:
     def __post_init__(self):
         _nonnegative("noise level", self.level)
 
+    def perturb(self, rng, b):
+        """(noisy copy of ``b``, delta), drawn from ``rng``; delta is ||e||_2
+        of the noise e itself, not ||noisy - b||_2, which can differ in the
+        last bit."""
+        e = rng.standard_normal(b.size)
+        e *= self.level * np.linalg.norm(b) / np.linalg.norm(e)
+        return b + e, float(np.linalg.norm(e))
+
 
 def inject_noise(b, model, seed):
-    """Apply a noise model. Returns (noisy data, discrepancy delta)."""
-    rng = np.random.default_rng(seed)
-    b = np.asarray(b, dtype=float)
-    noisy = b.copy()
-    if isinstance(model, ImpulsiveNoise):
-        idx = rng.choice(b.size, size=int(model.count), replace=False)
-        noisy[idx] = rng.choice([b.max(), b.min()], size=idx.size)
-        delta = float(np.abs(noisy - b).sum())
-    elif isinstance(model, UniformNoise):
-        noisy = b + rng.uniform(-model.amplitude, model.amplitude, size=b.size)
-        delta = float(np.abs(noisy - b).max())
-    elif isinstance(model, GaussianNoise):
-        e = rng.standard_normal(b.size)
-        e *= model.level * np.linalg.norm(b) / np.linalg.norm(e)
-        noisy = b + e
-        delta = float(np.linalg.norm(e))
-    else:
+    """Apply a noise model: seed a generator and let the model draw from it
+    (``model.perturb``). Returns (noisy data, discrepancy delta), delta the
+    model's p-norm of the perturbation. Raises TypeError for an object that
+    is not a noise model."""
+    if not isinstance(model, tuple(_NOISE_MODELS.values())):
         raise TypeError(f"unknown noise model {model!r}")
-    return noisy, delta
+    return model.perturb(np.random.default_rng(seed), np.asarray(b, dtype=float))
 
 
 _NOISE_MODELS = {"impulsive": ImpulsiveNoise, "uniform": UniformNoise, "gaussian": GaussianNoise}
@@ -371,6 +380,27 @@ def _write_trace_csv(path, header, columns):
     write_csv(path, header, rows)
 
 
+def _write_report(out, index, traces, summary_header, summary):
+    """Write trace.csv and summary.csv into ``out``.
+
+    ``traces`` maps each method to its per-row traces by quantity, in the same
+    quantity order for every method. trace.csv has an ``index`` column, then
+    one ``<quantity>_<method>`` column per quantity and method, quantities
+    outer, padded as _write_trace_csv pads. summary.csv has one row per
+    (name, error, iterations, termination) entry of ``summary``."""
+    quantities = list(next(iter(traces.values())))
+    _write_trace_csv(
+        out / "trace.csv",
+        [index] + [f"{q}_{m}" for q in quantities for m in traces],
+        [traces[m][q] for q in quantities for m in traces],
+    )
+    write_csv(
+        out / "summary.csv",
+        summary_header,
+        [[name, format_float(err), its, term] for name, err, its, term in summary],
+    )
+
+
 # ---------------------------------------------------------------------------
 # runners
 # ---------------------------------------------------------------------------
@@ -436,8 +466,9 @@ def run_noisy_recovery(config):
     """Noise-ball recovery: dynamic and exact split-feasibility runs against the
     primal-dual comparator, on the noise model's matching ball constraint.
 
-    Writes trace.csv (objective and p-norm feasibility gap per iteration per
-    method) and summary.csv (relative reconstruction errors). The weight is
+    Writes trace.csv (objective and feasibility gap per iteration per method,
+    the gap ``NormBall.gap`` of the noise ball) and summary.csv (relative
+    reconstruction errors), both through _write_report. The weight is
     certified on the exact data unless the configuration pins one. Raises
     MissingNoise when the configuration has no noise model and ZeroData for an
     instance with sparsity 0, before anything runs.
@@ -456,11 +487,9 @@ def run_noisy_recovery(config):
     m = inst.op.shape[0]
     solver_tol = config.tolerance / np.sqrt(m) if p == 1 else config.tolerance
     ball = NormBall(noisy, delta, p)
-    x_norm = np.linalg.norm(inst.x_true)
 
     traces = {}
-    terminations = {}
-    summary = []
+    finals = {}  # method -> (final x, iterations, termination)
     for rule_name in ("dynamic", "exact"):
         cfg = solver.SolverConfig(
             objective=ElasticNet(lam, inst.op.shape[1]),
@@ -469,23 +498,17 @@ def run_noisy_recovery(config):
             max_iterations=config.max_iterations,
             residual_tolerance=solver_tol,
         )
-        objective_trace = []
-        gap_trace = []
+        trace = traces[rule_name] = {"objective": [], "gap": []}
 
         def track(pair, record):
             # one constraint: every step ends a pass, whose violation check
             # has just computed A x at this pair
-            y = cfg.constraints[0].product(pair.x)
-            objective_trace.append(cfg.objective.value(pair.x))
-            gap_trace.append(float(np.linalg.norm(y - noisy, p)) - delta)
+            trace["objective"].append(cfg.objective.value(pair.x))
+            trace["gap"].append(ball.gap(cfg.constraints[0].product(pair.x)))
 
         result = solver.run(cfg, callback=track)
-        traces[rule_name] = {"objective": objective_trace, "gap": gap_trace}
-        terminations[rule_name] = result.termination
-        summary.append(
-            (rule_name, float(np.linalg.norm(result.x - inst.x_true)) / x_norm,
-             len(result.records), result.termination)
-        )
+        finals[rule_name] = (result.x, len(result.records), result.termination)
+    terminations = {name: term for name, (_, _, term) in finals.items()}
 
     pd_result = comparator.run_pd(
         comparator.PDConfig(
@@ -497,22 +520,13 @@ def run_noisy_recovery(config):
         "objective": [r.objective_value for r in pd_result.records],
         "gap": [r.feasibility_gap for r in pd_result.records],
     }
-    summary.append(
-        ("pd", float(np.linalg.norm(pd_result.x - inst.x_true)) / x_norm,
-         len(pd_result.records), "budget")
-    )
-
-    methods = ("dynamic", "exact", "pd")
-    _write_trace_csv(
-        out / "trace.csv",
-        ["k"] + [f"objective_{m_}" for m_ in methods] + [f"gap_{m_}" for m_ in methods],
-        [traces[m_]["objective"] for m_ in methods] + [traces[m_]["gap"] for m_ in methods],
-    )
-    write_csv(
-        out / "summary.csv",
-        ["method", "err_rel", "iterations", "termination"],
-        [[name, format_float(err), its, term] for name, err, its, term in summary],
-    )
+    finals["pd"] = (pd_result.x, len(pd_result.records), "budget")
+    x_norm = np.linalg.norm(inst.x_true)
+    summary = [
+        (name, float(np.linalg.norm(x - inst.x_true)) / x_norm, its, term)
+        for name, (x, its, term) in finals.items()
+    ]
+    _write_report(out, "k", traces, ["method", "err_rel", "iterations", "termination"], summary)
     return {
         "traces": traces,
         "terminations": terminations,
@@ -550,8 +564,9 @@ def run_tomography(config):
     iteration treats one constraint, and traces are recorded once per full
     pass over the variant's constraint list.
 
-    Writes trace.csv (per-pass data gap and coupling residual per variant),
-    summary.csv (final errors), timings.csv (ms per iteration) and PGM images,
+    Writes trace.csv (per-pass data gap, ``NormBall.gap`` of the noise ball,
+    and coupling residual per variant) and summary.csv (final errors), both
+    through _write_report, timings.csv (ms per iteration) and PGM images,
     and creates the output directory only once every variant's constraints
     are built.
     """
@@ -583,8 +598,6 @@ def run_tomography(config):
     results = {}
     traces = {}
     timings = {}
-    terminations = {}
-    errors = {}
     for variant in spec.variants:
         constraints, tols = setups[variant]
         cfg = solver.SolverConfig(
@@ -594,45 +607,31 @@ def run_tomography(config):
             max_iterations=spec.iterations,
             residual_tolerance=tols,
         )
-        data_gap = []
-        coupling_res = []
+        trace = traces[variant] = {"data_gap": [], "coupling": []}
 
         def track(pair, record):
             if record.violations is not None:  # pass boundary
                 # [P, 0] x = P u: the product the violation check just computed
-                y = constraints[0].product(pair.x)
-                data_gap.append(float(np.linalg.norm(y - noisy)) - delta)
-                coupling_res.append(float(record.violations[1]))
+                trace["data_gap"].append(ball.gap(constraints[0].product(pair.x)))
+                trace["coupling"].append(float(record.violations[1]))
 
         start = time.perf_counter()
         result = solver.run(cfg, callback=track)
         elapsed = time.perf_counter() - start
         results[variant] = result
-        traces[variant] = {"data_gap": data_gap, "coupling": coupling_res}
         timings[variant] = elapsed * 1e3 / max(1, len(result.records))
-        terminations[variant] = result.termination
-        errors[variant] = float(np.linalg.norm(result.x[:hw] - u_true))
         write_pgm(out / f"reconstruction_{variant}.pgm", result.x[:hw], h, w)
 
     write_pgm(out / "phantom.pgm", u_true, h, w)
-    variants = list(spec.variants)
-    _write_trace_csv(
-        out / "trace.csv",
-        ["sweep"] + [f"data_gap_{v}" for v in variants] + [f"coupling_{v}" for v in variants],
-        [traces[v]["data_gap"] for v in variants] + [traces[v]["coupling"] for v in variants],
-    )
-    write_csv(
-        out / "summary.csv",
-        ["variant", "final_error", "iterations", "termination"],
-        [
-            [v, format_float(errors[v]), len(results[v].records), terminations[v]]
-            for v in variants
-        ],
-    )
+    errors = {v: float(np.linalg.norm(r.x[:hw] - u_true)) for v, r in results.items()}
+    terminations = {v: r.termination for v, r in results.items()}
+    summary = [(v, errors[v], len(r.records), terminations[v]) for v, r in results.items()]
+    header = ["variant", "final_error", "iterations", "termination"]
+    _write_report(out, "sweep", traces, header, summary)
     write_csv(
         out / "timings.csv",
         ["variant", "ms_per_iteration"],
-        [[v, format_float(timings[v])] for v in variants],
+        [[v, format_float(timings[v])] for v in spec.variants],
     )
     return {
         "results": results,

@@ -11,7 +11,9 @@ import warnings
 
 import numpy as np
 
-from ._checks import _check_distinct, _check_indices, _check_whole, _nonnegative, _real, _vector
+from ._checks import (
+    _check_distinct, _check_indices, _check_whole, _nonnegative, _real, _reals, _vector
+)
 
 
 class LinearOperator:
@@ -88,7 +90,7 @@ class DenseMatrix(LinearOperator):
     in column j is NaN in the full product, which the gather would skip."""
 
     def __init__(self, a):
-        self.a = np.asarray(a, dtype=float)
+        self.a = _reals("a", a)
         if self.a.ndim != 2:
             raise ValueError("expected a 2-d array")
         self.shape = self.a.shape
@@ -126,7 +128,9 @@ class SparseOperator(LinearOperator):
     def __init__(self, mat):
         import scipy.sparse as sp  # deferred: dense-only runs never load it
 
-        self.mat = sp.csr_matrix(mat)
+        # a sparse input is read through its stored entries
+        self.mat = sp.csr_matrix(mat if sp.issparse(mat) else _reals("mat", mat))
+        _reals("mat", self.mat.data)
         self._mat_t = self.mat.T  # a CSC view over the same arrays, built once
         self.shape = self.mat.shape
 

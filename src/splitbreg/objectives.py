@@ -27,7 +27,9 @@ def soft_shrink(x, lam):
     ``lam`` may be a scalar or a per-coordinate array of nonnegative weights.
     """
     x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+    out = np.maximum(np.abs(x) - lam, 0.0)
+    out *= np.sign(x)
+    return out
 
 
 class Objective:

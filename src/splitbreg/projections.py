@@ -115,7 +115,8 @@ class Point(RangeSet):
 
 
 class NormBall(RangeSet):
-    """{y : ||y - center||_p <= radius} for p in {1, 2, inf}."""
+    """{y : ||y - center||_p <= radius} for p in {1, 2, inf}. ``gap`` is the
+    one feasibility gap of the package's noisy runs and of run_pd."""
 
     def __init__(self, center, radius, p=2):
         self.radius = _nonnegative("radius", radius, bound=True)
@@ -134,6 +135,11 @@ class NormBall(RangeSet):
         else:
             v = project_l1_ball(v, self.radius)
         return self.center + v
+
+    def gap(self, y):
+        """||y - center||_p - radius: <= 0 inside the ball, -radius at the
+        center."""
+        return float(np.linalg.norm(y - self.center, self.p)) - self.radius
 
 
 class Box(RangeSet):

@@ -307,18 +307,20 @@ def run(config, callback=None):
     steps = []  # constraint i's step, pair -> (pair, step_size, w_norm)
     rule = config.step_rule
     for i, c in enumerate(constraints):  # every set-up error before step 0
-        simple = isinstance(c, Simple)
-        if not simple and c.op.shape[1] != obj.dimension:
+        if isinstance(c, Simple):
+            # the one fit check of a simple set; it also raises TypeError or
+            # BoxWithoutZero, and the set keeps the projector it builds
+            try:
+                projections.bregman_projector(obj, c.target)
+            except DimensionMismatch as e:
+                raise DimensionMismatch(f"constraint {i}: {e}") from None
+            steps.append(functools.partial(_simple_step, obj, c.target))
+        elif c.op.shape[1] != obj.dimension:
             msg = f"constraint {i} acts on {c.op.shape[1]} coordinates, not {obj.dimension}"
             raise DimensionMismatch(msg)
-        length = obj.dimension if simple else c.op.shape[0]
-        if not projections.data_fits(c.target, length):
-            msg = f"constraint {i}: {type(c.target).__name__} does not fit length {length}"
+        elif not projections.data_fits(c.target, c.op.shape[0]):
+            msg = f"constraint {i}: {type(c.target).__name__} does not fit length {c.op.shape[0]}"
             raise DimensionMismatch(msg)
-        if simple:
-            # raises TypeError or BoxWithoutZero; the set keeps what it builds
-            projections.bregman_projector(obj, c.target)
-            steps.append(functools.partial(_simple_step, obj, c.target))
         elif not isinstance(rule, tuple(STEP_RULES.values())):
             raise TypeError(f"unknown step rule {rule!r}")
         else:

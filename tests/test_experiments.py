@@ -128,8 +128,10 @@ def test_noise_is_seeded():
     first = inject_noise(b, GaussianNoise(0.1), seed=4)
     second = inject_noise(b, GaussianNoise(0.1), seed=4)
     np.testing.assert_array_equal(first[0], second[0])
-    with pytest.raises(TypeError):
-        inject_noise(b, object(), seed=0)
+    # a foreign object, or a model class instead of an instance
+    for model in (object(), GaussianNoise):
+        with pytest.raises(TypeError, match="unknown noise model"):
+            inject_noise(b, model, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,27 @@ def test_sparse_operator_rows_and_adjoint():
     _check_adjoint(op, rng)
 
 
+@pytest.mark.parametrize("cls, key", [(DenseMatrix, "a"), (SparseOperator, "mat")])
+@pytest.mark.parametrize(
+    "entries",
+    [np.ones((2, 2), dtype=bool), [[0.5, True]], [[np.bool_(False), 1]]],
+    ids=["bool-array", "bool-in-floats", "numpy-bool-in-ints"],
+)
+def test_matrix_entries_must_be_real_numbers_not_bools(cls, key, entries):
+    with pytest.raises(ValueError, match=f"^{key} must hold real numbers, not bools$"):
+        cls(entries)
+
+
+def test_matrix_entries_keep_their_float64_array_and_reject_a_bool_sparse_matrix():
+    import scipy.sparse as sp
+
+    a = np.eye(3)
+    assert DenseMatrix(a).a is a
+    assert SparseOperator(a).mat.dtype == np.float64
+    with pytest.raises(ValueError, match="^mat must hold real numbers, not bools$"):
+        SparseOperator(sp.csr_matrix(np.eye(2, dtype=bool)))
+
+
 def test_block_row_sum():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     c = np.array([[10.0], [20.0]])

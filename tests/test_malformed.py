@@ -197,10 +197,10 @@ def _linear_set(cls):
     )
 
 
-def _matrix(cls):
-    """The row of a DenseMatrix or a SparseOperator."""
+def _matrix(cls, key):
+    """The row of a DenseMatrix or a SparseOperator, whose entries are ``key``."""
     return dict(
-        bool=Valid("entries are real numbers; bools read as 0 and 1", lambda: cls([[True]])),
+        bool=Raises(lambda: cls([[True]]), f"^{key} must hold real numbers, not bools$"),
         float=Valid("no whole number is due: entries are real", lambda: cls([[0.5]])),
         negative=Valid("entries may be negative", lambda: cls([[-1.0]]).apply([1.0])),
         nan=Valid(
@@ -585,10 +585,10 @@ ROWS = {
     },
     # operators
     "DenseMatrix": {
-        **_matrix(DenseMatrix),
+        **_matrix(DenseMatrix, "a"),
         "dimension": Raises(lambda: DenseMatrix(np.ones(3)), "^expected a 2-d array$"),
     },
-    "SparseOperator": _matrix(SparseOperator),
+    "SparseOperator": _matrix(SparseOperator, "mat"),
     "ScaledIdentity": dict(
         bool=Raises(lambda: ScaledIdentity(2, True), "^scale must be a real number, not True$"),
         float=Raises(lambda: ScaledIdentity(2.5), _sized("n") + "2.5$"),

@@ -193,6 +193,26 @@ def test_norm_ball_centered():
     np.testing.assert_allclose(ball.project(np.array([3.0, 1.0])), [2.0, 1.0])
 
 
+_GAP_ENTRIES = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(_GAP_ENTRIES, _GAP_ENTRIES), min_size=1, max_size=8),
+    radius=st.floats(0.0, 1e6),
+    p=st.sampled_from([1, 2, np.inf]),
+)
+def test_norm_ball_gap_is_the_p_norm_distance_less_the_radius(pairs, radius, p):
+    y, center = np.array(pairs).T
+    ball = NormBall(center, radius, p)
+    # bit for bit, -0.0 included: hex tells the zeros apart
+    assert ball.gap(y).hex() == (float(np.linalg.norm(y - center, p)) - radius).hex()
+    assert ball.gap(center) == -radius
+    outside = center.copy()
+    outside[0] += 2.0 * radius + 1.0
+    assert ball.gap(outside) > 0.0
+
+
 def test_norm_ball_validation():
     with pytest.raises(ValueError):
         NormBall(np.zeros(2), -1.0, 2)

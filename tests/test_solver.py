@@ -884,6 +884,20 @@ def test_set_data_of_the_wrong_length_fails_before_step_0(fields, match):
     assert steps == []
 
 
+def test_set_up_fits_each_set_once(monkeypatch):
+    # a simple set is fitted by bregman_projector alone, a difficult one by run
+    lengths = []
+    fits = projections.data_fits
+    monkeypatch.setattr(projections, "data_fits", lambda t, n: lengths.append(n) or fits(t, n))
+    constraints = [
+        Simple(Hyperplane(np.ones(2), 1.0)),
+        Simple(NonnegCone()),
+        Difficult(DenseMatrix(np.ones((3, 2))), Point(np.ones(3))),
+    ]
+    run(SolverConfig(ElasticNet(1.0, 2), constraints, step_rule=Dynamic(), max_iterations=3))
+    assert lengths == [2, 2, 3]
+
+
 def test_length_one_bounds_and_centers_broadcast():
     cfg = SolverConfig(
         objective=ElasticNet(1.0, 2),
