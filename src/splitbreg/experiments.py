@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import comparator, solver
-from ._checks import _check_choice, _check_distinct, _check_whole, _nonnegative, _positive
+from ._checks import (
+    _check_choice, _check_distinct, _check_whole, _nonnegative, _positive, _vector
+)
 from .linops import (
     BlockRow,
     DenseMatrix,
@@ -134,8 +136,16 @@ class ImpulsiveNoise:
     def __post_init__(self):
         _check_whole("noise count", self.count, low=0)
 
+    def check_fits(self, size):
+        """Raise a ValueError naming the count when it exceeds ``size``, the
+        number of data entries."""
+        if self.count > size:
+            raise ValueError(f"noise count {self.count} exceeds the {size} data entries")
+
     def perturb(self, rng, b):
-        """(noisy copy of ``b``, delta), drawn from ``rng``."""
+        """(noisy copy of ``b``, delta), drawn from ``rng``; a count above
+        b's size raises before anything is drawn."""
+        self.check_fits(b.size)
         noisy = b.copy()
         idx = rng.choice(b.size, size=int(self.count), replace=False)
         noisy[idx] = rng.choice([b.max(), b.min()], size=idx.size)
@@ -183,10 +193,15 @@ def inject_noise(b, model, seed):
     """Apply a noise model: seed a generator and let the model draw from it
     (``model.perturb``). Returns (noisy data, discrepancy delta), delta the
     model's p-norm of the perturbation. Raises TypeError for an object that
-    is not a noise model."""
+    is not a noise model, and a ValueError naming ``b``, before anything is
+    drawn, unless ``b`` is a finite vector with at least one entry (and, for
+    ImpulsiveNoise, at least ``count`` entries)."""
     if not isinstance(model, tuple(_NOISE_MODELS.values())):
         raise TypeError(f"unknown noise model {model!r}")
-    return model.perturb(np.random.default_rng(seed), np.asarray(b, dtype=float))
+    b = _vector("b", b, finite=True)
+    if not b.size:
+        raise ValueError("b must hold at least one entry")
+    return model.perturb(np.random.default_rng(seed), b)
 
 
 _NOISE_MODELS = {"impulsive": ImpulsiveNoise, "uniform": UniformNoise, "gaussian": GaussianNoise}
@@ -346,9 +361,8 @@ class ExperimentConfig:
         _positive("tolerance", self.tolerance)
         if self.lam is not None:
             _nonnegative("lam", self.lam)
-        if isinstance(self.noise, ImpulsiveNoise) and self.noise.count > self.instance.m:
-            msg = f"noise count {self.noise.count} exceeds the {self.instance.m} data entries"
-            raise ValueError(msg)
+        if isinstance(self.noise, ImpulsiveNoise):
+            self.noise.check_fits(self.instance.m)
 
     @classmethod
     def from_dict(cls, data):
@@ -453,7 +467,7 @@ def run_stepsize_benchmark(config):
         )
         result = solver.run(cfg)
         # single constraint: every step is a pass boundary with a fresh violation
-        traces[rule_name] = [float(rec.violations[0]) for rec in result.records]
+        traces[rule_name] = result.records.violations[:, 0].tolist()
         terminations[rule_name] = result.termination
 
     _write_trace_csv(

@@ -14,6 +14,8 @@ import functools
 import itertools
 import math
 import time
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,8 +177,13 @@ class SolverConfig:
     x0_star: np.ndarray = None
 
 
-@dataclass(slots=True)  # no per-record __dict__: a run keeps one record per step
+@dataclass(slots=True)
 class IterationRecord:
+    """One step of a run: what a callback receives after step k, and what
+    ``SolverResult.records[k]`` rebuilds from the run's history columns.
+    Records compare field for field, a NaN equal to a NaN and ``violations``
+    as arrays."""
+
     k: int
     constraint_index: int
     step_size: float  # t of a difficult step; NaN on every simple step, linesearch or not
@@ -184,12 +191,81 @@ class IterationRecord:
     elapsed_ms: float
     violations: np.ndarray = None  # full per-constraint vector, set at pass boundaries
 
+    def __eq__(self, other):
+        if not isinstance(other, IterationRecord):
+            return NotImplemented
+        a, b = self.violations, other.violations
+        numbers = [
+            (r.k, r.constraint_index, r.step_size, r.w_norm, r.elapsed_ms) for r in (self, other)
+        ]
+        return np.array_equal(*numbers, equal_nan=True) and (
+            a is b or (a is not None and b is not None and np.array_equal(a, b, equal_nan=True))
+        )
+
+
+def _frozen(column):
+    """A read-only numpy view of an ``array.array`` column, which then can no
+    longer grow."""
+    view = np.frombuffer(column, dtype=column.typecode)
+    view.flags.writeable = False
+    return view
+
+
+class History(Sequence):
+    """The steps of a run, held in typed columns: per step its constraint
+    index (int32) and its step size, w_norm and elapsed_ms (float64), and per
+    pass boundary its step index (int64) and its violation vector, a row of
+    ``violations`` (one float per constraint). Every column is a read-only
+    numpy array.
+
+    As a sequence, it is read-only; item k is the IterationRecord a callback
+    saw after step k, built on access, and a list of records compares equal
+    to it record for record. A step costs 28 bytes, and a pass boundary
+    8 bytes plus 8 per constraint: with n constraints about 36 + 8/n bytes
+    per step, 44 for n = 1, plus the columns' growth reserve of about 1/16.
+    """
+
+    def __init__(self, n, constraint_index, step_size, w_norm, elapsed_ms, boundaries, violations):
+        self.constraint_index = _frozen(constraint_index)
+        self.step_size = _frozen(step_size)
+        self.w_norm = _frozen(w_norm)
+        self.elapsed_ms = _frozen(elapsed_ms)
+        self.boundaries = _frozen(boundaries)
+        self.violations = _frozen(violations).reshape(-1, n)
+
+    def __len__(self):
+        return self.step_size.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(len(self))[k]]
+        k = range(len(self))[k]  # a negative k counts from the end; IndexError past it
+        j = int(np.searchsorted(self.boundaries, k))
+        at_boundary = j < self.boundaries.size and self.boundaries[j] == k
+        return IterationRecord(
+            k,
+            int(self.constraint_index[k]),
+            float(self.step_size[k]),
+            float(self.w_norm[k]),
+            float(self.elapsed_ms[k]),
+            self.violations[j].copy() if at_boundary else None,
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, tuple, History)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
 
 @dataclass
 class SolverResult:
+    """What run returns: the final pair, the step history ``records`` (a
+    History: a read-only sequence of IterationRecords over typed columns) and
+    the termination, "tolerance" or "max_iterations"."""
+
     pair: object
-    records: list
-    termination: str  # "tolerance" or "max_iterations"
+    records: History
+    termination: str
 
     @property
     def iterations(self):
@@ -277,7 +353,9 @@ def run(config, callback=None):
     """Run the solver until every constraint violation is inside its tolerance
     (checked once per full pass over the constraint list) or the iteration cap.
 
-    ``callback(pair, record)`` is invoked after every step when given. The
+    ``callback(pair, record)`` is invoked after every step when given, with
+    an IterationRecord built for it; the run itself keeps its history in
+    typed columns, the result's ``records`` (a History). The
     solver computes only what stepping and stopping need: a caller who wants
     f(x) per step computes ``config.objective.value(pair.x)`` in the callback.
     A difficult constraint computes A x and its residual once per iterate:
@@ -343,7 +421,8 @@ def run(config, callback=None):
     if not np.all(np.isfinite(x0_star)):
         raise projections.NonFiniteData("x0_star is not finite")
     pair = pair_from_dual(obj, x0_star)
-    records = []
+    index, step_size, w_norms, elapsed = array("i"), array("d"), array("d"), array("d")
+    boundaries, violations = array("q"), array("d")
     termination = "max_iterations"
     start = time.perf_counter()
     for k in range(config.max_iterations):
@@ -351,17 +430,23 @@ def run(config, callback=None):
         if not 0 <= i < n:
             raise ValueError(f"control index {i} out of range")
         pair, t, w_norm = steps[i](pair)
-        record = IterationRecord(k, i, t, w_norm, (time.perf_counter() - start) * 1e3)
-        boundary = (k + 1) % n == 0 or k == config.max_iterations - 1
-        if boundary:
-            record.violations = np.array([c.violation(pair.x) for c in constraints])
-        records.append(record)
+        ms = (time.perf_counter() - start) * 1e3
+        index.append(i)
+        step_size.append(t)
+        w_norms.append(w_norm)
+        elapsed.append(ms)
+        v = None
+        if (k + 1) % n == 0 or k == config.max_iterations - 1:  # a pass boundary
+            v = np.array([c.violation(pair.x) for c in constraints])
+            boundaries.append(k)
+            violations.extend(v.tolist())
         if callback is not None:
-            callback(pair, record)
-        if boundary and np.all(record.violations <= tols):
+            callback(pair, IterationRecord(k, i, t, w_norm, ms, v))
+        if v is not None and np.all(v <= tols):
             termination = "tolerance"
             break
-    return SolverResult(pair=pair, records=records, termination=termination)
+    history = History(n, index, step_size, w_norms, elapsed, boundaries, violations)
+    return SolverResult(pair=pair, records=history, termination=termination)
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +545,15 @@ def history_to_csv(result, path, objective_values):
     """
     if len(values := list(objective_values)) != result.iterations:
         raise ValueError(f"objective_values: {len(values)} values for {result.iterations} records")
-
-    def rows():
-        latest = float("nan")
-        for rec, value in zip(result.records, values):
-            if rec.violations is not None:
-                latest = float(np.max(rec.violations))
-            floats = (rec.step_size, rec.w_norm, latest, value, rec.elapsed_ms)
-            yield [rec.k, rec.constraint_index] + [format_float(v) for v in floats]
-
-    write_csv(path, CSV_COLUMNS, rows())
+    h = result.records
+    # the latest boundary's maximum at each step, read from the columns (the
+    # initial value only lets a run without a boundary reduce)
+    maxima = np.concatenate([[np.nan], h.violations.max(axis=1, initial=-np.inf)])
+    latest = maxima[np.searchsorted(h.boundaries, np.arange(len(h)), side="right")]
+    floats = zip(h.step_size.tolist(), h.w_norm.tolist(), latest.tolist(), values,
+                 h.elapsed_ms.tolist())
+    rows = (
+        [k, i] + [format_float(v) for v in row]
+        for k, (i, row) in enumerate(zip(h.constraint_index.tolist(), floats))
+    )
+    write_csv(path, CSV_COLUMNS, rows)

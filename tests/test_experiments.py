@@ -134,6 +134,30 @@ def test_noise_is_seeded():
             inject_noise(b, model, seed=0)
 
 
+_MODELS = [ImpulsiveNoise(count=2), UniformNoise(amplitude=0.1), GaussianNoise(level=0.05)]
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=["impulsive", "uniform", "gaussian"])
+@pytest.mark.parametrize(
+    "b,match",
+    [
+        ([], "^b must hold at least one entry$"),
+        (np.ones((2, 3)), r"^b must be a vector, not of shape \(2, 3\)$"),
+        ([1.0, np.nan, 2.0], "^b must be finite$"),
+        ([1.0, np.inf, 2.0], "^b must be finite$"),
+    ],
+    ids=["empty", "2d", "nan", "inf"],
+)
+def test_inject_noise_names_malformed_data(model, b, match):
+    with pytest.raises(ValueError, match=match):
+        inject_noise(b, model, seed=0)
+
+
+def test_impulsive_noise_above_the_data_size_is_named():
+    with pytest.raises(ValueError, match="^noise count 5 exceeds the 3 data entries$"):
+        inject_noise([1.0, 2.0, 3.0], ImpulsiveNoise(5), seed=0)
+
+
 # ---------------------------------------------------------------------------
 # certification
 # ---------------------------------------------------------------------------

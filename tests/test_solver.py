@@ -1020,8 +1020,8 @@ def test_history_csv_difficult_run(tmp_path):
 
 
 def test_iteration_records_are_slotted():
-    # a run keeps one record per step, so a record has no __dict__; run still
-    # sets the violations of a pass boundary after building its record
+    # a record has no __dict__; one read from the history is built on access,
+    # so setting its violations leaves the history as it was
     cfg = preset("kaczmarz", np.eye(3), np.ones(3), max_iterations=5, residual_tolerance=1e-18)
     res = run(cfg)
     rec = res.records[0]
@@ -1030,8 +1030,94 @@ def test_iteration_records_are_slotted():
     assert res.records[2].violations.shape == (3,)  # the end of the first pass
     rec.violations = np.zeros(3)
     assert rec.violations.tolist() == [0.0, 0.0, 0.0]
+    assert res.records[0].violations is None
     with pytest.raises(AttributeError):
         rec.note = "no such field"
+
+
+def _inconsistent(name, steps):
+    """A preset on 20 equations in 5 unknowns without a solution, so the run
+    takes all of its ``steps``."""
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((20, 5)), rng.standard_normal(20)
+    return preset(name, a, b, max_iterations=steps, residual_tolerance=1e-300)
+
+
+@pytest.mark.parametrize("name", ["landweber", "kaczmarz"])  # 1 and 20 constraints
+def test_history_keeps_at_most_48_bytes_per_step(name):
+    # four typed columns per step and one violation row per pass boundary;
+    # a list of IterationRecords kept about 160 (kaczmarz) to 310 (landweber)
+    import tracemalloc
+
+    run(_inconsistent(name, 10))  # imports load here
+    cfg = _inconsistent(name, 12000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = run(cfg)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 12000
+    assert kept <= 48 * res.iterations, kept / res.iterations
+
+
+def _same_record(got, want):
+    """Field for field: a NaN equals a NaN, violations compare as arrays."""
+    assert (got.k, got.constraint_index) == (want.k, want.constraint_index)
+    for name in ("step_size", "w_norm", "elapsed_ms"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a == b or (np.isnan(a) and np.isnan(b)), name
+    if want.violations is None:
+        assert got.violations is None
+    else:
+        assert np.array_equal(got.violations, want.violations, equal_nan=True)
+
+
+@st.composite
+def _small_runs(draw):
+    """A run of up to 30 steps over 1-4 simple and difficult constraints on 3
+    coordinates, under any step rule and a cyclic or random control."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    obj = draw(st.sampled_from([SquaredNorm(3), ElasticNet(0.5, 3)]))
+    constraints = []
+    for kind in draw(st.lists(st.sampled_from(["plane", "half", "cone", "point", "ball"]),
+                              min_size=1, max_size=4)):
+        if kind == "plane":
+            constraints.append(Simple(Hyperplane(rng.standard_normal(3), rng.standard_normal())))
+        elif kind == "half":
+            constraints.append(Simple(Halfspace(rng.standard_normal(3), rng.standard_normal())))
+        elif kind == "cone":
+            constraints.append(Simple(NonnegCone([0, 2])))
+        else:
+            a, c = DenseMatrix(rng.standard_normal((2, 3))), rng.standard_normal(2)
+            constraints.append(Difficult(a, Point(c) if kind == "point" else NormBall(c, 0.5, 2)))
+    return SolverConfig(
+        objective=obj,
+        constraints=constraints,
+        control=draw(st.sampled_from([Cyclic(), RandomUniform(draw(st.integers(0, 9)))])),
+        step_rule=draw(st.sampled_from([Constant(), Dynamic(), Exact(), Inexact()])),
+        max_iterations=draw(st.integers(0, 30)),
+        residual_tolerance=draw(st.sampled_from([1e-12, 1e-2, 10.0])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=_small_runs())
+def test_history_records_equal_the_callback_records(cfg):
+    seen = []
+    res = run(cfg, callback=lambda pair, record: seen.append(record))
+    assert len(res.records) == res.iterations == len(seen)
+    for got, want in zip(res.records, seen):
+        _same_record(got, want)
+    if seen:
+        _same_record(res.records[-1], seen[-1])
+        _same_record(res.records[-len(seen)], seen[0])
+    assert res.records == seen and res.records == res.records
+    assert res.records[1:4] == seen[1:4]
+    with pytest.raises(IndexError):
+        res.records[len(seen)]
+    assert not res.records.step_size.flags.writeable
 
 
 # ---------------------------------------------------------------------------
