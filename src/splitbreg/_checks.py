@@ -12,8 +12,9 @@ there is one to show, the bad value or its shape. The classes are:
 - nonnegative (_nonnegative) and positive (_positive): real numbers >= 0 and
   > 0; NaN fails;
 - distinct names (_check_distinct);
-- real entries (_reals): an array or nested list of real numbers; a bool
-  fails, also inside a list of floats (vectors, DenseMatrix, SparseOperator);
+- real entries (_reals): an array or nested list of real numbers; a bool, a
+  string and None fail, also inside a list of floats (vectors, DenseMatrix,
+  SparseOperator, run's x0_star and residual tolerances, run_pd's b);
 - vector (_vector): one-dimensional, of length n where one is given, real
   entries (_reals), and all finite where asked (fenchel_gap,
   bregman_distance);
@@ -93,17 +94,24 @@ def _check_distinct(key, names):
 
 
 def _reals(key, value):
-    """``value`` as a float array; raises a ValueError naming ``key`` when it
-    holds a bool (a bool array, or a bool inside a list). A float64 array
-    costs np.asarray, which hands it back as is, and an identity test (the
-    matrix-free products and the objectives run this on every call), and
-    another int or float array a dtype compare."""
+    """``value`` as a float array; raises a ValueError naming ``key`` when an
+    entry is not a real number: a bool (a bool array, or a bool inside a
+    list), a string or None. A float64 array costs np.asarray, which hands it
+    back as is, and an identity test (the matrix-free products and the
+    objectives run this on every call), and another int or float array a
+    dtype compare."""
     v = np.asarray(value, dtype=float)
     # other input is read entry by entry, since np.asarray turns the bools of
-    # a list into numbers
+    # a list into numbers, its strings into the numbers they spell and None
+    # into NaN
     if v is not value and not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
-        if any(type(e) in (bool, np.bool_) for e in np.asarray(value, object).flat):
-            raise ValueError(f"{key} must hold real numbers, not bools")
+        for e in np.asarray(value, object).flat:
+            if isinstance(e, np.ndarray):  # a 0-d array inside a list
+                e = e[()]
+            if isinstance(e, (bool, np.bool_)):
+                raise ValueError(f"{key} must hold real numbers, not bools")
+            if not isinstance(e, numbers.Real):
+                raise ValueError(f"{key} must hold real numbers, not {e!r}")
     return v
 
 

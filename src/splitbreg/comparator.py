@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _check_choice, _check_whole, _nonnegative
+from ._checks import _check_choice, _check_whole, _nonnegative, _reals
 from .linops import as_operator
 from .objectives import ElasticNet, soft_shrink
 from .projections import NonFiniteData, NormBall, Point
@@ -73,7 +73,7 @@ def run_pd(config):
     NonFiniteData for a ``b`` holding a NaN or an infinity.
     """
     op = as_operator(config.op)
-    b = np.atleast_1d(np.asarray(config.b, dtype=float))
+    b = np.atleast_1d(_reals("b", config.b))
     m, n = op.shape
     objective = ElasticNet(config.lam, n)  # checks lam
     lam = objective.lam

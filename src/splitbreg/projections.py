@@ -13,7 +13,11 @@ and support) stays valid for its lifetime. One attribute is written later:
 last built (a partial of one of the ``_project_*`` forms) in the set's
 ``_bregman``, keyed by the objective's identity. It stays while perfbench's
 tracer hooks ``bregman_project(obj, pair, target)`` by name: that call
-carries no projector, so the set has to keep it.
+carries no projector, so the set has to keep it. The kept projector holds
+the objective and what its route derived once (a linesearch plan, a box's
+dual bounds, the objective parts its support meets), never the set, which
+hands in its own data at each call: no set is part of a reference cycle, so
+a finished solve is freed, its matrix with it, by reference counting.
 """
 
 import bisect
@@ -88,8 +92,8 @@ class RangeSet:
     _bregman = (None, None)
 
     def __getstate__(self):
-        # the kept projector holds the objective and the set itself; a copy
-        # builds its own
+        # the kept projector is keyed by the objective's identity, which a
+        # copy does not share; a copy builds its own
         return {k: v for k, v in self.__dict__.items() if k != "_bregman"}
 
     def project(self, y):
@@ -385,7 +389,8 @@ def _shrink_linesearch(plan, u, s0, gp0, sign):
       kink at 0 (a tie |x*_j| = w_j) like any other;
     - confirm: g' built from scratch on the guessed piece is >= 0 at its
       right end (trivially so on the last piece, which runs to infinity), and
-      on the piece to its left it is < 0;
+      on the piece to its left it is < 0 at the guess's left end, or exactly
+      0 there with a positive slope, which makes that kink the root;
     - fall back: when the confirmation fails or the walk passes _WALK_CAP
       kinks, sort all the kinks and bisect them with the from-scratch g'.
 
@@ -441,9 +446,18 @@ def _shrink_linesearch(plan, u, s0, gp0, sign):
             s, delta, gp = piece(left, right)
         # confirm from scratch: g' >= 0 at the piece's right end (the last
         # piece runs to inf) and < 0 at its left end (known at the first kink)
-        if ends is None or (right < math.inf and gp < 0.0) or (
-            len(ends) > 3 and piece(ends[-3], left)[2] >= 0.0
-        ):
+        found = ends is not None and (right == math.inf or gp >= 0.0)
+        if found and len(ends) > 3:
+            below = piece(ends[-3], left)
+            if below[2] == 0.0 and below[0] > 0.0:
+                # g' rises to exactly 0 at the kink: the root is the kink
+                # itself (a zero slope would be a flat stretch that starts
+                # further left)
+                left, right = ends[-3], left
+                s, delta, gp = below
+            else:
+                found = below[2] < 0.0
+        if not found:
             kinks = np.concatenate(((uk - wk) / ak, (uk + wk) / ak))
             ends = np.concatenate(([0.0], np.sort(kinks[kinks > 0.0]), [np.inf]))
             i = bisect.bisect_left(
@@ -617,21 +631,22 @@ def _moved(obj, parts, pair, supp, values):
     return PrimalDualPair(x, x_star)
 
 
-def _project_halfspace(obj, parts, target, plan, pair):
+def _project_halfspace(obj, parts, plan, target, pair):
     """Exact-linesearch projection onto a Hyperplane, or onto a one-sided
     Halfspace (a step t >= 0, which is 0 on interior points, where
     g'(0) = beta - <a, x> >= 0), with the normal's linesearch ``plan``: x*
     moves to x* - t a on the normal's support."""
-    a, beta = target.normal, target.offset
-    t = exact_linesearch(obj, pair.x_star, a, beta, nonneg=target.one_sided, x=pair.x, plan=plan)
+    t = exact_linesearch(
+        obj, pair.x_star, target.normal, target.offset, nonneg=target.one_sided, x=pair.x, plan=plan
+    )
     if t == 0.0:
         return pair
     return _moved(obj, parts, pair, plan.supp, pair.x_star[plan.supp] - t * plan.a)
 
 
-def _project_box(obj, parts, idx, lower, upper, pair):
+def _project_box(obj, parts, lower, upper, target, pair):
     """Closed form for objectives that are coordinatewise "w_j |x_j| + x_j^2/2"
-    on a box's indices idx, and a box that holds the origin
+    on a box's ``indices`` idx, and a box that holds the origin
     (bregman_projector checks that once).
 
     The admissible subgradient is x* clipped on idx to the dual bounds
@@ -643,6 +658,7 @@ def _project_box(obj, parts, idx, lower, upper, pair):
     writes every pair: the clipped shrinkage up to a rounding at active
     bounds.
     """
+    idx = target.indices
     v = np.maximum(pair.x_star[idx], lower)
     np.minimum(v, upper, out=v)
     return _moved(obj, parts, pair, idx, v)
@@ -656,9 +672,10 @@ def _project_orthogonal(obj, parts, target, pair):
 
 def bregman_projector(obj, target):
     """The Bregman projector onto ``target`` under ``obj``, as a function of the
-    pair: a partial of one of the ``_project_*`` forms, picked here, on the
-    objective's weight verdicts, by the one dispatch table behind
-    bregman_project (see there for the supported pairings, tried in order).
+    set and the pair, ``projector(target, pair)``: a partial of one of the
+    ``_project_*`` forms, picked here, on the objective's weight verdicts, by
+    the one dispatch table behind bregman_project (see there for the
+    supported pairings, tried in order).
     Raises DimensionMismatch for a set whose data does not fit the
     objective's length, TypeError for an unsupported pairing and
     BoxWithoutZero for a box the closed form cannot take. Each form moves x*
@@ -668,7 +685,12 @@ def bregman_projector(obj, target):
 
     The set keeps the projector it last built, keyed by the identity of the
     objective, so a run dispatches once per simple constraint (sets and shrink
-    weights never change after construction)."""
+    weights never change after construction). The projector holds the
+    objective and what its route derived once (a hyperplane's linesearch
+    plan, a box's dual bounds, the objective parts the support meets), never
+    the set: the set reads its own normal, offset, sidedness, indices or
+    orthogonal projection at each call, so it forms no reference cycle and a
+    finished solve is freed by reference counting."""
     owner, projector = target._bregman
     if owner is obj:
         return projector
@@ -676,17 +698,17 @@ def bregman_projector(obj, target):
         raise DimensionMismatch(f"{type(target).__name__} does not fit length {obj.dimension}")
     verdicts = obj._verdicts
     if not verdicts.any:
-        supp, form, data = slice(None), _project_orthogonal, (target,)
+        supp, form, data = slice(None), _project_orthogonal, ()
     elif isinstance(target, _LinearSet):
         plan = _LinesearchPlan(target.normal, verdicts, target.support, target.norm_sq)
-        supp, form, data = target.support, _project_halfspace, (target, plan)
+        supp, form, data = target.support, _project_halfspace, (plan,)
     elif isinstance(target, Box) and np.all(np.isfinite(w := verdicts.w[target.indices])):
         lower, upper = target.lower, target.upper
         if np.any(lower > 0.0) or np.any(upper < 0.0):
             raise BoxWithoutZero("box must contain the origin componentwise")
         lower = np.where(lower < 0.0, lower - w, 0.0)
         upper = np.where(upper > 0.0, upper + w, 0.0)
-        supp, form, data = target.indices, _project_box, (target.indices, lower, upper)
+        supp, form, data = target.indices, _project_box, (lower, upper)
     else:
         raise TypeError(
             f"no Bregman projector for {type(target).__name__} under {type(obj).__name__}"
@@ -720,4 +742,4 @@ def bregman_project(obj, pair, target):
     other pairing raises TypeError; a box without the origin raises
     BoxWithoutZero. A NonnegCone is the Box [0, inf) on its indices.
     """
-    return bregman_projector(obj, target)(pair)
+    return bregman_projector(obj, target)(target, pair)

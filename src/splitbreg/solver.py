@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import projections
-from ._checks import _check_indices, _check_whole, _integers, _vector
+from ._checks import _check_indices, _check_whole, _integers, _reals, _vector
 from .linops import LinearOperator, as_operator
 from .objectives import ElasticNet, SquaredNorm, pair_from_dual
 
@@ -404,7 +404,7 @@ def run(config, callback=None):
         else:
             steps.append(functools.partial(_difficult_step, obj, c, rule, *_reach(obj, c.op)))
     n = len(constraints)
-    tols = np.asarray(config.residual_tolerance, dtype=float)
+    tols = _reals("residual_tolerance", config.residual_tolerance)
     if tols.shape not in ((), (1,), (n,)):
         raise DimensionMismatch(f"residual_tolerance has shape {tols.shape}, not ({n},)")
     tols = np.broadcast_to(tols, (n,))
@@ -414,7 +414,7 @@ def run(config, callback=None):
     indices = config.control.indices(n)  # this run's own stream of indices
 
     x0_star = (
-        np.zeros(obj.dimension) if config.x0_star is None else np.asarray(config.x0_star, float)
+        np.zeros(obj.dimension) if config.x0_star is None else _reals("x0_star", config.x0_star)
     )
     if x0_star.shape != (obj.dimension,):
         raise DimensionMismatch(f"x0_star has shape {x0_star.shape}, not ({obj.dimension},)")

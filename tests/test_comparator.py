@@ -167,6 +167,9 @@ def _pd(**fields):
         (lambda: ZeroOperator(3, 1.0), ValueError, "^n must be nonnegative and whole"),
         (lambda: Grad2D(-2, 3), ValueError, "^height must be nonnegative and whole"),
         (lambda: Grad2D(3, 0), ValueError, "^width must be positive and whole"),
+        # the data is read entry by entry: no bool, string or None is a number
+        (lambda: _pd(b=[True, False]), ValueError, "^b must hold real numbers, not bools$"),
+        (lambda: _pd(b=["1", "0"]), ValueError, "^b must hold real numbers, not '1'$"),
     ],
     ids=[
         "pd-nan-lam", "pd-negative-lam", "pd-nan-delta", "pd-nan-b", "pd-short-b",
@@ -175,7 +178,7 @@ def _pd(**fields):
         "pd-bool-noise-norm", "pd-numpy-bool-noise-norm", "ball-bool-p",
         "elastic-net-fractional-size", "squared-norm-bool-size", "squared-norm-negative-size",
         "identity-fractional-size", "zero-operator-negative-rows", "zero-operator-float-columns",
-        "gradient-negative-height", "gradient-zero-width",
+        "gradient-negative-height", "gradient-zero-width", "pd-bool-b", "pd-string-b",
     ],
 )
 def test_degenerate_inputs_raise_named_errors(call, error, match):

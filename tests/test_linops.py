@@ -180,12 +180,23 @@ def test_sparse_operator_rows_and_adjoint():
 
 @pytest.mark.parametrize("cls, key", [(DenseMatrix, "a"), (SparseOperator, "mat")])
 @pytest.mark.parametrize(
-    "entries",
-    [np.ones((2, 2), dtype=bool), [[0.5, True]], [[np.bool_(False), 1]]],
-    ids=["bool-array", "bool-in-floats", "numpy-bool-in-ints"],
+    "entries, shown",
+    [
+        (np.ones((2, 2), dtype=bool), "bools"),
+        ([[0.5, True]], "bools"),
+        ([[np.bool_(False), 1]], "bools"),
+        # np.asarray reads a string as the number it spells and None as NaN
+        ([["1", "0"]], "'1'"),
+        (np.array([["1", "0"]]), "'1'"),
+        ([[0.5, None]], "None"),
+    ],
+    ids=[
+        "bool-array", "bool-in-floats", "numpy-bool-in-ints",
+        "strings", "string-array", "none-in-floats",
+    ],
 )
-def test_matrix_entries_must_be_real_numbers_not_bools(cls, key, entries):
-    with pytest.raises(ValueError, match=f"^{key} must hold real numbers, not bools$"):
+def test_matrix_entries_must_be_real_numbers_not_bools(cls, key, entries, shown):
+    with pytest.raises(ValueError, match=f"^{key} must hold real numbers, not {shown}$"):
         cls(entries)
 
 
@@ -194,6 +205,8 @@ def test_matrix_entries_keep_their_float64_array_and_reject_a_bool_sparse_matrix
 
     a = np.eye(3)
     assert DenseMatrix(a).a is a
+    # a 0-d array inside a list is the number it holds
+    assert DenseMatrix([[np.array(2.0), 1]]).a.tolist() == [[2.0, 1.0]]
     assert SparseOperator(a).mat.dtype == np.float64
     with pytest.raises(ValueError, match="^mat must hold real numbers, not bools$"):
         SparseOperator(sp.csr_matrix(np.eye(2, dtype=bool)))

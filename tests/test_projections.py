@@ -46,6 +46,7 @@ from splitbreg.projections import (
     separating_halfspace,
 )
 from splitbreg import projections
+from splitbreg._checks import _vector
 from splitbreg.linops import DenseMatrix
 from splitbreg.solver import Custom, Difficult, RandomUniform, preset, run
 
@@ -280,6 +281,9 @@ def test_norm_ball_validation():
         (lambda: Halfspace([1.0, 2.0], True), "offset must be a real number, not True"),
         (lambda: Hyperplane([1.0, 2.0], None), "offset must be a real number, not None"),
         (lambda: Hyperplane([1.0, 2.0], 1 + 2j), "offset must be a real number, not (1+2j)"),
+        (lambda: Point(["1", "0"]), "b must hold real numbers, not '1'"),
+        (lambda: Hyperplane(["1", "2"], 1.0), "normal must hold real numbers, not '1'"),
+        (lambda: _vector("b", [None, 1.0]), "b must hold real numbers, not None"),
     ],
     ids=[
         "ball-2", "ball-1", "ball-inf", "box-lower", "box-upper", "cone-negative-index",
@@ -288,13 +292,16 @@ def test_norm_ball_validation():
         "fractional-seed", "bool-seed", "matrix-point", "matrix-center", "matrix-bounds",
         "matrix-upper", "unequal-bounds", "matrix-normal", "column-normal", "bool-cone-indices",
         "float-cone-indices", "string-radius", "bool-radius", "bool-lam", "none-total",
-        "string-offset", "bool-offset", "none-offset", "complex-offset",
+        "string-offset", "bool-offset", "none-offset", "complex-offset", "string-point",
+        "string-normal", "none-in-vector",
     ],
 )
 def test_malformed_set_data_is_rejected(build, message):
     # NaN fails every positive assertion; a negative index would count from the
     # end; a float, bool or string seed, order entry, cone index, radius or
-    # weight, and a non-real offset, would be cast silently or fail unnamed;
+    # weight, and a non-real offset, would be cast silently or fail unnamed,
+    # and so would a string or None inside a vector (numpy reads them as the
+    # number spelled and NaN);
     # data of more than one dimension or bounds of two sizes would fail in
     # numpy's broadcasting
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -560,25 +567,35 @@ def _linesearch(plan, x_star, beta, nonneg, gp0=None, x=None):
 
 
 @contextlib.contextmanager
-def _forced_bisection():
-    """Make the kink walk guess the first piece, on which g' is known to stay
-    below 0, so that every linesearch that walks must reject its guess and
-    bisect. Yields the counts of guesses and of bisections."""
-    counts = {"guesses": 0, "bisections": 0}
-    walk = projections._walk_kinks
-
-    def wrong(*args):
-        counts["guesses"] += 1
-        ends = walk(*args)
-        return None if ends is None else ends[:2]
+def _counted_bisections():
+    """Count the fallback's bisections; yields the counts."""
+    counts = {"bisections": 0}
 
     def bisect_left(*args, **kwargs):
         counts["bisections"] += 1
         return bisect.bisect_left(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(projections, "_walk_kinks", wrong)
         mp.setattr(projections, "bisect", SimpleNamespace(bisect_left=bisect_left))
+        yield counts
+
+
+@contextlib.contextmanager
+def _forced_bisection():
+    """Make the kink walk guess the first piece, on which g' is known to stay
+    below 0, so that every linesearch that walks must reject its guess and
+    bisect. Yields the counts of guesses and of bisections."""
+    walk = projections._walk_kinks
+
+    with _counted_bisections() as counts, pytest.MonkeyPatch.context() as mp:
+        counts["guesses"] = 0
+
+        def wrong(*args):
+            counts["guesses"] += 1
+            ends = walk(*args)
+            return None if ends is None else ends[:2]
+
+        mp.setattr(projections, "_walk_kinks", wrong)
         yield counts
 
 
@@ -905,6 +922,22 @@ def test_walked_linesearch_matches_the_full_sort_reference_at_the_edges():
     assert answers["flat-from-a-kink"] == 0.5
     assert np.float64(answers["root-on-a-walked-kink"]).tobytes() == np.float64(-2.0).tobytes()
     assert answers["nonneg"] >= 0.0
+
+
+def test_a_root_walked_exactly_onto_a_kink_is_taken_without_bisection():
+    # the walk's running sums read g' at the second kink as just below 0 and
+    # guess the piece after it; from scratch g' is exactly 0 there, on a
+    # rising piece, so that kink is the root: the fallback's bits, unbisected
+    obj = ProductObjective([SquaredNorm(3), ElasticNet(0.5, 1)])
+    x_star, a, weights, beta, _ = _EDGE_CASES["root-on-a-walked-kink"]
+    assert np.array_equal(obj._verdicts.w, weights)
+    with _counted_bisections() as counts:
+        t = exact_linesearch(obj, x_star, a, beta)
+    assert counts["bisections"] == 0
+    with _forced_bisection() as counts:
+        forced = exact_linesearch(obj, x_star, a, beta)
+    assert counts["bisections"] == 1
+    assert np.float64(t).tobytes() == np.float64(forced).tobytes() == np.float64(-2.0).tobytes()
 
 
 @st.composite

@@ -1,5 +1,7 @@
 import copy
 import csv
+import gc
+import weakref
 from dataclasses import replace
 from itertools import islice
 
@@ -8,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitbreg.experiments import InstanceSpec, generate_instance
+from splitbreg.experiments import (
+    ExperimentConfig,
+    InstanceSpec,
+    TomoSpec,
+    generate_instance,
+    run_tomography,
+)
 from splitbreg.linops import BlockRow, DenseMatrix, ZeroOperator
 from splitbreg.objectives import (
     ElasticNet,
@@ -409,6 +417,32 @@ def test_nan_tolerance_rejected_before_first_step(tol):
     )
     seen = []
     with pytest.raises(ValueError, match="tolerances must be positive"):
+        run(cfg, callback=lambda pair, record: seen.append(record.k))
+    assert seen == []
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"x0_star": [True, False]}, "^x0_star must hold real numbers, not bools$"),
+        ({"residual_tolerance": True}, "^residual_tolerance must hold real numbers, not bools$"),
+        (
+            {"residual_tolerance": ["1e-8", 1e-8]},
+            "^residual_tolerance must hold real numbers, not '1e-8'$",
+        ),
+    ],
+    ids=["bool-start", "bool-tolerance", "string-tolerance"],
+)
+def test_start_and_tolerances_must_be_real_numbers_before_first_step(fields, message):
+    # np.asarray would start at x* = [1, 0] and run with tolerance 1.0
+    cfg = SolverConfig(
+        objective=SquaredNorm(2),
+        constraints=[Simple(Hyperplane(np.array([1.0, 0.0]), 1.0)),
+                     Simple(Hyperplane(np.array([0.0, 1.0]), 1.0))],
+        **fields,
+    )
+    seen = []
+    with pytest.raises(ValueError, match=message):
         run(cfg, callback=lambda pair, record: seen.append(record.k))
     assert seen == []
 
@@ -896,6 +930,58 @@ def test_set_up_fits_each_set_once(monkeypatch):
     ]
     run(SolverConfig(ElasticNet(1.0, 2), constraints, step_rule=Dynamic(), max_iterations=3))
     assert lengths == [2, 2, 3]
+
+
+@pytest.mark.parametrize("name", [*solver._PRESETS, "halfspace", "box", "cone", "tomo-one"])
+def test_a_finished_solve_is_freed_by_reference_counting(name, tmp_path, monkeypatch):
+    # a kept Bregman projector holds no set, so with the cyclic collector off
+    # the matrix or normal, the objective and every set of a finished run go
+    # when the last reference does, and no splitbreg object is left in a cycle
+    refs = []
+    run_ = solver.run
+
+    def spy(config, callback=None):
+        refs.extend(map(weakref.ref, [config.objective, *(c.target for c in config.constraints)]))
+        return run_(config, callback=callback)
+
+    monkeypatch.setattr(solver, "run", spy)
+
+    def solve():  # returns a weak reference to the matrix or normal it used
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((6, 12))
+        if name == "tomo-one":
+            spec = TomoSpec(height=8, width=8, n_angles=4, rays_per_angle=12, noise_level=0.05,
+                            lam=1.0, iterations=60, variants=("one",))
+            report = run_tomography(ExperimentConfig(experiment="tomo", out=str(tmp_path),
+                                                     tomo=spec))
+            return weakref.ref(report["projector"])
+        if name in solver._PRESETS:
+            cfg = preset(name, a, a @ (rng.random(12) < 0.3), lam=1.0, max_iterations=50)
+        else:
+            target = {
+                "halfspace": Halfspace(a[0], -1.0),
+                "box": Box(-np.ones(12), np.ones(12)),
+                "cone": NonnegCone(np.arange(4)),
+            }[name]
+            cfg = SolverConfig(ElasticNet(1.0, 12), [Simple(target)], max_iterations=5)
+        solver.run(cfg)
+        return weakref.ref(a)
+
+    gc.collect()
+    gc.disable()
+    try:
+        matrix = solve()
+        assert matrix() is None
+        assert refs and all(ref() is None for ref in refs)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        cyclic = [type(o).__name__ for o in gc.garbage if type(o).__module__.startswith("splitbreg")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+        gc.collect()
+    assert cyclic == []
 
 
 def test_length_one_bounds_and_centers_broadcast():
