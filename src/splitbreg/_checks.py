@@ -1,5 +1,6 @@
 """Argument checks: the one home of the rules that values handed to the package
-must meet, one helper per value class. It imports nothing of the package.
+must meet, one helper per value class, and of NonFiniteData, the error for
+data that holds a NaN or an infinity. It imports nothing of the package.
 
 Every helper raises a ValueError that names the argument (``key``) and, where
 there is one to show, the bad value or its shape. The classes are:
@@ -13,7 +14,8 @@ there is one to show, the bad value or its shape. The classes are:
   > 0; NaN fails;
 - distinct names (_check_distinct);
 - real entries (_reals): an array or nested list of real numbers; a bool, a
-  string and None fail, also inside a list of floats (vectors, DenseMatrix,
+  string, None and a complex number fail, also inside a list of floats or as
+  the dtype of an array, before anything is converted (vectors, DenseMatrix,
   SparseOperator, run's x0_star and residual tolerances, run_pd's b);
 - vector (_vector): one-dimensional, of length n where one is given, real
   entries (_reals), and all finite where asked (fenchel_gap,
@@ -34,6 +36,12 @@ import math
 import numbers
 
 import numpy as np
+
+
+class NonFiniteData(ValueError):
+    """A constraint's data (a normal, an offset, a residual) or a linesearch's
+    (x_star, the direction, beta) is NaN or infinite, so no step taken from it
+    can be trusted."""
 
 
 def _check_whole(key, value, low=1):
@@ -96,15 +104,15 @@ def _check_distinct(key, names):
 def _reals(key, value):
     """``value`` as a float array; raises a ValueError naming ``key`` when an
     entry is not a real number: a bool (a bool array, or a bool inside a
-    list), a string or None. A float64 array costs np.asarray, which hands it
-    back as is, and an identity test (the matrix-free products and the
-    objectives run this on every call), and another int or float array a
-    dtype compare."""
-    v = np.asarray(value, dtype=float)
-    # other input is read entry by entry, since np.asarray turns the bools of
-    # a list into numbers, its strings into the numbers they spell and None
-    # into NaN
-    if v is not value and not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
+    list), a string, None or a complex number (a complex array included). An
+    int or float array costs a dtype test and np.asarray, which hands a
+    float64 one back as is (the matrix-free products and the objectives run
+    this on every call)."""
+    # any other input is read entry by entry before it is converted, since
+    # np.asarray turns the bools of a list into numbers, its strings into the
+    # numbers they spell (or an unnamed error) and None into NaN, and drops
+    # the imaginary part of a complex array with a warning
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
         for e in np.asarray(value, object).flat:
             if isinstance(e, np.ndarray):  # a 0-d array inside a list
                 e = e[()]
@@ -112,7 +120,7 @@ def _reals(key, value):
                 raise ValueError(f"{key} must hold real numbers, not bools")
             if not isinstance(e, numbers.Real):
                 raise ValueError(f"{key} must hold real numbers, not {e!r}")
-    return v
+    return np.asarray(value, dtype=float)
 
 
 def _vector(key, value, n=None, finite=False):

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _check_choice, _check_whole, _nonnegative, _reals
+from ._checks import NonFiniteData, _check_choice, _check_whole, _nonnegative, _reals
 from .linops import as_operator
 from .objectives import ElasticNet, soft_shrink
-from .projections import NonFiniteData, NormBall, Point
+from .projections import NormBall, Point
 
 
 @dataclass

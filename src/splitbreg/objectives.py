@@ -1,4 +1,5 @@
-"""Strongly convex objectives with computable conjugates.
+"""Strongly convex objectives with computable conjugates, and the numeric
+primitives beneath the projections.
 
 Every objective here is of the form "nonsmooth part + squared 2-norm / 2", which
 makes the convex conjugate smooth with a Lipschitz gradient and makes the
@@ -7,14 +8,22 @@ objective through ``value``, ``conjugate`` and ``grad_conjugate``, plus the
 per-coordinate shrink weights that enable closed-form linesearches.
 Objectives are immutable after construction: what they precompute there (shrink
 weights, group labels) stays valid for their lifetime.
+
+This is the lowest numeric module: it imports nothing of the package but
+``_checks``, and ``projections`` builds on it. It owns the one index rule of
+every support a step acts on (``_index``), the verdicts on shrink weights
+(``_WeightVerdicts``, with ``on``, the one restriction of weights to a
+support) and the simplex and l1-ball projections that ``GroupedMax`` and the
+norm balls share.
 """
 
 import functools
+import math
 import operator
 
 import numpy as np
 
-from ._checks import _check_indices, _check_whole, _nonnegative, _vector
+from ._checks import NonFiniteData, _check_indices, _check_whole, _nonnegative, _vector
 
 
 class InvalidSubgradient(ValueError):
@@ -30,6 +39,100 @@ def soft_shrink(x, lam):
     out = np.maximum(np.abs(x) - lam, 0.0)
     out *= np.sign(x)
     return out
+
+
+def project_simplex(y, total=1.0):
+    """Euclidean projection onto {z : z >= 0, sum(z) = total}, O(n log n).
+
+    Sort-and-threshold: the largest k with u_k - (cumsum_k - total)/k > 0 fixes
+    the active support, and the common shift follows from the sum constraint.
+    Raises NonFiniteData when y holds a NaN or an infinity or its sum overflows,
+    and a ValueError for an empty y with a positive total (an empty set).
+    """
+    total = _nonnegative("total", total)
+    y = _vector("y", y)
+    if total == 0.0:
+        return np.zeros_like(y)
+    if not y.size:
+        raise ValueError(f"an empty vector has no point on the simplex of total {total}")
+    u = np.sort(y)[::-1]
+    css = np.cumsum(u) - total
+    if not math.isfinite(css[-1]):
+        raise NonFiniteData(f"simplex projection input sums to {css[-1] + total}")
+    ks = np.arange(1, y.size + 1)
+    k = ks[u - css / ks > 0][-1]
+    theta = css[k - 1] / k
+    return np.maximum(y - theta, 0.0)
+
+
+def project_l1_ball(y, radius):
+    """Euclidean projection onto {z : ||z||_1 <= radius}.
+
+    Interior points are returned unchanged; otherwise project |y| onto the
+    simplex of size ``radius`` and restore the signs. Raises NonFiniteData
+    when y holds a NaN or an infinity or the sum of |y| overflows.
+    """
+    radius = _nonnegative("radius", radius, bound=True)
+    y = _vector("y", y)
+    a = np.abs(y)
+    total = a.sum()
+    if not math.isfinite(total):
+        raise NonFiniteData(f"l1-ball projection input has sum of |y| = {total}")
+    if total <= radius:
+        return y.copy()
+    return np.sign(y) * project_simplex(a, radius)
+
+
+def _index(positions, n=None):
+    """The one index rule of every support a step acts on (a normal's
+    nonzeros, a cone's indices, the kinked weights, the columns a difficult
+    step reaches). What indexes the int array ``positions`` is
+
+    - ``slice(None)`` when ``n`` is given and there are n positions (given
+      with n, positions are increasing and below n, as np.flatnonzero gives
+      them, so n of them are all of range(n));
+    - ``slice(a, b)`` when they are a, a + 1, ..., b - 1 in that order;
+    - else ``positions`` itself, made read-only.
+
+    Gathers through a slice are views; gathers through the array keep its
+    order and its repeats."""
+    if positions.size == n:
+        return slice(None)
+    if positions.size and np.all(np.diff(positions) == 1):
+        return slice(int(positions[0]), int(positions[-1]) + 1)
+    positions.flags.writeable = False
+    return positions
+
+
+def _nonzeros(v):
+    """The index (_index) of the nonzeros of v: one np.flatnonzero of the
+    mask v != 0 (faster than of v itself), and a step test on its result
+    only when v has zeros."""
+    return _index(np.flatnonzero(v != 0.0), v.size)
+
+
+class _WeightVerdicts:
+    """The verdicts a linesearch plan and a Bregman projector take on shrink
+    weights ``w``: the index ``kinked`` of the nonzero ones (_nonzeros), the
+    flags ``free`` of the zero ones (None when there are none), whether all
+    are ``finite`` and whether ``any`` is nonzero. An objective takes them on
+    all its weights at first use (``Objective._verdicts``), and ``on`` takes
+    them on a support."""
+
+    __slots__ = ("w", "kinked", "free", "finite", "any")
+
+    def __init__(self, w):
+        self.w, self.kinked = w, _nonzeros(w)  # shrink weights are nonnegative
+        free = w == 0.0
+        self.free = free if free.any() else None
+        self.finite, self.any = bool(np.all(np.isfinite(w))), bool(np.any(w))
+
+    def on(self, supp):
+        """The verdicts on the weights at the index ``supp`` (_index): these
+        very verdicts for ``slice(None)``, else those of w[supp]. The one
+        restriction of weights to a support."""
+        whole = type(supp) is slice and supp == slice(None)
+        return self if whole else _WeightVerdicts(self.w[supp])
 
 
 class Objective:
@@ -76,11 +179,9 @@ class Objective:
 
     @functools.cached_property
     def _verdicts(self):
-        """projections._WeightVerdicts on ``self.shrink_weights()``: a wrapper
-        that inherits this class takes its own through its own
+        """_WeightVerdicts on ``self.shrink_weights()``: a wrapper that
+        inherits this class takes its own through its own
         ``shrink_weights``."""
-        from .projections import _WeightVerdicts  # deferred: avoids an import cycle
-
         return _WeightVerdicts(self.shrink_weights())
 
 
@@ -208,8 +309,6 @@ class GroupedMax(Objective):
         return float(self.lam * total + 0.5 * np.dot(x, x))
 
     def grad_conjugate(self, x_star):
-        from .projections import project_l1_ball  # deferred: avoids an import cycle
-
         x_star = _vector("x_star", x_star, self.dimension)
         out = np.empty_like(x_star)
         for g in self.groups:

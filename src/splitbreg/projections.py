@@ -18,6 +18,14 @@ the objective and what its route derived once (a linesearch plan, a box's
 dual bounds, the objective parts its support meets), never the set, which
 hands in its own data at each call: no set is part of a reference cycle, so
 a finished solve is freed, its matrix with it, by reference counting.
+
+This module builds on ``objectives``, never the other way. Every support it
+stores (a normal's ``support``, a cone's ``indices``, a plan's ``supp`` and
+``kinked``) follows the one index rule there, ``objectives._index``, and
+the one restriction of shrink weights to a support is
+``_WeightVerdicts.on``. The index rule, the verdicts and the simplex and
+l1-ball projections live in ``objectives`` and NonFiniteData in
+``_checks``; all of them also resolve under this module's name.
 """
 
 import bisect
@@ -26,8 +34,9 @@ import math
 
 import numpy as np
 
-from ._checks import _check_choice, _check_indices, _nonnegative, _real, _vector
-from .objectives import PrimalDualPair, soft_shrink
+from ._checks import NonFiniteData, _check_choice, _check_indices, _nonnegative, _real, _vector
+from .objectives import PrimalDualPair, _index, _nonzeros, project_l1_ball, soft_shrink
+from .objectives import _WeightVerdicts, project_simplex  # resolve under this name too
 
 
 class FeasiblePoint(ValueError):
@@ -37,12 +46,6 @@ class FeasiblePoint(ValueError):
 
 class ZeroNormal(ValueError):
     """Hyperplane or halfspace with an all-zero normal vector."""
-
-
-class NonFiniteData(ValueError):
-    """A constraint's data (a normal, an offset, a residual) or a linesearch's
-    (x_star, the direction, beta) is NaN or infinite, so no step taken from it
-    can be trusted."""
 
 
 class ZeroDirection(ValueError):
@@ -64,20 +67,6 @@ class DimensionMismatch(ValueError):
 
 class NoConvergence(RuntimeError):
     """The root-finding linesearch could not bracket its root within its cap."""
-
-
-def _nonzeros(v):
-    """What indexes the nonzeros of v: ``slice(None)`` when v has no zeros and
-    ``slice(a, b)`` when they are the one run v[a:b], so that gathers through
-    it are views, else a read-only boolean mask."""
-    mask = v != 0.0
-    nz = np.flatnonzero(mask)
-    if nz.size == mask.size:
-        return slice(None)
-    if nz.size and nz[-1] - nz[0] + 1 == nz.size:
-        return slice(int(nz[0]), int(nz[-1]) + 1)
-    mask.flags.writeable = False
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -171,34 +160,29 @@ class NonnegCone(Box):
     """{y : y_j >= 0 for j in indices}; all coordinates when indices is None:
     the box [0, inf) on those coordinates.
 
-    ``self.indices`` is what indexes the cone's coordinates: ``slice(None)``
-    for all of them, ``slice(a, b)`` for indices a, a + 1, ..., b - 1 given in
-    that order (gathers through it are views), else an int array. Negative
+    ``self.indices`` indexes the cone's coordinates: ``slice(None)`` for all
+    of them, else the given indices by the index rule (_index). Negative
     indices are rejected: they would count from the end of whatever vector
     the cone meets."""
 
     def __init__(self, indices=None):
         super().__init__([0.0], [np.inf])
-        if indices is None:
-            return
-        idx = _check_indices("cone indices", indices)
-        if idx.size and np.all(np.diff(idx) == 1):
-            idx = slice(int(idx[0]), int(idx[-1]) + 1)
-        self.indices = idx
+        if indices is not None:
+            self.indices = _index(_check_indices("cone indices", indices))
 
 
 class _LinearSet(RangeSet):
     """{y : <a, y> = beta}, or {y : <a, y> <= beta} when ``one_sided``: the one
     body of Hyperplane and Halfspace. The normal's length ``norm`` and the index
-    ``support`` of its nonzeros are built here, once: ``slice(None)`` for a
-    normal without zeros, ``slice(a, b)`` when its nonzeros are one run, else
-    a read-only boolean mask."""
+    ``support`` of its nonzeros (_nonzeros, by the index rule) are built here,
+    once. A normal whose square overflows raises NonFiniteData, as a NaN or
+    an infinity in it does."""
 
     one_sided = False
 
     def __init__(self, normal, offset):
         self.normal = _vector("normal", normal)
-        self.norm_sq = float(np.dot(self.normal, self.normal))
+        self.norm_sq = float(np.vdot(self.normal, self.normal))  # vdot: no overflow warning
         if self.norm_sq == 0.0:
             raise ZeroNormal(f"{type(self).__name__.lower()} normal is zero")
         self.offset = _real("offset", offset, finite=False)
@@ -248,53 +232,6 @@ def data_fits(target, n):
             inside = bool(np.all(idx < n))
         return inside and {target.lower.size, target.upper.size} <= {1, n}
     return True
-
-
-# ---------------------------------------------------------------------------
-# simplex and l1-ball projections
-# ---------------------------------------------------------------------------
-
-
-def project_simplex(y, total=1.0):
-    """Euclidean projection onto {z : z >= 0, sum(z) = total}, O(n log n).
-
-    Sort-and-threshold: the largest k with u_k - (cumsum_k - total)/k > 0 fixes
-    the active support, and the common shift follows from the sum constraint.
-    Raises NonFiniteData when y holds a NaN or an infinity or its sum overflows,
-    and a ValueError for an empty y with a positive total (an empty set).
-    """
-    total = _nonnegative("total", total)
-    y = _vector("y", y)
-    if total == 0.0:
-        return np.zeros_like(y)
-    if not y.size:
-        raise ValueError(f"an empty vector has no point on the simplex of total {total}")
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - total
-    if not math.isfinite(css[-1]):
-        raise NonFiniteData(f"simplex projection input sums to {css[-1] + total}")
-    ks = np.arange(1, y.size + 1)
-    k = ks[u - css / ks > 0][-1]
-    theta = css[k - 1] / k
-    return np.maximum(y - theta, 0.0)
-
-
-def project_l1_ball(y, radius):
-    """Euclidean projection onto {z : ||z||_1 <= radius}.
-
-    Interior points are returned unchanged; otherwise project |y| onto the
-    simplex of size ``radius`` and restore the signs. Raises NonFiniteData
-    when y holds a NaN or an infinity or the sum of |y| overflows.
-    """
-    radius = _nonnegative("radius", radius, bound=True)
-    y = _vector("y", y)
-    a = np.abs(y)
-    total = a.sum()
-    if not math.isfinite(total):
-        raise NonFiniteData(f"l1-ball projection input has sum of |y| = {total}")
-    if total <= radius:
-        return y.copy()
-    return np.sign(y) * project_simplex(a, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -472,36 +409,19 @@ def _shrink_linesearch(plan, u, s0, gp0, sign):
     return sign * min(max(-(gp0 + delta) / s, left), right)
 
 
-class _WeightVerdicts:
-    """The verdicts a linesearch plan and a Bregman projector take on shrink
-    weights ``w``: the index ``kinked`` of the nonzero ones (as _nonzeros
-    gives it), the mask ``free`` of the zero ones (None when there are none),
-    whether all are ``finite`` and whether ``any`` is nonzero. An objective
-    takes them on all its weights at first use (``Objective._verdicts``)."""
-
-    __slots__ = ("w", "kinked", "free", "finite", "any")
-
-    def __init__(self, w):
-        self.w, self.kinked = w, _nonzeros(w)  # shrink weights are nonnegative
-        free = w == 0.0
-        self.free = free if free.any() else None
-        self.finite, self.any = bool(np.all(np.isfinite(w))), bool(np.any(w))
-
-
 class _LinesearchPlan:
     """What a linesearch along a fixed direction a under fixed shrink weights
     needs besides x_star and beta, built once: a's ``shape``, which x_star
-    must have, the index ``supp`` of a's nonzeros (as _nonzeros gives it),
-    ``a`` and the weights ``w`` on it, the index ``kinked`` of the support
-    coordinates with w_j > 0, the mask ``free`` of those with w_j = 0 (None
-    when there are none), ``a_sq`` = a.a (a set's ``norm_sq``, the same
-    float), whether the weights are ``finite`` on the support, and
+    must have, the index ``supp`` of a's nonzeros (_nonzeros, by the index
+    rule), ``a`` and the weights ``w`` on it, the index ``kinked`` of the
+    support coordinates with w_j > 0, the flags ``free`` of those with
+    w_j = 0 (None when there are none), ``a_sq`` = a.a (a set's ``norm_sq``,
+    the same float), whether the weights are ``finite`` on the support, and
     ``line_slope``: when every weight on the support is zero, g' has no kink
     and this is its one slope, a.a summed over the support; None otherwise.
-    They are ``verdicts`` (on all the weights) for an a without zeros, else
-    taken here on the support. For a normal whose nonzeros are one run it
-    holds views only. Raises ZeroDirection when a_sq is 0 and NonFiniteData
-    when it is not finite."""
+    The weight verdicts are ``verdicts.on(supp)``. For a normal whose
+    nonzeros are one run it holds views only. Raises ZeroDirection when a_sq
+    is 0 and NonFiniteData when it is not finite."""
 
     __slots__ = ("shape", "supp", "a", "w", "kinked", "free", "a_sq", "finite", "line_slope")
 
@@ -511,8 +431,7 @@ class _LinesearchPlan:
         if not math.isfinite(a_sq):
             raise NonFiniteData("linesearch direction is not finite or its square overflows")
         self.shape, self.supp, self.a, self.a_sq = a.shape, supp, a[supp], a_sq
-        if self.a.size < a.size:
-            verdicts = _WeightVerdicts(verdicts.w[supp])
+        verdicts = verdicts.on(supp)
         self.w, self.kinked, self.free = verdicts.w, verdicts.kinked, verdicts.free
         self.finite = verdicts.finite
         self.line_slope = None if verdicts.any else float(np.dot(self.a, self.a))
@@ -548,7 +467,7 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
         a, shape = np.asarray(a, dtype=float), obj._verdicts.w.shape
         if a.shape != shape:
             raise DimensionMismatch(f"linesearch direction has shape {a.shape}, not {shape}")
-        plan = _LinesearchPlan(a, obj._verdicts, _nonzeros(a), float(np.dot(a, a)))
+        plan = _LinesearchPlan(a, obj._verdicts, _nonzeros(a), float(np.vdot(a, a)))
     x_star = np.asarray(x_star, dtype=float)
     if x_star.shape != plan.shape:
         raise DimensionMismatch(f"linesearch x_star has shape {x_star.shape}, not {plan.shape}")
@@ -702,12 +621,12 @@ def bregman_projector(obj, target):
     elif isinstance(target, _LinearSet):
         plan = _LinesearchPlan(target.normal, verdicts, target.support, target.norm_sq)
         supp, form, data = target.support, _project_halfspace, (plan,)
-    elif isinstance(target, Box) and np.all(np.isfinite(w := verdicts.w[target.indices])):
+    elif isinstance(target, Box) and (on := verdicts.on(target.indices)).finite:
         lower, upper = target.lower, target.upper
         if np.any(lower > 0.0) or np.any(upper < 0.0):
             raise BoxWithoutZero("box must contain the origin componentwise")
-        lower = np.where(lower < 0.0, lower - w, 0.0)
-        upper = np.where(upper > 0.0, upper + w, 0.0)
+        lower = np.where(lower < 0.0, lower - on.w, 0.0)
+        upper = np.where(upper > 0.0, upper + on.w, 0.0)
         supp, form, data = target.indices, _project_box, (lower, upper)
     else:
         raise TypeError(

@@ -23,7 +23,7 @@ import numpy as np
 from . import projections
 from ._checks import _check_indices, _check_whole, _integers, _reals, _vector
 from .linops import LinearOperator, as_operator
-from .objectives import ElasticNet, SquaredNorm, pair_from_dual
+from .objectives import ElasticNet, SquaredNorm, _nonzeros, pair_from_dual
 
 
 class MissingLambda(ValueError):
@@ -294,16 +294,19 @@ def _difficult_step(obj, constraint, rule, supp, parts, pair):
     ``supp``, the columns the operator's nonzero blocks act on, with x
     recomputed on the objective ``parts`` that support meets. Off ``supp``
     A^T w is +0.0, so x* keeps every bit there, -0.0 included: what
-    x*_j - t * (+0.0) gives for any finite t >= 0."""
+    x*_j - t * (+0.0) gives for any finite t >= 0. Raises NonFiniteData
+    when A^T w.A^T w is not finite: a step along it would be 0 or NaN."""
     op = constraint.op
     w, w_norm = constraint.residual(pair.x)
     try:
         d, beta = projections.separating_halfspace(op, pair.x, w, w_norm)
     except projections.FeasiblePoint:
         return pair, 0.0, 0.0
-    d_sq = float(np.dot(d, d))
+    d_sq = float(np.vdot(d, d))  # vdot: no overflow warning
     if d_sq == 0.0:
         raise projections.ZeroDirection("separating halfspace has a zero normal")
+    if not math.isfinite(d_sq):
+        raise projections.NonFiniteData("separating halfspace normal's square is not finite")
     t_dynamic = obj.alpha * w_norm * w_norm / d_sq
     if isinstance(rule, Constant):
         t = obj.alpha / op.norm_estimate() ** 2
@@ -321,7 +324,7 @@ def _difficult_step(obj, constraint, rule, supp, parts, pair):
 
 def _reach(obj, op):
     """(supp, parts) of a difficult step through ``op``: the index ``supp``
-    (as projections._nonzeros gives it) of the columns its nonzero blocks
+    (_nonzeros, by the index rule) of the columns its nonzero blocks
     act on, all but its ``zero_columns`` (BlockRow's, read through the
     attribute, so wrappers that forward it count as what they wrap), where
     A^T w is +0.0 for every w, and the objective ``parts`` that supp meets
@@ -329,7 +332,7 @@ def _reach(obj, op):
     cols = np.ones(obj.dimension, dtype=bool)
     for a, b in getattr(op, "zero_columns", ()):
         cols[a:b] = False
-    supp = projections._nonzeros(cols)
+    supp = _nonzeros(cols)
     return supp, projections._footprint(obj, supp)
 
 

@@ -1,7 +1,10 @@
 """What `import splitbreg` and a run load: numpy only, until a run needs
 scipy.sparse (a sparse operator or the ray projector) or scipy.optimize (the
-root-finding linesearch). Each check runs in a fresh interpreter."""
+root-finding linesearch). Each check runs in a fresh interpreter. And which
+way the package's own modules import each other: objectives, beneath
+projections, imports nothing of the package but _checks."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -74,3 +77,27 @@ def test_root_finding_linesearch_loads_scipy_optimize_on_first_use():
     """
     before, after = _fresh(code)
     assert before == "[]" and "'scipy.optimize'" in after  # which loads scipy.sparse itself
+
+
+def test_objectives_imports_nothing_of_the_package_but_checks():
+    # projections builds on objectives, so an import the other way, deferred
+    # into a function or not, would be a cycle
+    tree = ast.parse((SRC / "splitbreg" / "objectives.py").read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert all(n in tree.body for n in imports)  # none deferred
+    assert [n.module for n in imports if isinstance(n, ast.ImportFrom) and n.level] == ["_checks"]
+
+
+def test_the_moved_primitives_resolve_under_their_old_names():
+    code = """
+        import splitbreg
+        from splitbreg import _checks, objectives, projections
+        for name in ("project_simplex", "project_l1_ball", "_index", "_nonzeros",
+                     "_WeightVerdicts"):
+            assert getattr(projections, name) is getattr(objectives, name), name
+        assert splitbreg.project_simplex is objectives.project_simplex
+        assert splitbreg.project_l1_ball is objectives.project_l1_ball
+        assert projections.NonFiniteData is _checks.NonFiniteData
+        print("ok")
+    """
+    assert _fresh(code) == ["ok"]

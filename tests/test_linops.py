@@ -164,6 +164,9 @@ def test_scaled_identity_and_zero():
     np.testing.assert_allclose(z.apply(np.ones(4)), np.zeros(2))
     np.testing.assert_allclose(z.apply_adjoint(np.ones(2)), np.zeros(4))
     assert z.norm_estimate() == 0.0
+    # power iteration meets A^T A v = 0 at its start: 0, not 0 / 0
+    assert operator_norm(z) == 0.0
+    np.testing.assert_array_equal(z.row(1), np.zeros(4))
     _check_adjoint(s, np.random.default_rng(2))
     _check_adjoint(z, np.random.default_rng(3))
 

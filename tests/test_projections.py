@@ -284,6 +284,9 @@ def test_norm_ball_validation():
         (lambda: Point(["1", "0"]), "b must hold real numbers, not '1'"),
         (lambda: Hyperplane(["1", "2"], 1.0), "normal must hold real numbers, not '1'"),
         (lambda: _vector("b", [None, 1.0]), "b must hold real numbers, not None"),
+        (lambda: Point(["x", 1.0]), "b must hold real numbers, not 'x'"),
+        (lambda: Point([1 + 0j]), "b must hold real numbers, not (1+0j)"),
+        (lambda: Point(np.array([1 + 1j])), "b must hold real numbers, not (1+1j)"),
     ],
     ids=[
         "ball-2", "ball-1", "ball-inf", "box-lower", "box-upper", "cone-negative-index",
@@ -293,7 +296,8 @@ def test_norm_ball_validation():
         "matrix-upper", "unequal-bounds", "matrix-normal", "column-normal", "bool-cone-indices",
         "float-cone-indices", "string-radius", "bool-radius", "bool-lam", "none-total",
         "string-offset", "bool-offset", "none-offset", "complex-offset", "string-point",
-        "string-normal", "none-in-vector",
+        "string-normal", "none-in-vector", "unreadable-string-point", "complex-point",
+        "complex-array-point",
     ],
 )
 def test_malformed_set_data_is_rejected(build, message):
@@ -301,7 +305,9 @@ def test_malformed_set_data_is_rejected(build, message):
     # end; a float, bool or string seed, order entry, cone index, radius or
     # weight, and a non-real offset, would be cast silently or fail unnamed,
     # and so would a string or None inside a vector (numpy reads them as the
-    # number spelled and NaN);
+    # number spelled and NaN), and so would a string numpy cannot read or a
+    # complex number, in a list or as an array's dtype, whose conversion fails
+    # unnamed or drops the imaginary part with a warning;
     # data of more than one dimension or bounds of two sizes would fail in
     # numpy's broadcasting
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -357,12 +363,27 @@ def test_hyperplane_and_halfspace():
         Halfspace(np.zeros(2), 1.0)
 
 
+def test_a_normal_whose_square_overflows_is_named_without_a_warning():
+    # every entry is finite but a.a is not: np.dot would warn before the check
+    a = np.array([1e155, 2e155, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteData, match="^hyperplane normal or offset is not finite$"):
+            Hyperplane(a, 1.0)
+        with pytest.raises(NonFiniteData, match="square overflows"):
+            exact_linesearch(ElasticNet(1.0, 3), np.zeros(3), a, 1.0)
+        rows = 1e160 * np.random.default_rng(0).standard_normal((3, 4))
+        with pytest.raises(NonFiniteData, match="^hyperplane normal or offset is not finite$"):
+            preset("sparse_kaczmarz", rows, np.ones(3), lam=1.0)
+
+
 def test_linear_sets_build_their_fixed_data_once():
     h = Hyperplane(np.array([3.0, 0.0, -4.0]), 1.0)
     assert h.norm == 5.0
-    np.testing.assert_array_equal(h.support, [True, False, True])
+    assert h.support.dtype.kind == "i"
+    np.testing.assert_array_equal(h.support, [0, 2])
     with pytest.raises(ValueError):
-        h.support[1] = True
+        h.support[1] = 1
     # a normal without zeros is read through views, not boolean-indexed copies
     assert Hyperplane(np.array([3.0, -4.0]), 1.0).support == slice(None)
     # the two sets differ only in the one-sided clamp
@@ -578,6 +599,23 @@ def _counted_bisections():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(projections, "bisect", SimpleNamespace(bisect_left=bisect_left))
         yield counts
+
+
+def test_a_typical_row_solve_never_bisects():
+    # sparse Kaczmarz on gaussian rows: the walk and its confirmation settle
+    # every linesearch, so the sort-and-bisect fallback never runs
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((40, 200))
+    x = np.zeros(200)
+    x[rng.choice(200, 4, replace=False)] = rng.standard_normal(4)
+    cfg = preset(
+        "sparse_kaczmarz", a, a @ x, lam=10.0 * np.abs(x).max(),
+        max_iterations=5000, residual_tolerance=1e-6,
+    )
+    with _counted_bisections() as counts:
+        res = run(cfg)
+    assert res.termination == "tolerance"
+    assert counts["bisections"] == 0
 
 
 @contextlib.contextmanager
@@ -1616,11 +1654,20 @@ def test_nonzeros_index_is_a_slice_for_one_run(values):
     elif nz.size and nz[-1] - nz[0] + 1 == nz.size:
         assert idx == slice(int(nz[0]), int(nz[-1]) + 1)
     else:
-        assert idx.dtype == bool and not idx.flags.writeable
-        np.testing.assert_array_equal(idx, v != 0.0)
+        assert idx.dtype.kind == "i" and not idx.flags.writeable
+        np.testing.assert_array_equal(idx, nz)
     mask = np.zeros(v.size, dtype=bool)
     mask[idx] = True
     np.testing.assert_array_equal(mask, v != 0.0)
+    # a cone on the same positions takes its index by the same rule, where
+    # all of them, with no length to compare, are the run 0..n-1
+    cone = NonnegCone(nz)
+    assert type(cone.indices) is type(idx)
+    if isinstance(idx, slice):
+        assert cone.indices == (slice(0, v.size) if idx == slice(None) else idx)
+    else:
+        np.testing.assert_array_equal(cone.indices, idx)
+        assert not cone.indices.flags.writeable
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,9 +1,11 @@
 import copy
 import csv
 import gc
+import warnings
 import weakref
 from dataclasses import replace
 from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -864,6 +866,19 @@ def test_infinite_matrix_entry_row_is_rejected():
         preset("sparse_kaczmarz", a, b, lam=1.0)
 
 
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_a_separating_normal_whose_square_overflows_is_named(action):
+    # A^T w is finite but its square is not: a dynamic step would be 0 and
+    # the run would stall, silently, to its cap
+    a = 1e160 * np.random.default_rng(0).standard_normal((1, 4))
+    c = Difficult(DenseMatrix(a), Point([1.0]))
+    cfg = SolverConfig(ElasticNet(1.0, 4), [c], step_rule=Dynamic(), max_iterations=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(NonFiniteData, match="^separating halfspace normal's square"):
+            run(cfg)
+
+
 def test_non_finite_l1_ball_target_is_named():
     c = Difficult(DenseMatrix(np.eye(2)), NormBall(np.array([np.inf, 0.0]), 1.0, 1))
     cfg = SolverConfig(ElasticNet(1.0, 2), [c], step_rule=Dynamic(), max_iterations=5)
@@ -1204,6 +1219,26 @@ def test_history_records_equal_the_callback_records(cfg):
     with pytest.raises(IndexError):
         res.records[len(seen)]
     assert not res.records.step_size.flags.writeable
+    if seen:
+        # the last step is a pass boundary, so its record has violations; a
+        # record differs where its numbers or its violations do, and a
+        # history from a list that differs in one record or ends early
+        last = seen[-1]
+        assert last != replace(last, k=last.k + 1)
+        assert last != replace(last, violations=None)
+        assert last != replace(last, violations=np.append(last.violations, 0.0))
+        assert res.records != [*seen[:-1], replace(last, k=last.k + 1)]
+        assert res.records != seen[:-1]
+
+
+def test_elapsed_ms_counts_milliseconds_from_the_start(monkeypatch):
+    # a clock that advances a quarter second per reading: the start, then
+    # one reading per step
+    ticks = iter([0.0, 0.25, 0.5, 0.75])
+    monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    a, b = _system_5x8()
+    res = run(preset("kaczmarz", a, b, max_iterations=3))
+    assert res.records.elapsed_ms.tolist() == [250.0, 500.0, 750.0]
 
 
 # ---------------------------------------------------------------------------
