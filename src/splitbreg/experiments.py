@@ -16,7 +16,7 @@ import numpy as np
 
 from . import comparator, solver
 from ._checks import (
-    _check_choice, _check_distinct, _check_whole, _nonnegative, _positive, _vector
+    _check_choice, _check_names, _check_whole, _nonnegative, _positive, _vector
 )
 from .linops import (
     BlockRow,
@@ -217,13 +217,15 @@ def certify_lambda(op, x_true, b, candidates=None, iterations=50000):
     vector, decided by a long primal-dual oracle run on the exact data.
 
     Acceptance is ||x - x_true||_inf <= 1e-5 * (1 + ||x_true||_inf). Raises
-    CertificationFailed when no candidate passes.
+    CertificationFailed when no candidate passes, and a ValueError naming
+    ``x_true``, before anything runs, unless it is a finite vector of the
+    operator's width.
     """
-    x_true = np.asarray(x_true, dtype=float)
+    x_true = _vector("x_true", x_true, op.shape[1], finite=True)
+    top = float(np.abs(x_true).max())
     if candidates is None:
-        scale = float(np.abs(x_true).max()) or 1.0
-        candidates = [scale, 10.0 * scale, 100.0 * scale]
-    tol = 1e-5 * (1.0 + float(np.abs(x_true).max()))
+        candidates = [factor * (top or 1.0) for factor in (1.0, 10.0, 100.0)]
+    tol = 1e-5 * (1.0 + top)
     for lam in sorted(candidates):
         result = comparator.run_pd(
             comparator.PDConfig(
@@ -290,8 +292,9 @@ def write_pgm(path, image, height, width):
 
 def projection_mass_estimate(projector, values):
     """Estimate the 1-norm of a nonnegative image from its projection data:
-    mean over angles of the per-angle data sums scaled by the ray spacing."""
-    values = np.asarray(values, dtype=float)
+    mean over angles of the per-angle data sums scaled by the ray spacing.
+    ``values`` must be a vector with one entry per projector row."""
+    values = _vector("values", values, projector.shape[0])
     sums = np.bincount(projector.row_angle, weights=values, minlength=projector.angles_deg.size)
     return float(projector.ray_spacing * sums.mean())
 
@@ -321,9 +324,8 @@ class TomoSpec:
         if not self.variants:
             choices = ", ".join(_TOMO_VARIANTS)
             raise ValueError(f"tomo variants must name at least one of {choices}")
-        for variant in self.variants:
-            _check_choice("tomo variant", variant, _TOMO_VARIANTS)
-        _check_distinct("tomo variants", self.variants)
+        variants = self.variants
+        self.variants = _check_names("tomo variants", "tomo variant", variants, _TOMO_VARIANTS)
         for key in ("height", "width", "n_angles", "rays_per_angle", "iterations"):
             _check_whole(f"tomo {key}", getattr(self, key))
         for key in ("noise_level", "lam"):
@@ -352,9 +354,7 @@ class ExperimentConfig:
             self.instance = InstanceSpec(m=100, n=200, sparsity=10, seed=self.seed)
         if self.tomo is None:
             self.tomo = TomoSpec()
-        for rule in self.rules:
-            _check_choice("step rule", rule, solver.STEP_RULES)
-        _check_distinct("rules", self.rules)
+        self.rules = _check_names("rules", "step rule", self.rules, solver.STEP_RULES)
         for key in ("max_iterations", "pd_iterations"):
             _check_whole(key, getattr(self, key))
         _check_whole("seed", self.seed, low=0)
@@ -376,8 +376,6 @@ class ExperimentConfig:
             data["noise"] = _NOISE_MODELS[kind](**noise)
         if "tomo" in data and data["tomo"] is not None:
             data["tomo"] = TomoSpec(**data["tomo"])
-        if "rules" in data:
-            data["rules"] = tuple(data["rules"])
         return cls(**data)
 
     @classmethod

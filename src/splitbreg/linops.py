@@ -12,7 +12,8 @@ import warnings
 import numpy as np
 
 from ._checks import (
-    _check_distinct, _check_indices, _check_whole, _nonnegative, _real, _reals, _vector
+    NonFiniteData, _check_distinct, _check_indices, _check_whole, _nonnegative, _real, _reals,
+    _vector,
 )
 
 
@@ -48,7 +49,9 @@ def operator_norm(op, tol=1e-6, max_iter=1000):
     Deterministic start vector; stops when the Rayleigh quotient changes by
     less than ``tol`` relatively. Warns and returns the best estimate if the
     cap is hit. ``tol`` must be a real number >= 0 (+inf stops after one
-    step) and ``max_iter`` a whole number >= 1.
+    step) and ``max_iter`` a whole number >= 1. Raises NonFiniteData at the
+    first product A^T A v whose norm is not finite (an operator holding a
+    NaN or an infinity): no estimate can follow from it.
     """
     tol = _nonnegative("tol", tol, bound=True)
     max_iter = _check_whole("max_iter", max_iter)
@@ -62,6 +65,8 @@ def operator_norm(op, tol=1e-6, max_iter=1000):
     for _ in range(max_iter):
         z = op.apply_adjoint(op.apply(v))
         zn = np.linalg.norm(z)
+        if not np.isfinite(zn):
+            raise NonFiniteData(f"operator norm estimate: a product A^T A v has norm {zn}")
         lam_new = float(np.dot(v, z))
         if zn == 0.0:
             return 0.0

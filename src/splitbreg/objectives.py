@@ -159,7 +159,6 @@ class Objective:
     def conjugate(self, x_star):
         # The supremum in f* is attained at grad f*(x_star), so evaluate there.
         z = self.grad_conjugate(x_star)
-        x_star = np.asarray(x_star, dtype=float)
         return float(np.dot(x_star, z) - self.value(z))
 
     def grad_conjugate(self, x_star):

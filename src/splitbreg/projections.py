@@ -80,11 +80,6 @@ class RangeSet:
     # (objective, Bregman projector) last built by bregman_projector
     _bregman = (None, None)
 
-    def __getstate__(self):
-        # the kept projector is keyed by the objective's identity, which a
-        # copy does not share; a copy builds its own
-        return {k: v for k, v in self.__dict__.items() if k != "_bregman"}
-
     def project(self, y):
         raise NotImplementedError
 
@@ -437,6 +432,13 @@ class _LinesearchPlan:
         self.line_slope = None if verdicts.any else float(np.dot(self.a, self.a))
 
 
+def _slope(obj, x_star, a, beta, t):
+    """g'(t) = beta - <a, grad f*(x_star - t a)>, the derivative of the
+    linesearch objective g(t) = f*(x_star - t a) + t beta, from grad f*: the
+    one evaluation the root find and solver's Inexact doubling share."""
+    return beta - float(np.dot(a, obj.grad_conjugate(x_star - t * a)))
+
+
 def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=None):
     """Exact minimizer of g(t) = f*(x_star - t a) + t beta.
 
@@ -476,16 +478,13 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
     if not math.isfinite(np.vdot(x_star, x_star)) and not np.all(np.isfinite(x_star)):
         raise NonFiniteData("linesearch x_star is not finite")
 
-    def gp(t):  # the root find's g'
-        return beta - float(np.dot(a, obj.grad_conjugate(x_star - t * a)))
-
     if plan.finite:
         u = x_star[plan.supp]
         s0 = soft_shrink(u, plan.w) if x is None else x[plan.supp]
-        if gp0 is None:
-            gp0 = beta - float(np.dot(plan.a, s0))
-    elif gp0 is None:
-        gp0 = gp(0.0)
+        gp0 = beta - float(np.dot(plan.a, s0)) if gp0 is None else gp0
+    else:  # the root find's g'
+        gp = functools.partial(_slope, obj, x_star, a, beta)
+        gp0 = gp(0.0) if gp0 is None else gp0
     gp0 = float(gp0)
     if not math.isfinite(gp0):
         raise NonFiniteData(f"linesearch derivative at 0 is {gp0}")

@@ -344,11 +344,9 @@ def _forward_track(obj, x_star, d, beta, t0):
     """
     t = t0
     for _ in range(_MAX_DOUBLINGS):
-        t_next = _DOUBLING * t
-        gp = beta - float(np.dot(d, obj.grad_conjugate(x_star - t_next * d)))
-        if gp > 0.0:
+        if projections._slope(obj, x_star, d, beta, _DOUBLING * t) > 0.0:
             break
-        t = t_next
+        t *= _DOUBLING
     return t
 
 

@@ -246,6 +246,9 @@ def _noise(**changes):
         ("tomo", {"tomo": {"variants": []}}, "tomo variants"),
         ("tomo", {"tomo": {"variants": ["plain", "plain"]}}, "tomo variants"),
         ("bench-stepsizes", {**_instance(), "rules": ["exact", "exact"]}, "rules"),
+        # a list of names given as one string, not read letter by letter
+        ("bench-stepsizes", {**_instance(), "rules": "exact"}, "rules must be a list"),
+        ("tomo", {"tomo": {"variants": "one"}}, "tomo variants must be a list"),
         # numbers given as JSON strings or booleans, for every key that must
         # be positive or finite and nonnegative
         ("solve", {**_instance(), "tolerance": "1e-6"}, "tolerance"),

@@ -176,6 +176,23 @@ def test_certify_lambda_failure():
         certify_lambda(inst.op, inst.x_true, inst.b, candidates=[1e-9], iterations=200)
 
 
+@pytest.mark.parametrize(
+    "x_true, message",
+    [
+        ([np.nan] + [0.0] * 19, "^x_true must be finite$"),
+        (np.ones(19), r"^x_true must be a vector of length 20, not of shape \(19,\)$"),
+        ([True] * 20, "^x_true must hold real numbers, not bools$"),
+    ],
+    ids=["nan", "short", "bool"],
+)
+def test_certify_lambda_reads_x_true_by_the_vector_rule(monkeypatch, x_true, message):
+    # named before the first candidate's primal-dual run
+    inst = generate_instance(InstanceSpec(m=10, n=20, sparsity=2, seed=11))
+    monkeypatch.setattr("splitbreg.comparator.run_pd", lambda cfg: pytest.fail("run_pd ran"))
+    with pytest.raises(ValueError, match=message):
+        certify_lambda(inst.op, x_true, inst.b)
+
+
 # ---------------------------------------------------------------------------
 # phantom, images, mass estimate
 # ---------------------------------------------------------------------------
@@ -223,6 +240,15 @@ def test_mass_estimate_exact_on_tiling_rays():
     assert est2 == pytest.approx(np.abs(u).sum(), rel=1e-12)
 
 
+@pytest.mark.parametrize("count", [-1, 1])
+def test_mass_estimate_takes_one_value_per_projector_row(count):
+    proj = build_parallel_projector(4, 4, [0.0, 90.0], offsets=[-1.5, -0.5, 0.5, 1.5])
+    m = proj.shape[0]
+    message = rf"^values must be a vector of length {m}, not of shape \({m + count},\)$"
+    with pytest.raises(ValueError, match=message):
+        projection_mass_estimate(proj, np.ones(m + count))
+
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -248,6 +274,29 @@ def test_config_from_json(tmp_path):
     assert cfg.rules == ("dynamic", "exact")
     assert cfg.tomo.height == 8 and cfg.tomo.iterations == 40
     assert cfg.lam == 2.5
+
+
+@pytest.mark.parametrize(
+    "build, key, name",
+    [
+        (lambda names: ExperimentConfig(rules=names).rules, "rules", "exact"),
+        (lambda names: ExperimentConfig.from_dict({"rules": names}).rules, "rules", "exact"),
+        (lambda names: TomoSpec(variants=names).variants, "tomo variants", "one"),
+        (
+            lambda names: ExperimentConfig.from_dict({"tomo": {"variants": names}}).tomo.variants,
+            "tomo variants",
+            "one",
+        ),
+    ],
+    ids=["rules", "rules-from-dict", "variants", "variants-from-dict"],
+)
+def test_a_list_of_names_is_a_list_never_one_string(build, key, name):
+    # one string is named as such, not split into letters; a list is kept
+    # as a tuple
+    message = f"^{key} must be a list of names, not the string '{name}'$"
+    with pytest.raises(ValueError, match=message):
+        build(name)
+    assert build([name]) == (name,)
 
 
 def test_default_instance_lives_in_the_config(tmp_path):

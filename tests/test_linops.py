@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitbreg import linops
+from splitbreg._checks import NonFiniteData
 from splitbreg.linops import (
     BlockRow,
     DenseMatrix,
@@ -153,6 +154,34 @@ def test_operator_norm_warns_on_cap():
     op = DenseMatrix(np.diag([2.0, 1.0]))
     with pytest.warns(UserWarning):
         operator_norm(op, tol=1e-16, max_iter=1)
+
+
+def test_operator_norm_stops_at_the_first_non_finite_product():
+    # one NaN entry: the first product's norm is NaN, and the estimate stops
+    # there instead of running to its cap and returning NaN
+    from splitbreg import comparator
+    from splitbreg.experiments import certify_lambda
+
+    a = np.arange(12.0).reshape(3, 4)
+    a[1, 2] = np.nan
+
+    class Counted(DenseMatrix):
+        products = 0
+
+        def apply(self, x):
+            Counted.products += 1
+            return super().apply(x)
+
+    with pytest.raises(NonFiniteData, match="^operator norm estimate"):
+        operator_norm(Counted(a))
+    assert Counted.products == 1
+    with pytest.raises(NonFiniteData, match="^operator norm estimate"):
+        DenseMatrix(a).norm_estimate()
+    cfg = comparator.PDConfig(lam=1.0, op=DenseMatrix(a), b=np.ones(3), delta=0.0)
+    with pytest.raises(NonFiniteData):
+        comparator.run_pd(cfg)
+    with pytest.raises(NonFiniteData):
+        certify_lambda(DenseMatrix(a), np.ones(4), np.ones(3))
 
 
 def test_scaled_identity_and_zero():

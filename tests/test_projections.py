@@ -1127,6 +1127,29 @@ def test_tie_rich_linesearch_meets_the_oracle_and_the_full_sort_reference(
     assert np.float64(t).tobytes() == np.float64(want).tobytes()
 
 
+# the relative error the l1 linesearch meets against exact arithmetic when an
+# active a_j^2 underflows or is subnormal: the slope keeps only a few bits
+_SUBNORMAL_SLOPE_REL_EPS = 1e-9
+
+
+@pytest.mark.parametrize(
+    "obj, x_star, a",
+    [
+        (ElasticNet(100.0, 2), [-200.0, 200.0], [-1e-160, -1e-170]),
+        (ElasticNet(10.0, 3), [-5.0, 15.0, 20.0], [1e-200, -1e-160, 1e-170]),
+    ],
+    ids=["kink-1e162", "kink-5e160"],
+)
+def test_kink_walk_returns_the_left_end_of_a_flat_stretch(obj, x_star, a):
+    # the active slopes a_j^2 are subnormal or 0.0, so the walk's last piece
+    # reads as flat (s == 0) and its answer is that piece's left end, a kink
+    x_star, a = np.array(x_star), np.array(a)
+    t = exact_linesearch(obj, x_star, a, 0.0)
+    exact = l1_linesearch_oracle(x_star, a, 0.0, obj.shrink_weights())
+    assert abs(Fraction(t) - exact) <= Fraction(_SUBNORMAL_SLOPE_REL_EPS) * abs(exact), (t, exact)
+    assert t in ((x_star - obj.lam) / a).tolist() + ((x_star + obj.lam) / a).tolist()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["x_star", "a", "beta"])
 @pytest.mark.parametrize(

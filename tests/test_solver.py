@@ -1,6 +1,8 @@
 import copy
 import csv
 import gc
+import os
+import sys
 import warnings
 import weakref
 from dataclasses import replace
@@ -1446,3 +1448,85 @@ def test_every_step_writes_a_consistent_pair_and_keeps_x_star_off_its_support(ca
         assert new.x.tobytes() == obj.grad_conjugate(new.x_star).tobytes()
         assert new.x_star[~moved].tobytes() == pair.x_star[~moved].tobytes()
         pair = new
+
+
+# ---------------------------------------------------------------------------
+# work per step
+# ---------------------------------------------------------------------------
+
+_PACKAGE = os.path.dirname(solver.__file__) + os.sep
+
+
+def _calls(fn):
+    """(fn(), Python calls into the package's frames, C calls made from
+    them), counted with sys.setprofile."""
+    counts = [0, 0]
+
+    def profile(frame, event, arg):
+        if frame.f_code.co_filename.startswith(_PACKAGE):
+            if event == "call":
+                counts[0] += 1
+            elif event == "c_call":
+                counts[1] += 1
+
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(None)
+    return out, counts[0], counts[1]
+
+
+def _row_instance():
+    # test_a_typical_row_solve_never_bisects' instance: 40 gaussian rows in
+    # 200 unknowns, 4 of them planted
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((40, 200))
+    x = np.zeros(200)
+    x[rng.choice(200, 4, replace=False)] = rng.standard_normal(4)
+    return a, a @ x, 10.0 * np.abs(x).max()
+
+
+def _run_steps(name, rule=None, max_iterations=5000):
+    # a run to 1e-6 or its budget; returns the steps it took
+    a, b, lam = _row_instance()
+    lam = None if name == "kaczmarz" else lam  # kaczmarz's objective has no weight
+    cfg = preset(
+        name, a, b, lam=lam, step_rule=rule, max_iterations=max_iterations,
+        residual_tolerance=1e-6,
+    )
+    return lambda: run(cfg).iterations
+
+
+def _box_steps():
+    # 50 Bregman projections onto the nonnegative cone under the elastic net,
+    # after the one that builds the cone's projector
+    obj, cone = ElasticNet(1.0, 200), NonnegCone()
+    rng = np.random.default_rng(3)
+    pairs = [pair_from_dual(obj, 3.0 * rng.standard_normal(200)) for _ in range(50)]
+    solver._simple_step(obj, cone, pairs[0])
+    return lambda: len([solver._simple_step(obj, cone, p) for p in pairs])
+
+
+# Python calls into the package per step: this tree's counts (sparse
+# Kaczmarz 15.03, Kaczmarz 12.30, linearized Bregman 20.05 under Dynamic and
+# 27.74 under Exact, the box step 10.0), each with 10% headroom. C calls
+# (24.37, 14.45, 27.07, 42.41, 5.0) are not bounded: what a C call is may
+# differ between Python versions. A kink walk that runs to its cap on every
+# row adds about 5.7 Python calls per sparse Kaczmarz step.
+_CALLS_PER_STEP = {
+    "sparse_kaczmarz": (lambda: _run_steps("sparse_kaczmarz"), 16.5),
+    "kaczmarz": (lambda: _run_steps("kaczmarz"), 13.5),
+    "linearized_bregman-dynamic": (lambda: _run_steps("linearized_bregman", Dynamic(), 500), 22.0),
+    "linearized_bregman-exact": (lambda: _run_steps("linearized_bregman", Exact(), 500), 30.5),
+    "box": (_box_steps, 11.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_CALLS_PER_STEP))
+def test_calls_per_step_are_bounded_and_repeat(name):
+    make, bound = _CALLS_PER_STEP[name]
+    first, second = _calls(make()), _calls(make())
+    assert first == second
+    steps, python, _ = first
+    assert python / steps <= bound, (python / steps, bound)
