@@ -60,7 +60,8 @@ def prox_g(y, sigma, ball):
 
 
 def run_pd(config):
-    """Run the primal-dual iteration for the configured budget.
+    """Run the primal-dual iteration for the configured budget, with fixed
+    steps tau = sigma = 0.99 / ||A||.
 
     Each record's ``feasibility_gap`` is ``NormBall(b, delta, p).gap(A x)``;
     at delta = 0 the dual step projects onto ``Point(b)`` instead of that

@@ -4,7 +4,9 @@ The solver only needs matrix-vector products, adjoint products, optional row
 access (for Kaczmarz-style row constraints) and a cached operator-norm
 estimate, so operators implement exactly that contract. Dense and sparse
 matrices wrap numpy/scipy storage; the discrete gradient and the parallel-beam
-projector are assembled here.
+projector are assembled here. Every product checks its input as a vector of
+the operator's width (named x) or height (named y); Grad2D's forward product
+also takes the h x w image itself.
 """
 
 import warnings
@@ -89,10 +91,14 @@ _GATHER_FACTOR = 32
 class DenseMatrix(LinearOperator):
     """Operator backed by a dense numpy array.
 
-    A forward product with a vector whose nonzeros are few reads only their
-    columns. That is taken only when ``a`` is all finite, a verdict taken at
-    construction (``a`` must not change afterwards): a zero x_j times an inf
-    in column j is NaN in the full product, which the gather would skip."""
+    A forward product with a vector whose nonzeros are few (at most n/32)
+    reads only their columns, so its cost scales with the support of x; the
+    linearized Bregman primal is sparse, so its products are mostly gathered.
+    The gather sums in another order than ``a @ x``, so the two differ by
+    rounding (at most about n eps |a| @ |x|). It is taken only when ``a`` is
+    all finite, a verdict taken at construction (``a`` must not change
+    afterwards): a zero x_j times an inf in column j is NaN in the full
+    product, which the gather would skip."""
 
     def __init__(self, a):
         self.a = _reals("a", a)
@@ -340,7 +346,8 @@ def build_parallel_projector(height, width, angles_deg, rays_per_angle=None, off
     empty grid, angles or offsets that are not 1-d and finite, a
     ``rays_per_angle`` that is not a whole number >= 1 and both
     ``rays_per_angle`` and ``offsets`` given raise a named ``ValueError``; the
-    recorded ray spacing is the median gap between the sorted offsets.
+    recorded ray spacing is the median gap between the sorted offsets, so
+    descending offsets give the same positive spacing as ascending ones.
 
     Memory: the CSR data and column arrays are allocated once, before any
     ray is traced, at a per-ray upper bound on kept segments, computed for
@@ -349,9 +356,14 @@ def build_parallel_projector(height, width, angles_deg, rays_per_angle=None, off
     horizontal grid lines, plus a few entries of rounding slack. Each angle
     writes its kept entries straight into them, and they are shrunk in place
     to the entries kept. So the build's peak is the bound's arrays plus one
-    angle's temporaries: a traced peak of 1.35x the kept CSR bytes for the
-    64x64, 60-angle, 92-ray projector, whose bound is 6% above its nonzeros.
-    A ray that keeps more segments than its bound raises RuntimeError.
+    angle's temporaries. The 64x64, 60-angle, 92-ray projector of the tomo-tv
+    benchmark (314,428 nonzeros, 3.79 MB of CSR arrays; its bound is 334,461
+    entries, 6% more) builds with a tracemalloc peak of 5.1 MB, 1.35x the
+    kept arrays, in 20-25 ms (2-vCPU Xeon, one BLAS thread). A ray that
+    keeps more segments than its bound raises RuntimeError. The row pointers
+    are the running sum of the per-ray counts, and scipy's ``sum_duplicates``
+    sorts each row and adds repeated columns: the canonical form, equal bit
+    for bit and dtype for dtype to a COO assembly converted with ``tocsr``.
     """
     # a ray through an empty grid would index columns outside the matrix
     height, width = (_check_whole("height and width", v) for v in (height, width))

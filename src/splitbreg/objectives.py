@@ -11,7 +11,8 @@ weights, group labels) stays valid for their lifetime.
 
 This is the lowest numeric module: it imports nothing of the package but
 ``_checks``, and ``projections`` builds on it. It owns the one index rule of
-every support a step acts on (``_index``), the verdicts on shrink weights
+every support a step acts on (``_index``), with ``ALL``, the one object that
+stands for all coordinates, the verdicts on shrink weights
 (``_WeightVerdicts``, with ``on``, the one restriction of weights to a
 support) and the simplex and l1-ball projections that ``GroupedMax`` and the
 norm balls share.
@@ -83,12 +84,18 @@ def project_l1_ball(y, radius):
     return np.sign(y) * project_simplex(a, radius)
 
 
+# all coordinates: the index _index gives for every position and Box gives
+# for all of its coordinates. Readers test it by identity; an equal
+# slice(None) from elsewhere takes their general path, with the same bits
+ALL = slice(None)
+
+
 def _index(positions, n=None):
     """The one index rule of every support a step acts on (a normal's
     nonzeros, a cone's indices, the kinked weights, the columns a difficult
     step reaches). What indexes the int array ``positions`` is
 
-    - ``slice(None)`` when ``n`` is given and there are n positions (given
+    - ``ALL`` when ``n`` is given and there are n positions (given
       with n, positions are increasing and below n, as np.flatnonzero gives
       them, so n of them are all of range(n));
     - ``slice(a, b)`` when they are a, a + 1, ..., b - 1 in that order;
@@ -97,7 +104,7 @@ def _index(positions, n=None):
     Gathers through a slice are views; gathers through the array keep its
     order and its repeats."""
     if positions.size == n:
-        return slice(None)
+        return ALL
     if positions.size and np.all(np.diff(positions) == 1):
         return slice(int(positions[0]), int(positions[-1]) + 1)
     positions.flags.writeable = False
@@ -129,10 +136,9 @@ class _WeightVerdicts:
 
     def on(self, supp):
         """The verdicts on the weights at the index ``supp`` (_index): these
-        very verdicts for ``slice(None)``, else those of w[supp]. The one
+        very verdicts for ``ALL``, else those of w[supp]. The one
         restriction of weights to a support."""
-        whole = type(supp) is slice and supp == slice(None)
-        return self if whole else _WeightVerdicts(self.w[supp])
+        return self if supp is ALL else _WeightVerdicts(self.w[supp])
 
 
 class Objective:
@@ -251,7 +257,9 @@ class GroupElasticNet(Objective):
     grad f* applies blockwise shrinkage max(1 - lam/||z_g||, 0) * z_g, which for
     size-2 groups is exactly the isotropic total-variation proximal map used by
     the tomography experiment. ``groups`` is a 2-d array with one group per
-    row (as Grad2D.pair_groups returns) or a list of index arrays.
+    row (as Grad2D.pair_groups returns) or a list of index arrays. Over the
+    strided groups of Grad2D.pair_groups the group norms and the shrinkage
+    read the groups through a reshape, without a gather.
     """
 
     def __init__(self, lam, groups):

@@ -17,7 +17,10 @@ carries no projector, so the set has to keep it. The kept projector holds
 the objective and what its route derived once (a linesearch plan, a box's
 dual bounds, the objective parts its support meets), never the set, which
 hands in its own data at each call: no set is part of a reference cycle, so
-a finished solve is freed, its matrix with it, by reference counting.
+a finished solve is freed, its matrix with it, by reference counting. A loop
+of 12 ``sparse_kaczmarz`` solves on fresh 400x4000 matrices (12.2 MB each),
+each in a function call, peaks 19.5 MB above its start, against 94.9 MB when
+each set's projector held the set.
 
 This module builds on ``objectives``, never the other way. Every support it
 stores (a normal's ``support``, a cone's ``indices``, a plan's ``supp`` and
@@ -35,7 +38,7 @@ import math
 import numpy as np
 
 from ._checks import NonFiniteData, _check_choice, _check_indices, _nonnegative, _real, _vector
-from .objectives import PrimalDualPair, _index, _nonzeros, project_l1_ball, soft_shrink
+from .objectives import ALL, PrimalDualPair, _index, _nonzeros, project_l1_ball, soft_shrink
 from .objectives import _WeightVerdicts, project_simplex  # resolve under this name too
 
 
@@ -135,7 +138,7 @@ class Box(RangeSet):
     of length 1 (which broadcasts). ``indices`` indexes the coordinates the
     bounds hold on: all of them for a Box, the cone's for a NonnegCone."""
 
-    indices = slice(None)
+    indices = ALL
 
     def __init__(self, lower, upper):
         self.lower, self.upper = _vector("lower", lower), _vector("upper", upper)
@@ -155,7 +158,7 @@ class NonnegCone(Box):
     """{y : y_j >= 0 for j in indices}; all coordinates when indices is None:
     the box [0, inf) on those coordinates.
 
-    ``self.indices`` indexes the cone's coordinates: ``slice(None)`` for all
+    ``self.indices`` indexes the cone's coordinates: ``ALL`` for all
     of them, else the given indices by the index rule (_index). Negative
     indices are rejected: they would count from the end of whatever vector
     the cone meets."""
@@ -335,7 +338,7 @@ def _shrink_linesearch(plan, u, s0, gp0, sign):
     know g'(0) exactly (the solver knows it equals -||w||^2) keep full
     precision even when beta and the intercepts cancel almost completely.
     """
-    a, wv, free, kinked = plan.a, plan.w, plan.free, plan.kinked
+    a, wv, free, kinked = plan.a, plan.verdicts.w, plan.verdicts.free, plan.verdicts.kinked
     if plan.line_slope is not None:
         # no kinks: the one piece below is all of t > 0, its slope is
         # line_slope and its intercept change is +-0, so this is its answer
@@ -408,17 +411,16 @@ class _LinesearchPlan:
     """What a linesearch along a fixed direction a under fixed shrink weights
     needs besides x_star and beta, built once: a's ``shape``, which x_star
     must have, the index ``supp`` of a's nonzeros (_nonzeros, by the index
-    rule), ``a`` and the weights ``w`` on it, the index ``kinked`` of the
-    support coordinates with w_j > 0, the flags ``free`` of those with
-    w_j = 0 (None when there are none), ``a_sq`` = a.a (a set's ``norm_sq``,
-    the same float), whether the weights are ``finite`` on the support, and
+    rule), ``a`` on it, the ``verdicts`` on the weights there
+    (``_WeightVerdicts.on(supp)``: the weights ``w``, the index ``kinked`` of
+    those > 0, the flags ``free`` of the zero ones, whether all are
+    ``finite``), ``a_sq`` = a.a (a set's ``norm_sq``, the same float) and
     ``line_slope``: when every weight on the support is zero, g' has no kink
     and this is its one slope, a.a summed over the support; None otherwise.
-    The weight verdicts are ``verdicts.on(supp)``. For a normal whose
-    nonzeros are one run it holds views only. Raises ZeroDirection when a_sq
-    is 0 and NonFiniteData when it is not finite."""
+    For a normal whose nonzeros are one run it holds views only. Raises
+    ZeroDirection when a_sq is 0 and NonFiniteData when it is not finite."""
 
-    __slots__ = ("shape", "supp", "a", "w", "kinked", "free", "a_sq", "finite", "line_slope")
+    __slots__ = ("shape", "supp", "a", "verdicts", "a_sq", "line_slope")
 
     def __init__(self, a, verdicts, supp, a_sq):
         if a_sq == 0.0:
@@ -426,10 +428,8 @@ class _LinesearchPlan:
         if not math.isfinite(a_sq):
             raise NonFiniteData("linesearch direction is not finite or its square overflows")
         self.shape, self.supp, self.a, self.a_sq = a.shape, supp, a[supp], a_sq
-        verdicts = verdicts.on(supp)
-        self.w, self.kinked, self.free = verdicts.w, verdicts.kinked, verdicts.free
-        self.finite = verdicts.finite
-        self.line_slope = None if verdicts.any else float(np.dot(self.a, self.a))
+        self.verdicts = verdicts.on(supp)
+        self.line_slope = None if self.verdicts.any else float(np.dot(self.a, self.a))
 
 
 def _slope(obj, x_star, a, beta, t):
@@ -478,9 +478,9 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
     if not math.isfinite(np.vdot(x_star, x_star)) and not np.all(np.isfinite(x_star)):
         raise NonFiniteData("linesearch x_star is not finite")
 
-    if plan.finite:
+    if plan.verdicts.finite:
         u = x_star[plan.supp]
-        s0 = soft_shrink(u, plan.w) if x is None else x[plan.supp]
+        s0 = soft_shrink(u, plan.verdicts.w) if x is None else x[plan.supp]
         gp0 = beta - float(np.dot(plan.a, s0)) if gp0 is None else gp0
     else:  # the root find's g'
         gp = functools.partial(_slope, obj, x_star, a, beta)
@@ -494,7 +494,7 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
     # starts below 0
     sign = 1.0 if gp0 < 0.0 else -1.0
     gp0 *= sign
-    if plan.finite:
+    if plan.verdicts.finite:
         t = _shrink_linesearch(plan, u, s0, gp0, sign)
         if not math.isfinite(t):
             raise NonFiniteData(f"linesearch step is {t}")
@@ -533,12 +533,12 @@ def _footprint(obj, supp):
 def _moved(obj, parts, pair, supp, values):
     """The one pair writer of every step. x* takes ``values`` on the index
     ``supp`` and keeps every other bit, -0.0 included; ``values`` is the
-    whole new x* when ``supp`` is ``slice(None)``. x is then grad f*(x*) on
+    whole new x* when ``supp`` is ``ALL``. x is then grad f*(x*) on
     each (slice, part) of ``parts`` (from _footprint), or on all of x when
     ``parts`` is None. Off those parts x* has not changed, so x keeps bits
     that were grad f*'s already: the new pair is consistent by construction
     whenever the old one was."""
-    x_star = values if type(supp) is slice and supp == slice(None) else pair.x_star.copy()
+    x_star = values if supp is ALL else pair.x_star.copy()
     if x_star is not values:
         x_star[supp] = values
     if parts is None:
@@ -585,7 +585,7 @@ def _project_box(obj, parts, lower, upper, target, pair):
 def _project_orthogonal(obj, parts, target, pair):
     """Under f = ||x||^2 / 2 (every shrink weight zero) the projection of x:
     x* = P(x), and x = grad f*(P(x))."""
-    return _moved(obj, parts, pair, slice(None), target.project(pair.x))
+    return _moved(obj, parts, pair, ALL, target.project(pair.x))
 
 
 def bregman_projector(obj, target):
@@ -616,7 +616,7 @@ def bregman_projector(obj, target):
         raise DimensionMismatch(f"{type(target).__name__} does not fit length {obj.dimension}")
     verdicts = obj._verdicts
     if not verdicts.any:
-        supp, form, data = slice(None), _project_orthogonal, ()
+        supp, form, data = ALL, _project_orthogonal, ()
     elif isinstance(target, _LinearSet):
         plan = _LinesearchPlan(target.normal, verdicts, target.support, target.norm_sq)
         supp, form, data = target.support, _project_halfspace, (plan,)

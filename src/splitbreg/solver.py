@@ -90,7 +90,8 @@ _BLOCK = 1024
 class RandomUniform:
     """Independent uniform draws, reproducible from the seed alone: block b of
     the stream is _BLOCK draws from a generator seeded with (seed, b), so step
-    k reads entry k % _BLOCK of block k // _BLOCK."""
+    k reads entry k % _BLOCK of block k // _BLOCK, and its index depends on
+    (seed, k, n) alone."""
 
     def __init__(self, seed):
         self.seed = _check_whole("seed", seed, low=0)
@@ -135,9 +136,12 @@ class Difficult:
     product and one projection onto the target.
     """
 
-    op: LinearOperator
+    op: LinearOperator  # an array is read as a DenseMatrix (as_operator)
     target: projections.RangeSet
     _last: tuple = field(default=(None,), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.op = as_operator(self.op)
 
     def _at(self, x):
         """(x, A x, w, ||w||), recomputed only when x is another array object."""
@@ -222,7 +226,8 @@ class History(Sequence):
     saw after step k, built on access, and a list of records compares equal
     to it record for record. A step costs 28 bytes, and a pass boundary
     8 bytes plus 8 per constraint: with n constraints about 36 + 8/n bytes
-    per step, 44 for n = 1, plus the columns' growth reserve of about 1/16.
+    per step, 44 for n = 1, plus the columns' growth reserve of about 1/16
+    (a list of IterationRecord objects kept 160-310 bytes per step).
     """
 
     def __init__(self, n, constraint_index, step_size, w_norm, elapsed_ms, boundaries, violations):
@@ -374,17 +379,23 @@ def run(config, callback=None):
     writes its pair through ``projections._moved``: x* changes on the step's
     support only and x = grad f*(x*) is recomputed on the parts it meets, so
     every pair a run hands over is consistent by construction. A wrong width
-    or length, an unknown step rule, a ``max_iterations`` that is not a whole
-    number >= 0 and a ``Custom`` order naming a missing constraint all raise
-    then. run is the only stepping
-    path.
+    or length, a ``max_iterations`` that is not a whole number >= 0 and a
+    ``Custom`` order naming a missing constraint all raise then, and so does a
+    TypeError for a step rule that is not one of ``STEP_RULES`` (whatever the
+    constraints: the rule is judged once per run), for a constraint that is
+    neither ``Simple`` nor ``Difficult`` (naming its index) and for a
+    callback that is not callable. run is the only stepping path.
     """
     obj = config.objective
     constraints = config.constraints
     if not constraints:
         raise ValueError("need at least one constraint")
-    steps = []  # constraint i's step, pair -> (pair, step_size, w_norm)
     rule = config.step_rule
+    if not isinstance(rule, tuple(STEP_RULES.values())):
+        raise TypeError(f"unknown step rule {rule!r}")
+    if callback is not None and not callable(callback):
+        raise TypeError(f"callback {callback!r} is not callable")
+    steps = []  # constraint i's step, pair -> (pair, step_size, w_norm)
     for i, c in enumerate(constraints):  # every set-up error before step 0
         if isinstance(c, Simple):
             # the one fit check of a simple set; it also raises TypeError or
@@ -394,14 +405,14 @@ def run(config, callback=None):
             except DimensionMismatch as e:
                 raise DimensionMismatch(f"constraint {i}: {e}") from None
             steps.append(functools.partial(_simple_step, obj, c.target))
+        elif not isinstance(c, Difficult):
+            raise TypeError(f"constraint {i} is a {type(c).__name__}, not Simple or Difficult")
         elif c.op.shape[1] != obj.dimension:
             msg = f"constraint {i} acts on {c.op.shape[1]} coordinates, not {obj.dimension}"
             raise DimensionMismatch(msg)
         elif not projections.data_fits(c.target, c.op.shape[0]):
             msg = f"constraint {i}: {type(c.target).__name__} does not fit length {c.op.shape[0]}"
             raise DimensionMismatch(msg)
-        elif not isinstance(rule, tuple(STEP_RULES.values())):
-            raise TypeError(f"unknown step rule {rule!r}")
         else:
             steps.append(functools.partial(_difficult_step, obj, c, rule, *_reach(obj, c.op)))
     n = len(constraints)

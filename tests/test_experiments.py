@@ -358,8 +358,16 @@ def test_stepsize_benchmark_deterministic(tmp_path):
 
 
 def test_runners_are_deterministic(tmp_path):
-    # identical configurations write byte-identical trace, summary and image files
+    # identical configurations write byte-identical trace, summary and image
+    # files, and solve's history.csv but for its wall-clock column
     for out in (tmp_path / "a", tmp_path / "b"):
+        run_solve(ExperimentConfig(
+            out=str(out / "solve"),
+            instance=InstanceSpec(m=8, n=16, sparsity=2, seed=2),
+            preset="sparse_kaczmarz",
+            lam=1.0,
+            max_iterations=300,
+        ))
         run_noisy_recovery(ExperimentConfig(
             seed=1,
             out=str(out / "noise"),
@@ -378,6 +386,14 @@ def test_runners_are_deterministic(tmp_path):
     assert len(names) == 8
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+    # elapsed_ms is the last column: drop what follows each line's last comma
+    histories = [
+        [line.rpartition(b",")[0] for line in (out / "history.csv").read_bytes().splitlines()]
+        for out in (tmp_path / "a" / "solve", tmp_path / "b" / "solve")
+    ]
+    assert histories[0][0] == ",".join(solver.CSV_COLUMNS[:-1]).encode()
+    assert solver.CSV_COLUMNS[-1] == "elapsed_ms" and len(histories[0]) > 3
+    assert histories[0] == histories[1]
 
 
 def test_noisy_recovery_outputs(tmp_path):

@@ -745,6 +745,9 @@ ROWS = {
     },
     "Difficult": {
         **_all_valid("holds an operator and a set, each checked when built"),
+        "bool": Raises(
+            lambda: Difficult([[True, False]], Point([1.0])), "^a must hold real numbers, not bools$"
+        ),
         "nan": Raises(
             lambda: _solve(Difficult(DenseMatrix([[nan, 0.0], [0.0, 1.0]]), Point([1.0, 1.0]))),
             "^constraint residual norm is nan$",

@@ -1,5 +1,6 @@
 import bisect
 import contextlib
+import copy
 import itertools
 import math
 import pickle
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from splitbreg.objectives import (
+    ALL,
     ElasticNet,
     GroupElasticNet,
     GroupedMax,
@@ -1025,7 +1027,7 @@ def test_benchmark_shaped_sparse_kaczmarz_solve_matches_the_full_sort_reference(
         return run(preset("sparse_kaczmarz", a, b, lam=lam, residual_tolerance=tol))
 
     def reference(plan, u, s0, gp0, sign):
-        return _full_sort_linesearch(u, plan.a, 0.0, plan.w, False, sign * gp0, s0)
+        return _full_sort_linesearch(u, plan.a, 0.0, plan.verdicts.w, False, sign * gp0, s0)
 
     res = solve()
     with pytest.MonkeyPatch.context() as mp:
@@ -1666,6 +1668,20 @@ def test_weighted_supports_keep_the_kink_walk():
     assert _plan(a, np.array([0.0, 0.0, 3.0])).line_slope == 5.0
 
 
+def test_all_coordinates_is_one_object_and_an_equal_slice_keeps_the_bits():
+    obj = ElasticNet(0.5, 3)
+    plane = Hyperplane(np.array([1.0, -2.0, 0.5]), 1.0)
+    assert plane.support is ALL and Box([-1.0], [1.0]).indices is ALL
+    assert NonnegCone().indices is ALL and obj._verdicts.on(ALL) is obj._verdicts
+    # a deep copy holds an equal slice(None), which takes the general path
+    copied = copy.deepcopy(plane)
+    assert copied.support == ALL and copied.support is not ALL
+    pair = pair_from_dual(obj, np.array([1.5, -0.0, 3.0]))
+    want, got = (bregman_project(obj, pair, target) for target in (plane, copied))
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.x_star.tobytes() == want.x_star.tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]), min_size=1, max_size=12))
 def test_nonzeros_index_is_a_slice_for_one_run(values):
@@ -1673,7 +1689,7 @@ def test_nonzeros_index_is_a_slice_for_one_run(values):
     idx = projections._nonzeros(v)
     nz = np.flatnonzero(v)
     if nz.size == v.size:
-        assert idx == slice(None)
+        assert idx is ALL
     elif nz.size and nz[-1] - nz[0] + 1 == nz.size:
         assert idx == slice(int(nz[0]), int(nz[-1]) + 1)
     else:

@@ -262,6 +262,12 @@ def test_constant_step_value():
         assert rec.step_size == pytest.approx(want, rel=1e-4)
 
 
+def test_forward_track_keeps_a_doubling_where_the_slope_is_exactly_zero():
+    # g'(t) = t - 2 under ||x||^2 / 2 with x* = 0, a = 1, beta = -2: the
+    # doubled step 2 has g'(2) = 0 <= 0 and is kept; 4 has g' > 0
+    assert solver._forward_track(SquaredNorm(1), np.zeros(1), np.ones(1), -2.0, 1.0) == 2.0
+
+
 def test_inexact_rule_brackets_exact():
     rng = np.random.default_rng(4)
     obj = ElasticNet(0.8, 6)
@@ -534,8 +540,9 @@ def test_malformed_max_iterations_rejected_before_first_step(cap):
 
 
 def test_unknown_rule_rejected_before_first_step():
-    # the Simple step comes first; the rule is only read on the Difficult one
-    cfg = SolverConfig(
+    # with a Difficult constraint after a Simple one, and with Simple ones
+    # only (a preset's rows), where no step ever reads the rule
+    mixed = SolverConfig(
         objective=SquaredNorm(2),
         constraints=[
             Simple(Hyperplane(np.array([0.0, 1.0]), 1.0)),
@@ -543,10 +550,42 @@ def test_unknown_rule_rejected_before_first_step():
         ],
         step_rule="fast",
     )
+    rows = preset("sparse_kaczmarz", np.eye(2), np.ones(2), lam=1.0, step_rule="exact")
+    for cfg in (mixed, rows):
+        seen = []
+        with pytest.raises(TypeError, match="unknown step rule"):
+            run(cfg, callback=lambda pair, record: seen.append(record.k))
+        assert seen == []
+
+
+def test_difficult_reads_an_array_as_a_dense_matrix():
+    a, b = np.array([[2.0, 1.0], [0.0, 1.0]]), np.array([1.0, -1.0])
+    constraint = Difficult(a, Point(b))
+    assert isinstance(constraint.op, DenseMatrix)
+    got, want = (
+        run(SolverConfig(SquaredNorm(2), [c], max_iterations=20))
+        for c in (constraint, Difficult(DenseMatrix(a), Point(b)))
+    )
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.records.step_size.tobytes() == want.records.step_size.tobytes()
+
+
+def test_a_constraint_of_another_kind_is_named_before_first_step():
+    cfg = SolverConfig(
+        objective=SquaredNorm(2),
+        constraints=[Simple(Hyperplane(np.array([0.0, 1.0]), 1.0)), Hyperplane(np.ones(2), 1.0)],
+    )
     seen = []
-    with pytest.raises(TypeError, match="unknown step rule"):
+    msg = "^constraint 1 is a Hyperplane, not Simple or Difficult$"
+    with pytest.raises(TypeError, match=msg):
         run(cfg, callback=lambda pair, record: seen.append(record.k))
     assert seen == []
+
+
+def test_a_callback_that_cannot_be_called_is_named_before_first_step():
+    cfg = preset("kaczmarz", np.eye(2), np.ones(2), max_iterations=3)
+    with pytest.raises(TypeError, match="^callback 3 is not callable$"):
+        run(cfg, callback=3)
 
 
 def test_later_box_without_zero_rejected_before_first_step():
