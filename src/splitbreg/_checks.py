@@ -1,9 +1,13 @@
 """Argument checks: the one home of the rules that values handed to the package
-must meet, one helper per value class, and of NonFiniteData, the error for
-data that holds a NaN or an infinity. It imports nothing of the package.
+must meet, one helper per value class, and of the two errors of vector data:
+DimensionMismatch, for a vector of the wrong shape or length, and
+NonFiniteData, for data that holds a NaN or an infinity. It imports nothing
+of the package.
 
 Every helper raises a ValueError that names the argument (``key``) and, where
-there is one to show, the bad value or its shape. The classes are:
+there is one to show, the bad value or its shape; a vector or index array of
+the wrong shape raises DimensionMismatch, and a vector that must be finite
+and is not NonFiniteData, both ValueErrors. The classes are:
 
 - whole number (_check_whole): an integer >= 1 or >= 0; a bool fails, and so
   does a float, even a whole one;
@@ -18,10 +22,10 @@ there is one to show, the bad value or its shape. The classes are:
 - real entries (_reals): an array or nested list of real numbers; a bool, a
   string, None and a complex number fail, also inside a list of floats or as
   the dtype of an array, before anything is converted (vectors, DenseMatrix,
-  SparseOperator, run's x0_star and residual tolerances, run_pd's b);
+  SparseOperator, run's residual tolerances);
 - vector (_vector): one-dimensional, of length n where one is given, real
-  entries (_reals), and all finite where asked (fenchel_gap,
-  bregman_distance);
+  entries (_reals), and all finite where asked (run's x0_star, run_pd's b,
+  fenchel_gap, bregman_distance, the ray projector's angles and offsets);
 - integers (_integers) and index array (_check_indices): one-dimensional,
   integers only (a bool, a float or a string fails, also inside a list of
   ints), and for indices nonnegative, below n where one is given.
@@ -41,9 +45,19 @@ import numpy as np
 
 
 class NonFiniteData(ValueError):
-    """A constraint's data (a normal, an offset, a residual) or a linesearch's
-    (x_star, the direction, beta) is NaN or infinite, so no step taken from it
-    can be trusted."""
+    """Data is NaN or infinite, so nothing computed from it can be trusted: a
+    vector that must be finite (_vector), a constraint's data (a normal, an
+    offset, a residual) or a linesearch's (x_star, the direction, beta, g')."""
+
+
+class DimensionMismatch(ValueError):
+    """A vector or a set does not fit the vectors it meets: a vector or index
+    array is not one-dimensional or not of the length asked for (_vector,
+    _integers), a set's data (a normal, bounds, a center, cone indices) does
+    not fit the objective's coordinates or an operator's outputs, a
+    linesearch's direction or x_star is not of the objective's length, or,
+    in a run, an operator does not act on the objective's coordinates or a
+    residual tolerance array has the wrong length."""
 
 
 def _check_whole(key, value, low=1):
@@ -140,16 +154,16 @@ def _reals(key, value):
 
 
 def _vector(key, value, n=None, finite=False):
-    """``value`` as a float array of real entries (_reals); raises a
-    ValueError naming ``key`` and the shape unless it is one-dimensional and,
-    where ``n`` is given, of length n, and naming ``key`` unless it is all
-    finite where ``finite`` is asked for."""
+    """``value`` as a float array of real entries (_reals); raises
+    DimensionMismatch naming ``key`` and the shape unless it is
+    one-dimensional and, where ``n`` is given, of length n, and NonFiniteData
+    naming ``key`` unless it is all finite where ``finite`` is asked for."""
     v = _reals(key, value)
     if v.ndim != 1 or (n is not None and v.size != n):
         length = "" if n is None else f" of length {n}"
-        raise ValueError(f"{key} must be a vector{length}, not of shape {v.shape}")
+        raise DimensionMismatch(f"{key} must be a vector{length}, not of shape {v.shape}")
     if finite and not np.all(np.isfinite(v)):
-        raise ValueError(f"{key} must be finite")
+        raise NonFiniteData(f"{key} must be finite")
     return v
 
 
@@ -157,8 +171,8 @@ def _integers(key, value):
     """``value`` as a one-dimensional int array, a copy; raises a ValueError
     naming ``key`` and the first bad entry unless every entry is an integer
     (a bool, a float, even a whole one, and a string fail, also inside a list
-    of ints, whose bools numpy would turn into ints), and naming its shape
-    unless it is one-dimensional."""
+    of ints, whose bools numpy would turn into ints), and DimensionMismatch
+    naming its shape unless it is one-dimensional."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
         ints = value.astype(int)
     else:
@@ -167,7 +181,7 @@ def _integers(key, value):
                 raise ValueError(f"{key} must hold integers, not {v!r}")
         ints = np.asarray(value, dtype=int)
     if ints.ndim != 1:
-        raise ValueError(f"{key} must be a vector, not of shape {ints.shape}")
+        raise DimensionMismatch(f"{key} must be a vector, not of shape {ints.shape}")
     return ints
 
 

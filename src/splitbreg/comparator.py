@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import NonFiniteData, _check_choice, _check_whole, _nonnegative, _reals
+from ._checks import _check_choice, _check_whole, _nonnegative, _vector
 from .linops import as_operator
 from .objectives import ElasticNet, soft_shrink
 from .projections import NormBall, Point
@@ -70,12 +70,13 @@ def run_pd(config):
     Before the first iteration it raises a ValueError naming the field for a
     ``lam`` or ``delta`` that is not a real number >= 0, a ``noise_norm``
     other than 1, 2 or inf, a ``max_iterations`` or ``record_every`` that is
-    not a whole number >= 0 and a ``b`` that does not match the operator, and
-    NonFiniteData for a ``b`` holding a NaN or an infinity.
+    not a whole number >= 0, DimensionMismatch for a ``b`` that is not a
+    vector of the operator's height and NonFiniteData for a ``b`` holding a
+    NaN or an infinity.
     """
     op = as_operator(config.op)
-    b = np.atleast_1d(_reals("b", config.b))
     m, n = op.shape
+    b = _vector("b", config.b, m, finite=True)
     objective = ElasticNet(config.lam, n)  # checks lam
     lam = objective.lam
     delta = _nonnegative("delta", config.delta, bound=True)
@@ -83,10 +84,6 @@ def run_pd(config):
     _check_choice("noise_norm", p, (1, 2, np.inf))
     _check_whole("max_iterations", config.max_iterations, low=0)
     _check_whole("record_every", config.record_every, low=0)
-    if b.shape != (m,):
-        raise ValueError(f"b has shape {b.shape}, not ({m},)")
-    if not np.all(np.isfinite(b)):
-        raise NonFiniteData("b is not finite")
     # fixed steps tau = sigma = 0.99 / ||A||, so tau * sigma * ||A||^2 < 1
     # any step fits an operator of norm 0 (one without rows, or all zeros)
     tau = sigma = 0.99 / (op.norm_estimate() or 1.0)

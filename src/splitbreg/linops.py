@@ -367,7 +367,7 @@ def build_parallel_projector(height, width, angles_deg, rays_per_angle=None, off
     """
     # a ray through an empty grid would index columns outside the matrix
     height, width = (_check_whole("height and width", v) for v in (height, width))
-    angles_deg = _vector("angles_deg", angles_deg)
+    angles_deg = _vector("angles_deg", angles_deg, finite=True)
     if offsets is not None and rays_per_angle is not None:
         raise ValueError("give rays_per_angle or offsets, not both")
     if offsets is None:
@@ -377,10 +377,7 @@ def build_parallel_projector(height, width, angles_deg, rays_per_angle=None, off
         diag = float(np.hypot(height, width))
         offsets = np.linspace(-diag / 2.0, diag / 2.0, rays_per_angle)
     else:
-        offsets = _vector("offsets", offsets)
-    for name, values in (("angles_deg", angles_deg), ("offsets", offsets)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} must be finite")
+        offsets = _vector("offsets", offsets, finite=True)
     spacing = float(np.median(np.diff(np.sort(offsets)))) if offsets.size > 1 else 1.0
     cx, cy = width / 2.0, height / 2.0
     ncols = height * width

@@ -383,7 +383,8 @@ def fenchel_gap(obj, x_star, x):
 
     Nonnegative for every pair; zero exactly when x_star is a subgradient of the
     objective at x (equivalently x = grad f*(x_star)). Both vectors must be
-    finite and of the objective's dimension: a ValueError names the other.
+    finite and of the objective's dimension: DimensionMismatch or
+    NonFiniteData names the one that is not.
     """
     x = _vector("x", x, obj.dimension, finite=True)
     x_star = _vector("x_star", x_star, obj.dimension, finite=True)

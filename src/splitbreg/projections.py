@@ -27,8 +27,9 @@ stores (a normal's ``support``, a cone's ``indices``, a plan's ``supp`` and
 ``kinked``) follows the one index rule there, ``objectives._index``, and
 the one restriction of shrink weights to a support is
 ``_WeightVerdicts.on``. The index rule, the verdicts and the simplex and
-l1-ball projections live in ``objectives`` and NonFiniteData in
-``_checks``; all of them also resolve under this module's name.
+l1-ball projections live in ``objectives`` and NonFiniteData and
+DimensionMismatch in ``_checks``; all of them also resolve under this
+module's name.
 """
 
 import bisect
@@ -37,7 +38,8 @@ import math
 
 import numpy as np
 
-from ._checks import NonFiniteData, _check_choice, _check_indices, _nonnegative, _real, _vector
+from ._checks import DimensionMismatch, NonFiniteData, _check_choice, _check_indices, _nonnegative
+from ._checks import _real, _vector
 from .objectives import ALL, PrimalDualPair, _index, _nonzeros, project_l1_ball, soft_shrink
 from .objectives import _WeightVerdicts, project_simplex  # resolve under this name too
 
@@ -57,15 +59,6 @@ class ZeroDirection(ValueError):
 
 class BoxWithoutZero(ValueError):
     """The Bregman box projection needs a box containing the origin."""
-
-
-class DimensionMismatch(ValueError):
-    """A vector or a set does not fit the vectors it meets: a set's data (a
-    normal, bounds, a center, cone indices) does not fit the objective's
-    coordinates or an operator's outputs, a linesearch's direction or x_star
-    is not of the objective's length, or, in a run, an operator does not act
-    on the objective's coordinates or x0_star or a residual tolerance array
-    has the wrong length."""
 
 
 class NoConvergence(RuntimeError):
@@ -214,8 +207,8 @@ class Halfspace(_LinearSet):
 def data_fits(target, n):
     """Whether the data of a set fits vectors of length n: a normal or a point
     of length n, box bounds and a ball center of length n or 1 (which
-    broadcasts), a box's indices below n (a slice's stop at most n). Sets of
-    other types fit any length."""
+    broadcasts), a box's indices below n (a slice's stop at most n). Other
+    RangeSets (a subclass of none of these) fit any length."""
     if isinstance(target, _LinearSet):
         return target.normal.size == n
     if isinstance(target, Point):
@@ -435,8 +428,9 @@ class _LinesearchPlan:
 def _slope(obj, x_star, a, beta, t):
     """g'(t) = beta - <a, grad f*(x_star - t a)>, the derivative of the
     linesearch objective g(t) = f*(x_star - t a) + t beta, from grad f*: the
-    one evaluation the root find and solver's Inexact doubling share."""
-    return beta - float(np.dot(a, obj.grad_conjugate(x_star - t * a)))
+    one evaluation the root find and solver's Inexact doubling share; np.vdot,
+    unlike np.dot, does not warn when it overflows."""
+    return beta - float(np.vdot(a, obj.grad_conjugate(x_star - t * a)))
 
 
 def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=None):
@@ -460,8 +454,8 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
     to g(sign t) so that the engine finds a root at t > 0. Raises
     ZeroDirection for a zero ``a``, DimensionMismatch when x_star or ``a`` is
     not a vector of the objective's length and NonFiniteData when x_star, a,
-    beta, g'(0) or the step holds a NaN or an infinity (a plan's ``a`` is
-    taken as checked).
+    beta, g'(0), a g' of the root find's bracket or the step holds a NaN or
+    an infinity (a plan's ``a`` is taken as checked).
     """
     if not math.isfinite(beta):
         raise NonFiniteData(f"linesearch beta is {beta}")
@@ -481,7 +475,7 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
     if plan.verdicts.finite:
         u = x_star[plan.supp]
         s0 = soft_shrink(u, plan.verdicts.w) if x is None else x[plan.supp]
-        gp0 = beta - float(np.dot(plan.a, s0)) if gp0 is None else gp0
+        gp0 = beta - float(np.vdot(plan.a, s0)) if gp0 is None else gp0
     else:  # the root find's g'
         gp = functools.partial(_slope, obj, x_star, a, beta)
         gp0 = gp(0.0) if gp0 is None else gp0
@@ -503,7 +497,9 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
     # end at 0 from turning into -0.0
     lo, hi = 0.0, obj.alpha * -gp0 / plan.a_sq
     for _ in range(200):
-        if sign * gp(sign * hi) >= 0.0:
+        if not math.isfinite(g := gp(sign * hi)):
+            raise NonFiniteData(f"linesearch derivative at {sign * hi} is {g}")
+        if sign * g >= 0.0:
             break
         lo, hi = hi, 2.0 * hi
     else:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import projections
-from ._checks import _check_indices, _check_whole, _integers, _reals, _vector
+from ._checks import DimensionMismatch, _check_indices, _check_whole, _integers, _reals, _vector
 from .linops import LinearOperator, as_operator
 from .objectives import ElasticNet, SquaredNorm, _nonzeros, pair_from_dual
 
@@ -37,9 +37,6 @@ class InconsistentZeroRow(ValueError):
 class AllZeroRows(ValueError):
     """A row-action preset met an A whose every row is zero: no constraint is
     left to act on."""
-
-
-DimensionMismatch = projections.DimensionMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +315,11 @@ def _difficult_step(obj, constraint, rule, supp, parts, pair):
     elif isinstance(rule, Dynamic):
         t = t_dynamic
     elif isinstance(rule, Exact):
-        # g'(0) = -||w||^2 exactly; passing it avoids the beta cancellation
+        # g'(0) = -||w||^2 exactly; passing it avoids the beta cancellation,
+        # and the plan reuses d's square and checks
+        plan = projections._LinesearchPlan(d, obj._verdicts, _nonzeros(d), d_sq)
         t = projections.exact_linesearch(
-            obj, pair.x_star, d, beta, nonneg=True, gp0=-(w_norm * w_norm), x=pair.x
+            obj, pair.x_star, d, beta, nonneg=True, gp0=-(w_norm * w_norm), x=pair.x, plan=plan
         )
     else:  # Inexact, the one rule left once run has checked it
         t = _forward_track(obj, pair.x_star, d, beta, t_dynamic)
@@ -383,8 +382,9 @@ def run(config, callback=None):
     ``Custom`` order naming a missing constraint all raise then, and so does a
     TypeError for a step rule that is not one of ``STEP_RULES`` (whatever the
     constraints: the rule is judged once per run), for a constraint that is
-    neither ``Simple`` nor ``Difficult`` (naming its index) and for a
-    callback that is not callable. run is the only stepping path.
+    neither ``Simple`` nor ``Difficult`` or whose target is not a
+    ``projections.RangeSet`` (naming its index) and for a callback that is
+    not callable. run is the only stepping path.
     """
     obj = config.objective
     constraints = config.constraints
@@ -397,6 +397,10 @@ def run(config, callback=None):
         raise TypeError(f"callback {callback!r} is not callable")
     steps = []  # constraint i's step, pair -> (pair, step_size, w_norm)
     for i, c in enumerate(constraints):  # every set-up error before step 0
+        if not isinstance(c, (Simple, Difficult)):
+            raise TypeError(f"constraint {i} is a {type(c).__name__}, not Simple or Difficult")
+        if not isinstance(c.target, projections.RangeSet):
+            raise TypeError(f"constraint {i} targets a {type(c.target).__name__}, not a RangeSet")
         if isinstance(c, Simple):
             # the one fit check of a simple set; it also raises TypeError or
             # BoxWithoutZero, and the set keeps the projector it builds
@@ -405,8 +409,6 @@ def run(config, callback=None):
             except DimensionMismatch as e:
                 raise DimensionMismatch(f"constraint {i}: {e}") from None
             steps.append(functools.partial(_simple_step, obj, c.target))
-        elif not isinstance(c, Difficult):
-            raise TypeError(f"constraint {i} is a {type(c).__name__}, not Simple or Difficult")
         elif c.op.shape[1] != obj.dimension:
             msg = f"constraint {i} acts on {c.op.shape[1]} coordinates, not {obj.dimension}"
             raise DimensionMismatch(msg)
@@ -425,14 +427,8 @@ def run(config, callback=None):
     _check_whole("max_iterations", config.max_iterations, low=0)
     indices = config.control.indices(n)  # this run's own stream of indices
 
-    x0_star = (
-        np.zeros(obj.dimension) if config.x0_star is None else _reals("x0_star", config.x0_star)
-    )
-    if x0_star.shape != (obj.dimension,):
-        raise DimensionMismatch(f"x0_star has shape {x0_star.shape}, not ({obj.dimension},)")
-    if not np.all(np.isfinite(x0_star)):
-        raise projections.NonFiniteData("x0_star is not finite")
-    pair = pair_from_dual(obj, x0_star)
+    x0_star = np.zeros(obj.dimension) if config.x0_star is None else config.x0_star
+    pair = pair_from_dual(obj, _vector("x0_star", x0_star, obj.dimension, finite=True))
     index, step_size, w_norms, elapsed = array("i"), array("d"), array("d"), array("d")
     boundaries, violations = array("q"), array("d")
     termination = "max_iterations"

@@ -11,7 +11,13 @@ from splitbreg.comparator import (
 )
 from splitbreg.linops import Grad2D, ScaledIdentity, ZeroOperator
 from splitbreg.objectives import ElasticNet, GroupedMax, GroupElasticNet, SquaredNorm
-from splitbreg.projections import NonFiniteData, NormBall, Point, project_simplex
+from splitbreg.projections import (
+    DimensionMismatch,
+    NonFiniteData,
+    NormBall,
+    Point,
+    project_simplex,
+)
 from splitbreg.solver import Exact, preset, run
 
 
@@ -146,8 +152,12 @@ def _pd(**fields):
         (lambda: _pd(lam=np.nan), ValueError, "^lam must be nonnegative"),
         (lambda: _pd(lam=-1.0), ValueError, "^lam must be nonnegative"),
         (lambda: _pd(delta=np.nan), ValueError, "^delta must be nonnegative"),
-        (lambda: _pd(b=np.array([1.0, np.nan])), NonFiniteData, "^b is not finite"),
-        (lambda: _pd(b=np.ones(3)), ValueError, r"^b has shape \(3,\), not \(2,\)"),
+        (lambda: _pd(b=np.array([1.0, np.nan])), NonFiniteData, "^b must be finite$"),
+        (
+            lambda: _pd(b=np.ones(3)),
+            DimensionMismatch,
+            r"^b must be a vector of length 2, not of shape \(3,\)$",
+        ),
         (lambda: _pd(max_iterations=-1), ValueError, "^max_iterations must be nonnegative"),
         (lambda: _pd(record_every=-1), ValueError, "^record_every must be nonnegative"),
         (lambda: _pd(noise_norm=3), ValueError, "^noise_norm 3 is not one of 1, 2, inf$"),

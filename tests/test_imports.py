@@ -91,13 +91,15 @@ def test_objectives_imports_nothing_of_the_package_but_checks():
 def test_the_moved_primitives_resolve_under_their_old_names():
     code = """
         import splitbreg
-        from splitbreg import _checks, objectives, projections
+        from splitbreg import _checks, objectives, projections, solver
         for name in ("project_simplex", "project_l1_ball", "_index", "_nonzeros",
                      "_WeightVerdicts"):
             assert getattr(projections, name) is getattr(objectives, name), name
         assert splitbreg.project_simplex is objectives.project_simplex
         assert splitbreg.project_l1_ball is objectives.project_l1_ball
         assert projections.NonFiniteData is _checks.NonFiniteData
+        assert projections.DimensionMismatch is _checks.DimensionMismatch
+        assert solver.DimensionMismatch is _checks.DimensionMismatch
         print("ok")
     """
     assert _fresh(code) == ["ok"]

@@ -248,14 +248,14 @@ _SOLVER_CONFIG = dict(
     negative=Raises(
         lambda: _solve_fields(residual_tolerance=-1.0), "^residual tolerances must be positive$"
     ),
-    nan=Raises(lambda: _solve_fields(x0_star=[nan, 0.0]), "^x0_star is not finite$", NonFiniteData),
+    nan=Raises(lambda: _solve_fields(x0_star=[nan, 0.0]), "^x0_star must be finite$", NonFiniteData),
     inf=Valid(
         "an infinite residual tolerance is no bound: the run stops at its first pass",
         lambda: _solve_fields(residual_tolerance=inf),
     ),
     dimension=Raises(
         lambda: _solve_fields(x0_star=np.zeros((2, 1))),
-        r"^x0_star has shape \(2, 1\), not \(2,\)$",
+        r"^x0_star must be a vector of length 2, not of shape \(2, 1\)$",
         DimensionMismatch,
     ),
     length=Raises(
@@ -274,8 +274,16 @@ _PD_CONFIG = dict(
     negative=Raises(lambda: _pd(delta=-1.0), "^delta must be nonnegative$"),
     nan=Raises(lambda: _pd(lam=nan), "^lam must be nonnegative and finite$"),
     inf=Raises(lambda: _pd(lam=inf), "^lam must be nonnegative and finite$"),
-    dimension=Raises(lambda: _pd(b=np.ones((2, 1))), r"^b has shape \(2, 1\), not \(2,\)$"),
-    length=Raises(lambda: _pd(b=np.ones(3)), r"^b has shape \(3,\), not \(2,\)$"),
+    dimension=Raises(
+        lambda: _pd(b=np.ones((2, 1))),
+        r"^b must be a vector of length 2, not of shape \(2, 1\)$",
+        DimensionMismatch,
+    ),
+    length=Raises(
+        lambda: _pd(b=np.ones(3)),
+        r"^b must be a vector of length 2, not of shape \(3,\)$",
+        DimensionMismatch,
+    ),
     empty=Valid(
         "an operator without rows leaves the objective alone: x = 0",
         lambda: _pd(op=np.zeros((0, 2)), b=[]),
@@ -940,3 +948,35 @@ def test_malformed_input_cell(row, column, cell):
         assert cell.reason
         if cell.call is not None:
             cell.call()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: _eye().apply(np.ones(3)), DimensionMismatch, id="product"),
+        pytest.param(
+            lambda: _EN.grad_conjugate(np.ones((2, 1))), DimensionMismatch, id="objective"
+        ),
+        pytest.param(
+            lambda: preset("kaczmarz", np.eye(2), np.ones((2, 1))), DimensionMismatch, id="preset-b"
+        ),
+        pytest.param(lambda: _pd(b=np.ones((2, 1))), DimensionMismatch, id="run_pd-b"),
+        pytest.param(lambda: _solve_fields(x0_star=np.ones(3)), DimensionMismatch, id="x0_star"),
+        pytest.param(lambda: Custom([[0, 1]]), DimensionMismatch, id="index-array"),
+        pytest.param(
+            lambda: fenchel_gap(_EN, [0.0, 0.0], [nan, 0.0]), NonFiniteData, id="fenchel_gap"
+        ),
+        pytest.param(lambda: _pd(b=[1.0, inf]), NonFiniteData, id="run_pd-b-finite"),
+        pytest.param(lambda: _solve_fields(x0_star=[nan, 0.0]), NonFiniteData, id="x0_star-finite"),
+        pytest.param(
+            lambda: build_parallel_projector(4, 4, [0.0], offsets=[-inf]), NonFiniteData, id="offsets"
+        ),
+    ],
+)
+def test_every_wrong_shape_and_non_finite_vector_has_one_class(call, error):
+    # one judge, _checks._vector (or _integers for an index array), with one
+    # message per mistake; both classes are ValueErrors
+    match = " must be a vector" if error is DimensionMismatch else " must be finite$"
+    with pytest.raises(ValueError, match=match) as info:
+        call()
+    assert info.type is error

@@ -1230,6 +1230,36 @@ def test_halfspace_step_names_a_non_finite_pair_that_reads_as_interior():
         bregman_project(obj, pair, Halfspace(np.array([1.0, 1.0, 0.0]), 0.0))
 
 
+def test_linesearch_names_an_overflowing_derivative_at_0_without_a_warning():
+    # a.x* overflows to inf: named as such, not raised as the dot's warning
+    with pytest.raises(NonFiniteData, match="^linesearch derivative at 0 is -inf$"):
+        exact_linesearch(ElasticNet(0.0, 2), [1e160, 1e160], [1e150, 1e150], 0.0)
+
+
+def test_linesearch_names_a_step_that_overflows():
+    # g'(0) = -1e200 along a = 1e-160: the root, 1e360, is past the largest float
+    with pytest.raises(NonFiniteData, match="^linesearch step is inf$"):
+        exact_linesearch(ElasticNet(1.0, 1), [0.0], [1e-160], -1e200)
+
+
+class _NanBeyond(SquaredNorm):
+    """||x||^2 / 2 with a grad f* that reads NaN where |x*_j| > 1e3 and no
+    shrink weights, so the root find runs."""
+
+    def shrink_weights(self):
+        return np.full(self.dimension, np.nan)
+
+    def grad_conjugate(self, x_star):
+        x_star = super().grad_conjugate(x_star)
+        return np.where(np.abs(x_star) > 1e3, np.nan, x_star)
+
+
+def test_root_finding_linesearch_names_a_nan_derivative_in_its_bracket():
+    # g'(0) = -5001 is finite; the first bracket end, t = 5001, reads NaN
+    with pytest.raises(NonFiniteData, match="^linesearch derivative at 5001.0 is nan$"):
+        exact_linesearch(_NanBeyond(2), [1.0, 1.0], [1.0, 0.0], -5000.0)
+
+
 # ---------------------------------------------------------------------------
 # Bregman projections
 # ---------------------------------------------------------------------------

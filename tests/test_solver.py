@@ -570,16 +570,34 @@ def test_difficult_reads_an_array_as_a_dense_matrix():
     assert got.records.step_size.tobytes() == want.records.step_size.tobytes()
 
 
+class _Forwarding(projections.RangeSet):
+    """A set of no type the package knows, which forwards to another."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def project(self, y):
+        return self.inner.project(y)
+
+
 def test_a_constraint_of_another_kind_is_named_before_first_step():
-    cfg = SolverConfig(
-        objective=SquaredNorm(2),
-        constraints=[Simple(Hyperplane(np.array([0.0, 1.0]), 1.0)), Hyperplane(np.ones(2), 1.0)],
+    # a bare set, or a Simple or Difficult whose target is not a set
+    first = Simple(Hyperplane(np.array([0.0, 1.0]), 1.0))
+    for other, msg in [
+        (Hyperplane(np.ones(2), 1.0), "^constraint 1 is a Hyperplane, not Simple or Difficult$"),
+        (Simple(np.ones(2)), "^constraint 1 targets a ndarray, not a RangeSet$"),
+        (Difficult(np.eye(2), np.ones(2)), "^constraint 1 targets a ndarray, not a RangeSet$"),
+    ]:
+        cfg, seen = SolverConfig(objective=SquaredNorm(2), constraints=[first, other]), []
+        with pytest.raises(TypeError, match=msg):
+            run(cfg, callback=lambda pair, record: seen.append(record.k))
+        assert seen == []
+    # any RangeSet is a target, a subclass the package does not know included
+    got, want = (
+        run(SolverConfig(SquaredNorm(2), [first, Difficult(np.eye(2), t)], max_iterations=4))
+        for t in (_Forwarding(Point(np.ones(2))), Point(np.ones(2)))
     )
-    seen = []
-    msg = "^constraint 1 is a Hyperplane, not Simple or Difficult$"
-    with pytest.raises(TypeError, match=msg):
-        run(cfg, callback=lambda pair, record: seen.append(record.k))
-    assert seen == []
+    assert got.x.tobytes() == want.x.tobytes()
 
 
 def test_a_callback_that_cannot_be_called_is_named_before_first_step():
@@ -959,7 +977,9 @@ def _wrong_length_set(constraint):
             id="residual_tolerance",
         ),
         pytest.param(
-            {"x0_star": np.zeros(3)}, r"x0_star has shape \(3,\), not \(2,\)", id="x0_star"
+            {"x0_star": np.zeros(3)},
+            r"x0_star must be a vector of length 2, not of shape \(3,\)",
+            id="x0_star",
         ),
     ],
 )
