@@ -1,5 +1,7 @@
 """Bregman-projection methods for split feasibility problems."""
 
+from types import ModuleType as _Module
+
 from .objectives import (
     ElasticNet,
     GroupElasticNet,
@@ -56,53 +58,5 @@ from .solver import (
 )
 from .comparator import PDConfig, run_pd
 
-__all__ = [
-    "BlockRow",
-    "Box",
-    "Constant",
-    "Custom",
-    "Cyclic",
-    "DenseMatrix",
-    "Difficult",
-    "Dynamic",
-    "ElasticNet",
-    "Exact",
-    "FeasiblePoint",
-    "Grad2D",
-    "GroupElasticNet",
-    "GroupedMax",
-    "Halfspace",
-    "Hyperplane",
-    "Inexact",
-    "InvalidSubgradient",
-    "NonnegCone",
-    "NormBall",
-    "PDConfig",
-    "PartialDCT",
-    "Point",
-    "PrimalDualPair",
-    "ProductObjective",
-    "RandomUniform",
-    "ScaledIdentity",
-    "Simple",
-    "SolverConfig",
-    "SolverResult",
-    "SparseOperator",
-    "SquaredNorm",
-    "ZeroOperator",
-    "bregman_distance",
-    "bregman_project",
-    "build_parallel_projector",
-    "exact_linesearch",
-    "fenchel_gap",
-    "history_to_csv",
-    "operator_norm",
-    "pair_from_dual",
-    "preset",
-    "project_l1_ball",
-    "project_simplex",
-    "run",
-    "run_pd",
-    "separating_halfspace",
-    "soft_shrink",
-]
+# every name bound here is public; __all__ lists them all but the submodules
+__all__ = sorted(k for k, v in globals().items() if not (k[0] == "_" or isinstance(v, _Module)))

@@ -1,13 +1,13 @@
 """Argument checks: the one home of the rules that values handed to the package
-must meet, one helper per value class, and of the two errors of vector data:
-DimensionMismatch, for a vector of the wrong shape or length, and
+must meet, one helper per value class, and of the two errors of array data:
+DimensionMismatch, for a vector or matrix of the wrong shape or length, and
 NonFiniteData, for data that holds a NaN or an infinity. It imports nothing
 of the package.
 
 Every helper raises a ValueError that names the argument (``key``) and, where
-there is one to show, the bad value or its shape; a vector or index array of
-the wrong shape raises DimensionMismatch, and a vector that must be finite
-and is not NonFiniteData, both ValueErrors. The classes are:
+there is one to show, the bad value or its shape; a vector, index array or
+matrix of the wrong shape raises DimensionMismatch, and a vector that must be
+finite and is not NonFiniteData, both ValueErrors. The classes are:
 
 - whole number (_check_whole): an integer >= 1 or >= 0; a bool fails, and so
   does a float, even a whole one;
@@ -21,11 +21,13 @@ and is not NonFiniteData, both ValueErrors. The classes are:
   a fixed set (_check_choice) and none twice (_check_distinct);
 - real entries (_reals): an array or nested list of real numbers; a bool, a
   string, None and a complex number fail, also inside a list of floats or as
-  the dtype of an array, before anything is converted (vectors, DenseMatrix,
-  SparseOperator, run's residual tolerances);
+  the dtype of an array, before anything is converted (vectors, matrices,
+  SparseOperator's stored entries, run's residual tolerances);
 - vector (_vector): one-dimensional, of length n where one is given, real
   entries (_reals), and all finite where asked (run's x0_star, run_pd's b,
   fenchel_gap, bregman_distance, the ray projector's angles and offsets);
+- matrix (_matrix): two-dimensional with real entries (_reals) (DenseMatrix's
+  a, SparseOperator's dense mat);
 - integers (_integers) and index array (_check_indices): one-dimensional,
   integers only (a bool, a float or a string fails, also inside a list of
   ints), and for indices nonnegative, below n where one is given.
@@ -53,11 +55,12 @@ class NonFiniteData(ValueError):
 class DimensionMismatch(ValueError):
     """A vector or a set does not fit the vectors it meets: a vector or index
     array is not one-dimensional or not of the length asked for (_vector,
-    _integers), a set's data (a normal, bounds, a center, cone indices) does
-    not fit the objective's coordinates or an operator's outputs, a
-    linesearch's direction or x_star is not of the objective's length, or,
-    in a run, an operator does not act on the objective's coordinates or a
-    residual tolerance array has the wrong length."""
+    _integers), a matrix is not two-dimensional (_matrix), a set's data (a
+    normal, bounds, a center, cone indices) does not fit the objective's
+    coordinates or an operator's outputs, a linesearch's direction or x_star
+    is not of the objective's length, or, in a run, an operator does not act
+    on the objective's coordinates or a residual tolerance array has the
+    wrong length."""
 
 
 def _check_whole(key, value, low=1):
@@ -165,6 +168,15 @@ def _vector(key, value, n=None, finite=False):
     if finite and not np.all(np.isfinite(v)):
         raise NonFiniteData(f"{key} must be finite")
     return v
+
+
+def _matrix(key, value):
+    """``value`` as a float array of real entries (_reals); raises
+    DimensionMismatch naming ``key`` and the shape unless it is two-dimensional."""
+    a = _reals(key, value)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"{key} must be a 2-d array, not of shape {a.shape}")
+    return a
 
 
 def _integers(key, value):

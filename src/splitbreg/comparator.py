@@ -81,7 +81,7 @@ def run_pd(config):
     lam = objective.lam
     delta = _nonnegative("delta", config.delta, bound=True)
     p = config.noise_norm
-    _check_choice("noise_norm", p, (1, 2, np.inf))
+    _check_choice("noise_norm", p, NormBall.ORDERS)
     _check_whole("max_iterations", config.max_iterations, low=0)
     _check_whole("record_every", config.record_every, low=0)
     # fixed steps tau = sigma = 0.99 / ||A||, so tau * sigma * ||A||^2 < 1

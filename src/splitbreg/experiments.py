@@ -341,7 +341,7 @@ class ExperimentConfig:
     instance: InstanceSpec = None  # None: m=100, n=200, sparsity 10, seeded by seed
     noise: object = None
     lam: float = None  # None: bench and solve pick a scale heuristic, recovery certifies
-    rules: tuple = ("constant", "dynamic", "exact", "inexact")
+    rules: tuple = tuple(solver.STEP_RULES)
     max_iterations: int = 20000
     tolerance: float = 1e-6
     pd_iterations: int = 20000

@@ -14,8 +14,8 @@ import warnings
 import numpy as np
 
 from ._checks import (
-    NonFiniteData, _check_distinct, _check_indices, _check_whole, _nonnegative, _real, _reals,
-    _vector,
+    NonFiniteData, _check_distinct, _check_indices, _check_whole, _matrix, _nonnegative, _real,
+    _reals, _vector,
 )
 
 
@@ -101,9 +101,7 @@ class DenseMatrix(LinearOperator):
     product, which the gather would skip."""
 
     def __init__(self, a):
-        self.a = _reals("a", a)
-        if self.a.ndim != 2:
-            raise ValueError("expected a 2-d array")
+        self.a = _matrix("a", a)
         self.shape = self.a.shape
         # min and max are finite exactly when every entry is (NaN propagates
         # through both); unlike np.isfinite(a) they allocate no m x n temporary
@@ -140,7 +138,7 @@ class SparseOperator(LinearOperator):
         import scipy.sparse as sp  # deferred: dense-only runs never load it
 
         # a sparse input is read through its stored entries
-        self.mat = sp.csr_matrix(mat if sp.issparse(mat) else _reals("mat", mat))
+        self.mat = sp.csr_matrix(mat if sp.issparse(mat) else _matrix("mat", mat))
         _reals("mat", self.mat.data)
         self._mat_t = self.mat.T  # a CSC view over the same arrays, built once
         self.shape = self.mat.shape

@@ -223,8 +223,7 @@ class History(Sequence):
     saw after step k, built on access, and a list of records compares equal
     to it record for record. A step costs 28 bytes, and a pass boundary
     8 bytes plus 8 per constraint: with n constraints about 36 + 8/n bytes
-    per step, 44 for n = 1, plus the columns' growth reserve of about 1/16
-    (a list of IterationRecord objects kept 160-310 bytes per step).
+    per step, 44 for n = 1, plus the columns' growth reserve of about 1/16.
     """
 
     def __init__(self, n, constraint_index, step_size, w_norm, elapsed_ms, boundaries, violations):
@@ -420,7 +419,8 @@ def run(config, callback=None):
     n = len(constraints)
     tols = _reals("residual_tolerance", config.residual_tolerance)
     if tols.shape not in ((), (1,), (n,)):
-        raise DimensionMismatch(f"residual_tolerance has shape {tols.shape}, not ({n},)")
+        shapes = "() or (1,)" if n == 1 else f"(), (1,) or ({n},)"
+        raise DimensionMismatch(f"residual_tolerance has shape {tols.shape}, not {shapes}")
     tols = np.broadcast_to(tols, (n,))
     if not np.all(tols > 0.0):
         raise ValueError("residual tolerances must be positive")

@@ -260,7 +260,7 @@ _SOLVER_CONFIG = dict(
     ),
     length=Raises(
         lambda: _solve_fields(residual_tolerance=np.full(3, 1e-8)),
-        r"^residual_tolerance has shape \(3,\), not \(1,\)$",
+        r"^residual_tolerance has shape \(3,\), not \(\) or \(1,\)$",
         DimensionMismatch,
     ),
     empty=Raises(
@@ -594,9 +594,20 @@ ROWS = {
     # operators
     "DenseMatrix": {
         **_matrix(DenseMatrix, "a"),
-        "dimension": Raises(lambda: DenseMatrix(np.ones(3)), "^expected a 2-d array$"),
+        "dimension": Raises(
+            lambda: DenseMatrix(np.ones(3)),
+            r"^a must be a 2-d array, not of shape \(3,\)$",
+            DimensionMismatch,
+        ),
     },
-    "SparseOperator": _matrix(SparseOperator, "mat"),
+    "SparseOperator": {
+        **_matrix(SparseOperator, "mat"),
+        "dimension": Raises(
+            lambda: SparseOperator(np.ones(3)),
+            r"^mat must be a 2-d array, not of shape \(3,\)$",
+            DimensionMismatch,
+        ),
+    },
     "ScaledIdentity": dict(
         bool=Raises(lambda: ScaledIdentity(2, True), "^scale must be a real number, not True$"),
         float=Raises(lambda: ScaledIdentity(2.5), _sized("n") + "2.5$"),
@@ -955,6 +966,15 @@ def test_malformed_input_cell(row, column, cell):
     [
         pytest.param(lambda: _eye().apply(np.ones(3)), DimensionMismatch, id="product"),
         pytest.param(
+            lambda: SparseOperator(np.eye(2)).apply(np.ones((2, 1))),
+            DimensionMismatch,
+            id="sparse-product",
+        ),
+        pytest.param(lambda: DenseMatrix(5.0), DimensionMismatch, id="matrix-0-d"),
+        pytest.param(
+            lambda: SparseOperator(np.ones((2, 2, 2))), DimensionMismatch, id="sparse-matrix-3-d"
+        ),
+        pytest.param(
             lambda: _EN.grad_conjugate(np.ones((2, 1))), DimensionMismatch, id="objective"
         ),
         pytest.param(
@@ -974,9 +994,10 @@ def test_malformed_input_cell(row, column, cell):
     ],
 )
 def test_every_wrong_shape_and_non_finite_vector_has_one_class(call, error):
-    # one judge, _checks._vector (or _integers for an index array), with one
-    # message per mistake; both classes are ValueErrors
-    match = " must be a vector" if error is DimensionMismatch else " must be finite$"
+    # one judge, _checks._vector (or _integers for an index array, _matrix for
+    # a matrix), with one message per mistake; both classes are ValueErrors
+    match = " must be a (vector|2-d array)" if error is DimensionMismatch else " must be finite$"
     with pytest.raises(ValueError, match=match) as info:
         call()
     assert info.type is error
+

@@ -973,7 +973,7 @@ def _wrong_length_set(constraint):
         _wrong_length_set(Difficult(DenseMatrix(np.eye(2)), Box(-np.ones(3), np.ones(3)))),
         pytest.param(
             {"residual_tolerance": np.full(3, 1e-8)},
-            r"residual_tolerance has shape \(3,\), not \(2,\)",
+            r"residual_tolerance has shape \(3,\), not \(\), \(1,\) or \(2,\)$",
             id="residual_tolerance",
         ),
         pytest.param(
