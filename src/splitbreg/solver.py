@@ -419,8 +419,9 @@ def run(config, callback=None):
     n = len(constraints)
     tols = _reals("residual_tolerance", config.residual_tolerance)
     if tols.shape not in ((), (1,), (n,)):
-        shapes = "() or (1,)" if n == 1 else f"(), (1,) or ({n},)"
-        raise DimensionMismatch(f"residual_tolerance has shape {tols.shape}, not {shapes}")
+        raise DimensionMismatch(
+            f"residual_tolerance has shape {tols.shape}, not (), (1,) or ({n},)"
+        )
     tols = np.broadcast_to(tols, (n,))
     if not np.all(tols > 0.0):
         raise ValueError("residual tolerances must be positive")
