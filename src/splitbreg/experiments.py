@@ -97,7 +97,6 @@ class Instance:
     op: object
     x_true: np.ndarray
     b: np.ndarray
-    spec: InstanceSpec
 
 
 def generate_instance(spec):
@@ -115,7 +114,7 @@ def generate_instance(spec):
     if s > 0:
         support = rng.choice(n, size=s, replace=False)
         x[support] = _AMPLITUDES[spec.amplitude](rng, s)
-    return Instance(op=op, x_true=x, b=op.apply(x), spec=spec)
+    return Instance(op=op, x_true=x, b=op.apply(x))
 
 
 # ---------------------------------------------------------------------------

@@ -655,6 +655,13 @@ def bregman_project(obj, pair, target):
     For a purely quadratic objective the Bregman projection is the orthogonal
     one, which is how Kaczmarz and Landweber arise as special cases. Every
     other pairing raises TypeError; a box without the origin raises
-    BoxWithoutZero. A NonnegCone is the Box [0, inf) on its indices.
+    BoxWithoutZero. A NonnegCone is the Box [0, inf) on its indices. A pair
+    whose x or x_star is not a vector of the objective's dimension raises
+    DimensionMismatch.
     """
+    n = (obj.dimension,)
+    if pair.x.shape != n or pair.x_star.shape != n:
+        name = "x" if pair.x.shape != n else "x_star"
+        raise DimensionMismatch(f"pair.{name} must be a vector of length {n[0]}, "
+                                f"not of shape {getattr(pair, name).shape}")
     return bregman_projector(obj, target)(target, pair)

@@ -15,7 +15,6 @@ import itertools
 import math
 import time
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,12 +177,10 @@ class SolverConfig:
     x0_star: np.ndarray = None
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class IterationRecord:
-    """One step of a run: what a callback receives after step k, and what
-    ``SolverResult.records[k]`` rebuilds from the run's history columns.
-    Records compare field for field, a NaN equal to a NaN and ``violations``
-    as arrays."""
+    """One step of a run: what a callback receives after step k. The run
+    keeps the same numbers in its History's columns."""
 
     k: int
     constraint_index: int
@@ -191,17 +188,6 @@ class IterationRecord:
     w_norm: float  # pre-step residual norm of the treated constraint; NaN on simple steps
     elapsed_ms: float
     violations: np.ndarray = None  # full per-constraint vector, set at pass boundaries
-
-    def __eq__(self, other):
-        if not isinstance(other, IterationRecord):
-            return NotImplemented
-        a, b = self.violations, other.violations
-        numbers = [
-            (r.k, r.constraint_index, r.step_size, r.w_norm, r.elapsed_ms) for r in (self, other)
-        ]
-        return np.array_equal(*numbers, equal_nan=True) and (
-            a is b or (a is not None and b is not None and np.array_equal(a, b, equal_nan=True))
-        )
 
 
 def _frozen(column):
@@ -212,18 +198,17 @@ def _frozen(column):
     return view
 
 
-class History(Sequence):
+class History:
     """The steps of a run, held in typed columns: per step its constraint
     index (int32) and its step size, w_norm and elapsed_ms (float64), and per
     pass boundary its step index (int64) and its violation vector, a row of
     ``violations`` (one float per constraint). Every column is a read-only
-    numpy array.
+    numpy array, and ``len`` counts the steps; entry k of a step column holds
+    what the callback's IterationRecord held after step k.
 
-    As a sequence, it is read-only; item k is the IterationRecord a callback
-    saw after step k, built on access, and a list of records compares equal
-    to it record for record. A step costs 28 bytes, and a pass boundary
-    8 bytes plus 8 per constraint: with n constraints about 36 + 8/n bytes
-    per step, 44 for n = 1, plus the columns' growth reserve of about 1/16.
+    A step costs 28 bytes, and a pass boundary 8 bytes plus 8 per constraint:
+    with n constraints about 36 + 8/n bytes per step, 44 for n = 1, plus the
+    columns' growth reserve of about 1/16.
     """
 
     def __init__(self, n, constraint_index, step_size, w_norm, elapsed_ms, boundaries, violations):
@@ -237,32 +222,12 @@ class History(Sequence):
     def __len__(self):
         return self.step_size.size
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[j] for j in range(len(self))[k]]
-        k = range(len(self))[k]  # a negative k counts from the end; IndexError past it
-        j = int(np.searchsorted(self.boundaries, k))
-        at_boundary = j < self.boundaries.size and self.boundaries[j] == k
-        return IterationRecord(
-            k,
-            int(self.constraint_index[k]),
-            float(self.step_size[k]),
-            float(self.w_norm[k]),
-            float(self.elapsed_ms[k]),
-            self.violations[j].copy() if at_boundary else None,
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, tuple, History)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
 
 @dataclass
 class SolverResult:
     """What run returns: the final pair, the step history ``records`` (a
-    History: a read-only sequence of IterationRecords over typed columns) and
-    the termination, "tolerance" or "max_iterations"."""
+    History of read-only typed columns) and the termination, "tolerance" or
+    "max_iterations"."""
 
     pair: object
     records: History

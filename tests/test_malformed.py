@@ -31,6 +31,7 @@ from splitbreg import (
     PartialDCT,
     PDConfig,
     Point,
+    PrimalDualPair,
     ProductObjective,
     RandomUniform,
     ScaledIdentity,
@@ -979,6 +980,33 @@ def test_every_wrong_shape_and_non_finite_vector_has_one_class(call, error):
         call()
     assert info.type is error
 
+
+@pytest.mark.parametrize(
+    "obj, pair, target, message",
+    [
+        pytest.param(
+            ElasticNet(0.5, 2), PrimalDualPair([1.0], [1.0]), Box([-1.0], [1.0]),
+            r"^pair\.x must be a vector of length 2, not of shape \(1,\)$", id="box",
+        ),
+        pytest.param(
+            SquaredNorm(2), PrimalDualPair([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), Point([0.0, 0.0]),
+            r"^pair\.x must be a vector of length 2, not of shape \(3,\)$", id="orthogonal",
+        ),
+        pytest.param(
+            ElasticNet(0.5, 2), PrimalDualPair(np.ones(3), np.ones(3)), NonnegCone(),
+            r"^pair\.x must be a vector of length 2, not of shape \(3,\)$", id="cone",
+        ),
+        pytest.param(
+            ElasticNet(0.5, 2), PrimalDualPair(np.ones(2), np.ones((2, 1))), NonnegCone(),
+            r"^pair\.x_star must be a vector of length 2, not of shape \(2, 1\)$", id="x_star",
+        ),
+    ],
+)
+def test_bregman_project_names_a_pair_of_the_wrong_shape(obj, pair, target, message):
+    # every route judges the pair before it projects, not only the
+    # hyperplane's linesearch: numpy would broadcast a length-1 pair
+    with pytest.raises(DimensionMismatch, match=message):
+        bregman_project(obj, pair, target)
 
 
 @pytest.mark.parametrize("cls, key", [(DenseMatrix, "a"), (SparseOperator, "mat")])

@@ -1034,20 +1034,13 @@ def test_benchmark_shaped_sparse_kaczmarz_solve_matches_the_full_sort_reference(
         mp.setattr(projections, "_shrink_linesearch", reference)
         ref = solve()
 
-    def rows(result):
-        return [
-            (
-                r.k,
-                r.constraint_index,
-                np.float64(r.step_size).tobytes(),
-                np.float64(r.w_norm).tobytes(),
-                None if r.violations is None else r.violations.tobytes(),
-            )
-            for r in result.records
-        ]
+    def columns(result):
+        h = result.records
+        return [c.tobytes() for c in (h.constraint_index, h.step_size, h.w_norm, h.boundaries,
+                                      h.violations)]
 
     assert res.termination == ref.termination == "tolerance"
-    assert rows(res) == rows(ref)
+    assert columns(res) == columns(ref)
     assert res.x.tobytes() == ref.x.tobytes()
     assert res.pair.x_star.tobytes() == ref.pair.x_star.tobytes()
 

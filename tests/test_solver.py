@@ -137,7 +137,7 @@ def test_run_follows_its_control(control):
     before = copy.deepcopy(vars(control))
     result = run(cfg)
     assert result.termination == "tolerance"
-    got = [r.constraint_index for r in result.records]
+    got = result.records.constraint_index.tolist()
     assert got == list(islice(control.indices(3), len(got)))
     assert vars(control) == before
 
@@ -151,7 +151,7 @@ def test_landweber_scalar_step():
     cfg = preset("landweber", np.array([[1.0]]), np.array([2.0]), max_iterations=1)
     res = run(cfg)
     np.testing.assert_allclose(res.x, [2.0])
-    assert res.records[0].step_size == pytest.approx(1.0)
+    assert res.records.step_size[0] == pytest.approx(1.0)
 
 
 def test_kaczmarz_single_row():
@@ -248,7 +248,7 @@ def test_exact_equals_dynamic_for_squared_norm():
     for rule in (Exact(), Dynamic()):
         cfg = _equality_config(a, b, SquaredNorm(6), rule, max_iterations=20)
         res = run(cfg)
-        steps[type(rule).__name__] = [r.step_size for r in res.records]
+        steps[type(rule).__name__] = res.records.step_size
     np.testing.assert_allclose(steps["Exact"], steps["Dynamic"], rtol=0, atol=1e-12)
 
 
@@ -258,8 +258,8 @@ def test_constant_step_value():
     cfg = _equality_config(a, np.ones(3), ElasticNet(1.0, 5), Constant(), max_iterations=4)
     res = run(cfg)
     want = 1.0 / np.linalg.svd(a, compute_uv=False)[0] ** 2
-    for rec in res.records:
-        assert rec.step_size == pytest.approx(want, rel=1e-4)
+    for t in res.records.step_size:
+        assert t == pytest.approx(want, rel=1e-4)
 
 
 def test_forward_track_keeps_a_doubling_where_the_slope_is_exactly_zero():
@@ -283,7 +283,7 @@ def test_inexact_rule_brackets_exact():
             x0_star=x_star,
         )
         res = run(cfg)
-        t_in = res.records[0].step_size
+        t_in = res.records.step_size[0]
         pair = pair_from_dual(obj, x_star)
         y = a @ pair.x
         w = y - b
@@ -324,7 +324,7 @@ def test_tiny_residuals_are_not_skipped():
     )
     res = run(cfg)
     assert res.termination == "tolerance"
-    assert all(rec.step_size > 0.0 for rec in res.records)
+    assert np.all(res.records.step_size > 0.0)
 
 
 def test_unknown_rule_rejected():
@@ -350,7 +350,7 @@ def test_zero_iterations():
     cfg = preset("landweber", np.eye(2), np.ones(2), max_iterations=0)
     res = run(cfg)
     assert res.termination == "max_iterations"
-    assert res.records == []
+    assert len(res.records) == 0
     np.testing.assert_allclose(res.x, np.zeros(2))
 
 
@@ -514,7 +514,7 @@ def test_one_difficult_shared_by_two_runs_changes_neither():
         )
 
     def outcome(result):
-        steps = np.array([(r.constraint_index, r.step_size) for r in result.records])
+        steps = np.column_stack([result.records.constraint_index, result.records.step_size])
         return steps.tobytes(), result.x.tobytes()
 
     want = [outcome(run(configs(Difficult(shared.op, shared.target))[i])) for i in range(2)]
@@ -632,7 +632,7 @@ def test_violations_at_pass_boundaries():
         residual_tolerance=1e-15,
     )
     res = run(cfg)
-    has_violations = [rec.violations is not None for rec in res.records]
+    has_violations = np.isin(np.arange(len(res.records)), res.records.boundaries).tolist()
     assert has_violations == [False, True, False, True, False][: len(res.records)] or res.termination == "tolerance"
 
 
@@ -655,8 +655,7 @@ def test_elapsed_ms_monotone():
     cfg = preset("landweber", np.eye(3), np.ones(3), max_iterations=10,
                  residual_tolerance=1e-15)
     res = run(cfg)
-    times = [rec.elapsed_ms for rec in res.records]
-    assert all(b >= a for a, b in zip(times, times[1:]))
+    assert np.all(np.diff(res.records.elapsed_ms) >= 0.0)
 
 
 def test_callback_sees_every_step():
@@ -1094,7 +1093,7 @@ def test_constant_rule_matches_reference_iteration():
                            residual_tolerance=1e-18)
     trace = []
     res = run(cfg, callback=lambda pair, rec: trace.append((pair.x.copy(), pair.x_star.copy())))
-    t = res.records[0].step_size
+    t = res.records.step_size[0]
     assert t == pytest.approx(1.0, rel=1e-5)
 
     v = np.zeros(12)
@@ -1169,10 +1168,12 @@ def test_history_csv_difficult_run(tmp_path):
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert [float(row[5]) for row in rows[1:]] == values
-    for row, rec in zip(rows[1:], res.records):
-        assert float(row[2]) == rec.step_size
-        assert float(row[3]) == rec.w_norm
-        assert float(row[4]) == np.max(rec.violations)
+    h = res.records
+    assert h.boundaries.tolist() == list(range(len(rows) - 1))  # one constraint: every step
+    for row, t, w_norm, v in zip(rows[1:], h.step_size, h.w_norm, h.violations):
+        assert float(row[2]) == t
+        assert float(row[3]) == w_norm
+        assert float(row[4]) == np.max(v)
     # one value per record, checked before the file is opened
     for bad in (values[:-1], values + [0.0]):
         match = rf"^objective_values: {len(bad)} values for {res.iterations} records$"
@@ -1182,19 +1183,28 @@ def test_history_csv_difficult_run(tmp_path):
 
 
 def test_iteration_records_are_slotted():
-    # a record has no __dict__; one read from the history is built on access,
-    # so setting its violations leaves the history as it was
+    # a callback's record has no __dict__; the history keeps its own read-only
+    # columns, so changing a record's violations leaves the history as it was
     cfg = preset("kaczmarz", np.eye(3), np.ones(3), max_iterations=5, residual_tolerance=1e-18)
-    res = run(cfg)
-    rec = res.records[0]
+    seen = []
+    res = run(cfg, callback=lambda pair, record: seen.append(record))
+    rec = seen[0]
     assert not hasattr(rec, "__dict__")
     assert rec.violations is None
-    assert res.records[2].violations.shape == (3,)  # the end of the first pass
+    assert seen[2].violations.shape == (3,)  # the end of the first pass
+    h = res.records
+    want = h.violations.copy()
+    seen[2].violations[:] = 1.0
     rec.violations = np.zeros(3)
     assert rec.violations.tolist() == [0.0, 0.0, 0.0]
-    assert res.records[0].violations is None
+    assert h.violations.tobytes() == want.tobytes()
     with pytest.raises(AttributeError):
         rec.note = "no such field"
+    for column in (h.constraint_index, h.step_size, h.w_norm, h.elapsed_ms, h.boundaries,
+                   h.violations):
+        assert not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[...] = 0
 
 
 def _inconsistent(name, steps):
@@ -1222,18 +1232,6 @@ def test_history_keeps_at_most_48_bytes_per_step(name):
         tracemalloc.stop()
     assert res.iterations == 12000
     assert kept <= 48 * res.iterations, kept / res.iterations
-
-
-def _same_record(got, want):
-    """Field for field: a NaN equals a NaN, violations compare as arrays."""
-    assert (got.k, got.constraint_index) == (want.k, want.constraint_index)
-    for name in ("step_size", "w_norm", "elapsed_ms"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a == b or (np.isnan(a) and np.isnan(b)), name
-    if want.violations is None:
-        assert got.violations is None
-    else:
-        assert np.array_equal(got.violations, want.violations, equal_nan=True)
 
 
 @st.composite
@@ -1267,29 +1265,25 @@ def _small_runs(draw):
 @settings(max_examples=150, deadline=None)
 @given(cfg=_small_runs())
 def test_history_records_equal_the_callback_records(cfg):
+    # every column against the callback's records field by field: a NaN
+    # equals a NaN, and a boundary's violations compare as arrays
     seen = []
     res = run(cfg, callback=lambda pair, record: seen.append(record))
-    assert len(res.records) == res.iterations == len(seen)
-    for got, want in zip(res.records, seen):
-        _same_record(got, want)
-    if seen:
-        _same_record(res.records[-1], seen[-1])
-        _same_record(res.records[-len(seen)], seen[0])
-    assert res.records == seen and res.records == res.records
-    assert res.records[1:4] == seen[1:4]
-    with pytest.raises(IndexError):
-        res.records[len(seen)]
-    assert not res.records.step_size.flags.writeable
-    if seen:
-        # the last step is a pass boundary, so its record has violations; a
-        # record differs where its numbers or its violations do, and a
-        # history from a list that differs in one record or ends early
-        last = seen[-1]
-        assert last != replace(last, k=last.k + 1)
-        assert last != replace(last, violations=None)
-        assert last != replace(last, violations=np.append(last.violations, 0.0))
-        assert res.records != [*seen[:-1], replace(last, k=last.k + 1)]
-        assert res.records != seen[:-1]
+    h = res.records
+    assert len(h) == res.iterations == len(seen)
+    assert [r.k for r in seen] == list(range(len(seen)))
+    assert h.constraint_index.tolist() == [r.constraint_index for r in seen]
+    for name in ("step_size", "w_norm", "elapsed_ms"):
+        want = [getattr(r, name) for r in seen]
+        assert np.array_equal(getattr(h, name), want, equal_nan=True), name
+    at = [r.k for r in seen if r.violations is not None]
+    assert h.boundaries.tolist() == at
+    assert h.violations.shape == (len(at), len(cfg.constraints))
+    for row, k in zip(h.violations, at):
+        assert np.array_equal(row, seen[k].violations, equal_nan=True)
+    assert not h.step_size.flags.writeable
+    if seen:  # the last step is a pass boundary
+        assert at[-1] == len(seen) - 1
 
 
 def test_elapsed_ms_counts_milliseconds_from_the_start(monkeypatch):
