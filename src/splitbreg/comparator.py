@@ -31,16 +31,17 @@ class PDConfig:
 
 
 @dataclass
-class PDRecord:
-    k: int
-    objective_value: float
-    feasibility_gap: float  # ||A x - b||_p - delta, may be negative
-
-
-@dataclass
 class PDResult:
+    """The final x and three equal-length columns, one entry per recorded
+    iteration: its index ``k``, ``objective_value`` and ``feasibility_gap``
+    (||A x - b||_p - delta, may be negative). Iteration k is recorded when
+    it is the last one, or when record_every > 0 divides k + 1; a zero
+    budget leaves all three columns empty."""
+
     x: np.ndarray
-    records: list
+    k: list
+    objective_value: list
+    feasibility_gap: list
 
 
 def prox_f(z, tau, lam):
@@ -63,9 +64,12 @@ def run_pd(config):
     """Run the primal-dual iteration for the configured budget, with fixed
     steps tau = sigma = 0.99 / ||A||.
 
-    Each record's ``feasibility_gap`` is ``NormBall(b, delta, p).gap(A x)``;
-    at delta = 0 the dual step projects onto ``Point(b)`` instead of that
-    ball.
+    It records iteration k (see PDResult) when k is the last iteration or
+    when ``record_every`` > 0 divides k + 1, so ``record_every=0`` records
+    only the final state and a zero budget records nothing. A record's
+    ``objective_value`` is the elastic-net value of x and its
+    ``feasibility_gap`` is ``NormBall(b, delta, p).gap(A x)``; at delta = 0
+    the dual step projects onto ``Point(b)`` instead of that ball.
 
     Before the first iteration it raises a ValueError naming the field for a
     ``lam`` or ``delta`` that is not a real number >= 0, a ``noise_norm``
@@ -82,8 +86,8 @@ def run_pd(config):
     delta = _nonnegative("delta", config.delta, bound=True)
     p = config.noise_norm
     _check_choice("noise_norm", p, NormBall.ORDERS)
-    _check_whole("max_iterations", config.max_iterations, low=0)
-    _check_whole("record_every", config.record_every, low=0)
+    iterations = _check_whole("max_iterations", config.max_iterations, low=0)
+    every = _check_whole("record_every", config.record_every, low=0)
     # fixed steps tau = sigma = 0.99 / ||A||, so tau * sigma * ||A||^2 < 1
     # any step fits an operator of norm 0 (one without rows, or all zeros)
     tau = sigma = 0.99 / (op.norm_estimate() or 1.0)
@@ -93,24 +97,13 @@ def run_pd(config):
 
     x = np.zeros(n)
     y = np.zeros(m)
-    records = []
-
-    def record(k, xk):
-        records.append(
-            PDRecord(
-                k=k,
-                objective_value=objective.value(xk),
-                feasibility_gap=ball.gap(op.apply(xk)),
-            )
-        )
-
-    for k in range(config.max_iterations):
+    ks, values, gaps = [], [], []
+    for k in range(iterations):
         x_new = prox_f(x - tau * op.apply_adjoint(y), tau, lam)
         y = prox_g(y + sigma * op.apply(2.0 * x_new - x), sigma, prox_set)
         x = x_new
-        if config.record_every and (k + 1) % config.record_every == 0:
-            record(k, x)
-    if config.max_iterations > 0 and (not records or records[-1].k != config.max_iterations - 1):
-        record(config.max_iterations - 1, x)
-    return PDResult(x=x, records=records)
-
+        if k == iterations - 1 or every and (k + 1) % every == 0:
+            ks.append(k)
+            values.append(objective.value(x))
+            gaps.append(ball.gap(op.apply(x)))
+    return PDResult(x=x, k=ks, objective_value=values, feasibility_gap=gaps)

@@ -359,6 +359,7 @@ class ExperimentConfig:
         _positive("tolerance", self.tolerance)
         if self.lam is not None:
             _nonnegative("lam", self.lam)
+        _check_choice("preset", self.preset, solver.PRESETS)
         if isinstance(self.noise, ImpulsiveNoise):
             self.noise.check_fits(self.instance.m)
 
@@ -477,8 +478,9 @@ def run_noisy_recovery(config):
     primal-dual comparator, on the noise model's matching ball constraint.
 
     Writes trace.csv (objective and feasibility gap per iteration per method,
-    the gap ``NormBall.gap`` of the noise ball) and summary.csv (relative
-    reconstruction errors), both through _write_report. The weight is
+    the gap ``NormBall.gap`` of the noise ball; the primal-dual columns are
+    its run's ``objective_value`` and ``feasibility_gap``) and summary.csv
+    (relative reconstruction errors), both through _write_report. The weight is
     certified on the exact data unless the configuration pins one. Raises
     MissingNoise when the configuration has no noise model and ZeroData for an
     instance with sparsity 0, before anything runs.
@@ -526,11 +528,8 @@ def run_noisy_recovery(config):
             max_iterations=config.pd_iterations,
         )
     )
-    traces["pd"] = {
-        "objective": [r.objective_value for r in pd_result.records],
-        "gap": [r.feasibility_gap for r in pd_result.records],
-    }
-    finals["pd"] = (pd_result.x, len(pd_result.records), "budget")
+    traces["pd"] = {"objective": pd_result.objective_value, "gap": pd_result.feasibility_gap}
+    finals["pd"] = (pd_result.x, len(pd_result.k), "budget")
     x_norm = np.linalg.norm(inst.x_true)
     summary = [
         (name, float(np.linalg.norm(x - inst.x_true)) / x_norm, its, term)
@@ -575,8 +574,10 @@ def run_tomography(config):
     pass over the variant's constraint list.
 
     Writes trace.csv (per-pass data gap, ``NormBall.gap`` of the noise ball,
-    and coupling residual per variant) and summary.csv (final errors), both
-    through _write_report, timings.csv (ms per iteration: the run's own
+    and coupling residual per variant, the run's own violation of its
+    coupling constraint at each pass boundary, column 1 of
+    ``records.violations``) and summary.csv (final errors), both through
+    _write_report, timings.csv (ms per iteration: the run's own
     ``elapsed_ms`` at its last step over its step count, so the run's set-up
     is not in it) and PGM images, and creates the output directory only once
     every variant's constraints are built. The simple constraints of a
@@ -619,15 +620,15 @@ def run_tomography(config):
             max_iterations=spec.iterations,
             residual_tolerance=tols,
         )
-        trace = traces[variant] = {"data_gap": [], "coupling": []}
+        trace = traces[variant] = {"data_gap": []}
 
         def track(pair, record):
             if record.violations is not None:  # pass boundary
                 # [P, 0] x = P u: the product the violation check just computed
                 trace["data_gap"].append(ball.gap(constraints[0].product(pair.x)))
-                trace["coupling"].append(float(record.violations[1]))
 
         result = results[variant] = solver.run(cfg, callback=track)
+        trace["coupling"] = result.records.violations[:, 1].tolist()
         timings[variant] = result.records.elapsed_ms[-1] / len(result.records)
         write_pgm(out / f"reconstruction_{variant}.pgm", result.x[:hw], h, w)
 

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import projections
-from ._checks import DimensionMismatch, _check_indices, _check_whole, _integers, _reals, _vector
+from ._checks import (
+    DimensionMismatch, _check_choice, _check_indices, _check_whole, _integers, _reals, _vector
+)
 from .linops import LinearOperator, as_operator
 from .objectives import ElasticNet, SquaredNorm, _nonzeros, pair_from_dual
 
@@ -430,7 +432,7 @@ def run(config, callback=None):
 
 # name -> (l1 term in the objective?, one hyperplane per row of A?, default rule);
 # without the row split the one constraint is A x = b, stepped by halfspaces
-_PRESETS = {
+PRESETS = {
     "landweber": (False, False, Constant()),
     "minimal_error": (False, False, Dynamic()),
     "kaczmarz": (False, True, Exact()),
@@ -448,9 +450,10 @@ def preset(name, a, b, lam=None, step_rule=None, **kwargs):
     - "linearized_bregman": l1+l2 objective, one equality block, chosen rule
     - "sparse_kaczmarz": l1+l2 objective, row hyperplanes, exact steps
 
-    The row presets skip zero rows with b_i = 0, raise InconsistentZeroRow on
-    a zero row with b_i != 0 and AllZeroRows when every row is zero. Extra
-    keyword arguments go straight into SolverConfig.
+    A ``name`` that is not one of ``PRESETS`` raises a ValueError naming it
+    and the choices. The row presets skip zero rows with b_i = 0, raise
+    InconsistentZeroRow on a zero row with b_i != 0 and AllZeroRows when
+    every row is zero. Extra keyword arguments go straight into SolverConfig.
     """
     op = as_operator(a)
     m, n = op.shape
@@ -469,9 +472,8 @@ def preset(name, a, b, lam=None, step_rule=None, **kwargs):
             raise AllZeroRows(f"every row of A is zero ({m} rows)")
         return constraints
 
-    if name not in _PRESETS:
-        raise ValueError(f"unknown preset {name!r}")
-    sparse, by_rows, rule = _PRESETS[name]
+    _check_choice("preset", name, PRESETS)
+    sparse, by_rows, rule = PRESETS[name]
     if sparse and lam is None:
         raise MissingLambda(f"{name} needs lam")
     objective = ElasticNet(lam, n) if sparse else SquaredNorm(n)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from splitbreg.cli import build_parser, main
+from splitbreg.cli import _load_config, build_parser, main
 from splitbreg.experiments import ExperimentConfig, TomoSpec
 
 
@@ -77,6 +77,17 @@ def test_flag_overrides(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_each_flag_overrides_its_two_fields():
+    # a flag sets its top-level field and the field of the instance or tomo
+    # block that plays the same part there; the coupling tolerance stays
+    args = build_parser().parse_args(["tomo", "--max-iter", "7", "--tol", "0.5", "--seed", "3"])
+    config = _load_config(args)
+    assert (config.max_iterations, config.tomo.iterations) == (7, 7)
+    assert (config.tolerance, config.tomo.data_tolerance) == (0.5, 0.5)
+    assert config.tomo.coupling_tolerance == TomoSpec().coupling_tolerance
+    assert (config.seed, config.instance.seed) == (3, 3)
+
+
 def test_seed_override_changes_instance(tmp_path):
     import csv
 
@@ -115,6 +126,8 @@ def test_bench_default_instance(tmp_path):
         ("noisy-recovery", {"noise": {"count": 3}}, "noise kind", "None"),
         ("bench-stepsizes", {"rules": ["fast"]}, "step rule", "'fast'"),
         ("tomo", {"tomo": {"variants": ["nonnneg"]}}, "tomo variant", "'nonnneg'"),
+        ("solve", {"preset": "bogus"}, "preset", "'bogus'"),
+        ("bench-stepsizes", {"preset": "bogus"}, "preset", "'bogus'"),
     ],
 )
 def test_unknown_config_names_fail_early(tmp_path, capsys, command, payload, key, value):

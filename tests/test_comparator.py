@@ -74,17 +74,23 @@ def test_prox_g_minimizes_its_objective():
 def test_record_every_semantics():
     a = np.eye(2)
     b = np.array([1.0, 2.0])
+
+    def columns(res):
+        # the three columns hold one entry per recorded iteration each
+        assert len(res.k) == len(res.objective_value) == len(res.feasibility_gap)
+        return res.k
+
     full = run_pd(PDConfig(lam=0.1, op=a, b=b, max_iterations=10))
-    assert [r.k for r in full.records] == list(range(10))
+    assert columns(full) == list(range(10))
 
     coarse = run_pd(PDConfig(lam=0.1, op=a, b=b, max_iterations=10, record_every=3))
-    assert [r.k for r in coarse.records] == [2, 5, 8, 9]
+    assert columns(coarse) == [2, 5, 8, 9]
 
     final_only = run_pd(PDConfig(lam=0.1, op=a, b=b, max_iterations=10, record_every=0))
-    assert [r.k for r in final_only.records] == [9]
+    assert columns(final_only) == [9]
 
     empty = run_pd(PDConfig(lam=0.1, op=a, b=b, max_iterations=0))
-    assert empty.records == []
+    assert (empty.k, empty.objective_value, empty.feasibility_gap) == ([], [], [])
     np.testing.assert_array_equal(empty.x, np.zeros(2))
 
 
@@ -95,7 +101,7 @@ def test_pd_solves_symmetric_equality_instance():
     b = np.array([2.0])
     res = run_pd(PDConfig(lam=1.0, op=a, b=b, max_iterations=5000, record_every=0))
     np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-6)
-    assert res.records[-1].feasibility_gap == pytest.approx(0.0, abs=1e-6)
+    assert res.feasibility_gap[-1] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_pd_matches_split_solver_on_random_instance():
@@ -137,7 +143,7 @@ def test_pd_noise_ball_relaxes_the_solution():
             )
         )
         # feasible up to solver accuracy, and no worse than the delta = 0 point
-        assert loose.records[-1].feasibility_gap <= 1e-6
+        assert loose.feasibility_gap[-1] <= 1e-6
         obj = ElasticNet(lam, 6)
         assert obj.value(loose.x) <= obj.value(tight.x) + 1e-8
 

@@ -414,8 +414,16 @@ def test_noisy_recovery_outputs(tmp_path):
     assert [r["method"] for r in rows] == ["dynamic", "exact", "pd"]
     for row in rows:
         assert np.isfinite(float(row["err_rel"]))
+    # the comparator records every iteration of its budget
+    assert int(rows[2]["iterations"]) == cfg.pd_iterations
     with open(tmp_path / "trace.csv", newline="") as fh:
         header = next(csv.reader(fh))
+        fh.seek(0)
+        trace = list(csv.DictReader(fh))
+    # the pd columns are the comparator run's own recorded columns
+    pd = report["pd"]
+    assert [r["objective_pd"] for r in trace] == list(map(solver.format_float, pd.objective_value))
+    assert [r["gap_pd"] for r in trace] == list(map(solver.format_float, pd.feasibility_gap))
     assert header == [
         "k",
         "objective_dynamic",
@@ -467,7 +475,7 @@ def test_run_solve_uses_the_preset_step_rule(tmp_path, monkeypatch):
     assert [type(c.step_rule) for c in configs] == [solver.Exact]
 
 
-@pytest.mark.parametrize("name", [name for name, row in solver._PRESETS.items() if row[0]])
+@pytest.mark.parametrize("name", [name for name, row in solver.PRESETS.items() if row[0]])
 def test_run_solve_picks_lam_for_l1_presets(tmp_path, name):
     cfg = ExperimentConfig(
         experiment="solve",

@@ -73,6 +73,8 @@ from splitbreg.solver import AllZeroRows, DimensionMismatch
 nan, inf = np.nan, np.inf
 
 COLUMNS = ("bool", "float", "negative", "nan", "inf", "dimension", "length", "empty")
+# a row that takes a name from a fixed set also has a cell for a name outside it
+NAME_COLUMNS = ("unknown",)
 
 # the configs a runner is built from: ExperimentConfig and what from_dict builds
 RUNNER_CONFIGS = {
@@ -290,6 +292,11 @@ _PD_CONFIG = dict(
         "an operator without rows leaves the objective alone: x = 0",
         lambda: _pd(op=np.zeros((0, 2)), b=[]),
     ),
+)
+# the whole message for a preset name outside solver.PRESETS
+_UNKNOWN_PRESET = (
+    "^preset 'bogus' is not one of "
+    "landweber, minimal_error, kaczmarz, linearized_bregman, sparse_kaczmarz$"
 )
 
 ROWS = {
@@ -811,6 +818,7 @@ ROWS = {
             r"^every row of A is zero \(2 rows\)$",
             AllZeroRows,
         ),
+        unknown=Raises(lambda: preset("bogus", np.eye(2), np.ones(2)), _UNKNOWN_PRESET),
     ),
     "history_to_csv": {
         **_all_valid("writes the records of a run and the floats it is handed"),
@@ -851,6 +859,7 @@ ROWS = {
             "^bench-stepsizes needs at least one step rule",
             MissingRules,
         ),
+        unknown=Raises(lambda: ExperimentConfig(preset="bogus"), _UNKNOWN_PRESET),
     ),
     "InstanceSpec": dict(
         bool=Raises(
@@ -935,7 +944,7 @@ def test_every_public_name_and_runner_config_has_a_fulldict():
     missing = set(splitbreg.__all__) | RUNNER_CONFIGS
     assert set(ROWS) == missing, sorted(set(ROWS) ^ missing)
     for name, cells in ROWS.items():
-        assert tuple(cells) == COLUMNS, name
+        assert tuple(cells) in (COLUMNS, COLUMNS + NAME_COLUMNS), name
 
 
 @pytest.mark.parametrize("row, column, cell", CELLS, ids=[f"{r}-{c}" for r, c, _ in CELLS])

@@ -621,19 +621,26 @@ def test_later_box_without_zero_rejected_before_first_step():
 
 
 def test_violations_at_pass_boundaries():
-    a = np.eye(2)
-    cfg = SolverConfig(
-        objective=SquaredNorm(2),
-        constraints=[
-            Simple(Hyperplane(np.array([1.0, 0.0]), 1.0)),
-            Simple(Hyperplane(np.array([0.0, 1.0]), 2.0)),
-        ],
-        max_iterations=5,
-        residual_tolerance=1e-15,
-    )
-    res = run(cfg)
-    has_violations = np.isin(np.arange(len(res.records)), res.records.boundaries).tolist()
-    assert has_violations == [False, True, False, True, False][: len(res.records)] or res.termination == "tolerance"
+    # x_1 = 1 and x_1 = 2 meet nowhere, so each run spends its budget; its
+    # violations are checked after every full pass and after its last step
+    infeasible = [([1.0, 0.0], 1.0), ([1.0, 0.0], 2.0)]
+    for sets, steps, boundaries in (
+        (infeasible, 5, [1, 3, 4]),
+        (infeasible + [([0.0, 1.0], 0.5)], 7, [2, 5, 6]),
+    ):
+        constraints = [Simple(Hyperplane(a, c)) for a, c in sets]
+        cfg = SolverConfig(
+            objective=SquaredNorm(2),
+            constraints=constraints,
+            max_iterations=steps,
+            residual_tolerance=1e-15,
+        )
+        seen = []
+        res = run(cfg, callback=lambda pair, record: seen.append(record.violations is not None))
+        assert res.termination == "max_iterations"
+        assert res.records.boundaries.tolist() == boundaries
+        assert res.records.violations.shape == (len(boundaries), len(constraints))
+        assert np.flatnonzero(seen).tolist() == boundaries
 
 
 def test_zero_direction_raises():
@@ -1007,7 +1014,7 @@ def test_set_up_fits_each_set_once(monkeypatch):
     assert lengths == [2, 2, 3]
 
 
-@pytest.mark.parametrize("name", [*solver._PRESETS, "halfspace", "box", "cone", "tomo-one"])
+@pytest.mark.parametrize("name", [*solver.PRESETS, "halfspace", "box", "cone", "tomo-one"])
 def test_a_finished_solve_is_freed_by_reference_counting(name, tmp_path, monkeypatch):
     # a kept Bregman projector holds no set, so with the cyclic collector off
     # the matrix or normal, the objective and every set of a finished run go
@@ -1030,7 +1037,7 @@ def test_a_finished_solve_is_freed_by_reference_counting(name, tmp_path, monkeyp
             report = run_tomography(ExperimentConfig(experiment="tomo", out=str(tmp_path),
                                                      tomo=spec))
             return weakref.ref(report["projector"])
-        if name in solver._PRESETS:
+        if name in solver.PRESETS:
             cfg = preset(name, a, a @ (rng.random(12) < 0.3), lam=1.0, max_iterations=50)
         else:
             target = {
