@@ -17,8 +17,8 @@ finite and is not NonFiniteData, both ValueErrors. The classes are:
 - nonnegative (_nonnegative) and positive (_positive): real numbers >= 0 and
   > 0; NaN fails;
 - distinct names (_check_distinct);
-- names list (_check_names): a list of names (never one string), each one of
-  a fixed set (_check_choice) and none twice (_check_distinct);
+- names list (_check_names): a list or tuple of names (never one string),
+  each one of a fixed set (_check_choice) and none twice (_check_distinct);
 - real entries (_reals): an array or nested list of real numbers; a bool, a
   string, None and a complex number fail, also inside a list of floats or as
   the dtype of an array, before anything is converted (vectors, matrices,
@@ -121,13 +121,15 @@ def _check_distinct(key, names):
 
 
 def _check_names(key, item, names, choices):
-    """``names`` as a tuple; raises a ValueError naming ``key`` when it is one
-    string rather than a list of names, naming ``item``, the bad entry and the
-    ``choices`` (_check_choice) for an entry that is not one of them, and
-    naming ``key`` when it lists a name twice (_check_distinct). An empty list
-    passes: what it means is the caller's to say."""
-    if isinstance(names, str):
-        raise ValueError(f"{key} must be a list of names, not the string {names!r}")
+    """``names`` as a tuple; raises a ValueError naming ``key`` and the value
+    when it is not a list or tuple (one string is named as a string), naming
+    ``item``, the bad entry and the ``choices`` (_check_choice) for an entry
+    that is not one of them, and naming ``key`` when it lists a name twice
+    (_check_distinct). An empty list passes: what it means is the caller's
+    to say."""
+    if not isinstance(names, (list, tuple)):
+        what = "the string " if isinstance(names, str) else ""
+        raise ValueError(f"{key} must be a list of names, not {what}{names!r}")
     for name in names:
         _check_choice(item, name, choices)
     _check_distinct(key, names)

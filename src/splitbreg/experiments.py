@@ -8,7 +8,8 @@ columns repeat bit for bit.
 """
 
 import json
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .linops import (
 )
 from .objectives import ElasticNet, GroupElasticNet, ProductObjective, SquaredNorm
 from .projections import Hyperplane, NonnegCone, NormBall, Point
-from .solver import format_float, write_csv
+from .solver import format_float, write_csv, write_trace_csv
 
 
 class CertificationFailed(RuntimeError):
@@ -205,6 +206,12 @@ def inject_noise(b, model, seed):
 _NOISE_MODELS = {"impulsive": ImpulsiveNoise, "uniform": UniformNoise, "gaussian": GaussianNoise}
 
 
+def _noise_model(kind=None, **params):
+    """The noise model a config's ``noise`` block names by its ``kind``."""
+    _check_choice("noise kind", kind, _NOISE_MODELS)
+    return _NOISE_MODELS[kind](**params)
+
+
 # ---------------------------------------------------------------------------
 # weight certification
 # ---------------------------------------------------------------------------
@@ -302,6 +309,7 @@ def projection_mass_estimate(projector, values):
 # ---------------------------------------------------------------------------
 
 
+# nested: each variant runs one more set of run_tomography's constraint list
 _TOMO_VARIANTS = ("plain", "nonneg", "one")
 
 
@@ -352,6 +360,8 @@ class ExperimentConfig:
             self.instance = InstanceSpec(m=100, n=200, sparsity=10, seed=self.seed)
         if self.tomo is None:
             self.tomo = TomoSpec()
+        if not isinstance(self.out, (str, os.PathLike)):
+            raise ValueError(f"out must be a path, not {self.out!r}")
         self.rules = _check_names("rules", "step rule", self.rules, solver.STEP_RULES)
         for key in ("max_iterations", "pd_iterations"):
             _check_whole(key, getattr(self, key))
@@ -365,16 +375,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data):
+        """The config a JSON document describes: its ``instance``, ``noise``
+        and ``tomo`` blocks are each a JSON object or null, else a ValueError
+        names the block."""
         data = dict(data)
-        if "instance" in data and data["instance"] is not None:
-            data["instance"] = InstanceSpec(**data["instance"])
-        if "noise" in data and data["noise"] is not None:
-            noise = dict(data["noise"])
-            kind = noise.pop("kind", None)
-            _check_choice("noise kind", kind, _NOISE_MODELS)
-            data["noise"] = _NOISE_MODELS[kind](**noise)
-        if "tomo" in data and data["tomo"] is not None:
-            data["tomo"] = TomoSpec(**data["tomo"])
+        for key, build in (("instance", InstanceSpec), ("noise", _noise_model), ("tomo", TomoSpec)):
+            block = data.get(key)
+            if block is None:
+                continue
+            if not isinstance(block, dict):
+                raise ValueError(f"{key} must be a JSON object or null, not {block!r}")
+            data[key] = build(**block)
         return cls(**data)
 
     @classmethod
@@ -383,24 +394,16 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
 
-def _write_trace_csv(path, header, columns):
-    """Write float trace columns side by side under ``header``, whose first
-    entry names the row index; shorter columns repeat their last value."""
-    length = max(len(c) for c in columns)
-    rows = [[k] + [format_float(c[min(k, len(c) - 1)]) for c in columns] for k in range(length)]
-    write_csv(path, header, rows)
-
-
 def _write_report(out, index, traces, summary_header, summary):
     """Write trace.csv and summary.csv into ``out``.
 
     ``traces`` maps each method to its per-row traces by quantity, in the same
     quantity order for every method. trace.csv has an ``index`` column, then
     one ``<quantity>_<method>`` column per quantity and method, quantities
-    outer, padded as _write_trace_csv pads. summary.csv has one row per
+    outer, padded as solver.write_trace_csv pads. summary.csv has one row per
     (name, error, iterations, termination) entry of ``summary``."""
     quantities = list(next(iter(traces.values())))
-    _write_trace_csv(
+    write_trace_csv(
         out / "trace.csv",
         [index] + [f"{q}_{m}" for q in quantities for m in traces],
         [traces[m][q] for q in quantities for m in traces],
@@ -451,23 +454,16 @@ def run_stepsize_benchmark(config):
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    cfg = solver.preset("linearized_bregman", inst.op, inst.b, lam=lam, **budget)
     traces = {}
     terminations = {}
     for rule_name in config.rules:
-        cfg = solver.preset(
-            "linearized_bregman",
-            inst.op,
-            inst.b,
-            lam=lam,
-            step_rule=solver.STEP_RULES[rule_name](),
-            **budget,
-        )
-        result = solver.run(cfg)
+        result = solver.run(replace(cfg, step_rule=solver.STEP_RULES[rule_name]()))
         # single constraint: every step is a pass boundary with a fresh violation
         traces[rule_name] = result.records.violations[:, 0].tolist()
         terminations[rule_name] = result.termination
 
-    _write_trace_csv(
+    write_trace_csv(
         out / "residuals.csv", ["k"] + list(config.rules), [traces[r] for r in config.rules]
     )
     return {"traces": traces, "terminations": terminations, "lam": lam, "instance": inst}
@@ -499,17 +495,16 @@ def run_noisy_recovery(config):
     m = inst.op.shape[0]
     solver_tol = config.tolerance / np.sqrt(m) if p == 1 else config.tolerance
     ball = NormBall(noisy, delta, p)
+    cfg = solver.SolverConfig(
+        objective=ElasticNet(lam, inst.op.shape[1]),
+        constraints=[solver.Difficult(inst.op, ball)],
+        max_iterations=config.max_iterations,
+        residual_tolerance=solver_tol,
+    )
 
     traces = {}
     finals = {}  # method -> (final x, iterations, termination)
     for rule_name in ("dynamic", "exact"):
-        cfg = solver.SolverConfig(
-            objective=ElasticNet(lam, inst.op.shape[1]),
-            constraints=[solver.Difficult(inst.op, ball)],
-            step_rule=solver.STEP_RULES[rule_name](),
-            max_iterations=config.max_iterations,
-            residual_tolerance=solver_tol,
-        )
         trace = traces[rule_name] = {"objective": [], "gap": []}
 
         def track(pair, record):
@@ -518,7 +513,7 @@ def run_noisy_recovery(config):
             trace["objective"].append(cfg.objective.value(pair.x))
             trace["gap"].append(ball.gap(cfg.constraints[0].product(pair.x)))
 
-        result = solver.run(cfg, callback=track)
+        result = solver.run(replace(cfg, step_rule=solver.STEP_RULES[rule_name]()), callback=track)
         finals[rule_name] = (result.x, len(result.records), result.termination)
     terminations = {name: term for name, (_, _, term) in finals.items()}
 
@@ -539,7 +534,6 @@ def run_noisy_recovery(config):
     return {
         "traces": traces,
         "terminations": terminations,
-        "summary": summary,
         "lam": lam,
         "delta": delta,
         "instance": inst,
@@ -548,30 +542,16 @@ def run_noisy_recovery(config):
     }
 
 
-def _tomo_constraints(variant, a_u, coupling_op, ball, hw, c_value, spec):
-    constraints = [
-        solver.Difficult(a_u, ball),
-        solver.Difficult(coupling_op, Point(np.zeros(coupling_op.shape[0]))),
-    ]
-    tols = [spec.data_tolerance, spec.coupling_tolerance]
-    if variant in ("nonneg", "one"):
-        constraints.append(solver.Simple(NonnegCone(np.arange(hw))))
-        tols.append(np.inf)
-    if variant == "one":
-        normal = np.concatenate([np.ones(hw), np.zeros(2 * hw)])
-        constraints.append(solver.Simple(Hyperplane(normal, c_value)))
-        tols.append(np.inf)
-    return constraints, np.asarray(tols)
-
-
 def run_tomography(config):
     """Total-variation constrained tomography at three constraint levels.
 
     Variables are (image, gradient-field) blocks tied by a coupling constraint;
-    the data enters through a 2-norm noise ball. Variants add nonnegativity and
-    the projection-estimated sum constraint. Dynamic steps, cyclic control; an
-    iteration treats one constraint, and traces are recorded once per full
-    pass over the variant's constraint list.
+    the data enters through a 2-norm noise ball. One constraint list is built
+    once, in the paper's order: the data ball, the coupling, nonnegativity,
+    then the projection-estimated sum; variant i of ``_TOMO_VARIANTS``
+    (plain, nonneg, one) runs its first i + 2 constraints. Dynamic steps,
+    cyclic control; an iteration treats one constraint, and traces are
+    recorded once per full pass over the variant's constraints.
 
     Writes trace.csv (per-pass data gap, ``NormBall.gap`` of the noise ball,
     and coupling residual per variant, the run's own violation of its
@@ -580,8 +560,8 @@ def run_tomography(config):
     _write_report, timings.csv (ms per iteration: the run's own
     ``elapsed_ms`` at its last step over its step count, so the run's set-up
     is not in it) and PGM images, and creates the output directory only once
-    every variant's constraints are built. The simple constraints of a
-    variant have no bound on their violation (tolerance inf).
+    the constraints are built. The simple constraints have no bound on their
+    violation (tolerance inf).
     """
     spec = config.tomo
     h, w = spec.height, spec.width
@@ -592,19 +572,22 @@ def run_tomography(config):
     projector = build_parallel_projector(h, w, angles, spec.rays_per_angle)
     b = projector.apply(u_true)
     noisy, delta = inject_noise(b, GaussianNoise(spec.noise_level), config.seed)
-    c_value = projection_mass_estimate(projector, noisy)
 
-    m = projector.shape[0]
-    a_u = BlockRow([projector, ZeroOperator(m, 2 * hw)])
     grad_op = Grad2D(h, w)
-    coupling_op = BlockRow([grad_op, ScaledIdentity(2 * hw, -1.0)])
     objective = ProductObjective(
         [SquaredNorm(hw), GroupElasticNet(spec.lam, grad_op.pair_groups())]
     )
     ball = NormBall(noisy, delta, 2)
-    setups = {
-        v: _tomo_constraints(v, a_u, coupling_op, ball, hw, c_value, spec) for v in spec.variants
-    }
+    mass = projection_mass_estimate(projector, noisy)
+    constraints = [
+        solver.Difficult(BlockRow([projector, ZeroOperator(projector.shape[0], 2 * hw)]), ball),
+        solver.Difficult(
+            BlockRow([grad_op, ScaledIdentity(2 * hw, -1.0)]), Point(np.zeros(2 * hw))
+        ),
+        solver.Simple(NonnegCone(np.arange(hw))),
+        solver.Simple(Hyperplane(np.concatenate([np.ones(hw), np.zeros(2 * hw)]), mass)),
+    ]
+    tols = np.array([spec.data_tolerance, spec.coupling_tolerance, np.inf, np.inf])
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -612,13 +595,13 @@ def run_tomography(config):
     traces = {}
     timings = {}
     for variant in spec.variants:
-        constraints, tols = setups[variant]
+        count = _TOMO_VARIANTS.index(variant) + 2
         cfg = solver.SolverConfig(
             objective=objective,
-            constraints=constraints,
+            constraints=constraints[:count],
             step_rule=solver.Dynamic(),
             max_iterations=spec.iterations,
-            residual_tolerance=tols,
+            residual_tolerance=tols[:count],
         )
         trace = traces[variant] = {"data_gap": []}
 
@@ -649,9 +632,7 @@ def run_tomography(config):
         "timings": timings,
         "terminations": terminations,
         "errors": errors,
-        "u_true": u_true,
         "delta": delta,
-        "c_value": c_value,
         "projector": projector,
         "noisy": noisy,
     }

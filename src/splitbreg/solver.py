@@ -451,10 +451,15 @@ def preset(name, a, b, lam=None, step_rule=None, **kwargs):
     - "sparse_kaczmarz": l1+l2 objective, row hyperplanes, exact steps
 
     A ``name`` that is not one of ``PRESETS`` raises a ValueError naming it
-    and the choices. The row presets skip zero rows with b_i = 0, raise
-    InconsistentZeroRow on a zero row with b_i != 0 and AllZeroRows when
-    every row is zero. Extra keyword arguments go straight into SolverConfig.
+    and the choices, and an l1 preset without ``lam`` MissingLambda, both
+    before ``a`` and ``b`` are read. The row presets skip zero rows with
+    b_i = 0, raise InconsistentZeroRow on a zero row with b_i != 0 and
+    AllZeroRows when every row is zero. Extra keyword arguments go straight into SolverConfig.
     """
+    _check_choice("preset", name, PRESETS)
+    sparse, by_rows, rule = PRESETS[name]
+    if sparse and lam is None:
+        raise MissingLambda(f"{name} needs lam")
     op = as_operator(a)
     m, n = op.shape
     b = _vector("b", b, m)
@@ -472,10 +477,6 @@ def preset(name, a, b, lam=None, step_rule=None, **kwargs):
             raise AllZeroRows(f"every row of A is zero ({m} rows)")
         return constraints
 
-    _check_choice("preset", name, PRESETS)
-    sparse, by_rows, rule = PRESETS[name]
-    if sparse and lam is None:
-        raise MissingLambda(f"{name} needs lam")
     objective = ElasticNet(lam, n) if sparse else SquaredNorm(n)
     constraints = rows() if by_rows else [Difficult(op, projections.Point(b))]
     if step_rule is not None:
@@ -510,9 +511,19 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def write_trace_csv(path, header, columns):
+    """The one writer of the per-row tables (history.csv, residuals.csv,
+    trace.csv): an index column named by ``header[0]``, then ``columns`` side
+    by side under the rest of ``header``, every entry through format_float; a
+    shorter column repeats its last value."""
+    length = max(len(c) for c in columns)
+    rows = [[k] + [format_float(c[min(k, len(c) - 1)]) for c in columns] for k in range(length)]
+    write_csv(path, header, rows)
+
+
 def history_to_csv(result, path, objective_values):
-    """Write the run history with one row per step; every column after the
-    first two is a float.
+    """Write the run history with one row per step through write_trace_csv;
+    constraint_index is an int, which format_float prints as one.
 
     ``objective_values`` holds f(x) after each step, in record order (collect
     it in run's callback); a ValueError names another count before the file
@@ -526,10 +537,5 @@ def history_to_csv(result, path, objective_values):
     # initial value only lets a run without a boundary reduce)
     maxima = np.concatenate([[np.nan], h.violations.max(axis=1, initial=-np.inf)])
     latest = maxima[np.searchsorted(h.boundaries, np.arange(len(h)), side="right")]
-    floats = zip(h.step_size.tolist(), h.w_norm.tolist(), latest.tolist(), values,
-                 h.elapsed_ms.tolist())
-    rows = (
-        [k, i] + [format_float(v) for v in row]
-        for k, (i, row) in enumerate(zip(h.constraint_index.tolist(), floats))
-    )
-    write_csv(path, CSV_COLUMNS, rows)
+    columns = [h.constraint_index, h.step_size, h.w_norm, latest, values, h.elapsed_ms]
+    write_trace_csv(path, CSV_COLUMNS, [np.asarray(c).tolist() for c in columns])

@@ -262,6 +262,17 @@ def _noise(**changes):
         # a list of names given as one string, not read letter by letter
         ("bench-stepsizes", {**_instance(), "rules": "exact"}, "rules must be a list"),
         ("tomo", {"tomo": {"variants": "one"}}, "tomo variants must be a list"),
+        # a list of names given as null or as a number
+        (
+            "bench-stepsizes",
+            {**_instance(), "rules": None},
+            "rules must be a list of names, not None",
+        ),
+        ("bench-stepsizes", {**_instance(), "rules": 5}, "rules must be a list of names, not 5"),
+        # a block that is neither a JSON object nor null
+        ("solve", {"instance": 5}, "instance must be a JSON object or null, not 5"),
+        ("noisy-recovery", {**_instance(), "noise": "impulsive"}, "noise must be a JSON object"),
+        ("tomo", {"tomo": 5}, "tomo must be a JSON object or null, not 5"),
         # numbers given as JSON strings or booleans, for every key that must
         # be positive or finite and nonnegative
         ("solve", {**_instance(), "tolerance": "1e-6"}, "tolerance"),
@@ -296,6 +307,21 @@ def test_malformed_configs_fail_before_anything_runs(
     assert err.startswith("error: ") and key in err
     assert not called
     assert not out.exists()
+
+
+def test_a_null_out_is_named_before_anything_runs(tmp_path, capsys, monkeypatch):
+    # run without --out, which would override the field
+    called = []
+    monkeypatch.setattr(
+        "splitbreg.experiments.certify_lambda", lambda *args, **kw: called.append(args)
+    )
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_noise(), "out": None}))
+    assert main(["noisy-recovery", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: out must be a path, not None\n"
+    assert not called
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_tomo_set_up_failure_writes_nothing(tmp_path, capsys):

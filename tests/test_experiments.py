@@ -15,8 +15,6 @@ from splitbreg.experiments import (
     InstanceSpec,
     TomoSpec,
     UniformNoise,
-    _tomo_constraints,
-    _write_trace_csv,
     certify_lambda,
     generate_instance,
     inject_noise,
@@ -37,7 +35,7 @@ from splitbreg.linops import (
     build_parallel_projector,
 )
 from splitbreg.objectives import GroupElasticNet, ProductObjective, SquaredNorm
-from splitbreg.projections import NormBall
+from splitbreg.projections import NormBall, Point
 from splitbreg import solver
 
 
@@ -307,7 +305,7 @@ def test_default_instance_lives_in_the_config(tmp_path):
 
 
 def test_pad_repeats_last_value(tmp_path):
-    _write_trace_csv(tmp_path / "t.csv", ["k", "a", "b"], [[1.0, 2.0], [5.0]])
+    solver.write_trace_csv(tmp_path / "t.csv", ["k", "a", "b"], [[1.0, 2.0], [5.0]])
     with open(tmp_path / "t.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows == [["k", "a", "b"], ["0", "1", "5"], ["1", "2", "5"]]
@@ -504,9 +502,11 @@ def test_zero_noise_zero_phantom_is_immediately_feasible():
     grad_op = Grad2D(h, w)
     coupling = BlockRow([grad_op, ScaledIdentity(2 * hw, -1.0)])
     spec = TomoSpec(height=h, width=w, iterations=10)
-    constraints, tols = _tomo_constraints(
-        "plain", a_u, coupling, NormBall(noisy, delta, 2), hw, 0.0, spec
-    )
+    constraints = [
+        solver.Difficult(a_u, NormBall(noisy, delta, 2)),
+        solver.Difficult(coupling, Point(np.zeros(2 * hw))),
+    ]
+    tols = np.array([spec.data_tolerance, spec.coupling_tolerance])
     objective = ProductObjective([SquaredNorm(hw), GroupElasticNet(1.0, grad_op.pair_groups())])
     cfg = solver.SolverConfig(
         objective=objective,
@@ -559,3 +559,22 @@ def test_tomography_smoke(tmp_path):
     for v in ("plain", "one"):
         assert np.isfinite(report["errors"][v])
         assert report["timings"][v] > 0.0
+
+
+def test_a_tomography_variant_does_not_depend_on_the_others(tmp_path):
+    # the variants run prefixes of one constraint list, whose sets keep
+    # memos: each variant ends the same whichever others run, in any order
+    def run(variants):
+        spec = TomoSpec(
+            height=12, width=12, n_angles=6, rays_per_angle=18, iterations=400, variants=variants
+        )
+        out = str(tmp_path / "-".join(variants))
+        return run_tomography(ExperimentConfig(experiment="tomo", out=out, tomo=spec))
+
+    canonical = run(("plain", "nonneg", "one"))
+    for variants in (("one", "nonneg", "plain"), ("one", "plain")):
+        report = run(variants)
+        for v in variants:
+            assert report["results"][v].x.tobytes() == canonical["results"][v].x.tobytes()
+            assert report["traces"][v] == canonical["traces"][v]
+            assert report["terminations"][v] == canonical["terminations"][v]

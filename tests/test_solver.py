@@ -196,6 +196,16 @@ def test_preset_validation():
         preset("kaczmarz", np.eye(2), np.zeros(3))
 
 
+def test_preset_judges_name_and_lam_before_the_data():
+    # b does not fit a: the name and the weight are still what is named
+    choices = "landweber, minimal_error, kaczmarz, linearized_bregman, sparse_kaczmarz"
+    with pytest.raises(ValueError, match=f"^preset 'bogus' is not one of {choices}$") as info:
+        preset("bogus", np.eye(2), np.ones(3))
+    assert type(info.value) is ValueError
+    with pytest.raises(MissingLambda, match="^sparse_kaczmarz needs lam$"):
+        preset("sparse_kaczmarz", np.eye(2), np.ones(3))
+
+
 @pytest.mark.parametrize("name", ["kaczmarz", "sparse_kaczmarz"])
 def test_row_presets_skip_consistent_zero_rows(name):
     # 0 = 0 carries no information: it is dropped instead of raising ZeroNormal
