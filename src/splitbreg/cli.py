@@ -44,13 +44,15 @@ def build_parser():
 
 
 def _load_config(args):
-    """The config with the flags applied, rebuilt so that flags are checked."""
+    """The config with the flags applied, rebuilt so that flags are checked.
+    ``--seed`` sets ``seed`` first, which names a bad value, and then the
+    instance's seed."""
     config = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     top, tomo = {"experiment": args.command}, {}
     if args.out is not None:
         top["out"] = args.out
     if args.seed is not None:
-        top["seed"] = args.seed
+        config = replace(config, seed=args.seed)
         top["instance"] = replace(config.instance, seed=args.seed)
     if args.max_iter is not None:
         top["max_iterations"] = tomo["iterations"] = args.max_iter

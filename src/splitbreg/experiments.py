@@ -356,6 +356,7 @@ class ExperimentConfig:
     preset: str = "linearized_bregman"  # for the generic solve runner
 
     def __post_init__(self):
+        _check_whole("seed", self.seed, low=0)  # before the default instance takes it
         if self.instance is None:
             self.instance = InstanceSpec(m=100, n=200, sparsity=10, seed=self.seed)
         if self.tomo is None:
@@ -365,7 +366,6 @@ class ExperimentConfig:
         self.rules = _check_names("rules", "step rule", self.rules, solver.STEP_RULES)
         for key in ("max_iterations", "pd_iterations"):
             _check_whole(key, getattr(self, key))
-        _check_whole("seed", self.seed, low=0)
         _positive("tolerance", self.tolerance)
         if self.lam is not None:
             _nonnegative("lam", self.lam)
@@ -375,9 +375,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data):
-        """The config a JSON document describes: its ``instance``, ``noise``
-        and ``tomo`` blocks are each a JSON object or null, else a ValueError
-        names the block."""
+        """The config a JSON document describes. The document is a JSON
+        object and its ``instance``, ``noise`` and ``tomo`` blocks are each a
+        JSON object or null, else a ValueError names the document or the
+        block."""
+        if not isinstance(data, dict):
+            raise ValueError(f"the configuration must be a JSON object, not {data!r}")
         data = dict(data)
         for key, build in (("instance", InstanceSpec), ("noise", _noise_model), ("tomo", TomoSpec)):
             block = data.get(key)

@@ -17,6 +17,7 @@ from ._checks import (
     NonFiniteData, _check_distinct, _check_indices, _check_whole, _matrix, _nonnegative, _real,
     _reals, _vector,
 )
+from .objectives import _index
 
 
 class LinearOperator:
@@ -199,9 +200,12 @@ class BlockRow(LinearOperator):
     """The block row [B_1 B_2 ...]: operators with one output length acting on
     consecutive disjoint blocks of the input, their outputs added up.
 
-    ``zero_columns`` lists, as (start, stop) pairs, the column ranges of the
-    ``ZeroOperator`` blocks, each zero block as built: A^T w is +0.0 there for
-    every w, and a forward product never reads x there."""
+    ``columns`` is the index (objectives._index) of the columns outside the
+    ``ZeroOperator`` blocks, each zero block as built: the only columns where
+    A^T w can be nonzero, since it is +0.0 in a zero block's columns for
+    every w, where a forward product never reads x. It is ``ALL`` when no
+    block is zero, a slice when the other blocks' columns are one run, else
+    a read-only int array (empty when every block is zero)."""
 
     def __init__(self, ops):
         self.ops = list(ops)
@@ -216,7 +220,8 @@ class BlockRow(LinearOperator):
             (op, int(a), int(b), isinstance(op, ZeroOperator))
             for op, a, b in zip(self.ops, self.col_offsets[:-1], self.col_offsets[1:])
         ]
-        self.zero_columns = tuple((a, b) for _, a, b, z in self._blocks if z)
+        live = np.repeat([not z for *_, z in self._blocks], np.diff(self.col_offsets))
+        self.columns = _index(np.flatnonzero(live), self.shape[1])
 
     def apply(self, x):
         x = _vector("x", x, self.shape[1])

@@ -10,9 +10,10 @@ Objectives are immutable after construction: what they precompute there (shrink
 weights, group labels) stays valid for their lifetime.
 
 This is the lowest numeric module: it imports nothing of the package but
-``_checks``, and ``projections`` builds on it. It owns the one index rule of
-every support a step acts on (``_index``), with ``ALL``, the one object that
-stands for all coordinates, the verdicts on shrink weights
+``_checks``; ``projections`` builds on it, and ``linops`` takes the index
+rule from it. It owns the one index rule of every support a step acts on
+(``_index``, which ``BlockRow.columns`` follows too), with ``ALL``, the one
+object that stands for all coordinates, the verdicts on shrink weights
 (``_WeightVerdicts``, with ``on``, the one restriction of weights to a
 support) and the simplex and l1-ball projections that ``GroupedMax`` and the
 norm balls share.

@@ -411,16 +411,14 @@ class _LinesearchPlan:
     ``finite``), ``a_sq`` = a.a (a set's ``norm_sq``, the same float) and
     ``line_slope``: when every weight on the support is zero, g' has no kink
     and this is its one slope, a.a summed over the support; None otherwise.
-    For a normal whose nonzeros are one run it holds views only. Raises
-    ZeroDirection when a_sq is 0 and NonFiniteData when it is not finite."""
+    For a normal whose nonzeros are one run it holds views only. It trusts
+    a_sq: whoever made the direction has judged it nonzero and finite (a
+    set's normal when the set is built, the separating-halfspace normal in
+    the solver's difficult step, a caller's direction in exact_linesearch)."""
 
     __slots__ = ("shape", "supp", "a", "verdicts", "a_sq", "line_slope")
 
     def __init__(self, a, verdicts, supp, a_sq):
-        if a_sq == 0.0:
-            raise ZeroDirection("linesearch direction is zero")
-        if not math.isfinite(a_sq):
-            raise NonFiniteData("linesearch direction is not finite or its square overflows")
         self.shape, self.supp, self.a, self.a_sq = a.shape, supp, a[supp], a_sq
         self.verdicts = verdicts.on(supp)
         self.line_slope = None if self.verdicts.any else float(np.dot(self.a, self.a))
@@ -445,8 +443,11 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
     R. ``gp0`` supplies an exactly-known g'(0) and ``x`` the primal grad
     f*(x_star) that a caller holding a consistent pair already has.
     ``plan`` is the _LinesearchPlan of ``a`` under ``obj`` when the caller
-    has one (bregman_projector keeps one per hyperplane); without it the plan
-    is built here, on the objective's weight verdicts.
+    has one (bregman_projector keeps one per hyperplane, the solver's Exact
+    rule builds one per difficult step), its ``a`` judged by whoever made
+    it; without it ``a`` is a caller's vector, judged here by the vector rule
+    (_checks._vector: real entries, one dimension, the objective's length),
+    and the plan is built on the objective's weight verdicts.
 
     Once for both engines, it checks beta and all of x_star, takes g'(0)
     (``gp0``, else the engine's own: beta - <a, S_w(x_star)> on the support
@@ -454,17 +455,21 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
     when g'(0) = 0 or, with ``nonneg``, g'(0) >= 0, and mirrors the problem
     to g(sign t) so that the engine finds a root at t > 0. Raises
     ZeroDirection for a zero ``a``, DimensionMismatch when x_star or ``a`` is
-    not a vector of the objective's length and NonFiniteData when x_star, a,
-    beta, g'(0), a g' of the root find's bracket or the step holds a NaN or
-    an infinity (a plan's ``a`` is taken as checked).
+    not a vector of the objective's length, a ValueError naming ``a`` when
+    it holds a bool, a string or a complex number, and NonFiniteData when
+    x_star, a, beta, g'(0), a g' of the root find's bracket or the step
+    holds a NaN or an infinity (a plan's ``a`` is taken as checked).
     """
     if not math.isfinite(beta):
         raise NonFiniteData(f"linesearch beta is {beta}")
     if plan is None:
-        a, shape = np.asarray(a, dtype=float), obj._verdicts.w.shape
-        if a.shape != shape:
-            raise DimensionMismatch(f"linesearch direction has shape {a.shape}, not {shape}")
-        plan = _LinesearchPlan(a, obj._verdicts, _nonzeros(a), float(np.vdot(a, a)))
+        a = _vector("a", a, obj.dimension)
+        a_sq = float(np.vdot(a, a))  # vdot: no overflow warning
+        if a_sq == 0.0:
+            raise ZeroDirection("linesearch direction is zero")
+        if not math.isfinite(a_sq):
+            raise NonFiniteData("linesearch direction is not finite or its square overflows")
+        plan = _LinesearchPlan(a, obj._verdicts, _nonzeros(a), a_sq)
     x_star = np.asarray(x_star, dtype=float)
     if x_star.shape != plan.shape:
         raise DimensionMismatch(f"linesearch x_star has shape {x_star.shape}, not {plan.shape}")

@@ -24,7 +24,7 @@ from ._checks import (
     DimensionMismatch, _check_choice, _check_indices, _check_whole, _integers, _reals, _vector
 )
 from .linops import LinearOperator, as_operator
-from .objectives import ElasticNet, SquaredNorm, _nonzeros, pair_from_dual
+from .objectives import ALL, ElasticNet, SquaredNorm, _nonzeros, pair_from_dual
 
 
 class MissingLambda(ValueError):
@@ -256,20 +256,23 @@ def _simple_step(obj, target, pair):
 
 def _difficult_step(obj, constraint, rule, supp, parts, pair):
     """One separating-halfspace step. Returns (pair, step_size, w_norm); a point
-    whose residual is exactly zero gets a zero step.
+    whose residual is exactly zero is feasible and gets a zero step, the very
+    pair handed in with 0.0 and 0.0, decided here before any halfspace is
+    built.
 
     The new dual point is x* - t A^T w, written through projections._moved on
     ``supp``, the columns the operator's nonzero blocks act on, with x
     recomputed on the objective ``parts`` that support meets. Off ``supp``
     A^T w is +0.0, so x* keeps every bit there, -0.0 included: what
-    x*_j - t * (+0.0) gives for any finite t >= 0. Raises NonFiniteData
-    when A^T w.A^T w is not finite: a step along it would be 0 or NaN."""
+    x*_j - t * (+0.0) gives for any finite t >= 0. The normal d = A^T w is
+    judged here, once for every rule: ZeroDirection when d.d is 0 and
+    NonFiniteData when it is not finite (a step along d would be 0 or
+    NaN); the Exact rule's linesearch plan takes d.d as judged."""
     op = constraint.op
     w, w_norm = constraint.residual(pair.x)
-    try:
-        d, beta = projections.separating_halfspace(op, pair.x, w, w_norm)
-    except projections.FeasiblePoint:
+    if w_norm == 0.0:
         return pair, 0.0, 0.0
+    d, beta = projections.separating_halfspace(op, pair.x, w, w_norm)
     d_sq = float(np.vdot(d, d))  # vdot: no overflow warning
     if d_sq == 0.0:
         raise projections.ZeroDirection("separating halfspace has a zero normal")
@@ -282,7 +285,7 @@ def _difficult_step(obj, constraint, rule, supp, parts, pair):
         t = t_dynamic
     elif isinstance(rule, Exact):
         # g'(0) = -||w||^2 exactly; passing it avoids the beta cancellation,
-        # and the plan reuses d's square and checks
+        # and the plan takes d's square as judged above
         plan = projections._LinesearchPlan(d, obj._verdicts, _nonzeros(d), d_sq)
         t = projections.exact_linesearch(
             obj, pair.x_star, d, beta, nonneg=True, gp0=-(w_norm * w_norm), x=pair.x, plan=plan
@@ -294,15 +297,12 @@ def _difficult_step(obj, constraint, rule, supp, parts, pair):
 
 def _reach(obj, op):
     """(supp, parts) of a difficult step through ``op``: the index ``supp``
-    (_nonzeros, by the index rule) of the columns its nonzero blocks
-    act on, all but its ``zero_columns`` (BlockRow's, read through the
-    attribute, so wrappers that forward it count as what they wrap), where
-    A^T w is +0.0 for every w, and the objective ``parts`` that supp meets
-    (projections._footprint)."""
-    cols = np.ones(obj.dimension, dtype=bool)
-    for a, b in getattr(op, "zero_columns", ()):
-        cols[a:b] = False
-    supp = _nonzeros(cols)
+    of the columns where A^T w can be nonzero, the operator's own
+    ``columns`` (BlockRow's, by the index rule, read through the attribute
+    so that wrappers that forward it count as what they wrap) and ``ALL``
+    for an operator that states none, and the objective ``parts`` that supp
+    meets (projections._footprint)."""
+    supp = getattr(op, "columns", ALL)
     return supp, projections._footprint(obj, supp)
 
 
@@ -338,12 +338,16 @@ def run(config, callback=None):
     once: a simple constraint builds its Bregman projector, a difficult one
     takes the columns its operator's nonzero blocks act on and the objective
     parts they meet (``projections._footprint``), and the control hands over
-    this run's index stream, ``control.indices(n)``, from which each step
-    takes the next index (a stream that ends early raises StopIteration, and
-    an index outside 0..n-1 a ValueError before its step runs). Every step
-    writes its pair through ``projections._moved``: x* changes on the step's
-    support only and x = grad f*(x*) is recomputed on the parts it meets, so
-    every pair a run hands over is consistent by construction. A wrong width
+    this run's index stream, ``control.indices(n)``: any iterable, which run
+    wraps with ``iter``, so a list serves as well as a generator. Each step
+    takes the next index (a stream that ends early raises StopIteration);
+    before its step runs, an index that is not an integer (a bool, a float,
+    a string; numpy integers pass) or lies outside 0..n-1 raises a
+    ValueError. A control without a callable ``indices`` raises a TypeError
+    naming it before step 0. Every step writes its pair through
+    ``projections._moved``: x* changes on the step's support only and
+    x = grad f*(x*) is recomputed on the parts it meets, so every pair a run
+    hands over is consistent by construction. A wrong width
     or length, a ``max_iterations`` that is not a whole number >= 0 and a
     ``Custom`` order naming a missing constraint all raise then, and so does a
     TypeError for a step rule that is not one of ``STEP_RULES`` (whatever the
@@ -393,7 +397,9 @@ def run(config, callback=None):
     if not np.all(tols > 0.0):
         raise ValueError("residual tolerances must be positive")
     _check_whole("max_iterations", config.max_iterations, low=0)
-    indices = config.control.indices(n)  # this run's own stream of indices
+    if not callable(getattr(config.control, "indices", None)):
+        raise TypeError(f"control {config.control!r} has no indices method")
+    indices = iter(config.control.indices(n))  # this run's own stream of indices
 
     x0_star = np.zeros(obj.dimension) if config.x0_star is None else config.x0_star
     pair = pair_from_dual(obj, _vector("x0_star", x0_star, obj.dimension, finite=True))
@@ -403,6 +409,8 @@ def run(config, callback=None):
     start = time.perf_counter()
     for k in range(config.max_iterations):
         i = next(indices)
+        if type(i) is not int:  # a bool, a float, a numpy integer: the index rule
+            i = int(_check_indices("control index", [i], n)[0])
         if not 0 <= i < n:
             raise ValueError(f"control index {i} out of range")
         pair, t, w_norm = steps[i](pair)

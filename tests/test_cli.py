@@ -1,6 +1,7 @@
 """Tests for the command line front end."""
 
 import json
+import re
 
 import pytest
 
@@ -273,6 +274,9 @@ def _noise(**changes):
         ("solve", {"instance": 5}, "instance must be a JSON object or null, not 5"),
         ("noisy-recovery", {**_instance(), "noise": "impulsive"}, "noise must be a JSON object"),
         ("tomo", {"tomo": 5}, "tomo must be a JSON object or null, not 5"),
+        # a document that is not a JSON object
+        ("tomo", 5, "the configuration must be a JSON object, not 5"),
+        ("tomo", ["a"], "the configuration must be a JSON object, not ['a']"),
         # numbers given as JSON strings or booleans, for every key that must
         # be positive or finite and nonnegative
         ("solve", {**_instance(), "tolerance": "1e-6"}, "tolerance"),
@@ -306,6 +310,22 @@ def test_malformed_configs_fail_before_anything_runs(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert not called
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload, flags",
+    [({"seed": True}, []), ({"seed": -1}, []), ({}, ["--seed", "-1"])],
+    ids=["bool", "negative", "flag"],
+)
+def test_a_bad_seed_is_named_seed(tmp_path, capsys, payload, flags):
+    # with no instance block the default instance takes the seed: the value
+    # is named as the seed, not as the instance's
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(path), "--out", str(out), *flags]) == 1
+    assert re.match(r"error: seed must be nonnegative and whole, not ", capsys.readouterr().err)
     assert not out.exists()
 
 

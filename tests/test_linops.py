@@ -19,6 +19,7 @@ from splitbreg.linops import (
     dct_row,
     operator_norm,
 )
+from splitbreg.objectives import ALL
 
 
 def _check_adjoint(op, rng, trials=10):
@@ -659,16 +660,23 @@ def test_block_row_zero_blocks_cost_nothing_and_change_no_bit():
     m = 5
     dense = DenseMatrix(rng.standard_normal((m, 3)))
     neg = ScaledIdentity(m, -1.0)
+    # each layout with the index of its columns outside the zero blocks, by
+    # the index rule: ALL, one run's slice, else a read-only int array
     layouts = [
-        ([dense, ZeroOperator(m, 4)], ((3, 7),)),
-        ([ZeroOperator(m, 2), ZeroOperator(m, 1), neg], ((0, 2), (2, 3))),
-        ([neg, ZeroOperator(m, 2), neg, ZeroOperator(m, 1)], ((5, 7), (12, 13))),
-        ([neg, neg], ()),
-        ([ZeroOperator(m, 3)], ((0, 3),)),
+        ([dense, ZeroOperator(m, 4)], slice(0, 3)),
+        ([ZeroOperator(m, 2), ZeroOperator(m, 1), neg], slice(3, 8)),
+        ([neg, ZeroOperator(m, 2), neg, ZeroOperator(m, 1)], np.r_[0:5, 7:12]),
+        ([neg, neg], ALL),
+        ([dense, neg], ALL),
+        ([ZeroOperator(m, 3)], np.array([], dtype=int)),
+        ([ZeroOperator(m, 2), ZeroOperator(m, 1)], np.array([], dtype=int)),
     ]
-    for ops, zero_columns in layouts:
+    for ops, columns in layouts:
         op = BlockRow(ops)
-        assert op.zero_columns == zero_columns
+        if isinstance(columns, np.ndarray):
+            assert op.columns.tolist() == columns.tolist() and not op.columns.flags.writeable
+        else:
+            assert op.columns == columns and (op.columns is ALL) == (columns is ALL)
         bounds = list(zip(op.col_offsets[:-1], op.col_offsets[1:]))
         for _ in range(5):
             x = rng.standard_normal(op.shape[1])
@@ -679,6 +687,9 @@ def test_block_row_zero_blocks_cost_nothing_and_change_no_bit():
             assert op.apply(x).tobytes() == sum(outs[1:], outs[0]).tobytes()
             adjoint = np.concatenate([b.apply_adjoint(y) for b in ops])
             assert op.apply_adjoint(y).tobytes() == adjoint.tobytes()
+            outside = np.ones(op.shape[1], dtype=bool)
+            outside[op.columns] = False
+            assert np.all(adjoint[outside] == 0.0)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (3, 7), (6, 6)])

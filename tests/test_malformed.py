@@ -570,7 +570,7 @@ ROWS = {
         ),
         length=Raises(
             lambda: exact_linesearch(_EN, np.zeros(2), np.ones(3), 1.0),
-            r"^linesearch direction has shape \(3,\), not \(2,\)$",
+            r"^a must be a vector of length 2, not of shape \(3,\)$",
             DimensionMismatch,
         ),
         empty=Raises(
@@ -956,6 +956,18 @@ def test_malformed_input_cell(row, column, cell):
         assert cell.reason
         if cell.call is not None:
             cell.call()
+
+
+@pytest.mark.parametrize(
+    "a, message",
+    [([True, False], "bools"), (["1", "2"], "'1'"), (np.array([1.0 + 1.0j, 0.0]), r"\(1\+1j\)")],
+    ids=["bool", "string", "complex"],
+)
+def test_exact_linesearch_names_a_direction_by_the_vector_rule(a, message):
+    # a caller's direction is a vector like any other: numpy would turn these
+    # entries into numbers (the complex one with a warning) and search along them
+    with pytest.raises(ValueError, match=f"^a must hold real numbers, not {message}$"):
+        exact_linesearch(_EN, np.zeros(2), a, 1.0)
 
 
 @pytest.mark.parametrize(

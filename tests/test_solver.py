@@ -2,6 +2,7 @@ import copy
 import csv
 import gc
 import os
+import re
 import sys
 import warnings
 import weakref
@@ -323,6 +324,25 @@ def test_difficult_step_at_feasible_point_is_zero():
     assert new_pair.x[0] == 1.0 + 2.0**-52
 
 
+def test_a_feasible_difficult_step_builds_no_halfspace(monkeypatch):
+    # the zero residual is judged once, by the step itself: under every rule
+    # it hands back the very pair without asking for a separating halfspace
+    calls = []
+    real = projections.separating_halfspace
+    monkeypatch.setattr(
+        projections, "separating_halfspace", lambda *args: calls.append(args) or real(*args)
+    )
+    pair = pair_from_dual(ElasticNet(0.5, 2), np.array([2.0, 0.0]))
+    for rule in (Constant(), Dynamic(), Exact(), Inexact()):
+        cfg = _equality_config(np.array([[1.0, 0.0]]), np.array([1.5]), ElasticNet(0.5, 2), rule)
+        new_pair, t, w_norm = _difficult_step(cfg, pair)
+        assert new_pair is pair and (t, w_norm) == (0.0, 0.0)
+    assert calls == []
+    cfg = _equality_config(np.array([[1.0, 0.0]]), np.array([1.0]), ElasticNet(0.5, 2), Exact())
+    _difficult_step(cfg, pair)
+    assert len(calls) == 1  # the spy sees an infeasible step's halfspace
+
+
 def test_tiny_residuals_are_not_skipped():
     # the tolerance is far below 1e-12 * ||A x||: every nonzero residual must
     # still get a real step, or the run idles until its budget runs out
@@ -489,6 +509,50 @@ def test_out_of_range_index_from_any_control_raises_before_its_step(bad):
     seen = []
     with pytest.raises(ValueError, match=f"^control index {bad} out of range$"):
         run(cfg, callback=lambda pair, record: seen.append(record.k))
+    assert seen == [0]
+
+
+def _kaczmarz_with(control, max_iterations=4):
+    return preset("kaczmarz", [[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0], control=control,
+                  max_iterations=max_iterations)
+
+
+@pytest.mark.parametrize("control", [None, [0, 1], "cyclic"], ids=["none", "list", "string"])
+def test_a_control_without_indices_is_named_before_step_0(control):
+    seen = []
+    with pytest.raises(TypeError, match=rf"^control {re.escape(repr(control))} has no indices"):
+        run(_kaczmarz_with(control), callback=lambda pair, record: seen.append(record.k))
+    assert seen == []
+
+
+@pytest.mark.parametrize(
+    "stream", [[1, 0, 1, 0], np.array([1, 0, 1, 0], dtype=np.int16)], ids=["list", "numpy"]
+)
+def test_an_index_stream_may_be_any_iterable(stream):
+    # run wraps the stream with iter: a list or an array serves as well as a
+    # generator, and numpy integers run as their ints
+    class Listed:
+        def indices(self, n):
+            return stream
+
+    assert run(_kaczmarz_with(Listed())).records.constraint_index.tolist() == [1, 0, 1, 0]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [0.5, 1.0, True, np.True_, "1", None],
+    ids=["half", "whole-float", "bool", "numpy-bool", "string", "none"],
+)
+def test_an_index_that_is_not_an_integer_raises_before_its_step(bad):
+    # 1.0 would index nothing and True would run constraint 1 and record 1
+    class ThenBad:
+        def indices(self, n):
+            return iter([0, bad, 0, 0])
+
+    seen = []
+    message = rf"^control index must hold integers, not {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        run(_kaczmarz_with(ThenBad()), callback=lambda pair, record: seen.append(record.k))
     assert seen == [0]
 
 
@@ -1413,21 +1477,21 @@ def test_footprint_names_the_parts_a_support_meets():
 
 
 class _CountingBlockRow(BlockRow):
-    """A BlockRow that counts the reads of its ``zero_columns``."""
+    """A BlockRow that counts the reads of its ``columns``."""
 
     reads = 0
 
     @property
-    def zero_columns(self):
+    def columns(self):
         self.reads += 1
-        return self._zero_columns
+        return self._columns
 
-    @zero_columns.setter
-    def zero_columns(self, value):
-        self._zero_columns = value
+    @columns.setter
+    def columns(self, value):
+        self._columns = value
 
 
-def test_zero_columns_are_read_once_per_run():
+def test_columns_are_read_once_per_run():
     op = _CountingBlockRow([DenseMatrix(np.ones((2, 3))), ZeroOperator(2, 3)])
     obj = ProductObjective([SquaredNorm(3), ElasticNet(1.0, 3)])
     cfg = SolverConfig(
