@@ -26,11 +26,15 @@ finite and is not NonFiniteData, both ValueErrors. The classes are:
 - vector (_vector): one-dimensional, of length n where one is given, real
   entries (_reals), and all finite where asked (run's x0_star, run_pd's b,
   fenchel_gap, bregman_distance, the ray projector's angles and offsets);
+  every door that takes a vector reads it here (a set's y, a product's x or
+  y, a linesearch's x_star and a), and a float64 ndarray passes in one
+  frame;
 - matrix (_matrix): two-dimensional with real entries (_reals) (DenseMatrix's
   a, SparseOperator's dense mat);
 - integers (_integers) and index array (_check_indices): one-dimensional,
   integers only (a bool, a float or a string fails, also inside a list of
-  ints), and for indices nonnegative, below n where one is given.
+  ints), and for indices nonnegative, below n where one is given (an
+  operator's row index, a control index, cone indices, groups, DCT rows).
 
 Infinity: a number must be finite, except where +inf means "no bound": a ball
 radius (``NormBall``, ``project_l1_ball``, run_pd's ``delta``) and
@@ -45,6 +49,8 @@ import numbers
 
 import numpy as np
 
+_FLOAT = np.dtype(float)
+
 
 class NonFiniteData(ValueError):
     """Data is NaN or infinite, so nothing computed from it can be trusted: a
@@ -57,10 +63,10 @@ class DimensionMismatch(ValueError):
     array is not one-dimensional or not of the length asked for (_vector,
     _integers), a matrix is not two-dimensional (_matrix), a set's data (a
     normal, bounds, a center, cone indices) does not fit the objective's
-    coordinates or an operator's outputs, a linesearch's direction or x_star
-    is not of the objective's length, or, in a run, an operator does not act
-    on the objective's coordinates or a residual tolerance array has the
-    wrong length."""
+    coordinates, an operator's outputs or the y handed to one of its doors,
+    a linesearch's direction or x_star is not of the objective's length, or,
+    in a run, an operator does not act on the objective's coordinates or a
+    residual tolerance array has the wrong length."""
 
 
 def _check_whole(key, value, low=1):
@@ -141,8 +147,7 @@ def _reals(key, value):
     entry is not a real number: a bool (a bool array, or a bool inside a
     list), a string, None or a complex number (a complex array included). An
     int or float array costs a dtype test and np.asarray, which hands a
-    float64 one back as is (the matrix-free products and the objectives run
-    this on every call)."""
+    float64 one back as is (_vector takes that one before it gets here)."""
     # any other input is read entry by entry before it is converted, since
     # np.asarray turns the bools of a list into numbers, its strings into the
     # numbers they spell (or an unnamed error) and None into NaN, and drops
@@ -162,8 +167,10 @@ def _vector(key, value, n=None, finite=False):
     """``value`` as a float array of real entries (_reals); raises
     DimensionMismatch naming ``key`` and the shape unless it is
     one-dimensional and, where ``n`` is given, of length n, and NonFiniteData
-    naming ``key`` unless it is all finite where ``finite`` is asked for."""
-    v = _reals(key, value)
+    naming ``key`` unless it is all finite where ``finite`` is asked for. A
+    float64 ndarray, what every step hands on, is taken as is in this one
+    frame: _reals would hand it back unchanged."""
+    v = value if type(value) is np.ndarray and value.dtype == _FLOAT else _reals(key, value)
     if v.ndim != 1 or (n is not None and v.size != n):
         length = "" if n is None else f" of length {n}"
         raise DimensionMismatch(f"{key} must be a vector{length}, not of shape {v.shape}")

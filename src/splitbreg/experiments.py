@@ -285,8 +285,11 @@ def render_phantom(height, width, ellipses=DEFAULT_PHANTOM):
 
 
 def write_pgm(path, image, height, width):
-    """8-bit binary PGM (P5, max value 255), row-major, spanning min to max."""
-    img = np.asarray(image, dtype=float).reshape(height, width)
+    """8-bit binary PGM (P5, max value 255), row-major, spanning min to max.
+    ``image`` is the height x width image or its rows in a row, judged by the
+    vector rule (_checks._vector) on its height * width entries: an image of
+    another size raises DimensionMismatch naming ``image``."""
+    img = _vector("image", np.ravel(image), height * width).reshape(height, width)
     lo, hi = float(img.min()), float(img.max())
     span = hi - lo if hi > lo else 1.0
     scaled = np.clip((img - lo) / span * 255.0, 0.0, 255.0).astype(np.uint8)

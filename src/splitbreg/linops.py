@@ -21,7 +21,9 @@ from .objectives import _index
 
 
 class LinearOperator:
-    """A linear map with an explicit adjoint. Subclasses set ``shape = (m, n)``."""
+    """A linear map with an explicit adjoint. Subclasses set ``shape = (m, n)``
+    and give row access through ``_row(i)``, which ``row`` calls with an index
+    it has judged."""
 
     shape = (0, 0)
 
@@ -32,6 +34,15 @@ class LinearOperator:
         raise NotImplementedError
 
     def row(self, i):
+        """Row i of A as a vector, for an index i in range(m) by the index
+        rule (_checks._check_indices: an integer, numpy's included, but not
+        a bool, a float or a negative one), judged here before the operator
+        answers; a plain int in range passes with one test."""
+        if type(i) is not int or not 0 <= i < self.shape[0]:
+            i = int(_check_indices("row index", [i], self.shape[0])[0])
+        return self._row(i)
+
+    def _row(self, i):
         raise NotImplementedError(f"{type(self).__name__} has no row access")
 
     def norm_estimate(self):
@@ -120,7 +131,7 @@ class DenseMatrix(LinearOperator):
     def apply_adjoint(self, y):
         return self.a.T @ _vector("y", y, self.shape[0])
 
-    def row(self, i):
+    def _row(self, i):
         return self.a[i]
 
     def to_dense(self):
@@ -150,8 +161,13 @@ class SparseOperator(LinearOperator):
     def apply_adjoint(self, y):
         return self._mat_t @ _vector("y", y, self.shape[0])
 
-    def row(self, i):
-        return self.mat.getrow(i).toarray().ravel()
+    def _row(self, i):
+        # toarray's row, bit for bit: the stored entries added in their order
+        # to zeros, so duplicates are summed as toarray sums them
+        lo, hi = self.mat.indptr[i : i + 2]
+        r = np.zeros(self.shape[1], dtype=self.mat.dtype)
+        np.add.at(r, self.mat.indices[lo:hi], self.mat.data[lo:hi])
+        return r
 
     def to_dense(self):
         return self.mat.toarray()
@@ -171,7 +187,7 @@ class ScaledIdentity(LinearOperator):
 
     apply_adjoint = apply  # c * I is self-adjoint
 
-    def row(self, i):
+    def _row(self, i):
         r = np.zeros(self.shape[1])
         r[i] = self.scale
         return r
@@ -192,7 +208,7 @@ class ZeroOperator(LinearOperator):
         _vector("y", y, self.shape[0])
         return np.zeros(self.shape[1])
 
-    def row(self, i):
+    def _row(self, i):
         return np.zeros(self.shape[1])
 
 
@@ -239,7 +255,7 @@ class BlockRow(LinearOperator):
                 out[a:b] = op.apply_adjoint(y)
         return out
 
-    def row(self, i):
+    def _row(self, i):
         return np.concatenate([op.row(i) for op in self.ops])
 
 

@@ -70,7 +70,12 @@ class NoConvergence(RuntimeError):
 
 
 class RangeSet:
-    """A closed convex set with an orthogonal projector."""
+    """A closed convex set with an orthogonal projector. Each door of the
+    package's sets (``project``, ``distance``, ``contains``, NormBall's
+    ``gap``) reads y by the vector rule (_checks._vector: real entries, one
+    dimension) and judges that it fits the set's data (the set's ``_fits``,
+    the rule data_fits reads, or the one length of a point or a normal): a
+    y that does not raises DimensionMismatch naming y."""
 
     # (objective, Bregman projector) last built by bregman_projector
     _bregman = (None, None)
@@ -79,12 +84,23 @@ class RangeSet:
         raise NotImplementedError
 
     def distance(self, y):
-        """Euclidean distance from y to the set."""
-        y = np.asarray(y, dtype=float)
+        """Euclidean distance from y to the set; y is judged a vector here,
+        and whether it fits by the set's ``project``."""
+        y = _vector("y", y)
         return float(np.linalg.norm(y - self.project(y)))
 
     def contains(self, y, tol=1e-12):
         return self.distance(y) <= tol
+
+    def _fits(self, n):
+        return True  # a set of no type the package knows: see data_fits
+
+    def _fitted(self, y):
+        """y as a vector (_vector) that fits the set's data (_fits)."""
+        y = _vector("y", y)
+        if not self._fits(y.size):
+            raise DimensionMismatch(f"y: {type(self).__name__} does not fit length {y.size}")
+        return y
 
 
 class Point(RangeSet):
@@ -94,7 +110,11 @@ class Point(RangeSet):
         self.b = _vector("b", b)
 
     def project(self, y):
+        _vector("y", y, self.b.size)
         return self.b.copy()
+
+    def _fits(self, n):
+        return self.b.size == n
 
 
 class NormBall(RangeSet):
@@ -110,7 +130,7 @@ class NormBall(RangeSet):
         self.p = p
 
     def project(self, y):
-        v = np.asarray(y, dtype=float) - self.center
+        v = self._fitted(y) - self.center
         if self.p == 2:
             nv = np.linalg.norm(v)
             if nv > self.radius:
@@ -124,7 +144,10 @@ class NormBall(RangeSet):
     def gap(self, y):
         """||y - center||_p - radius: <= 0 inside the ball, -radius at the
         center."""
-        return float(np.linalg.norm(y - self.center, self.p)) - self.radius
+        return float(np.linalg.norm(self._fitted(y) - self.center, self.p)) - self.radius
+
+    def _fits(self, n):
+        return self.center.size in (1, n)
 
 
 class Box(RangeSet):
@@ -143,9 +166,14 @@ class Box(RangeSet):
             raise ValueError("lower bound exceeds upper bound")
 
     def project(self, y):
-        v = np.array(y, dtype=float, copy=True)
+        v = self._fitted(y).copy()
         v[self.indices] = np.minimum(np.maximum(v[self.indices], self.lower), self.upper)
         return v
+
+    def _fits(self, n):
+        idx = self.indices
+        inside = (idx.stop is None or idx.stop <= n) if isinstance(idx, slice) else np.all(idx < n)
+        return bool(inside) and {self.lower.size, self.upper.size} <= {1, n}
 
 
 class NonnegCone(Box):
@@ -184,15 +212,18 @@ class _LinearSet(RangeSet):
         self.support = _nonzeros(self.normal)
 
     def project(self, y):
-        y = np.asarray(y, dtype=float)
+        y = _vector("y", y, self.normal.size)
         excess = np.dot(self.normal, y) - self.offset
         if self.one_sided and excess <= 0.0:
             return y.copy()
         return y - (excess / self.norm_sq) * self.normal
 
     def distance(self, y):
-        excess = np.dot(self.normal, np.asarray(y, dtype=float)) - self.offset
+        excess = np.dot(self.normal, _vector("y", y, self.normal.size)) - self.offset
         return (max(0.0, excess) if self.one_sided else abs(excess)) / self.norm
+
+    def _fits(self, n):
+        return self.normal.size == n
 
 
 class Hyperplane(_LinearSet):
@@ -209,21 +240,9 @@ def data_fits(target, n):
     """Whether the data of a set fits vectors of length n: a normal or a point
     of length n, box bounds and a ball center of length n or 1 (which
     broadcasts), a box's indices below n (a slice's stop at most n). Other
-    RangeSets (a subclass of none of these) fit any length."""
-    if isinstance(target, _LinearSet):
-        return target.normal.size == n
-    if isinstance(target, Point):
-        return target.b.size == n
-    if isinstance(target, NormBall):
-        return target.center.size in (1, n)
-    if isinstance(target, Box):
-        idx = target.indices
-        if isinstance(idx, slice):
-            inside = idx.stop is None or idx.stop <= n
-        else:
-            inside = bool(np.all(idx < n))
-        return inside and {target.lower.size, target.upper.size} <= {1, n}
-    return True
+    RangeSets (a subclass of none of these) fit any length. Each set states
+    its own rule, its ``_fits``, which its doors read too."""
+    return target._fits(n)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +268,7 @@ def separating_halfspace(op, x, w, w_norm):
     if not math.isfinite(w_norm):
         raise NonFiniteData(f"constraint residual norm is {w_norm}")
     normal = op.apply_adjoint(w)
-    offset = float(np.dot(normal, np.asarray(x, dtype=float))) - w_norm * w_norm
+    offset = float(np.dot(normal, _vector("x", x, op.shape[1]))) - w_norm * w_norm
     return normal, offset
 
 
@@ -403,23 +422,23 @@ def _shrink_linesearch(plan, u, s0, gp0, sign):
 
 class _LinesearchPlan:
     """What a linesearch along a fixed direction a under fixed shrink weights
-    needs besides x_star and beta, built once: a's ``shape``, which x_star
-    must have, the index ``supp`` of a's nonzeros (_nonzeros, by the index
-    rule), ``a`` on it, the ``verdicts`` on the weights there
-    (``_WeightVerdicts.on(supp)``: the weights ``w``, the index ``kinked`` of
-    those > 0, the flags ``free`` of the zero ones, whether all are
-    ``finite``), ``a_sq`` = a.a (a set's ``norm_sq``, the same float) and
-    ``line_slope``: when every weight on the support is zero, g' has no kink
-    and this is its one slope, a.a summed over the support; None otherwise.
-    For a normal whose nonzeros are one run it holds views only. It trusts
+    needs besides x_star and beta, built once: the index ``supp`` of a's
+    nonzeros (_nonzeros, by the index rule), ``a`` on it, the ``verdicts``
+    on the weights there (``_WeightVerdicts.on(supp)``: the weights ``w``,
+    the index ``kinked`` of those > 0, the flags ``free`` of the zero ones,
+    whether all are ``finite``), ``a_sq`` = a.a (a set's ``norm_sq``, the
+    same float) and ``line_slope``: when every weight on the support is
+    zero, g' has no kink and this is its one slope, a.a summed over the
+    support; None otherwise. For a normal whose nonzeros are one run it
+    holds views only. It trusts
     a_sq: whoever made the direction has judged it nonzero and finite (a
     set's normal when the set is built, the separating-halfspace normal in
     the solver's difficult step, a caller's direction in exact_linesearch)."""
 
-    __slots__ = ("shape", "supp", "a", "verdicts", "a_sq", "line_slope")
+    __slots__ = ("supp", "a", "verdicts", "a_sq", "line_slope")
 
     def __init__(self, a, verdicts, supp, a_sq):
-        self.shape, self.supp, self.a, self.a_sq = a.shape, supp, a[supp], a_sq
+        self.supp, self.a, self.a_sq = supp, a[supp], a_sq
         self.verdicts = verdicts.on(supp)
         self.line_slope = None if self.verdicts.any else float(np.dot(self.a, self.a))
 
@@ -444,25 +463,31 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
     f*(x_star) that a caller holding a consistent pair already has.
     ``plan`` is the _LinesearchPlan of ``a`` under ``obj`` when the caller
     has one (bregman_projector keeps one per hyperplane, the solver's Exact
-    rule builds one per difficult step), its ``a`` judged by whoever made
-    it; without it ``a`` is a caller's vector, judged here by the vector rule
-    (_checks._vector: real entries, one dimension, the objective's length),
-    and the plan is built on the objective's weight verdicts.
+    rule builds one per difficult step): its ``a`` is judged by whoever made
+    it, and ``x_star`` and ``beta`` are the caller's own, a pair's dual
+    vector (bregman_project and run judge its shape) and a set's offset.
+    Without it they are a caller's arguments, judged here before anything
+    is computed: ``beta`` by the real-number rule (_checks._real) and
+    ``x_star`` and ``a`` by the vector rule (_checks._vector: real entries,
+    one dimension, the objective's length); the plan is then built on the
+    objective's weight verdicts.
 
-    Once for both engines, it checks beta and all of x_star, takes g'(0)
-    (``gp0``, else the engine's own: beta - <a, S_w(x_star)> on the support
-    for the walk, from grad f* for the root find) and checks it, returns 0
-    when g'(0) = 0 or, with ``nonneg``, g'(0) >= 0, and mirrors the problem
-    to g(sign t) so that the engine finds a root at t > 0. Raises
-    ZeroDirection for a zero ``a``, DimensionMismatch when x_star or ``a`` is
-    not a vector of the objective's length, a ValueError naming ``a`` when
-    it holds a bool, a string or a complex number, and NonFiniteData when
+    Once for both engines, it checks that beta and all of x_star are
+    finite, takes g'(0) (``gp0``, else the engine's own: beta -
+    <a, S_w(x_star)> on the support for the walk, from grad f* for the root
+    find) and checks it, returns 0 when g'(0) = 0 or, with ``nonneg``,
+    g'(0) >= 0, and mirrors the problem to g(sign t) so that the engine
+    finds a root at t > 0. Without a plan
+    it raises ZeroDirection for a zero ``a``, DimensionMismatch when x_star
+    or ``a`` is not a vector of the objective's length, and a ValueError
+    naming ``beta``, ``x_star`` or ``a`` when it holds a bool, a string,
+    None or a complex number; with or without one, NonFiniteData when
     x_star, a, beta, g'(0), a g' of the root find's bracket or the step
     holds a NaN or an infinity (a plan's ``a`` is taken as checked).
     """
-    if not math.isfinite(beta):
-        raise NonFiniteData(f"linesearch beta is {beta}")
     if plan is None:
+        beta = _real("beta", beta, finite=False)
+        x_star = _vector("x_star", x_star, obj.dimension)
         a = _vector("a", a, obj.dimension)
         a_sq = float(np.vdot(a, a))  # vdot: no overflow warning
         if a_sq == 0.0:
@@ -470,9 +495,8 @@ def exact_linesearch(obj, x_star, a, beta, nonneg=False, gp0=None, x=None, plan=
         if not math.isfinite(a_sq):
             raise NonFiniteData("linesearch direction is not finite or its square overflows")
         plan = _LinesearchPlan(a, obj._verdicts, _nonzeros(a), a_sq)
-    x_star = np.asarray(x_star, dtype=float)
-    if x_star.shape != plan.shape:
-        raise DimensionMismatch(f"linesearch x_star has shape {x_star.shape}, not {plan.shape}")
+    if not math.isfinite(beta):
+        raise NonFiniteData(f"linesearch beta is {beta}")
     # x*.x* shows a NaN or an inf, or it overflows and the exact test decides
     # (np.vdot, unlike np.dot, does not warn when it overflows)
     if not math.isfinite(np.vdot(x_star, x_star)) and not np.all(np.isfinite(x_star)):
@@ -662,11 +686,16 @@ def bregman_project(obj, pair, target):
     other pairing raises TypeError; a box without the origin raises
     BoxWithoutZero. A NonnegCone is the Box [0, inf) on its indices. A pair
     whose x or x_star is not a vector of the objective's dimension raises
-    DimensionMismatch.
+    DimensionMismatch. The set's kept projector serves every step after the
+    first: bregman_projector is asked only when the set keeps none for
+    ``obj``.
     """
     n = (obj.dimension,)
     if pair.x.shape != n or pair.x_star.shape != n:
         name = "x" if pair.x.shape != n else "x_star"
         raise DimensionMismatch(f"pair.{name} must be a vector of length {n[0]}, "
                                 f"not of shape {getattr(pair, name).shape}")
-    return bregman_projector(obj, target)(target, pair)
+    owner, projector = target._bregman
+    if owner is not obj:
+        projector = bregman_projector(obj, target)
+    return projector(target, pair)

@@ -34,6 +34,7 @@ from splitbreg.linops import (
     ZeroOperator,
     build_parallel_projector,
 )
+from splitbreg._checks import DimensionMismatch
 from splitbreg.objectives import GroupElasticNet, ProductObjective, SquaredNorm
 from splitbreg.projections import NormBall, Point
 from splitbreg import solver
@@ -220,6 +221,16 @@ def test_write_pgm(tmp_path):
     pixels = raw[len(header):]
     assert len(pixels) == 6
     assert pixels[0] == 0 and pixels[2] == 255 and pixels[3] == 255
+    # the image as its height x width array writes the same bytes
+    write_pgm(tmp_path / "grid.pgm", np.array([[0.0, 0.5, 1.0], [1.0, 0.25, 0.0]]), 2, 3)
+    assert (tmp_path / "grid.pgm").read_bytes() == raw
+
+
+def test_write_pgm_names_an_image_of_another_size(tmp_path):
+    with pytest.raises(DimensionMismatch, match=r"^image must be a vector of length 9, not of "
+                       r"shape \(4,\)$"):
+        write_pgm(tmp_path / "img.pgm", np.ones(4), 3, 3)
+    assert not (tmp_path / "img.pgm").exists()
 
 
 def test_mass_estimate_exact_on_tiling_rays():

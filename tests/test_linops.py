@@ -211,6 +211,43 @@ def test_sparse_operator_rows_and_adjoint():
     _check_adjoint(op, rng)
 
 
+def test_sparse_row_is_toarray_s_row_bit_for_bit():
+    import scipy.sparse as sp
+
+    # a CSR matrix as stored, not canonical: row 1 holds column 2 three
+    # times, where 3.0 + 0.1 + 0.2 differs from 0.1 + 0.2 + 3.0 in the last
+    # bit, and row 0 a -0.0 that toarray's sum from zeros turns into +0.0
+    data = np.array([1.0, 2.0, -0.0, 3.0, 0.1, 0.2, 5.0])
+    indices = np.array([0, 0, 1, 2, 2, 2, 0], dtype=np.int32)
+    mat = sp.csr_matrix((data, indices, np.array([0, 3, 6, 6, 7])), shape=(4, 3))
+    op = SparseOperator(mat)
+    assert not op.mat.has_canonical_format
+    for i in range(4):
+        want = mat.getrow(i).toarray().ravel()
+        assert op.row(i).tobytes() == want.tobytes() and op.row(i).dtype == want.dtype
+    assert op.row(1)[2] == 3.0 + 0.1 + 0.2 != 0.1 + 0.2 + 3.0
+    # an integer matrix keeps its dtype, as toarray does
+    ints = SparseOperator(sp.csr_matrix(np.array([[0, 2], [3, 0]])))
+    assert ints.row(1).dtype == ints.mat.dtype and ints.row(1).tolist() == [3, 0]
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        DenseMatrix(np.arange(6.0).reshape(3, 2)),
+        SparseOperator(np.arange(6.0).reshape(3, 2)),
+        ScaledIdentity(3, 2.0),
+        ZeroOperator(3, 2),
+        BlockRow([DenseMatrix(np.ones((3, 1))), ZeroOperator(3, 1)]),
+    ],
+    ids=["dense", "sparse", "scaled-identity", "zero", "block-row"],
+)
+def test_a_numpy_integer_row_index_reads_the_row_of_the_plain_int(op):
+    want = op.row(2)
+    for i in (np.int64(2), np.int32(2), np.uint8(2)):
+        assert op.row(i).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("cls, key", [(DenseMatrix, "a"), (SparseOperator, "mat")])
 @pytest.mark.parametrize(
     "entries, shown",

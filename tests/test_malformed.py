@@ -565,7 +565,7 @@ ROWS = {
         ),
         dimension=Raises(
             lambda: _linesearch(np.zeros((2, 1)), 1.0),
-            r"^linesearch x_star has shape \(2, 1\), not \(2,\)$",
+            r"^x_star must be a vector of length 2, not of shape \(2, 1\)$",
             DimensionMismatch,
         ),
         length=Raises(
@@ -968,6 +968,86 @@ def test_exact_linesearch_names_a_direction_by_the_vector_rule(a, message):
     # entries into numbers (the complex one with a warning) and search along them
     with pytest.raises(ValueError, match=f"^a must hold real numbers, not {message}$"):
         exact_linesearch(_EN, np.zeros(2), a, 1.0)
+
+
+def _door(call, message, error=ValueError, id=None):
+    return pytest.param(call, message, error, id=id)
+
+
+# each of these calls answered silently (a number, an array, a point) or with
+# numpy's unnamed error until its door read its arguments by the _checks rules
+_DOOR_CASES = [
+    # the set doors: y is a vector of real numbers that fits the set's data
+    _door(lambda: Point([1.0, 2.0]).distance([1.0]),
+          r"^y must be a vector of length 2, not of shape \(1,\)$", DimensionMismatch,
+          id="Point.distance-length"),
+    _door(lambda: Point([1.0, 2.0]).project([True, False]),
+          "^y must hold real numbers, not bools$", id="Point.project-bool"),
+    _door(lambda: Point([1.0, 2.0]).contains([[1.0], [2.0]]),
+          r"^y must be a vector, not of shape \(2, 1\)$", DimensionMismatch,
+          id="Point.contains-dimension"),
+    _door(lambda: NonnegCone([5]).distance([-1, -2]), "^y: NonnegCone does not fit length 2$",
+          DimensionMismatch, id="NonnegCone.distance-misfit"),
+    _door(lambda: NonnegCone().project(["1", "2"]), "^y must hold real numbers, not '1'$",
+          id="NonnegCone.project-string"),
+    _door(lambda: Box([0.0, 0.0], [1.0, 1.0]).project([0.5, 0.5, 0.5]),
+          "^y: Box does not fit length 3$", DimensionMismatch, id="Box.project-misfit"),
+    _door(lambda: Box([0.0], [1.0]).contains(None), "^y must hold real numbers, not None$",
+          id="Box.contains-None"),
+    _door(lambda: Hyperplane([1, 0], 1).distance([[2], [0]]),
+          r"^y must be a vector of length 2, not of shape \(2, 1\)$", DimensionMismatch,
+          id="Hyperplane.distance-dimension"),
+    _door(lambda: Hyperplane([1.0, 0.0], 1.0).project([1.0]),
+          r"^y must be a vector of length 2, not of shape \(1,\)$", DimensionMismatch,
+          id="Hyperplane.project-length"),
+    _door(lambda: Halfspace([1.0, 0.0], 1.0).distance(np.array([2.0, 1j])),
+          r"^y must hold real numbers, not \(2\+0j\)$", id="Halfspace.distance-complex"),
+    _door(lambda: Halfspace([1.0, 0.0], 1.0).project([True, True]),
+          "^y must hold real numbers, not bools$", id="Halfspace.project-bool"),
+    _door(lambda: NormBall([0, 0], 1).gap([1, 2, 3]), "^y: NormBall does not fit length 3$",
+          DimensionMismatch, id="NormBall.gap-misfit"),
+    _door(lambda: NormBall([0.0, 0.0], 1.0).project([3.0]), "^y: NormBall does not fit length 1$",
+          DimensionMismatch, id="NormBall.project-misfit"),
+    # the separating halfspace's point
+    _door(lambda: separating_halfspace(_eye(), [True, False], np.ones(2), 1.0),
+          "^x must hold real numbers, not bools$", id="separating_halfspace-bool"),
+    _door(lambda: separating_halfspace(_eye(), np.zeros(3), np.ones(2), 1.0),
+          r"^x must be a vector of length 2, not of shape \(3,\)$", DimensionMismatch,
+          id="separating_halfspace-length"),
+    # a caller's linesearch: x_star by the vector rule, beta by the real-number rule
+    _door(lambda: exact_linesearch(ElasticNet(0.5, 2), [True, False], [1.0, 0.0], 1.0),
+          "^x_star must hold real numbers, not bools$", id="exact_linesearch-x_star-bool"),
+    _door(lambda: exact_linesearch(ElasticNet(0.5, 2), ["1", "0"], [1.0, 0.0], 1.0),
+          "^x_star must hold real numbers, not '1'$", id="exact_linesearch-x_star-string"),
+    _door(lambda: exact_linesearch(_EN, np.zeros(2), np.ones(2), True),
+          "^beta must be a real number, not True$", id="exact_linesearch-beta-bool"),
+    _door(lambda: exact_linesearch(_EN, np.zeros(2), np.ones(2), "1"),
+          "^beta must be a real number, not '1'$", id="exact_linesearch-beta-string"),
+    _door(lambda: exact_linesearch(_EN, np.zeros(2), np.ones(2), None),
+          "^beta must be a real number, not None$", id="exact_linesearch-beta-None"),
+    # row access: one index rule before any operator answers
+    _door(lambda: DenseMatrix(np.arange(6.0).reshape(3, 2)).row(-1),
+          "^row index -1 out of range$", id="DenseMatrix.row-negative"),
+    _door(lambda: ScaledIdentity(3, 2.0).row(-1), "^row index -1 out of range$",
+          id="ScaledIdentity.row-negative"),
+    _door(lambda: BlockRow([_eye(), _eye()]).row(-1), "^row index -1 out of range$",
+          id="BlockRow.row-negative"),
+    _door(lambda: SparseOperator(np.eye(2)).row(-1), "^row index -1 out of range$",
+          id="SparseOperator.row-negative"),
+    _door(lambda: ZeroOperator(2, 3).row(7), "^row index 7 out of range$",
+          id="ZeroOperator.row-past-the-end"),
+    _door(lambda: DenseMatrix(np.eye(2)).row(True), "^row index must hold integers, not True$",
+          id="DenseMatrix.row-bool"),
+    _door(lambda: DenseMatrix(np.eye(2)).row(1.0), r"^row index must hold integers, not 1\.0$",
+          id="DenseMatrix.row-float"),
+]
+
+
+@pytest.mark.parametrize("call, message, error", _DOOR_CASES)
+def test_every_door_names_a_malformed_argument(call, message, error):
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert info.type is error
 
 
 @pytest.mark.parametrize(

@@ -316,6 +316,23 @@ def test_malformed_set_data_is_rejected(build, message):
         build()
 
 
+def test_a_float64_vector_is_taken_as_is_and_every_other_array_is_read_entry_by_entry():
+    # the fast path takes exactly the arrays np.asarray(v, dtype=float)
+    # would hand back unchanged: a float64 ndarray, a read-only view included
+    a = np.arange(3.0)
+    view = a[::2]
+    view.flags.writeable = False
+    assert _vector("v", a) is a and _vector("v", view) is view
+    # another byte order, another dtype or an ndarray subclass is converted
+    # or judged by _reals, as before
+    swapped = _vector("v", a.astype(">f8"))
+    assert swapped.dtype == np.float64 and swapped.dtype.isnative
+    assert swapped.tolist() == a.tolist()
+    assert _vector("v", np.arange(3, dtype=np.float32)).dtype == np.float64
+    sub = _vector("v", a.view(type("Sub", (np.ndarray,), {})))
+    assert type(sub) is np.ndarray and sub.tolist() == a.tolist()
+
+
 def test_numpy_scalar_offsets_are_accepted():
     # a row preset's b[i] and any numpy integer or float scalar are real numbers
     b = np.array([1.5, -2.0])

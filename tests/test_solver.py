@@ -1643,11 +1643,14 @@ def _box_steps():
 
 
 # Python calls into the package per step: this tree's counts (sparse
-# Kaczmarz 15.03, Kaczmarz 12.30, linearized Bregman 20.05 under Dynamic and
-# 27.74 under Exact, the box step 10.0), each with 10% headroom. C calls
-# (24.37, 14.45, 27.07, 42.41, 5.0) are not bounded: what a C call is may
-# differ between Python versions. A kink walk that runs to its cap on every
-# row adds about 5.7 Python calls per sparse Kaczmarz step.
+# Kaczmarz 14.06, Kaczmarz 12.38, linearized Bregman 19.05 under Dynamic and
+# 26.76 under Exact, the box step 8.0), under bounds set with 10% headroom
+# over earlier counts (15.03, 12.30, 20.06, 27.78, 10.0) before a float64
+# vector passed _checks._vector in one frame and bregman_project read a
+# set's kept projector itself. C calls (20.37, 10.54, 20.07, 32.41, 3.0) are
+# not bounded: what a C call is may differ between Python versions. A kink
+# walk that runs to its cap on every row adds about 5.7 Python calls per
+# sparse Kaczmarz step.
 _CALLS_PER_STEP = {
     "sparse_kaczmarz": (lambda: _run_steps("sparse_kaczmarz"), 16.5),
     "kaczmarz": (lambda: _run_steps("kaczmarz"), 13.5),
